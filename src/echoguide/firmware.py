@@ -8,6 +8,7 @@ handset.  All timing is driven by the shared virtual clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -21,6 +22,7 @@ from .world import (
 )
 
 # One poll of the rangefinder: a raw pulse count, or None when no echo returned.
+# A source may also have an empty_until method; see acquire_distance.
 EchoSource = Callable[[], Optional[int]]
 
 
@@ -145,16 +147,35 @@ def acquire_distance(channel: Channel, sensor: EchoSource, clock: VirtualClock,
     are banked; returns their median.  Every poll costs one sample period of
     virtual time whether or not it produced a usable reading.  Raises
     NoEchoError when max_sample_attempts polls yield too few valid samples.
+
+    After a missing echo, a sensor with an empty_until(t_ms) method (see
+    world.ChannelEcho) says how long the channel stays empty.  The polls
+    that would fall in that run are accounted in closed form: they count as
+    attempts and move the clock one sample period each, but the sensor is
+    not called for them.  The result, the clock and any NoEchoError are
+    those of polling one by one.
     """
+    period = cfg.sample_period_ms
+    limit = cfg.max_sample_attempts
+    empty_until = getattr(sensor, "empty_until", None)
     valid: list[int] = []
     attempts = 0
     while len(valid) < cfg.samples_per_measurement:
-        if attempts >= cfg.max_sample_attempts:
+        if attempts >= limit:
             raise NoEchoError(channel, attempts)
         pulses = sensor()
         attempts += 1
-        clock.advance(cfg.sample_period_ms)
+        clock.advance(period)
         if pulses is None:
+            if empty_until is not None:
+                now = clock.now()
+                until = empty_until(now)
+                # The polls at now, now + period, ... that fall before `until`.
+                skipped = limit - attempts
+                if until != math.inf:
+                    skipped = min(skipped, -((now - until) // period))
+                attempts += skipped
+                clock.advance(skipped * period)
             continue
         distance = pulses_to_cm(pulses, cfg)
         if gate_valid(distance, cfg):

@@ -16,7 +16,7 @@ import random
 import tempfile
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .app import (
     AssistiveApp,
@@ -54,6 +54,7 @@ from .trace import (
 from .world import (
     Calibration,
     Channel,
+    ChannelEcho,
     ScenarioScript,
     SurfaceKind,
     Weather,
@@ -92,16 +93,11 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     emit_times: deque[int] = deque()
     duration = script.duration_ms
 
-    def make_sensor(channel: Channel) -> Callable[[], Optional[int]]:
-        def poll() -> Optional[int]:
-            t = clock.now()
-            params = noise_params_for(
-                script.surface_at(t), script.weather_at(t), config.calibration
-            )
-            return sample_echo(script.distance_cm_at(channel, t), params, echo_rng)
-        return poll
-
-    sensors = {channel: make_sensor(channel) for channel in Channel}
+    # sample_echo is passed by this module's name, where perfbench's traced
+    # run wraps it to count draws.
+    sensors = {channel: ChannelEcho(script, channel, config.calibration, echo_rng, clock,
+                                    sample=sample_echo)
+               for channel in Channel}
 
     temp_dir: Optional[tempfile.TemporaryDirectory] = None
     if store_path is None:

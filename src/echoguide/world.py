@@ -10,6 +10,7 @@ seeded random generator, so runs replay bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from bisect import bisect_right
@@ -18,6 +19,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Optional, Sequence
 
+from .clock import VirtualClock
 from .errors import ConfigError, ScenarioError
 
 # Rangefinder characteristics shared by the world model and the firmware:
@@ -159,9 +161,14 @@ class StepTimeline:
                 raise ScenarioError("timeline step times must be strictly increasing")
 
     def at(self, t_ms: int) -> object:
+        return self.step_at(t_ms)[0]
+
+    def step_at(self, t_ms: int) -> tuple[object, Optional[int]]:
+        """The value at t_ms and the time of the next step (None after the last)."""
         if t_ms < 0:
             raise ScenarioError("timeline queried at negative time")
-        return self.values[bisect_right(self.times, t_ms) - 1]
+        i = bisect_right(self.times, t_ms)
+        return self.values[i - 1], self.times[i] if i < len(self.times) else None
 
 
 class GeoPath:
@@ -294,6 +301,60 @@ def scene_at(script: ScenarioScript, t_ms: int) -> SceneState:
         network_available=script.network_at(t_ms),
         server_available=script.server_at(t_ms),
     )
+
+
+class ChannelEcho:
+    """The rangefinder of one channel in a scripted world, polled at the clock's time.
+
+    The channel's true distance and noise params hold for a segment: up to
+    the next step of the channel, surface or weather timeline.  They are
+    looked up when a poll first falls in a segment (so a calibration gap
+    raises ConfigError at the first poll in it, empty channel or not) and
+    reused until the clock leaves it.  Past duration_ms the world holds its
+    final state, so the last segment never ends.
+
+    `sample` draws one reading from (true distance, params, rng), as
+    sample_echo does.
+    """
+
+    def __init__(self, script: ScenarioScript, channel: Channel, calibration: Calibration,
+                 rng: random.Random, clock: VirtualClock, sample=sample_echo) -> None:
+        self._timelines = (script.channels[channel], script.surface, script.weather)
+        self._duration_ms = script.duration_ms
+        self._calibration = calibration
+        self._rng = rng
+        self._clock = clock
+        self._sample = sample
+        self._true_cm: Optional[float] = None
+        self._params: Optional[NoiseParams] = None
+        self._start_ms = 0
+        self._until_ms: float = 0  # [start, until) is the cached span; empty at first
+
+    def _enter(self, t_ms: int) -> None:
+        duration = self._duration_ms
+        steps = [timeline.step_at(min(t_ms, duration)) for timeline in self._timelines]
+        (true_cm, _), (surface, _), (weather, _) = steps
+        self._params = noise_params_for(surface, weather, self._calibration)
+        self._true_cm = true_cm  # type: ignore[assignment]
+        self._start_ms = t_ms
+        # A step after duration_ms is never reached: clamped queries stop short of it.
+        self._until_ms = min((nxt for _, nxt in steps if nxt is not None and nxt <= duration),
+                             default=math.inf)
+
+    def __call__(self) -> Optional[int]:
+        t_ms = self._clock.now()
+        if not self._start_ms <= t_ms < self._until_ms:
+            self._enter(t_ms)
+        if self._true_cm is None:
+            return None
+        return self._sample(self._true_cm, self._params, self._rng)
+
+    def empty_until(self, t_ms: int) -> float:
+        """The first time at or after t_ms at which the channel may have a
+        target: t_ms itself when it has one, math.inf when it stays empty."""
+        if not self._start_ms <= t_ms < self._until_ms:
+            self._enter(t_ms)
+        return t_ms if self._true_cm is not None else self._until_ms
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +570,6 @@ __all__ = [
     "Channel", "SurfaceKind", "Weather", "NoiseParams", "Calibration",
     "DEFAULT_CALIBRATION", "check_calibration_ordering", "noise_params_for",
     "sample_echo", "StepTimeline", "GeoPath", "UserEvent", "SceneState",
-    "ScenarioScript", "scene_at", "scenario_from_dict", "load_scenario",
+    "ScenarioScript", "scene_at", "ChannelEcho", "scenario_from_dict", "load_scenario",
     "parse_start_utc", "utc_string", "DEFAULT_START_UTC",
 ]

@@ -9,8 +9,12 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_script
 from echoguide.clock import VirtualClock
+from echoguide.errors import ConfigError
 from echoguide.firmware import (
     DistanceSample,
     FirmwareConfig,
@@ -24,7 +28,15 @@ from echoguide.firmware import (
     median9,
     pulses_to_cm,
 )
-from echoguide.world import Channel
+from echoguide.world import (
+    DEFAULT_CALIBRATION,
+    Channel,
+    ChannelEcho,
+    SurfaceKind,
+    Weather,
+    sample_echo,
+)
+from reference_loop import naive_acquire_distance, naive_sensor
 
 
 class ScriptedSensor:
@@ -195,6 +207,97 @@ def test_acquire_returns_median_of_noisy_run():
     sensor = ScriptedSensor([cm * 58 for cm in cms])
     clock = VirtualClock()
     assert acquire_distance(Channel.GROUND, sensor, clock) == statistics.median(cms)
+
+
+# -- skipping empty polls ------------------------------------------------------------
+
+
+def ground_sources(script, calibration=DEFAULT_CALIBRATION):
+    """The skip-ahead source and the reference source on the ground channel,
+    each as (source, clock, times of its echo draws), on equally seeded streams."""
+    sides = []
+    for make in (ChannelEcho, naive_sensor):
+        clock = VirtualClock()
+        draws: list[int] = []
+
+        def sample(true_cm, params, rng, clock=clock, draws=draws):
+            if true_cm is not None:
+                draws.append(clock.now())
+            return sample_echo(true_cm, params, rng)
+
+        source = make(script, Channel.GROUND, calibration, random.Random(7), clock, sample=sample)
+        sides.append((source, clock, draws))
+    return sides
+
+
+class CountingEcho(ChannelEcho):
+    polls = 0
+
+    def __call__(self):
+        self.polls += 1
+        return super().__call__()
+
+
+def test_acquire_books_a_fully_empty_round_in_one_step():
+    clock = VirtualClock(start_ms=1000)
+    echo = CountingEcho(make_script(duration_ms=10_000), Channel.GROUND, DEFAULT_CALIBRATION,
+                        random.Random(7), clock)
+    cfg = FirmwareConfig(sample_period_ms=7, max_sample_attempts=20)
+    with pytest.raises(NoEchoError) as excinfo:
+        acquire_distance(Channel.GROUND, echo, clock, cfg)
+    assert excinfo.value.attempts == cfg.max_sample_attempts
+    assert clock.now() == 1000 + cfg.max_sample_attempts * cfg.sample_period_ms
+    assert echo.polls == 1  # the first poll finds the channel empty; the rest are booked
+
+
+@pytest.mark.parametrize("appears_ms", [1, 9, 10, 11, 95, 401])
+def test_acquire_banks_first_sample_when_a_target_appears_mid_round(appears_ms):
+    # 401 ms leaves exactly nine polls (410..490 ms) before the 50th attempt.
+    script = make_script(duration_ms=2000, channels={
+        "ground": [{"t": 0, "distance_cm": None}, {"t": appears_ms, "distance_cm": 50}]})
+    (echo, clock, draws), (ref, ref_clock, ref_draws) = ground_sources(script)
+    distance = acquire_distance(Channel.GROUND, echo, clock)
+    assert distance == naive_acquire_distance(Channel.GROUND, ref, ref_clock)
+    assert clock.now() == ref_clock.now()
+    assert draws == ref_draws
+    assert draws[0] == -(-appears_ms // 10) * 10
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(readings=st.lists(st.none() | st.sampled_from([870, 2900, 3000, 37410, 5800]),
+                         max_size=60),
+       repeat_last=st.booleans())
+def test_acquire_plain_callable_matches_reference(readings, repeat_last):
+    # A source without empty_until is polled once per attempt, as before.
+    outcomes = []
+    for acquire in (acquire_distance, naive_acquire_distance):
+        sensor = ScriptedSensor(readings, repeat_last=repeat_last)
+        clock = VirtualClock()
+        try:
+            result = acquire(Channel.LEFT, sensor, clock)
+        except NoEchoError as exc:
+            result = ("no echo", exc.attempts)
+        outcomes.append((result, clock.now(), sensor.polls))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_missing_calibration_entry_raises_at_the_same_poll_as_polling_one_by_one():
+    # The surface turns to concrete at 1234 ms while the channel is empty; the
+    # table has no concrete entry.  Polling one by one, the first poll at or
+    # after 1234 ms raises; skipping ahead must raise there too.
+    script = make_script(duration_ms=5000,
+                         surface=[{"t": 0, "value": "tiles"}, {"t": 1234, "value": "concrete"}])
+    calibration = {(SurfaceKind.TILES, Weather.DRY):
+                   DEFAULT_CALIBRATION[(SurfaceKind.TILES, Weather.DRY)]}
+    raised_at = []
+    for (echo, clock, _), acquire in zip(ground_sources(script, calibration),
+                                         (acquire_distance, naive_acquire_distance)):
+        with pytest.raises(ConfigError, match="surface=concrete weather=dry"):
+            for _ in range(10):  # 500 ms rounds, well past 1234 ms
+                with pytest.raises(NoEchoError):
+                    acquire(Channel.GROUND, echo, clock)
+        raised_at.append(clock.now())
+    assert raised_at == [1240, 1240]
 
 
 # -- classification ---------------------------------------------------------------

@@ -8,6 +8,8 @@ import json
 import pytest
 
 from echoguide.cli import main as sim_main
+from echoguide.config import SystemConfig
+from echoguide.errors import ConfigError
 from echoguide.harness import (
     assert_expectations,
     distance_error_experiment,
@@ -20,6 +22,7 @@ from echoguide.trace import TraceLog, ev_measurement
 from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
 
 from conftest import EXPECTATION_DIR, SCENARIO_DIR, make_script, zero_noise_config
+from reference_loop import both_outcomes
 
 
 def ground_obstacle_script(**overrides):
@@ -177,6 +180,20 @@ def test_trace_jsonl_roundtrips_through_files(tmp_path):
     trace.write(path)
     again = TraceLog.read(path)
     assert again.to_jsonl() == trace.to_jsonl()
+
+
+def test_missing_calibration_entry_fails_the_run_even_with_every_channel_empty():
+    # The noise params are looked up as soon as a poll enters a segment, so a
+    # gap in the table fails the first poll, target or not, as it did when
+    # every poll looked them up.
+    config = SystemConfig.default()
+    del config.calibration[(SurfaceKind.TILES, Weather.DRY)]
+    script = make_script(duration_ms=60_000)
+    with pytest.raises(ConfigError, match="surface=tiles weather=dry"):
+        run_scenario(script, config)
+    fast, slow = both_outcomes(script, config)
+    assert fast == slow == ("ConfigError",
+                            "calibration has no entry for surface=tiles weather=dry")
 
 
 # -- error report ----------------------------------------------------------------

@@ -102,7 +102,8 @@ def live_tracking(tmp_path):
     service = TrackService(store)
     port = free_port()
     httpd = make_http_server(f"127.0.0.1:{port}", service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield service, f"127.0.0.1:{port}"
     httpd.shutdown()

@@ -3,15 +3,19 @@ and the echo sampler."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
 import pytest
 
 from conftest import make_script
+from echoguide.clock import VirtualClock
 from echoguide.errors import ConfigError, ScenarioError
 from echoguide.firmware import pulses_to_cm
 from echoguide.world import (
     Channel,
+    ChannelEcho,
     DEFAULT_CALIBRATION,
     GATE_HIGH_CM,
     GATE_LOW_CM,
@@ -20,6 +24,7 @@ from echoguide.world import (
     Weather,
     check_calibration_ordering,
     noise_params_for,
+    StepTimeline,
     sample_echo,
     scenario_from_dict,
     scene_at,
@@ -87,6 +92,87 @@ def test_scene_surface_weather_and_providers():
     assert early.weather is Weather.WET
     assert early.gps_available and not scene_at(script, 10_000).gps_available
     assert early.network_available and early.server_available  # defaults on
+
+
+def test_step_at_gives_the_value_and_the_next_step():
+    timeline = StepTimeline([(0, "a"), (11, "b"), (499, "c")])
+    assert timeline.step_at(0) == ("a", 11)
+    assert timeline.step_at(10) == ("a", 11)
+    assert timeline.step_at(11) == ("b", 499)
+    assert timeline.step_at(499) == ("c", None)
+    assert timeline.step_at(10**9) == ("c", None)
+    assert [timeline.at(t) for t in (0, 10, 11, 498, 499)] == ["a", "a", "b", "b", "c"]
+    with pytest.raises(ScenarioError):
+        timeline.step_at(-1)
+
+
+# -- per-channel echo source ---------------------------------------------------------
+
+
+class DrawLog:
+    """Stand-in for sample_echo that records each draw and returns whole pulses."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.draws = []
+
+    def __call__(self, true_cm, params, rng):
+        self.draws.append((self.clock.now(), true_cm, params))
+        return round(true_cm * 58)
+
+
+def test_channel_echo_follows_channel_surface_and_weather_steps():
+    script = make_script(
+        duration_ms=1000,
+        channels={"left": [{"t": 0, "distance_cm": 80}, {"t": 301, "distance_cm": None},
+                           {"t": 601, "distance_cm": 120}]},
+        surface=[{"t": 0, "value": "tiles"}, {"t": 101, "value": "concrete"}],
+        weather=[{"t": 0, "value": "dry"}, {"t": 401, "value": "wet"}],
+    )
+    clock = VirtualClock()
+    log = DrawLog(clock)
+    echo = ChannelEcho(script, Channel.LEFT, DEFAULT_CALIBRATION, random.Random(1), clock,
+                       sample=log)
+    readings = {}
+    for t in (0, 100, 101, 300, 301, 400, 401, 600, 601, 1000):
+        clock.advance(t - clock.now())
+        readings[t] = echo()
+    assert readings[300] == 80 * 58 and readings[601] == 120 * 58
+    assert [readings[t] for t in (301, 400, 401, 600)] == [None] * 4
+    tiles_dry = DEFAULT_CALIBRATION[(SurfaceKind.TILES, Weather.DRY)]
+    concrete_dry = DEFAULT_CALIBRATION[(SurfaceKind.CONCRETE, Weather.DRY)]
+    concrete_wet = DEFAULT_CALIBRATION[(SurfaceKind.CONCRETE, Weather.WET)]
+    assert [params for _, _, params in log.draws] == [
+        tiles_dry, tiles_dry, concrete_dry, concrete_dry, concrete_wet, concrete_wet]
+    assert [t for t, _, _ in log.draws] == [0, 100, 101, 300, 601, 1000]  # no draw when empty
+
+
+def test_channel_echo_empty_until_stops_at_every_segment_edge():
+    script = make_script(
+        duration_ms=1000,
+        channels={"ground": [{"t": 0, "distance_cm": None}, {"t": 700, "distance_cm": 50}]},
+        surface=[{"t": 0, "value": "tiles"}, {"t": 249, "value": "concrete"}],
+        weather=[{"t": 0, "value": "dry"}, {"t": 501, "value": "wet"}],
+    )
+    echo = ChannelEcho(script, Channel.GROUND, DEFAULT_CALIBRATION, random.Random(1),
+                       VirtualClock())
+    assert [echo.empty_until(t) for t in (0, 248, 249, 500, 501, 699)] == [
+        249, 249, 501, 501, 700, 700]
+    assert echo.empty_until(700) == 700  # a target: no skipping
+    assert echo.empty_until(5000) == 5000  # the target holds past the end
+
+
+def test_channel_echo_clamps_past_duration():
+    # Steps after duration_ms are never reached: the world holds its state at
+    # duration_ms, so an empty channel stays empty for good from there.
+    script = make_script(duration_ms=1000)
+    late = StepTimeline([(0, None), (1500, 40.0)])
+    script = dataclasses.replace(script, channels={**script.channels, Channel.RIGHT: late})
+    echo = ChannelEcho(script, Channel.RIGHT, DEFAULT_CALIBRATION, random.Random(1),
+                       VirtualClock())
+    assert echo.empty_until(999) == math.inf
+    assert echo.empty_until(1600) == math.inf
+    assert script.distance_cm_at(Channel.RIGHT, 1600) is None
 
 
 # -- scenario validation ---------------------------------------------------------
