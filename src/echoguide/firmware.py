@@ -167,7 +167,8 @@ def acquire_distance(channel: Channel, sensor: EchoSource, clock: VirtualClock,
         attempts += 1
         clock.advance(period)
         if pulses is None:
-            if empty_until is not None:
+            # Only while polls remain: a lookup at a time never polled could raise.
+            if empty_until is not None and attempts < limit:
                 now = clock.now()
                 until = empty_until(now)
                 # The polls at now, now + period, ... that fall before `until`.

@@ -327,8 +327,7 @@ class ChannelEcho:
         self._sample = sample
         self._true_cm: Optional[float] = None
         self._params: Optional[NoiseParams] = None
-        self._start_ms = 0
-        self._until_ms: float = 0  # [start, until) is the cached span; empty at first
+        self._until_ms: float = 0  # the cached segment ends here; the clock never goes back
 
     def _enter(self, t_ms: int) -> None:
         duration = self._duration_ms
@@ -336,14 +335,13 @@ class ChannelEcho:
         (true_cm, _), (surface, _), (weather, _) = steps
         self._params = noise_params_for(surface, weather, self._calibration)
         self._true_cm = true_cm  # type: ignore[assignment]
-        self._start_ms = t_ms
         # A step after duration_ms is never reached: clamped queries stop short of it.
         self._until_ms = min((nxt for _, nxt in steps if nxt is not None and nxt <= duration),
                              default=math.inf)
 
     def __call__(self) -> Optional[int]:
         t_ms = self._clock.now()
-        if not self._start_ms <= t_ms < self._until_ms:
+        if t_ms >= self._until_ms:
             self._enter(t_ms)
         if self._true_cm is None:
             return None
@@ -352,7 +350,7 @@ class ChannelEcho:
     def empty_until(self, t_ms: int) -> float:
         """The first time at or after t_ms at which the channel may have a
         target: t_ms itself when it has one, math.inf when it stays empty."""
-        if not self._start_ms <= t_ms < self._until_ms:
+        if t_ms >= self._until_ms:
             self._enter(t_ms)
         return t_ms if self._true_cm is not None else self._until_ms
 

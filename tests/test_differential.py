@@ -31,7 +31,8 @@ DISTANCES_CM = (None, 10, 15.4, 16, 40, 59.9, 60, 99.5, 100, 300, 644, 645, 700,
 @st.composite
 def step_times(draw, duration_ms: int) -> list[int]:
     """Sorted distinct step times in (0, duration_ms]."""
-    special = sorted({t for t in OFF_GRID_MS + (duration_ms, duration_ms - 1, duration_ms - 9)
+    special = sorted({t for t in OFF_GRID_MS + (duration_ms, duration_ms - 1, duration_ms - 9,
+                                             duration_ms - 10)
                       if 0 < t <= duration_ms})
     times = draw(st.lists(st.sampled_from(special) | st.integers(1, duration_ms),
                           max_size=5, unique=True))
@@ -140,6 +141,13 @@ DEFAULT_CONFIG = {"schema_version": 1}
                                       {"t": 501, "distance_cm": 30}]},
               "weather": [{"t": 0, "value": "dry"}, {"t": 499, "value": "wet"}]},
          config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
+# The last round's final poll lands on a surface step and moves the clock onto a
+# weather step at duration_ms, into a condition the table lacks: both loops end
+# the run there without looking it up.
+@example(doc={"schema_version": 1, "duration_ms": 1500, "seed": 21,
+              "surface": [{"t": 0, "value": "tiles"}, {"t": 1490, "value": "concrete"}],
+              "weather": [{"t": 0, "value": "dry"}, {"t": 1500, "value": "wet"}]},
+         config_doc=DEFAULT_CONFIG, missing=("concrete", "wet"))
 def test_skip_ahead_matches_naive_loop_byte_for_byte(doc, config_doc, missing):
     script = scenario_from_dict(doc)
     config = build_config(config_doc, missing)

@@ -9,8 +9,6 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import make_script
 from echoguide.clock import VirtualClock
@@ -263,22 +261,21 @@ def test_acquire_banks_first_sample_when_a_target_appears_mid_round(appears_ms):
     assert draws[0] == -(-appears_ms // 10) * 10
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(readings=st.lists(st.none() | st.sampled_from([870, 2900, 3000, 37410, 5800]),
-                         max_size=60),
-       repeat_last=st.booleans())
-def test_acquire_plain_callable_matches_reference(readings, repeat_last):
-    # A source without empty_until is polled once per attempt, as before.
-    outcomes = []
-    for acquire in (acquire_distance, naive_acquire_distance):
-        sensor = ScriptedSensor(readings, repeat_last=repeat_last)
-        clock = VirtualClock()
-        try:
-            result = acquire(Channel.LEFT, sensor, clock)
-        except NoEchoError as exc:
-            result = ("no echo", exc.attempts)
-        outcomes.append((result, clock.now(), sensor.polls))
-    assert outcomes[0] == outcomes[1]
+def test_acquire_asks_for_no_skip_after_the_last_attempt():
+    # The surface step at 490 ms makes the round's 50th poll a real one.  It
+    # finds the channel empty and moves the clock to 500 ms, where the weather
+    # turns to a condition the table lacks.  Polling one by one, the round
+    # ends there without looking anything up at 500 ms; so must skipping.
+    script = make_script(duration_ms=1000,
+                         surface=[{"t": 0, "value": "tiles"}, {"t": 490, "value": "concrete"}],
+                         weather=[{"t": 0, "value": "dry"}, {"t": 500, "value": "wet"}])
+    calibration = {key: DEFAULT_CALIBRATION[key]
+                   for key in [(SurfaceKind.TILES, Weather.DRY), (SurfaceKind.CONCRETE, Weather.DRY)]}
+    for (echo, clock, _), acquire in zip(ground_sources(script, calibration),
+                                         (acquire_distance, naive_acquire_distance)):
+        with pytest.raises(NoEchoError):
+            acquire(Channel.GROUND, echo, clock)
+        assert clock.now() == 500
 
 
 def test_missing_calibration_entry_raises_at_the_same_poll_as_polling_one_by_one():
