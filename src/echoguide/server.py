@@ -3,13 +3,19 @@ append-only JSON-lines file, and answers latest/history queries.
 
 The service core is transport-free so the simulation harness can call it
 in-process; ``main()`` wraps the same core in a threaded HTTP server for
-real clients.  Every accepted fix is flushed and fsynced before the caller
+real clients.  Every accepted fix is written and fsynced before the caller
 sees a response, so a restart answers queries identically.
+
+The store indexes fixes by device, each device's list sorted by
+(timestamp, id) on its first query and kept sorted after, so latest is
+O(1) and history O(limit).  The HTTP handler answers a bad Content-Length
+with 400 and one over MAX_BODY_BYTES with 413, without reading the body.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import os
 import sys
@@ -23,6 +29,7 @@ from urllib.parse import parse_qs, urlsplit
 DEFAULT_LISTEN = "127.0.0.1:8750"
 DEFAULT_STORE = "locations.jsonl"
 DEFAULT_HISTORY_LIMIT = 1000
+MAX_BODY_BYTES = 64 * 1024
 
 ENV_LISTEN = "ECHOGUIDE_LISTEN"
 ENV_STORE = "ECHOGUIDE_STORE"
@@ -110,23 +117,40 @@ def validate_fix(body: object) -> dict:
 class TrackStore:
     """Append-only JSON-lines store of fixes; loads its file on startup.
 
-    Appends are serialized through one lock and made durable (flush+fsync)
-    before insert() returns, so reloading the same path reconstructs an
-    identical store.
+    Appends are serialized through one lock and made durable (unbuffered
+    write, then fsync) before insert() returns, so reloading the same path
+    reconstructs an identical store.  An append that fails is truncated
+    back out of the file, and neither the records nor the index see it.
+
+    Besides the records in id order, the store indexes them by device.  A
+    device's list starts in id order and is sorted by (timestamp, id) the
+    first time recent() asks for it, so loading parses no timestamps; from
+    then on each insert keeps it sorted.
+
+    On load, ids must run 1..n.  A last line with no newline is a torn
+    append that was never acknowledged: it is truncated away with a warning
+    on stderr.  Any other bad line raises StorageError naming path:lineno.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._lock = threading.Lock()
         self._records: list[FixRecord] = []
+        self._by_device: dict[str, list[FixRecord]] = {}
+        self._sorted: set[str] = set()
+        self._size = 0  # bytes of whole lines in the file
+        records, by_device = self._records, self._by_device
+        torn_bytes = 0
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
+                    if not line.endswith(b"\n"):  # only the last line can lack one
+                        torn_bytes = len(line)
+                        break
+                    if line.isspace():
                         continue
                     try:
-                        doc = json.loads(line)
+                        doc = json.loads(line.decode("utf-8"))
                         record = FixRecord(
                             id=int(doc["id"]),
                             device_id=doc["device_id"],
@@ -135,31 +159,75 @@ class TrackStore:
                             timestamp=doc["timestamp"],
                             provider=doc["provider"],
                         )
+                        fixes = by_device.get(record.device_id)  # TypeError if unhashable
                     except (ValueError, KeyError, TypeError) as exc:
                         raise StorageError(f"{path}:{lineno}: corrupt record ({exc})") from None
-                    self._records.append(record)
-        self._fh = open(path, "a", encoding="utf-8")
+                    if record.id != len(records) + 1:
+                        raise StorageError(f"{path}:{lineno}: expected id {len(records) + 1}, "
+                                           f"found {record.id}")
+                    records.append(record)
+                    if fixes is None:
+                        by_device[record.device_id] = [record]
+                    else:
+                        fixes.append(record)
+                self._size = fh.tell() - torn_bytes
+        self._fh = open(path, "ab", buffering=0)
+        if torn_bytes:
+            self._truncate()
+            print(f"warning: {path}: truncated a torn last line of {torn_bytes} bytes "
+                  f"at byte {self._size}", file=sys.stderr)
 
     def close(self) -> None:
         with self._lock:
             self._fh.close()
 
+    def _truncate(self) -> None:
+        """Cut the file back to its last whole line and make that durable."""
+        os.ftruncate(self._fh.fileno(), self._size)
+        os.fsync(self._fh.fileno())
+
     def insert(self, fields: dict) -> FixRecord:
         """Assign the next id, persist durably, then expose the record."""
         with self._lock:
             record = FixRecord(id=len(self._records) + 1, **fields)
+            line = (json.dumps(asdict(record), sort_keys=True) + "\n").encode("utf-8")
             try:
-                self._fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
-                self._fh.flush()
+                view = memoryview(line)
+                while view:
+                    view = view[self._fh.write(view):]
                 os.fsync(self._fh.fileno())
             except (OSError, ValueError) as exc:
-                raise StorageError(f"failed to persist fix: {exc}") from None
+                message = f"failed to persist fix: {exc}"
+                try:
+                    self._truncate()
+                except (OSError, ValueError) as cut:
+                    message += f"; truncating back to byte {self._size} failed: {cut}"
+                raise StorageError(message) from None
+            self._size += len(line)
             self._records.append(record)
+            fixes = self._by_device.setdefault(record.device_id, [])
+            if record.device_id in self._sorted and _sort_key(record) < _sort_key(fixes[-1]):
+                bisect.insort(fixes, record, key=_sort_key)
+            else:
+                fixes.append(record)
             return record
 
     def records(self) -> list[FixRecord]:
         with self._lock:
             return list(self._records)
+
+    def recent(self, device_id: str, limit: int) -> list[FixRecord]:
+        """A device's last `limit` fixes by (timestamp, id), oldest first."""
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
+        with self._lock:
+            fixes = self._by_device.get(device_id)
+            if not fixes:
+                return []
+            if device_id not in self._sorted:
+                fixes.sort(key=_sort_key)
+                self._sorted.add(device_id)
+            return fixes[-limit:]
 
 
 def _sort_key(record: FixRecord) -> tuple[datetime, int]:
@@ -177,20 +245,12 @@ class TrackService:
 
     def latest_fix(self, device_id: str) -> Optional[FixRecord]:
         """Newest fix by timestamp; ties broken by the later insert."""
-        fixes = [r for r in self.store.records() if r.device_id == device_id]
-        if not fixes:
-            return None
-        return max(fixes, key=_sort_key)
+        fixes = self.store.recent(device_id, 1)
+        return fixes[0] if fixes else None
 
     def history(self, device_id: str, limit: int) -> list[FixRecord]:
         """The most recent `limit` fixes, ascending by timestamp (id on ties)."""
-        if limit < 1:
-            raise ValueError("limit must be >= 1")
-        fixes = sorted(
-            (r for r in self.store.records() if r.device_id == device_id),
-            key=_sort_key,
-        )
-        return fixes[-limit:]
+        return self.store.recent(device_id, limit)
 
 
 # --------------------------------------------------------------------------
@@ -211,31 +271,53 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args: object) -> None:
         pass  # keep stdio clean; errors surface through status codes
 
-    def _reply(self, status: int, payload: object) -> None:
+    def _reply(self, status: int, payload: object, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also ends this connection
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, message: str, field: Optional[str] = None) -> None:
+    def _error(self, status: int, message: str, field: Optional[str] = None,
+               close: bool = False) -> None:
         payload: dict = {"error": message}
         if field is not None:
             payload["field"] = field
-        self._reply(status, payload)
+        self._reply(status, payload, close)
+
+    def _body_length(self) -> Optional[int]:
+        """The request's Content-Length, or None once an error is sent.
+
+        A body that is not read leaves the connection out of step, so
+        both errors close it.
+        """
+        values = self.headers.get_all("Content-Length") or []
+        text = values[0].strip() if len(set(values)) == 1 else ""
+        if not (text.isascii() and text.isdigit()):
+            self._error(400, "Content-Length must be one non-negative integer",
+                        field="Content-Length", close=True)
+            return None
+        if int(text) > MAX_BODY_BYTES:
+            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes",
+                        field="Content-Length", close=True)
+            return None
+        return int(text)
 
     # -- routes ---------------------------------------------------------------
 
     def do_POST(self) -> None:
         parts = urlsplit(self.path)
         if parts.path != "/api/locations":
-            self._error(404, "no such resource")
+            self._error(404, "no such resource", close=True)  # the body stays unread
+            return
+        length = self._body_length()
+        if length is None:
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length)
-            body = json.loads(raw.decode("utf-8"))
+            body = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._error(400, "request body is not valid JSON", field="body")
             return

@@ -3,8 +3,10 @@ and the HTTP endpoints (in-process and as a real subprocess)."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -15,6 +17,7 @@ import pytest
 
 from echoguide.server import (
     DEFAULT_HISTORY_LIMIT,
+    MAX_BODY_BYTES,
     FixRecord,
     FixValidationError,
     StorageError,
@@ -256,6 +259,56 @@ def test_post_malformed_json_is_400(live_server):
     status, body = http_post(live_server, "/api/locations", b"{nope")
     assert status == 400
     assert "error" in body
+
+
+def raw_post(base, headers: str, body: bytes = b"", path: str = "/api/locations"):
+    """POST over a bare socket; the status line must come within 2 s."""
+    port = int(base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+        sock.sendall(f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                     f"{headers}\r\n".encode("latin-1") + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read()), response.getheader("Connection")
+
+
+@pytest.mark.parametrize("headers", [
+    "",
+    "Content-Length: -1\r\n",
+    "Content-Length: abc\r\n",
+    "Content-Length: 1.5\r\n",
+    "Content-Length: +5\r\n",
+    "Content-Length: \r\n",
+    "Content-Length: 5\r\nContent-Length: 6\r\n",
+])
+def test_post_bad_content_length_is_400(live_server, headers):
+    status, body, connection = raw_post(live_server, headers)
+    assert status == 400
+    assert body["field"] == "Content-Length"
+    assert connection == "close"
+    assert http_post(live_server, "/api/locations", good_fix())[0] == 201
+
+
+@pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10**12])
+def test_post_oversized_content_length_is_413_unread(live_server, length):
+    status, body, connection = raw_post(live_server, f"Content-Length: {length}\r\n")
+    assert status == 413
+    assert body["field"] == "Content-Length"
+    assert connection == "close"
+
+
+def test_post_body_at_the_cap_is_accepted(live_server):
+    payload = json.dumps(good_fix()).encode()
+    payload += b" " * (MAX_BODY_BYTES - len(payload))
+    status, body, _ = raw_post(live_server, f"Content-Length: {len(payload)}\r\n", payload)
+    assert status == 201 and body["id"] == 1
+
+
+def test_post_to_unknown_path_is_404_and_closes(live_server):
+    payload = json.dumps(good_fix()).encode()
+    status, _, connection = raw_post(live_server, f"Content-Length: {len(payload)}\r\n",
+                                     payload, path="/api/nope")
+    assert (status, connection) == (404, "close")
 
 
 def test_get_latest_roundtrip(live_server):
