@@ -109,9 +109,6 @@ class AppConfig:
         if not self.device_id:
             raise ConfigError("device_id must be non-empty")
 
-    def phrase_for(self, message: ObstacleMessage) -> str:
-        return self.phrases[(message, self.language)]
-
 
 # --------------------------------------------------------------------------
 # App actions: the externally observable outputs of the event loop.
@@ -141,14 +138,6 @@ class LocationFix:
     longitude: float
     timestamp: str  # ISO-8601 UTC, whole seconds, 'Z' suffix
     provider: Provider
-
-
-@dataclass(frozen=True)
-class Upload:
-    fix: LocationFix
-
-
-AppAction = object  # union of the four dataclasses above
 
 
 # --------------------------------------------------------------------------
@@ -184,16 +173,13 @@ class Tick:
     t_ms: int
 
 
-VoiceEvent = object  # ButtonPress | Utterance | Tick
-
-
 def normalize_utterance(text: str) -> str:
     """Lowercase, trim, and collapse internal whitespace."""
     return " ".join(text.split()).lower()
 
 
-def voice_fsm_step(state: VoiceState, event: VoiceEvent,
-                   cfg: AppConfig) -> tuple[VoiceState, Optional[AppAction]]:
+def voice_fsm_step(state: VoiceState, event: ButtonPress | Utterance | Tick,
+                   cfg: AppConfig) -> tuple[VoiceState, Optional[CallEmergency | SetMuted]]:
     """Advance the push-to-talk state machine by one event.
 
     A button press opens (or re-opens) a listening window; the first
@@ -348,7 +334,7 @@ class Uploader:
 class AssistiveApp:
     """Event-loop state of the handset app.
 
-    Feed it decoded link tokens, user events, and ticks; it returns the
+    Feed it link tokens, user events, and ticks; it returns the
     actions (speech, emergency calls, mute switches) they caused.  Announce
     deduplication and the mute switch live here; upload scheduling is
     delegated to an Uploader owned by the caller's run loop.
@@ -376,32 +362,34 @@ class AssistiveApp:
         self._last_spoken_ms[message] = now_ms
         return Speak(phrase, message)
 
-    def handle_token(self, token: str, now_ms: int) -> list[AppAction]:
-        """Decode one link token and maybe announce it.  May raise UnknownTokenError."""
+    def handle_token(self, token: str,
+                     now_ms: int) -> tuple[ObstacleMessage, Optional[Speak]]:
+        """Decode one link token and maybe announce it: the message and its
+        Speak, if any.  May raise UnknownTokenError."""
         message = decode_message(token)
-        action = self.announce(message, now_ms)
-        return [action] if action is not None else []
+        return message, self.announce(message, now_ms)
 
     # -- voice ------------------------------------------------------------
 
-    def _apply_voice(self, event: VoiceEvent) -> list[AppAction]:
+    def _apply_voice(self,
+                     event: ButtonPress | Utterance | Tick) -> list[CallEmergency | SetMuted]:
         self.voice, action = voice_fsm_step(self.voice, event, self.cfg)
         return [action] if action is not None else []
 
-    def handle_button(self, t_ms: int) -> list[AppAction]:
+    def handle_button(self, t_ms: int) -> list[CallEmergency | SetMuted]:
         return self._apply_voice(ButtonPress(t_ms))
 
-    def handle_utterance(self, text: str, t_ms: int) -> list[AppAction]:
+    def handle_utterance(self, text: str, t_ms: int) -> list[CallEmergency | SetMuted]:
         return self._apply_voice(Utterance(t_ms, text))
 
-    def handle_tick(self, t_ms: int) -> list[AppAction]:
+    def handle_tick(self, t_ms: int) -> list[CallEmergency | SetMuted]:
         return self._apply_voice(Tick(t_ms))
 
 
 __all__ = [
     "ObstacleMessage", "Language", "Provider", "UnknownTokenError",
     "decode_message", "DEFAULT_PHRASES", "DEFAULT_COMMANDS", "AppConfig",
-    "Speak", "CallEmergency", "SetMuted", "LocationFix", "Upload",
+    "Speak", "CallEmergency", "SetMuted", "LocationFix",
     "VoiceMode", "VoiceState", "ButtonPress", "Utterance", "Tick",
     "normalize_utterance", "voice_fsm_step", "select_provider", "make_fix",
     "Uploader", "UploadAttempt", "AssistiveApp",

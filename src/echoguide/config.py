@@ -49,18 +49,13 @@ def _parse_firmware(section: dict) -> FirmwareConfig:
 
 
 def _parse_app(section: dict) -> AppConfig:
-    kwargs: dict = {}
-    scalars = {
-        "language", "emergency_number", "upload_interval_ms",
-        "announce_repeat_ms", "device_id", "listen_window_ms",
-        "gps_sigma_m", "network_sigma_m",
-    }
+    allowed = {f.name for f in dataclass_fields(AppConfig)}
     for key in section:
-        if key not in scalars | {"phrases", "commands"}:
+        if key not in allowed:
             raise ConfigError(f"app.{key}: unknown field")
-    for key in scalars:
-        if key in section:
-            kwargs[key] = section[key]
+    # phrases and commands are merged and checked below; the rest pass as given.
+    kwargs = {key: value for key, value in section.items()
+              if key not in ("phrases", "commands")}
     if "language" in kwargs:
         try:
             kwargs["language"] = Language(kwargs["language"])

@@ -18,7 +18,6 @@ from .world import (
     GATE_HIGH_CM,
     GATE_LOW_CM,
     PULSES_PER_CM,
-    PULSES_PER_INCH,
 )
 
 # One poll of the rangefinder: a raw pulse count, or None when no echo returned.
@@ -39,15 +38,14 @@ class NoEchoError(RuntimeError):
 class FirmwareConfig:
     """Tunable constants of the sensing firmware.
 
-    The defaults mirror the deployed device: 58 pulses per centimetre
-    (147 per inch), nine samples per measurement taken 10 ms apart, echoes
-    trusted strictly between 15 and 645 cm, ground alerts under 60 cm and
-    side alerts under 100 cm, with an alert frame repeated no more often
-    than every two seconds while the condition persists.
+    The defaults mirror the deployed device: 58 pulses per centimetre, nine
+    samples per measurement taken 10 ms apart, echoes trusted strictly
+    between 15 and 645 cm, ground alerts under 60 cm and side alerts under
+    100 cm, with an alert frame repeated no more often than every two
+    seconds while the condition persists.
     """
 
     pulses_per_cm: int = PULSES_PER_CM
-    pulses_per_inch: int = PULSES_PER_INCH
     samples_per_measurement: int = 9
     sample_period_ms: int = 10
     gate_low_cm: int = GATE_LOW_CM
@@ -63,7 +61,7 @@ class FirmwareConfig:
             raise ValueError("ground alert threshold must sit inside the valid gate")
         if self.samples_per_measurement % 2 != 1 or self.samples_per_measurement < 1:
             raise ValueError("samples_per_measurement must be odd and positive")
-        for name in ("pulses_per_cm", "pulses_per_inch", "sample_period_ms",
+        for name in ("pulses_per_cm", "sample_period_ms",
                      "gate_low_cm", "ground_alert_cm", "left_alert_cm",
                      "right_alert_cm", "max_sample_attempts", "repeat_interval_ms"):
             if getattr(self, name) <= 0:
@@ -111,10 +109,6 @@ class MotorState:
         if channel is Channel.LEFT:
             return self.left
         return self.right
-
-    @property
-    def any_on(self) -> bool:
-        return self.ground or self.left or self.right
 
 
 def pulses_to_cm(pulses: int, cfg: FirmwareConfig = FirmwareConfig()) -> int:

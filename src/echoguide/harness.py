@@ -14,7 +14,6 @@ import json
 import os
 import random
 import tempfile
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,7 +23,6 @@ from .app import (
     SetMuted,
     UnknownTokenError,
     Uploader,
-    decode_message,
     make_fix,
     select_provider,
 )
@@ -90,8 +88,9 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     app = AssistiveApp(config.app)
     uploader = Uploader(config.app.upload_interval_ms)
     link = LinkBuffer()
-    emit_times: deque[int] = deque()
     duration = script.duration_ms
+    events = script.user_events
+    next_event = 0
 
     # sample_echo is passed by this module's name, where perfbench's traced
     # run wraps it to count draws.
@@ -143,56 +142,46 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             elif isinstance(action, SetMuted):
                 trace.add(ev_set_muted(t_ms, action.muted))
 
+    def app_step(tokens) -> None:
+        """Feed the app the (t_ms, token) pairs the link just delivered and the
+        user events now due, in time order; then expire a stale listening
+        window and run the uploader up to now."""
+        nonlocal next_event
+        now = clock.now()
+        horizon = min(now, duration)
+        # Tokens go in first, so the stable sort keeps them ahead of user
+        # events at the same time.
+        inputs: list = list(tokens)
+        while next_event < len(events) and events[next_event].t_ms <= horizon:
+            inputs.append((events[next_event].t_ms, events[next_event]))
+            next_event += 1
+        inputs.sort(key=lambda item: item[0])
+        for t_ms, item in inputs:
+            if isinstance(item, str):
+                try:
+                    message, speak = app.handle_token(item, t_ms)
+                except UnknownTokenError:
+                    trace.add(ev_unknown_token(t_ms, item))
+                    continue
+                trace.add(ev_decode(t_ms, message))
+                if speak is not None:
+                    trace.add(ev_speak(t_ms, message, config.app.language.value, speak.text))
+            elif item.kind == "button":
+                trace.add(ev_button(t_ms))
+                run_app_actions(app.handle_button(t_ms), t_ms)
+            else:  # utterance
+                trace.add(ev_utterance(t_ms, item.text))
+                run_app_actions(app.handle_utterance(item.text, t_ms), t_ms)
+        app.handle_tick(horizon)
+        for attempt in uploader.tick(now, duration, fix_at, deliver):
+            trace.add(ev_upload(attempt))
+
+    # One step: firmware tick -> its trace events and frames -> the link ->
+    # the app.  The app also takes one step at t=0, before the first tick.
     try:
         motor_prev = {channel: False for channel in Channel}
-        next_event = 0
-        events = script.user_events
-
-        while True:
-            now = clock.now()
-            horizon = min(now, duration)
-
-            # Merge this iteration's app inputs into one time-ordered stream:
-            # tokens the link just delivered plus user events now due.
-            inputs: list[tuple[int, int, str, object]] = []
-            order = 0
-            for token in link.deframe():
-                inputs.append((emit_times.popleft(), order, "token", token))
-                order += 1
-            while next_event < len(events) and events[next_event].t_ms <= horizon:
-                event = events[next_event]
-                next_event += 1
-                inputs.append((event.t_ms, order, event.kind, event))
-                order += 1
-            inputs.sort(key=lambda item: (item[0], item[1]))
-
-            for t_ms, _, kind, payload in inputs:
-                if kind == "token":
-                    token = payload  # type: ignore[assignment]
-                    try:
-                        message = decode_message(token)
-                    except UnknownTokenError:
-                        trace.add(ev_unknown_token(t_ms, token))
-                        continue
-                    trace.add(ev_decode(t_ms, message))
-                    speak = app.announce(message, t_ms)
-                    if speak is not None:
-                        trace.add(ev_speak(t_ms, message, config.app.language.value, speak.text))
-                elif kind == "button":
-                    trace.add(ev_button(t_ms))
-                    run_app_actions(app.handle_button(t_ms), t_ms)
-                else:  # utterance
-                    trace.add(ev_utterance(t_ms, payload.text))  # type: ignore[union-attr]
-                    run_app_actions(app.handle_utterance(payload.text, t_ms), t_ms)
-
-            app.handle_tick(horizon)  # expire a stale listening window
-
-            for attempt in uploader.tick(now, duration, fix_at, deliver):
-                trace.add(ev_upload(attempt))
-
-            if now >= duration:
-                break
-
+        app_step(())
+        while clock.now() < duration:
             result = firmware_tick(fw_state, sensors, clock, config.firmware)
             round_time = {}
             for sample in result.samples:
@@ -214,8 +203,10 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
                     motor_prev[channel] = vibrating
             for frame, t_ms in zip(result.frames, result.frame_times):
                 trace.add(ev_frame(t_ms, frame))
-                emit_times.append(t_ms)
                 link.send(frame)
+            # The link is lossless and every frame is whole, so it delivers
+            # exactly this tick's frames.
+            app_step(zip(result.frame_times, link.deframe(), strict=True))
     finally:
         store.close()
         if temp_dir is not None:

@@ -7,35 +7,19 @@ positions, so deframing keeps any trailing partial frame for the next read.
 
 from __future__ import annotations
 
-import random
-from typing import Optional
-
 FRAME_DELIMITER = b"\n"
 
 
 class LinkBuffer:
-    """In-flight bytes plus a running count of completed frames delivered.
+    """In-flight bytes of the stream, not yet read by the receiver."""
 
-    drop_prob enables a lossy-link fault profile for robustness tests; the
-    default link never drops.
-    """
-
-    def __init__(self, drop_prob: float = 0.0, rng: Optional[random.Random] = None) -> None:
-        if not 0.0 <= drop_prob <= 1.0:
-            raise ValueError("drop_prob must be inside [0, 1]")
-        if drop_prob > 0.0 and rng is None:
-            raise ValueError("a lossy link needs an explicit rng")
+    def __init__(self) -> None:
         self.pending = bytearray()
-        self.delivered_frames = 0
-        self.drop_prob = drop_prob
-        self._rng = rng
 
     def send(self, frame: bytes) -> None:
         """Append bytes to the stream.  Chunks need not align with frames."""
         if not frame:
             raise ValueError("cannot send an empty frame")
-        if self.drop_prob > 0.0 and self._rng is not None and self._rng.random() < self.drop_prob:
-            return
         self.pending.extend(frame)
 
     def deframe(self) -> list[str]:
@@ -49,9 +33,7 @@ class LinkBuffer:
             return []
         *complete, tail = bytes(self.pending).split(FRAME_DELIMITER)
         self.pending = bytearray(tail)
-        tokens = [part.decode("ascii", errors="replace") for part in complete]
-        self.delivered_frames += len(tokens)
-        return tokens
+        return [part.decode("ascii", errors="replace") for part in complete]
 
 
 __all__ = ["LinkBuffer", "FRAME_DELIMITER"]

@@ -9,7 +9,8 @@ sees a response, so a restart answers queries identically.
 The store indexes fixes by device, each device's list sorted by
 (timestamp, id) on its first query and kept sorted after, so latest is
 O(1) and history O(limit).  The HTTP handler answers a bad Content-Length
-with 400 and one over MAX_BODY_BYTES with 413, without reading the body.
+with 400 and one over MAX_BODY_BYTES with 413, without reading the body,
+and gives up on a connection that stays silent for REQUEST_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ DEFAULT_LISTEN = "127.0.0.1:8750"
 DEFAULT_STORE = "locations.jsonl"
 DEFAULT_HISTORY_LIMIT = 1000
 MAX_BODY_BYTES = 64 * 1024
+REQUEST_TIMEOUT_S = 10.0
 
 ENV_LISTEN = "ECHOGUIDE_LISTEN"
 ENV_STORE = "ECHOGUIDE_STORE"
@@ -125,7 +127,8 @@ class TrackStore:
     Besides the records in id order, the store indexes them by device.  A
     device's list starts in id order and is sorted by (timestamp, id) the
     first time recent() asks for it, so loading parses no timestamps; from
-    then on each insert keeps it sorted.
+    then on each insert keeps it sorted.  A stored timestamp that does not
+    parse makes that first sort raise StorageError naming the record.
 
     On load, ids must run 1..n.  A last line with no newline is a torn
     append that was never acknowledged: it is truncated away with a warning
@@ -206,8 +209,9 @@ class TrackStore:
             self._size += len(line)
             self._records.append(record)
             fixes = self._by_device.setdefault(record.device_id, [])
-            if record.device_id in self._sorted and _sort_key(record) < _sort_key(fixes[-1]):
-                bisect.insort(fixes, record, key=_sort_key)
+            if record.device_id in self._sorted \
+                    and self._sort_key(record) < self._sort_key(fixes[-1]):
+                bisect.insort(fixes, record, key=self._sort_key)
             else:
                 fixes.append(record)
             return record
@@ -225,13 +229,16 @@ class TrackStore:
             if not fixes:
                 return []
             if device_id not in self._sorted:
-                fixes.sort(key=_sort_key)
+                fixes.sort(key=self._sort_key)  # all or nothing: a raise leaves it as it was
                 self._sorted.add(device_id)
             return fixes[-limit:]
 
-
-def _sort_key(record: FixRecord) -> tuple[datetime, int]:
-    return parse_record_timestamp(record.timestamp), record.id
+    def _sort_key(self, record: FixRecord) -> tuple[datetime, int]:
+        try:
+            return parse_record_timestamp(record.timestamp), record.id
+        except (ValueError, AttributeError):  # AttributeError: not a string
+            raise StorageError(f"{self.path}: record {record.id}: timestamp "
+                               f"{record.timestamp!r} is not ISO-8601 UTC") from None
 
 
 class TrackService:
@@ -258,13 +265,10 @@ class TrackService:
 # --------------------------------------------------------------------------
 
 
-def _record_json(record: FixRecord) -> dict:
-    return asdict(record)
-
-
 class TrackRequestHandler(BaseHTTPRequestHandler):
     service: TrackService  # injected by make_http_server
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S  # a silent connection or a short body frees its thread
 
     # -- plumbing -----------------------------------------------------------
 
@@ -317,7 +321,13 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         if length is None:
             return
         try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self._error(408, f"request body did not arrive within {self.timeout} s",
+                        field="body", close=True)
+            return
+        try:
+            body = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._error(400, "request body is not valid JSON", field="body")
             return
@@ -329,7 +339,7 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         except StorageError as exc:
             self._error(500, str(exc))
             return
-        self._reply(201, _record_json(record))
+        self._reply(201, asdict(record))
 
     def do_GET(self) -> None:
         parts = urlsplit(self.path)
@@ -339,11 +349,15 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
             if not device_id:
                 self._error(400, "query parameter 'device_id' is required", field="device_id")
                 return
-            record = self.service.latest_fix(device_id)
+            try:
+                record = self.service.latest_fix(device_id)
+            except StorageError as exc:
+                self._error(500, str(exc))
+                return
             if record is None:
                 self._error(404, f"no fix recorded for device '{device_id}'")
                 return
-            self._reply(200, _record_json(record))
+            self._reply(200, asdict(record))
             return
         if parts.path == "/api/locations":
             if not device_id:
@@ -357,8 +371,12 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
             except ValueError:
                 self._error(400, "limit must be a positive integer", field="limit")
                 return
-            records = self.service.history(device_id, limit)
-            self._reply(200, [_record_json(r) for r in records])
+            try:
+                records = self.service.history(device_id, limit)
+            except StorageError as exc:
+                self._error(500, str(exc))
+                return
+            self._reply(200, [asdict(r) for r in records])
             return
         self._error(404, "no such resource")
 

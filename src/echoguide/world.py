@@ -23,10 +23,9 @@ from .clock import VirtualClock
 from .errors import ConfigError, ScenarioError
 
 # Rangefinder characteristics shared by the world model and the firmware:
-# the sensor emits 58 pulses per centimetre of range (147 per inch), and
-# readings are trusted only strictly between these bounds.
+# the sensor emits 58 pulses per centimetre of range, and readings are
+# trusted only strictly between these bounds.
 PULSES_PER_CM = 58
-PULSES_PER_INCH = 147
 GATE_LOW_CM = 15
 GATE_HIGH_CM = 645
 
@@ -208,29 +207,6 @@ class UserEvent:
     text: str = ""
 
 
-@dataclass(frozen=True)
-class SceneState:
-    """Ground truth of the world at one instant."""
-
-    ground_cm: Optional[float]
-    left_cm: Optional[float]
-    right_cm: Optional[float]
-    surface: SurfaceKind
-    weather: Weather
-    lat: float
-    lon: float
-    gps_available: bool
-    network_available: bool
-    server_available: bool
-
-    def distance_cm(self, channel: Channel) -> Optional[float]:
-        if channel is Channel.GROUND:
-            return self.ground_cm
-        if channel is Channel.LEFT:
-            return self.left_cm
-        return self.right_cm
-
-
 DEFAULT_START_UTC = "2015-06-01T00:00:00Z"
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -252,10 +228,9 @@ class ScenarioScript:
     start_epoch_s: int = 0
     name: str = "scenario"
 
-    # -- fine-grained accessors -------------------------------------------
+    # -- accessors ---------------------------------------------------------
     # These clamp beyond duration_ms: the world holds its final state while
-    # the last measurement round of a run drains.  scene_at(), the public
-    # snapshot, is strict about the valid range.
+    # the last measurement round of a run drains.
 
     def _clamp(self, t_ms: int) -> int:
         return self.duration_ms if t_ms > self.duration_ms else t_ms
@@ -280,27 +255,6 @@ class ScenarioScript:
 
     def server_at(self, t_ms: int) -> bool:
         return bool(self.server.at(self._clamp(t_ms)))
-
-
-def scene_at(script: ScenarioScript, t_ms: int) -> SceneState:
-    """Snapshot of the whole world at t_ms.  Total over [0, duration_ms]."""
-    if not 0 <= t_ms <= script.duration_ms:
-        raise ScenarioError(
-            f"scene queried at t={t_ms}ms outside [0, {script.duration_ms}]"
-        )
-    lat, lon = script.position_at(t_ms)
-    return SceneState(
-        ground_cm=script.distance_cm_at(Channel.GROUND, t_ms),
-        left_cm=script.distance_cm_at(Channel.LEFT, t_ms),
-        right_cm=script.distance_cm_at(Channel.RIGHT, t_ms),
-        surface=script.surface_at(t_ms),
-        weather=script.weather_at(t_ms),
-        lat=lat,
-        lon=lon,
-        gps_available=script.gps_at(t_ms),
-        network_available=script.network_at(t_ms),
-        server_available=script.server_at(t_ms),
-    )
 
 
 class ChannelEcho:
@@ -564,10 +518,10 @@ def utc_string(epoch_s: int) -> str:
 
 
 __all__ = [
-    "PULSES_PER_CM", "PULSES_PER_INCH", "GATE_LOW_CM", "GATE_HIGH_CM",
+    "PULSES_PER_CM", "GATE_LOW_CM", "GATE_HIGH_CM",
     "Channel", "SurfaceKind", "Weather", "NoiseParams", "Calibration",
     "DEFAULT_CALIBRATION", "check_calibration_ordering", "noise_params_for",
-    "sample_echo", "StepTimeline", "GeoPath", "UserEvent", "SceneState",
-    "ScenarioScript", "scene_at", "ChannelEcho", "scenario_from_dict", "load_scenario",
+    "sample_echo", "StepTimeline", "GeoPath", "UserEvent",
+    "ScenarioScript", "ChannelEcho", "scenario_from_dict", "load_scenario",
     "parse_start_utc", "utc_string", "DEFAULT_START_UTC",
 ]

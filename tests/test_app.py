@@ -98,8 +98,9 @@ def test_phrase_table_must_be_total():
 
 def test_handle_token_decodes_and_announces():
     app = AssistiveApp(AppConfig())
-    actions = app.handle_token("Ground", 50)
-    assert len(actions) == 1 and actions[0].message is ObstacleMessage.GROUND
+    message, speak = app.handle_token("Ground", 50)
+    assert message is ObstacleMessage.GROUND and speak.message is ObstacleMessage.GROUND
+    assert app.handle_token("Ground", 60) == (ObstacleMessage.GROUND, None)  # dedup
     with pytest.raises(UnknownTokenError):
         app.handle_token("Gr0und", 60)
 

@@ -17,6 +17,7 @@ from echoguide.firmware import (
     DistanceSample,
     FirmwareConfig,
     FirmwareState,
+    MotorState,
     NoEchoError,
     acquire_distance,
     classify,
@@ -406,7 +407,7 @@ def test_tick_no_alert_is_silent_and_motor_off():
     echoes = constant_echoes({Channel.GROUND: 90, Channel.LEFT: 150, Channel.RIGHT: 150})
     result = firmware_tick(state, echoes, clock)
     assert result.frames == []
-    assert not result.motor.any_on
+    assert result.motor == MotorState()  # all off
     assert result.alerts == []
 
 
@@ -447,7 +448,7 @@ def test_tick_no_echo_turns_motor_off():
     assert firmware_tick(state, echoes, clock).motor.ground
     silent = constant_echoes({Channel.LEFT: 200, Channel.RIGHT: 200})
     result = firmware_tick(state, silent, clock)
-    assert not result.motor.any_on
+    assert result.motor == MotorState()  # all off
     assert result.failures and result.failures[0][0] is Channel.GROUND
 
 

@@ -15,7 +15,6 @@ def test_single_frame_roundtrip():
     link.send(b"Ground\n")
     assert link.deframe() == ["Ground"]
     assert link.deframe() == []
-    assert link.delivered_frames == 1
 
 
 def test_partial_frame_waits_for_terminator():
@@ -28,7 +27,6 @@ def test_partial_frame_waits_for_terminator():
     assert link.deframe() == ["Ground", "Left"]
     link.send(b"ght\n")
     assert link.deframe() == ["Right"]
-    assert link.delivered_frames == 3
     assert bytes(link.pending) == b""
 
 
@@ -70,23 +68,3 @@ def test_chunking_invariance_random_boundaries():
         assert received == tokens
         assert bytes(link.pending) == b""
 
-
-def test_lossy_profile_drops_whole_sends():
-    always_drop = LinkBuffer(drop_prob=1.0, rng=random.Random(1))
-    always_drop.send(b"Ground\n")
-    assert always_drop.deframe() == []
-
-    sometimes = LinkBuffer(drop_prob=0.5, rng=random.Random(2))
-    sent = 200
-    for _ in range(sent):
-        sometimes.send(b"Left\n")
-    got = sometimes.deframe()
-    assert all(token == "Left" for token in got)
-    assert 0 < len(got) < sent  # drops some, not all
-
-
-def test_lossy_profile_requires_rng():
-    with pytest.raises(ValueError):
-        LinkBuffer(drop_prob=0.5)
-    with pytest.raises(ValueError):
-        LinkBuffer(drop_prob=1.5, rng=random.Random(0))

@@ -10,17 +10,21 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
 from echoguide.server import (
     DEFAULT_HISTORY_LIMIT,
     MAX_BODY_BYTES,
+    REQUEST_TIMEOUT_S,
     FixRecord,
     FixValidationError,
     StorageError,
+    TrackRequestHandler,
     TrackService,
     TrackStore,
     make_http_server,
@@ -154,24 +158,35 @@ def test_store_inserts_are_thread_safe(tmp_path):
 # -- query semantics -------------------------------------------------------------
 
 
-def make_service(tmp_path, rows):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
-    for row in rows:
-        service.insert_fix(row)
-    return service
+@pytest.fixture
+def make_service(tmp_path):
+    """make_service(rows): a service over a fresh store holding rows.  The
+    store is closed when the test ends."""
+    stores = []
+
+    def build(rows):
+        store = TrackStore(tmp_path / "locations.jsonl")
+        stores.append(store)
+        service = TrackService(store)
+        for row in rows:
+            service.insert_fix(row)
+        return service
+
+    yield build
+    for store in stores:
+        store.close()
 
 
-def test_latest_picks_newest_timestamp(tmp_path):
-    service = make_service(tmp_path, [
+def test_latest_picks_newest_timestamp(make_service):
+    service = make_service([
         good_fix(timestamp="2015-06-01T00:10:00Z"),
         good_fix(timestamp="2015-06-01T00:05:00Z"),
     ])
     assert service.latest_fix("walker-1").timestamp == "2015-06-01T00:10:00Z"
 
 
-def test_latest_tie_breaks_on_higher_id(tmp_path):
-    service = make_service(tmp_path, [
+def test_latest_tie_breaks_on_higher_id(make_service):
+    service = make_service([
         good_fix(latitude=1.0),
         good_fix(latitude=2.0),
     ])
@@ -179,8 +194,8 @@ def test_latest_tie_breaks_on_higher_id(tmp_path):
     assert latest.id == 2 and latest.latitude == 2.0
 
 
-def test_latest_is_per_device(tmp_path):
-    service = make_service(tmp_path, [
+def test_latest_is_per_device(make_service):
+    service = make_service([
         good_fix(),
         good_fix(device_id="walker-2", latitude=3.0),
     ])
@@ -188,17 +203,17 @@ def test_latest_is_per_device(tmp_path):
     assert service.latest_fix("nobody") is None
 
 
-def test_history_ascending_and_truncated_to_last_n(tmp_path):
+def test_history_ascending_and_truncated_to_last_n(make_service):
     rows = [good_fix(timestamp=f"2015-06-01T00:{m:02d}:00Z") for m in (10, 5, 20, 15)]
-    service = make_service(tmp_path, rows)
+    service = make_service(rows)
     full = service.history("walker-1", limit=DEFAULT_HISTORY_LIMIT)
     assert [r.timestamp[14:16] for r in full] == ["05", "10", "15", "20"]
     tail = service.history("walker-1", limit=2)
     assert [r.timestamp[14:16] for r in tail] == ["15", "20"]
 
 
-def test_history_rejects_nonpositive_limit(tmp_path):
-    service = make_service(tmp_path, [good_fix()])
+def test_history_rejects_nonpositive_limit(make_service):
+    service = make_service([good_fix()])
     with pytest.raises(ValueError):
         service.history("walker-1", limit=0)
 
@@ -206,18 +221,41 @@ def test_history_rejects_nonpositive_limit(tmp_path):
 # -- HTTP endpoints (in-process server) -------------------------------------------
 
 
-@pytest.fixture
-def live_server(tmp_path):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
+@contextmanager
+def serving(service, timeout_s=None):
+    """Serve `service` on a free loopback port and yield its base URL.
+
+    timeout_s, when given, replaces the socket timeout of this server's own
+    handler subclass.
+    """
     port = free_port()
     httpd = make_http_server(f"127.0.0.1:{port}", service)
+    if timeout_s is not None:
+        httpd.RequestHandlerClass.timeout = timeout_s
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{port}"
-    httpd.shutdown()
-    httpd.server_close()
+    try:
+        yield f"http://127.0.0.1:{port}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+@pytest.fixture
+def live_server(tmp_path):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    with serving(TrackService(store)) as base:
+        yield base
+    store.close()
+
+
+@pytest.fixture
+def impatient_server(tmp_path):
+    """live_server whose handler gives up on a silent socket after 0.3 s."""
+    store = TrackStore(tmp_path / "locations.jsonl")
+    with serving(TrackService(store), timeout_s=0.3) as base:
+        yield base
     store.close()
 
 
@@ -311,6 +349,29 @@ def test_post_to_unknown_path_is_404_and_closes(live_server):
     assert (status, connection) == (404, "close")
 
 
+def test_handler_sets_a_socket_timeout():
+    assert TrackRequestHandler.timeout == REQUEST_TIMEOUT_S
+    assert 0 < REQUEST_TIMEOUT_S < float("inf")
+
+
+def test_post_shorter_than_its_content_length_is_408(impatient_server):
+    started = time.monotonic()
+    status, body, connection = raw_post(impatient_server, "Content-Length: 10\r\n", b"{}")
+    assert (status, body["field"], connection) == (408, "body", "close")
+    assert time.monotonic() - started < 1.5
+    assert http_post(impatient_server, "/api/locations", good_fix())[0] == 201
+
+
+def test_silent_connection_is_closed(impatient_server):
+    port = int(impatient_server.rsplit(":", 1)[1])
+    started = time.monotonic()
+    with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+        # No reply, just the end of the stream: the server closes the socket
+        # once the handler has returned.
+        assert sock.recv(1024) == b""
+    assert time.monotonic() - started < 1.5
+
+
 def test_get_latest_roundtrip(live_server):
     http_post(live_server, "/api/locations", good_fix())
     http_post(live_server, "/api/locations",
@@ -352,6 +413,39 @@ def test_get_history_bad_limit_is_400(live_server):
 def test_unknown_path_is_404(live_server):
     status, _ = http_get(live_server, "/api/nope")
     assert status == 404
+
+
+def write_rows(path, rows) -> None:
+    path.write_text("".join(json.dumps(dict(row, id=i)) + "\n"
+                            for i, row in enumerate(rows, start=1)))
+
+
+@pytest.mark.parametrize("timestamp", ["yesterday", "2015-06-01T00:05:00", "", 5, None])
+def test_unparseable_stored_timestamp_fails_the_query_not_the_load(tmp_path, timestamp):
+    path = tmp_path / "locations.jsonl"
+    write_rows(path, [good_fix(), good_fix(timestamp=timestamp), good_fix(device_id="walker-2")])
+    store = TrackStore(path)
+    try:
+        for _ in range(2):  # a failed sort leaves the device as it was
+            with pytest.raises(StorageError, match="record 2") as excinfo:
+                store.recent("walker-1", 1)
+            assert str(path) in str(excinfo.value)
+        assert [r.id for r in store.recent("walker-2", 5)] == [3]
+    finally:
+        store.close()
+
+
+def test_get_with_an_unparseable_stored_timestamp_is_500(tmp_path):
+    path = tmp_path / "locations.jsonl"
+    write_rows(path, [good_fix(timestamp="yesterday"), good_fix(device_id="walker-2")])
+    store = TrackStore(path)
+    with serving(TrackService(store)) as base:
+        for query in ("/api/locations/latest?device_id=walker-1",
+                      "/api/locations?device_id=walker-1"):
+            status, body = http_get(base, query)
+            assert status == 500 and "record 1" in body["error"]
+        assert http_get(base, "/api/locations/latest?device_id=walker-2")[0] == 200
+    store.close()
 
 
 def test_restart_preserves_history(tmp_path):

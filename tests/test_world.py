@@ -1,5 +1,5 @@
-"""World model: scenario timelines, scene snapshots, noise calibration,
-and the echo sampler."""
+"""World model: scenario timelines and accessors, noise calibration, and
+the echo sampler."""
 
 from __future__ import annotations
 
@@ -27,12 +27,11 @@ from echoguide.world import (
     StepTimeline,
     sample_echo,
     scenario_from_dict,
-    scene_at,
     utc_string,
 )
 
 
-# -- scene snapshots -----------------------------------------------------------
+# -- scenario accessors ------------------------------------------------------
 
 
 def test_scene_piecewise_distances_and_holds():
@@ -46,13 +45,14 @@ def test_scene_piecewise_distances_and_holds():
             ]
         },
     )
-    assert scene_at(script, 0).ground_cm == 90
-    assert scene_at(script, 3999).ground_cm == 90
-    assert scene_at(script, 4000).ground_cm == 40  # step takes effect at its time
-    assert scene_at(script, 5999).ground_cm == 40
-    assert scene_at(script, 6000).ground_cm is None
-    assert scene_at(script, 10_000).ground_cm is None  # value holds to the end
-    assert scene_at(script, 500).left_cm is None  # unscripted channels are empty
+    ground = Channel.GROUND
+    assert script.distance_cm_at(ground, 0) == 90
+    assert script.distance_cm_at(ground, 3999) == 90
+    assert script.distance_cm_at(ground, 4000) == 40  # step takes effect at its time
+    assert script.distance_cm_at(ground, 5999) == 40
+    assert script.distance_cm_at(ground, 6000) is None
+    assert script.distance_cm_at(ground, 10_000) is None  # value holds to the end
+    assert script.distance_cm_at(Channel.LEFT, 500) is None  # unscripted channels are empty
 
 
 def test_scene_geo_path_interpolates_linearly():
@@ -63,20 +63,12 @@ def test_scene_geo_path_interpolates_linearly():
             {"t": 10_000, "lat": 11.0, "lon": 21.0},
         ],
     )
-    assert scene_at(script, 0).lat == pytest.approx(10.0)
-    mid = scene_at(script, 5000)
-    assert mid.lat == pytest.approx(10.5)
-    assert mid.lon == pytest.approx(20.5)
-    end = scene_at(script, 10_000)
-    assert end.lat == pytest.approx(11.0)
-
-
-def test_scene_rejects_out_of_range_times():
-    script = make_script(duration_ms=5000)
-    with pytest.raises(ScenarioError):
-        scene_at(script, -1)
-    with pytest.raises(ScenarioError):
-        scene_at(script, 5001)
+    assert script.position_at(0)[0] == pytest.approx(10.0)
+    mid = script.position_at(5000)
+    assert mid[0] == pytest.approx(10.5)
+    assert mid[1] == pytest.approx(20.5)
+    end = script.position_at(10_000)
+    assert end[0] == pytest.approx(11.0)
 
 
 def test_scene_surface_weather_and_providers():
@@ -86,12 +78,11 @@ def test_scene_surface_weather_and_providers():
         weather=[{"t": 0, "value": "wet"}],
         gps_available=[{"t": 0, "value": True}, {"t": 10_000, "value": False}],
     )
-    early, late = scene_at(script, 0), scene_at(script, 30_000)
-    assert early.surface is SurfaceKind.TILES
-    assert late.surface is SurfaceKind.CONCRETE
-    assert early.weather is Weather.WET
-    assert early.gps_available and not scene_at(script, 10_000).gps_available
-    assert early.network_available and early.server_available  # defaults on
+    assert script.surface_at(0) is SurfaceKind.TILES
+    assert script.surface_at(30_000) is SurfaceKind.CONCRETE
+    assert script.weather_at(0) is Weather.WET
+    assert script.gps_at(0) and not script.gps_at(10_000)
+    assert script.network_at(0) and script.server_at(0)  # defaults on
 
 
 def test_step_at_gives_the_value_and_the_next_step():
@@ -238,10 +229,10 @@ def test_invalid_scripts_name_the_offending_field(doc, fragment):
 
 def test_script_defaults_are_usable():
     script = scenario_from_dict({"schema_version": 1, "duration_ms": 1000})
-    state = scene_at(script, 500)
-    assert state.ground_cm is None and state.surface is SurfaceKind.TILES
-    assert state.weather is Weather.DRY
-    assert (state.lat, state.lon) == (0.0, 0.0)
+    assert script.distance_cm_at(Channel.GROUND, 500) is None
+    assert script.surface_at(500) is SurfaceKind.TILES
+    assert script.weather_at(500) is Weather.DRY
+    assert script.position_at(500) == (0.0, 0.0)
     assert script.start_epoch_s == 1433116800  # 2015-06-01T00:00:00Z
     assert utc_string(script.start_epoch_s) == "2015-06-01T00:00:00Z"
 
