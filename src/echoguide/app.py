@@ -291,7 +291,7 @@ class Uploader:
         self.next_due_ms = interval_ms
         self.pending: list[LocationFix] = []
 
-    def tick(self, now_ms: int, horizon_ms: Optional[int],
+    def tick(self, now_ms: int, horizon_ms: int,
              fix_at: Callable[[int], Optional[LocationFix]],
              deliver: Callable[[LocationFix], Optional[int]]) -> list[UploadAttempt]:
         """Process every due instant up to now (capped at horizon_ms).
@@ -300,7 +300,7 @@ class Uploader:
         provider is available then.  deliver() returns the server's record id
         on success and None when the server is unreachable.
         """
-        limit = now_ms if horizon_ms is None else min(now_ms, horizon_ms)
+        limit = min(now_ms, horizon_ms)
         attempts: list[UploadAttempt] = []
         while self.next_due_ms <= limit:
             due = self.next_due_ms

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .clock import VirtualClock
+from .link import FRAME_DELIMITER
 from .world import (
     Channel,
     GATE_HIGH_CM,
@@ -75,40 +76,6 @@ class FirmwareConfig:
         if channel is Channel.LEFT:
             return self.left_alert_cm
         return self.right_alert_cm
-
-
-@dataclass(frozen=True)
-class DistanceSample:
-    """A completed, gate-valid measurement on one channel."""
-
-    channel: Channel
-    distance_cm: int
-    t_ms: int
-
-
-@dataclass(frozen=True)
-class ObstacleAlert:
-    """A measurement that fell below its channel's alert threshold."""
-
-    channel: Channel
-    distance_cm: int
-    t_ms: int
-
-
-@dataclass(frozen=True)
-class MotorState:
-    """Vibration motor drive per channel after a firmware pass."""
-
-    ground: bool = False
-    left: bool = False
-    right: bool = False
-
-    def vibrating(self, channel: Channel) -> bool:
-        if channel is Channel.GROUND:
-            return self.ground
-        if channel is Channel.LEFT:
-            return self.left
-        return self.right
 
 
 def pulses_to_cm(pulses: int, cfg: FirmwareConfig = FirmwareConfig()) -> int:
@@ -178,14 +145,6 @@ def acquire_distance(channel: Channel, sensor: EchoSource, clock: VirtualClock,
     return median9(valid, cfg)
 
 
-def classify(sample: DistanceSample,
-             cfg: FirmwareConfig = FirmwareConfig()) -> Optional[ObstacleAlert]:
-    """Alert when the measured distance is strictly below the channel threshold."""
-    if sample.distance_cm < cfg.alert_threshold_cm(sample.channel):
-        return ObstacleAlert(sample.channel, sample.distance_cm, sample.t_ms)
-    return None
-
-
 _CHANNEL_TOKENS = {
     Channel.GROUND: "Ground",
     Channel.LEFT: "Left",
@@ -193,97 +152,67 @@ _CHANNEL_TOKENS = {
 }
 
 
-def encode_message(alert: ObstacleAlert) -> bytes:
-    """Wire frame for an alert: the channel word plus a newline terminator."""
-    return (_CHANNEL_TOKENS[alert.channel] + "\n").encode("ascii")
+def encode_message(channel: Channel) -> bytes:
+    """Wire frame for an alert on a channel: the channel word plus the link delimiter."""
+    return _CHANNEL_TOKENS[channel].encode("ascii") + FRAME_DELIMITER
 
 
-@dataclass
-class _ChannelLatch:
-    alerting: bool = False
-    last_emit_ms: Optional[int] = None
+@dataclass(frozen=True)
+class ChannelRound:
+    """What one channel's measurement round in a firmware pass produced.
+
+    distance_cm is None when the round got no usable echo.  alerting: the
+    distance is strictly below the channel's threshold, so the motor
+    vibrates; motor_changed: alerting differs from the previous pass.
+    frame is sent on a fresh alert, and again once per repeat_interval_ms
+    while the alert holds.
+    """
+
+    channel: Channel
+    t_ms: int
+    distance_cm: Optional[int]
+    alerting: bool
+    motor_changed: bool
+    frame: Optional[bytes]
 
 
 @dataclass
 class FirmwareState:
-    """Carry-over between firmware passes: per-channel alert latches."""
+    """Carry-over between firmware passes: when each channel's alert last
+    sent a frame, or None while the channel is not alerting."""
 
-    latches: dict[Channel, _ChannelLatch] = field(
-        default_factory=lambda: {c: _ChannelLatch() for c in Channel}
+    last_frame_ms: dict[Channel, Optional[int]] = field(
+        default_factory=lambda: dict.fromkeys(Channel)
     )
-
-
-@dataclass(frozen=True)
-class TickResult:
-    """Everything one firmware pass produced, for wiring and tracing."""
-
-    motor: MotorState
-    frames: list[bytes]
-    frame_times: list[int]  # emission time of each frame, parallel to frames
-    samples: list[DistanceSample]
-    alerts: list[ObstacleAlert]
-    failures: list[tuple[Channel, int]]  # (channel, t_ms) rounds with no echo
 
 
 def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
                   clock: VirtualClock,
-                  cfg: FirmwareConfig = FirmwareConfig()) -> TickResult:
-    """One pass of the firmware main loop.
-
-    Measures ground, then left, then right.  The motor vibrates on exactly
-    the channels that alerted in this pass.  A frame is sent when a channel
-    newly enters the alert state; while the alert persists, the frame is
-    re-sent only once per repeat_interval_ms.
-    """
-    frames: list[bytes] = []
-    frame_times: list[int] = []
-    samples: list[DistanceSample] = []
-    alerts: list[ObstacleAlert] = []
-    failures: list[tuple[Channel, int]] = []
-    motor = {c: False for c in Channel}
-
-    for channel in (Channel.GROUND, Channel.LEFT, Channel.RIGHT):
-        latch = state.latches[channel]
+                  cfg: FirmwareConfig = FirmwareConfig()) -> list[ChannelRound]:
+    """One pass of the firmware main loop: one round per channel, in Channel
+    order (ground, then left, then right)."""
+    rounds = []
+    for channel in Channel:
+        last = state.last_frame_ms[channel]
         try:
-            distance = acquire_distance(channel, echoes[channel], clock, cfg)
+            distance: Optional[int] = acquire_distance(channel, echoes[channel], clock, cfg)
         except NoEchoError:
-            failures.append((channel, clock.now()))
-            latch.alerting = False
-            latch.last_emit_ms = None
-            continue
-        sample = DistanceSample(channel, distance, clock.now())
-        samples.append(sample)
-        alert = classify(sample, cfg)
-        if alert is None:
-            latch.alerting = False
-            latch.last_emit_ms = None
-            continue
-        alerts.append(alert)
-        motor[channel] = True
-        fresh = not latch.alerting
-        due_again = (
-            latch.last_emit_ms is not None
-            and alert.t_ms - latch.last_emit_ms >= cfg.repeat_interval_ms
-        )
-        if fresh or due_again:
-            frames.append(encode_message(alert))
-            frame_times.append(alert.t_ms)
-            latch.last_emit_ms = alert.t_ms
-        latch.alerting = True
-
-    return TickResult(
-        motor=MotorState(motor[Channel.GROUND], motor[Channel.LEFT], motor[Channel.RIGHT]),
-        frames=frames,
-        frame_times=frame_times,
-        samples=samples,
-        alerts=alerts,
-        failures=failures,
-    )
+            distance = None
+        t_ms = clock.now()
+        alerting = distance is not None and distance < cfg.alert_threshold_cm(channel)
+        frame = None
+        if not alerting:
+            state.last_frame_ms[channel] = None
+        elif last is None or t_ms - last >= cfg.repeat_interval_ms:
+            frame = encode_message(channel)
+            state.last_frame_ms[channel] = t_ms
+        rounds.append(ChannelRound(channel, t_ms, distance, alerting,
+                                   motor_changed=alerting != (last is not None), frame=frame))
+    return rounds
 
 
 __all__ = [
-    "EchoSource", "NoEchoError", "FirmwareConfig", "DistanceSample",
-    "ObstacleAlert", "MotorState", "FirmwareState", "TickResult",
-    "pulses_to_cm", "gate_valid", "median9", "acquire_distance", "classify",
-    "encode_message", "firmware_tick",
+    "EchoSource", "NoEchoError", "FirmwareConfig", "ChannelRound", "FirmwareState",
+    "pulses_to_cm", "gate_valid", "median9", "acquire_distance", "encode_message",
+    "firmware_tick",
 ]

@@ -179,34 +179,29 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     # One step: firmware tick -> its trace events and frames -> the link ->
     # the app.  The app also takes one step at t=0, before the first tick.
     try:
-        motor_prev = {channel: False for channel in Channel}
         app_step(())
         while clock.now() < duration:
-            result = firmware_tick(fw_state, sensors, clock, config.firmware)
-            round_time = {}
-            for sample in result.samples:
-                round_time[sample.channel] = sample.t_ms
-                trace.add(ev_measurement(
-                    sample.t_ms, sample.channel, sample.distance_cm,
-                    script.distance_cm_at(sample.channel, sample.t_ms),
-                    script.surface_at(sample.t_ms), script.weather_at(sample.t_ms),
-                ))
-            for channel, t_ms in result.failures:
-                round_time[channel] = t_ms
-                trace.add(ev_no_echo(t_ms, channel))
-            for alert in result.alerts:
-                trace.add(ev_alert(alert.t_ms, alert.channel, alert.distance_cm))
-            for channel in Channel:
-                vibrating = result.motor.vibrating(channel)
-                if vibrating != motor_prev[channel]:
-                    trace.add(ev_motor(round_time.get(channel, clock.now()), channel, vibrating))
-                    motor_prev[channel] = vibrating
-            for frame, t_ms in zip(result.frames, result.frame_times):
-                trace.add(ev_frame(t_ms, frame))
-                link.send(frame)
+            rounds = firmware_tick(fw_state, sensors, clock, config.firmware)
+            for r in rounds:
+                if r.distance_cm is None:
+                    trace.add(ev_no_echo(r.t_ms, r.channel))
+                else:
+                    trace.add(ev_measurement(
+                        r.t_ms, r.channel, r.distance_cm,
+                        script.distance_cm_at(r.channel, r.t_ms),
+                        script.surface_at(r.t_ms), script.weather_at(r.t_ms),
+                    ))
+                if r.alerting:
+                    trace.add(ev_alert(r.t_ms, r.channel, r.distance_cm))
+                if r.motor_changed:
+                    trace.add(ev_motor(r.t_ms, r.channel, r.alerting))
+                if r.frame is not None:
+                    trace.add(ev_frame(r.t_ms, r.frame))
+                    link.send(r.frame)
             # The link is lossless and every frame is whole, so it delivers
             # exactly this tick's frames.
-            app_step(zip(result.frame_times, link.deframe(), strict=True))
+            app_step(zip([r.t_ms for r in rounds if r.frame is not None], link.deframe(),
+                         strict=True))
     finally:
         store.close()
         if temp_dir is not None:

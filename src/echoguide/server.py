@@ -69,6 +69,31 @@ def parse_record_timestamp(text: str) -> datetime:
     return datetime.fromisoformat(text[:-1] + "+00:00")
 
 
+def _number_in(low: float, high: float):
+    return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and low <= v <= high
+
+
+def _is_timestamp(value: object) -> bool:
+    try:
+        return isinstance(value, str) and bool(parse_record_timestamp(value))
+    except ValueError:
+        return False
+
+
+# The value rule of each fix field and the message naming it, in the order
+# validate_fix checks them.  TrackStore applies the coordinate and provider
+# rules to stored records too.
+_FIELD_RULES = {
+    "device_id": (lambda v: isinstance(v, str) and v != "",
+                  "device_id must be a non-empty string"),
+    "latitude": (_number_in(-90.0, 90.0), "latitude must be a number in [-90, 90]"),
+    "longitude": (_number_in(-180.0, 180.0), "longitude must be a number in [-180, 180]"),
+    "timestamp": (_is_timestamp, "timestamp must be ISO-8601 UTC with a 'Z' suffix"),
+    "provider": (lambda v: v in _PROVIDERS, "provider must be 'gps' or 'network'"),
+}
+_STORED_RULES = [(name, *_FIELD_RULES[name]) for name in ("latitude", "longitude", "provider")]
+
+
 def validate_fix(body: object) -> dict:
     """Check a decoded POST body and return its canonical field dict.
 
@@ -84,36 +109,10 @@ def validate_fix(body: object) -> dict:
     for name in body:
         if name not in _FIELDS:
             raise FixValidationError(name, f"unexpected field '{name}'")
-    device_id = body["device_id"]
-    if not isinstance(device_id, str) or not device_id:
-        raise FixValidationError("device_id", "device_id must be a non-empty string")
-    latitude = body["latitude"]
-    if not isinstance(latitude, (int, float)) or isinstance(latitude, bool) \
-            or not -90.0 <= latitude <= 90.0:
-        raise FixValidationError("latitude", "latitude must be a number in [-90, 90]")
-    longitude = body["longitude"]
-    if not isinstance(longitude, (int, float)) or isinstance(longitude, bool) \
-            or not -180.0 <= longitude <= 180.0:
-        raise FixValidationError("longitude", "longitude must be a number in [-180, 180]")
-    timestamp = body["timestamp"]
-    if not isinstance(timestamp, str):
-        raise FixValidationError("timestamp", "timestamp must be a string")
-    try:
-        parse_record_timestamp(timestamp)
-    except ValueError:
-        raise FixValidationError(
-            "timestamp", "timestamp must be ISO-8601 UTC with a 'Z' suffix"
-        ) from None
-    provider = body["provider"]
-    if provider not in _PROVIDERS:
-        raise FixValidationError("provider", "provider must be 'gps' or 'network'")
-    return {
-        "device_id": device_id,
-        "latitude": float(latitude),
-        "longitude": float(longitude),
-        "timestamp": timestamp,
-        "provider": provider,
-    }
+    for name, (valid, message) in _FIELD_RULES.items():
+        if not valid(body[name]):
+            raise FixValidationError(name, message)
+    return {**body, "latitude": float(body["latitude"]), "longitude": float(body["longitude"])}
 
 
 class TrackStore:
@@ -128,7 +127,8 @@ class TrackStore:
     device's list starts in id order and is sorted by (timestamp, id) the
     first time recent() asks for it, so loading parses no timestamps; from
     then on each insert keeps it sorted.  A stored timestamp that does not
-    parse makes that first sort raise StorageError naming the record.
+    parse, or a latitude, longitude or provider that a posted fix could not
+    have, makes that first sort raise StorageError naming the record.
 
     On load, ids must run 1..n.  A last line with no newline is a torn
     append that was never acknowledged: it is truncated away with a warning
@@ -234,6 +234,10 @@ class TrackStore:
             return fixes[-limit:]
 
     def _sort_key(self, record: FixRecord) -> tuple[datetime, int]:
+        for name, valid, message in _STORED_RULES:
+            if not valid(getattr(record, name)):
+                raise StorageError(f"{self.path}: record {record.id}: {name} "
+                                   f"{getattr(record, name)!r} is invalid ({message})")
         try:
             return parse_record_timestamp(record.timestamp), record.id
         except (ValueError, AttributeError):  # AttributeError: not a string

@@ -228,33 +228,39 @@ class ScenarioScript:
     start_epoch_s: int = 0
     name: str = "scenario"
 
-    # -- accessors ---------------------------------------------------------
-    # These clamp beyond duration_ms: the world holds its final state while
-    # the last measurement round of a run drains.
+    def __post_init__(self) -> None:
+        # Past duration_ms the world holds its final state while the last
+        # measurement round of a run drains.  With no step after duration_ms,
+        # a plain lookup gives exactly that.  The parser already rejects such
+        # a step, naming its field; this guards scripts built in code.
+        for timeline in (*self.channels.values(), self.surface, self.weather, self.geo,
+                         self.gps, self.network, self.server):
+            if timeline.times[-1] > self.duration_ms:
+                raise ScenarioError(f"a timeline has a step at t={timeline.times[-1]}, "
+                                    f"after duration_ms={self.duration_ms}")
 
-    def _clamp(self, t_ms: int) -> int:
-        return self.duration_ms if t_ms > self.duration_ms else t_ms
+    # -- accessors ---------------------------------------------------------
 
     def distance_cm_at(self, channel: Channel, t_ms: int) -> Optional[float]:
-        return self.channels[channel].at(self._clamp(t_ms))  # type: ignore[return-value]
+        return self.channels[channel].at(t_ms)  # type: ignore[return-value]
 
     def surface_at(self, t_ms: int) -> SurfaceKind:
-        return self.surface.at(self._clamp(t_ms))  # type: ignore[return-value]
+        return self.surface.at(t_ms)  # type: ignore[return-value]
 
     def weather_at(self, t_ms: int) -> Weather:
-        return self.weather.at(self._clamp(t_ms))  # type: ignore[return-value]
+        return self.weather.at(t_ms)  # type: ignore[return-value]
 
     def position_at(self, t_ms: int) -> tuple[float, float]:
-        return self.geo.at(self._clamp(t_ms))
+        return self.geo.at(t_ms)
 
     def gps_at(self, t_ms: int) -> bool:
-        return bool(self.gps.at(self._clamp(t_ms)))
+        return bool(self.gps.at(t_ms))
 
     def network_at(self, t_ms: int) -> bool:
-        return bool(self.network.at(self._clamp(t_ms)))
+        return bool(self.network.at(t_ms))
 
     def server_at(self, t_ms: int) -> bool:
-        return bool(self.server.at(self._clamp(t_ms)))
+        return bool(self.server.at(t_ms))
 
 
 class ChannelEcho:
@@ -274,7 +280,6 @@ class ChannelEcho:
     def __init__(self, script: ScenarioScript, channel: Channel, calibration: Calibration,
                  rng: random.Random, clock: VirtualClock, sample=sample_echo) -> None:
         self._timelines = (script.channels[channel], script.surface, script.weather)
-        self._duration_ms = script.duration_ms
         self._calibration = calibration
         self._rng = rng
         self._clock = clock
@@ -284,14 +289,11 @@ class ChannelEcho:
         self._until_ms: float = 0  # the cached segment ends here; the clock never goes back
 
     def _enter(self, t_ms: int) -> None:
-        duration = self._duration_ms
-        steps = [timeline.step_at(min(t_ms, duration)) for timeline in self._timelines]
+        steps = [timeline.step_at(t_ms) for timeline in self._timelines]
         (true_cm, _), (surface, _), (weather, _) = steps
         self._params = noise_params_for(surface, weather, self._calibration)
         self._true_cm = true_cm  # type: ignore[assignment]
-        # A step after duration_ms is never reached: clamped queries stop short of it.
-        self._until_ms = min((nxt for _, nxt in steps if nxt is not None and nxt <= duration),
-                             default=math.inf)
+        self._until_ms = min((nxt for _, nxt in steps if nxt is not None), default=math.inf)
 
     def __call__(self) -> Optional[int]:
         t_ms = self._clock.now()

@@ -120,6 +120,7 @@ class ServerProcess:
             except subprocess.TimeoutExpired:
                 self.proc.kill()
                 self.proc.wait(timeout=5.0)
+        self.proc.stdout.close()
 
 
 @pytest.fixture

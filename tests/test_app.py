@@ -275,9 +275,9 @@ def test_uploader_first_due_is_one_interval_in():
         delivered.append(fix)
         return len(delivered)
 
-    assert uploader.tick(0, None, fix_at, deliver) == []
-    assert uploader.tick(299_999, None, fix_at, deliver) == []
-    attempts = uploader.tick(300_000, None, fix_at, deliver)
+    assert uploader.tick(0, 1_200_000, fix_at, deliver) == []
+    assert uploader.tick(299_999, 1_200_000, fix_at, deliver) == []
+    attempts = uploader.tick(300_000, 1_200_000, fix_at, deliver)
     assert len(attempts) == 1 and attempts[0].delivered
     assert delivered == [fix_numbered(5)]
 
@@ -316,14 +316,14 @@ def test_uploader_queues_on_failure_and_flushes_in_order():
         delivered.append(fix)
         return len(delivered)
 
-    first = uploader.tick(300_000, None, fix_at, deliver)
-    second = uploader.tick(600_000, None, fix_at, deliver)
+    first = uploader.tick(300_000, 1_200_000, fix_at, deliver)
+    second = uploader.tick(600_000, 1_200_000, fix_at, deliver)
     assert [a.delivered for a in first + second] == [False, False]
     assert [a.fix.timestamp for a in first + second] == [
         "2015-06-01T00:05:00Z", "2015-06-01T00:10:00Z",
     ]
     server_up = True
-    third = uploader.tick(900_000, None, fix_at, deliver)
+    third = uploader.tick(900_000, 1_200_000, fix_at, deliver)
     assert [a.delivered for a in third] == [True, True, True]
     assert [f.timestamp for f in delivered] == [
         "2015-06-01T00:05:00Z", "2015-06-01T00:10:00Z", "2015-06-01T00:15:00Z",
@@ -344,7 +344,7 @@ def test_uploader_skips_due_with_no_provider():
         delivered.append(fix)
         return len(delivered)
 
-    uploader.tick(950_000, None, fix_at, deliver)
+    uploader.tick(950_000, 1_200_000, fix_at, deliver)
     assert [f.timestamp for f in delivered] == [
         "2015-06-01T00:05:00Z", "2015-06-01T00:15:00Z",
     ]

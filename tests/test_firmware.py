@@ -1,5 +1,5 @@
 """Firmware sensing algorithm: conversion, gating, median filter,
-acquisition loop, classification, and the edge-triggered tick."""
+acquisition loop, and the edge-triggered tick with its alert thresholds."""
 
 from __future__ import annotations
 
@@ -14,13 +14,11 @@ from conftest import make_script
 from echoguide.clock import VirtualClock
 from echoguide.errors import ConfigError
 from echoguide.firmware import (
-    DistanceSample,
+    ChannelRound,
     FirmwareConfig,
     FirmwareState,
-    MotorState,
     NoEchoError,
     acquire_distance,
-    classify,
     encode_message,
     firmware_tick,
     gate_valid,
@@ -298,50 +296,11 @@ def test_missing_calibration_entry_raises_at_the_same_poll_as_polling_one_by_one
     assert raised_at == [1240, 1240]
 
 
-# -- classification ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "channel,distance,alerts",
-    [
-        (Channel.GROUND, 59, True),
-        (Channel.GROUND, 60, False),
-        (Channel.GROUND, 16, True),
-        (Channel.LEFT, 99, True),
-        (Channel.LEFT, 100, False),
-        (Channel.RIGHT, 99, True),
-        (Channel.RIGHT, 100, False),
-    ],
-)
-def test_classify_thresholds_are_strict(channel, distance, alerts):
-    sample = DistanceSample(channel, distance, t_ms=500)
-    alert = classify(sample)
-    if alerts:
-        assert alert is not None
-        assert alert.channel is channel
-        assert alert.distance_cm == distance
-        assert alert.t_ms == 500
-    else:
-        assert alert is None
-
-
-def test_classify_monotone_in_distance():
-    # If d alerts, every valid shorter distance alerts too.
-    cfg = FirmwareConfig()
-    for channel in Channel:
-        alerted = [
-            classify(DistanceSample(channel, d, 0), cfg) is not None
-            for d in range(16, 645)
-        ]
-        assert alerted == sorted(alerted, reverse=True)
-
-
 def test_encode_message_tokens_and_terminator():
-    assert encode_message(classify(DistanceSample(Channel.GROUND, 40, 0))) == b"Ground\n"
-    assert encode_message(classify(DistanceSample(Channel.LEFT, 40, 0))) == b"Left\n"
-    assert encode_message(classify(DistanceSample(Channel.RIGHT, 40, 0))) == b"Right\n"
-    frame = encode_message(classify(DistanceSample(Channel.GROUND, 40, 0)))
-    assert frame[-1] == 0x0A
+    assert encode_message(Channel.GROUND) == b"Ground\n"
+    assert encode_message(Channel.LEFT) == b"Left\n"
+    assert encode_message(Channel.RIGHT) == b"Right\n"
+    assert encode_message(Channel.GROUND)[-1] == 0x0A
 
 
 # -- config validation ---------------------------------------------------------------
@@ -374,15 +333,21 @@ def constant_echoes(cm_by_channel: dict):
     return echoes
 
 
+def frames_of(rounds) -> list[tuple[bytes, int]]:
+    return [(r.frame, r.t_ms) for r in rounds if r.frame is not None]
+
+
 def test_tick_alert_starts_motor_and_sends_one_frame():
     state = FirmwareState()
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 40, Channel.LEFT: 200, Channel.RIGHT: 200})
-    result = firmware_tick(state, echoes, clock)
-    assert result.frames == [b"Ground\n"]
-    assert result.frame_times == [90]
-    assert result.motor.ground and not result.motor.left and not result.motor.right
-    assert [s.distance_cm for s in result.samples] == [40, 200, 200]
+    rounds = firmware_tick(state, echoes, clock)
+    assert rounds == [
+        ChannelRound(Channel.GROUND, 90, 40, alerting=True, motor_changed=True,
+                     frame=b"Ground\n"),
+        ChannelRound(Channel.LEFT, 180, 200, alerting=False, motor_changed=False, frame=None),
+        ChannelRound(Channel.RIGHT, 270, 200, alerting=False, motor_changed=False, frame=None),
+    ]
     assert clock.now() == 270
 
 
@@ -391,9 +356,13 @@ def test_tick_persisting_alert_respects_repeat_interval():
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 40, Channel.LEFT: 200, Channel.RIGHT: 200})
     frames = []
+    passes = 0
     while clock.now() < 5000:
-        result = firmware_tick(state, echoes, clock)
-        frames.extend(zip(result.frames, result.frame_times))
+        rounds = firmware_tick(state, echoes, clock)
+        frames.extend(frames_of(rounds))
+        # The motor switched on in the first pass and stays on.
+        assert rounds[0].alerting and rounds[0].motor_changed == (passes == 0)
+        passes += 1
     times = [t for _, t in frames]
     # First edge fires immediately; repeats no closer than the interval.
     assert times[0] == 90
@@ -405,10 +374,9 @@ def test_tick_no_alert_is_silent_and_motor_off():
     state = FirmwareState()
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 90, Channel.LEFT: 150, Channel.RIGHT: 150})
-    result = firmware_tick(state, echoes, clock)
-    assert result.frames == []
-    assert result.motor == MotorState()  # all off
-    assert result.alerts == []
+    rounds = firmware_tick(state, echoes, clock)
+    assert frames_of(rounds) == []
+    assert not any(r.alerting or r.motor_changed for r in rounds)  # all off, as before
 
 
 def test_tick_cleared_alert_rearms_edge_trigger():
@@ -430,32 +398,66 @@ def test_tick_cleared_alert_rearms_edge_trigger():
         Channel.LEFT: ScriptedSensor([200 * 58], repeat_last=True),
         Channel.RIGHT: ScriptedSensor([200 * 58], repeat_last=True),
     }
-    first = firmware_tick(state, echoes, clock)
-    assert first.frames == [b"Ground\n"]
+    first = firmware_tick(state, echoes, clock)[0]
+    assert first.frame == b"Ground\n" and first.alerting and first.motor_changed
     ground.phase = 1  # obstacle gone
-    second = firmware_tick(state, echoes, clock)
-    assert second.frames == [] and not second.motor.ground
+    second = firmware_tick(state, echoes, clock)[0]
+    assert second.frame is None and not second.alerting and second.motor_changed
     ground.phase = 2  # obstacle back: fresh edge despite short elapsed time
-    third = firmware_tick(state, echoes, clock)
-    assert third.frames == [b"Ground\n"]
-    assert third.motor.ground
+    third = firmware_tick(state, echoes, clock)[0]
+    assert third.frame == b"Ground\n"
+    assert third.alerting and third.motor_changed
 
 
 def test_tick_no_echo_turns_motor_off():
     state = FirmwareState()
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 40, Channel.LEFT: 200, Channel.RIGHT: 200})
-    assert firmware_tick(state, echoes, clock).motor.ground
+    assert firmware_tick(state, echoes, clock)[0].alerting
     silent = constant_echoes({Channel.LEFT: 200, Channel.RIGHT: 200})
-    result = firmware_tick(state, silent, clock)
-    assert result.motor == MotorState()  # all off
-    assert result.failures and result.failures[0][0] is Channel.GROUND
+    rounds = firmware_tick(state, silent, clock)
+    assert rounds[0] == ChannelRound(Channel.GROUND, 270 + 500, None, alerting=False,
+                                     motor_changed=True, frame=None)
+    assert not any(r.alerting for r in rounds)  # all off
 
 
 def test_tick_measures_channels_in_fixed_order():
     state = FirmwareState()
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 90, Channel.LEFT: 90, Channel.RIGHT: 90})
-    result = firmware_tick(state, echoes, clock)
-    assert [s.channel for s in result.samples] == [Channel.GROUND, Channel.LEFT, Channel.RIGHT]
-    assert [s.t_ms for s in result.samples] == [90, 180, 270]
+    rounds = firmware_tick(state, echoes, clock)
+    assert [r.channel for r in rounds] == [Channel.GROUND, Channel.LEFT, Channel.RIGHT]
+    assert [r.t_ms for r in rounds] == [90, 180, 270]
+    assert [r.distance_cm for r in rounds] == [90, 90, 90]
+
+
+@pytest.mark.parametrize(
+    "channel,distance,alerts",
+    [
+        (Channel.GROUND, 59, True),
+        (Channel.GROUND, 60, False),
+        (Channel.GROUND, 16, True),
+        (Channel.LEFT, 99, True),
+        (Channel.LEFT, 100, False),
+        (Channel.RIGHT, 99, True),
+        (Channel.RIGHT, 100, False),
+    ],
+)
+def test_classify_thresholds_are_strict(channel, distance, alerts):
+    # The tick classifies each round's distance against its channel's threshold.
+    rounds = firmware_tick(FirmwareState(), constant_echoes({channel: distance}), VirtualClock())
+    (measured,) = [r for r in rounds if r.channel is channel]
+    assert measured.distance_cm == distance
+    assert measured.alerting is alerts
+    assert measured.motor_changed is alerts  # from off
+    assert measured.frame == (encode_message(channel) if alerts else None)
+
+
+def test_classify_monotone_in_distance():
+    # If d alerts, every valid shorter distance alerts too.
+    for channel in Channel:
+        alerted = []
+        for d in range(16, 645):
+            rounds = firmware_tick(FirmwareState(), constant_echoes({channel: d}), VirtualClock())
+            alerted.append(next(r.alerting for r in rounds if r.channel is channel))
+        assert alerted == sorted(alerted, reverse=True)

@@ -90,6 +90,22 @@ def check_alerts_and_frames(events: list[dict], firmware: dict) -> None:
                 assert last is not None and e["t"] - last < repeat_ms
 
 
+def check_motor(events: list[dict]) -> None:
+    # After each round a channel's motor runs iff the round alerted; a motor
+    # event marks exactly each change, at the round's time, with the new state.
+    alerts = {(e["t"], e["channel"]) for e in of_kind(events, "alert")}
+    motors = [(e["t"], e["channel"], e["vibrating"]) for e in of_kind(events, "motor")]
+    expected = []
+    on = {channel: False for channel in FRAME_CHANNELS.values()}
+    for e in events:
+        if e["kind"] in ("measurement", "no_echo"):
+            now_on = (e["t"], e["channel"]) in alerts
+            if now_on != on[e["channel"]]:
+                expected.append((e["t"], e["channel"], now_on))
+                on[e["channel"]] = now_on
+    assert motors == expected
+
+
 def check_decodes_and_speech(events: list[dict], announce_repeat_ms: int) -> None:
     frames = {(e["t"], e["data"]) for e in of_kind(events, "frame")}
     decodes = of_kind(events, "decode")
@@ -163,4 +179,5 @@ def test_run_invariants(docs):
     assert times == sorted(times)
     check_uploads(events)
     check_alerts_and_frames(events, config_doc["firmware"])
+    check_motor(events)
     check_decodes_and_speech(events, config_doc["app"]["announce_repeat_ms"])

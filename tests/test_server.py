@@ -448,6 +448,39 @@ def test_get_with_an_unparseable_stored_timestamp_is_500(tmp_path):
     store.close()
 
 
+OUT_OF_RANGE_STORED = [("latitude", 999), ("longitude", -500), ("provider", "carrier-pigeon")]
+
+
+@pytest.mark.parametrize("field,value", OUT_OF_RANGE_STORED)
+def test_out_of_range_stored_fix_fails_the_query_not_the_load(tmp_path, field, value):
+    path = tmp_path / "locations.jsonl"
+    write_rows(path, [good_fix(**{field: value}), good_fix(device_id="walker-2")])
+    store = TrackStore(path)
+    try:
+        service = TrackService(store)
+        with pytest.raises(StorageError) as excinfo:
+            service.latest_fix("walker-1")
+        for part in (str(path), "record 1", field):
+            assert part in str(excinfo.value)
+        assert service.latest_fix("walker-2").id == 2
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("field,value", OUT_OF_RANGE_STORED)
+def test_get_with_an_out_of_range_stored_fix_is_500(tmp_path, field, value):
+    path = tmp_path / "locations.jsonl"
+    write_rows(path, [good_fix(**{field: value}), good_fix(device_id="walker-2")])
+    store = TrackStore(path)
+    with serving(TrackService(store)) as base:
+        for query in ("/api/locations/latest?device_id=walker-1",
+                      "/api/locations?device_id=walker-1"):
+            status, body = http_get(base, query)
+            assert status == 500 and "record 1" in body["error"] and field in body["error"]
+        assert http_get(base, "/api/locations/latest?device_id=walker-2")[0] == 200
+    store.close()
+
+
 def test_restart_preserves_history(tmp_path):
     path = tmp_path / "locations.jsonl"
     store = TrackStore(path)

@@ -4,7 +4,6 @@ the echo sampler."""
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 
 import pytest
@@ -19,6 +18,7 @@ from echoguide.world import (
     DEFAULT_CALIBRATION,
     GATE_HIGH_CM,
     GATE_LOW_CM,
+    GeoPath,
     NoiseParams,
     SurfaceKind,
     Weather,
@@ -154,16 +154,26 @@ def test_channel_echo_empty_until_stops_at_every_segment_edge():
 
 
 def test_channel_echo_clamps_past_duration():
-    # Steps after duration_ms are never reached: the world holds its state at
-    # duration_ms, so an empty channel stays empty for good from there.
+    # The world holds its final state past duration_ms, while the last
+    # measurement round of a run drains; a plain lookup gives that because
+    # no step may come after duration_ms.
     script = make_script(duration_ms=1000)
     late = StepTimeline([(0, None), (1500, 40.0)])
-    script = dataclasses.replace(script, channels={**script.channels, Channel.RIGHT: late})
+    with pytest.raises(ScenarioError, match="step at t=1500"):
+        dataclasses.replace(script, channels={**script.channels, Channel.RIGHT: late})
+    with pytest.raises(ScenarioError, match="step at t=1001"):
+        dataclasses.replace(script, geo=GeoPath([(0, 0.0, 0.0), (1001, 1.0, 1.0)]))
+
+    script = make_script(duration_ms=1000,
+                         channels={"right": [{"t": 0, "distance_cm": None},
+                                             {"t": 1000, "distance_cm": 40}]},
+                         surface=[{"t": 0, "value": "tiles"}, {"t": 1000, "value": "concrete"}])
     echo = ChannelEcho(script, Channel.RIGHT, DEFAULT_CALIBRATION, random.Random(1),
                        VirtualClock())
-    assert echo.empty_until(999) == math.inf
-    assert echo.empty_until(1600) == math.inf
-    assert script.distance_cm_at(Channel.RIGHT, 1600) is None
+    assert echo.empty_until(999) == 1000
+    assert echo.empty_until(1600) == 1600  # a target from 1000 ms on: no skipping
+    assert script.distance_cm_at(Channel.RIGHT, 1600) == 40.0
+    assert script.surface_at(1600) is SurfaceKind.CONCRETE
 
 
 # -- scenario validation ---------------------------------------------------------
