@@ -19,9 +19,10 @@ import argparse
 import bisect
 import json
 import os
+import re
 import sys
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -52,7 +53,7 @@ class StorageError(RuntimeError):
     """The persistence layer failed mid-operation."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FixRecord:
     id: int
     device_id: str
@@ -60,6 +61,32 @@ class FixRecord:
     longitude: float
     timestamp: str  # ISO-8601 UTC with 'Z' suffix
     provider: str  # "gps" | "network"
+
+    def as_dict(self) -> dict:
+        """The fields in declaration order, as asdict gives them, without its deep copy."""
+        return {"id": self.id, "device_id": self.device_id, "latitude": self.latitude,
+                "longitude": self.longitude, "timestamp": self.timestamp,
+                "provider": self.provider}
+
+
+# A line as TrackStore.insert writes it: json.dumps(..., sort_keys=True).  Its
+# strings are printable ASCII other than a quote or a backslash (json.dumps
+# escapes the rest) and its coordinates carry a fraction or an exponent, so
+# int(), float() and decode() read the groups as json.loads reads the line.
+_STR = rb'"([ !#-\[\]-~]*)"'
+_FLOAT = rb"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_CANONICAL_LINE = re.compile(
+    rb'\{"device_id": ' + _STR + rb', "id": ([1-9][0-9]*), "latitude": ' + _FLOAT
+    + rb', "longitude": ' + _FLOAT + rb', "provider": ' + _STR + rb', "timestamp": ' + _STR
+    + rb"\}\n").fullmatch
+
+
+class _Names(dict):
+    """Decoded names, kept once each: a store holds few device ids and providers."""
+
+    def __missing__(self, raw: bytes) -> str:
+        self[raw] = name = raw.decode()
+        return name
 
 
 def parse_record_timestamp(text: str) -> datetime:
@@ -126,13 +153,16 @@ class TrackStore:
     Besides the records in id order, the store indexes them by device.  A
     device's list starts in id order and is sorted by (timestamp, id) the
     first time recent() asks for it, so loading parses no timestamps; from
-    then on each insert keeps it sorted.  A stored timestamp that does not
+    then on each insert keeps it sorted, comparing its key with the list's
+    last key, which the store keeps.  A stored timestamp that does not
     parse, or a latitude, longitude or provider that a posted fix could not
     have, makes that first sort raise StorageError naming the record.
 
-    On load, ids must run 1..n.  A last line with no newline is a torn
-    append that was never acknowledged: it is truncated away with a warning
-    on stderr.  Any other bad line raises StorageError naming path:lineno.
+    The load reads a line as insert() writes it with one regular-expression
+    match, and any other line through json.loads; both give the same record.
+    Ids must run 1..n.  A last line with no newline is a torn append that
+    was never acknowledged: it is truncated away with a warning on stderr.
+    Any other bad line raises StorageError naming path:lineno.
     """
 
     def __init__(self, path: str) -> None:
@@ -140,10 +170,11 @@ class TrackStore:
         self._lock = threading.Lock()
         self._records: list[FixRecord] = []
         self._by_device: dict[str, list[FixRecord]] = {}
-        self._sorted: set[str] = set()
+        self._last_key: dict[str, tuple[datetime, int]] = {}  # of each sorted device
         self._size = 0  # bytes of whole lines in the file
         records, by_device = self._records, self._by_device
         torn_bytes = 0
+        names = _Names()
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -152,18 +183,24 @@ class TrackStore:
                         break
                     if line.isspace():
                         continue
+                    match = _CANONICAL_LINE(line)
                     try:
-                        doc = json.loads(line.decode("utf-8"))
-                        record = FixRecord(
-                            id=int(doc["id"]),
-                            device_id=doc["device_id"],
-                            latitude=float(doc["latitude"]),
-                            longitude=float(doc["longitude"]),
-                            timestamp=doc["timestamp"],
-                            provider=doc["provider"],
-                        )
+                        if match:
+                            device, id_text, lat, lon, provider, timestamp = match.groups()
+                            record = FixRecord(int(id_text), names[device], float(lat), float(lon),
+                                               timestamp.decode(), names[provider])
+                        else:
+                            doc = json.loads(line.decode("utf-8"))
+                            record = FixRecord(
+                                id=int(doc["id"]),
+                                device_id=doc["device_id"],
+                                latitude=float(doc["latitude"]),
+                                longitude=float(doc["longitude"]),
+                                timestamp=doc["timestamp"],
+                                provider=doc["provider"],
+                            )
                         fixes = by_device.get(record.device_id)  # TypeError if unhashable
-                    except (ValueError, KeyError, TypeError) as exc:
+                    except (ValueError, KeyError, TypeError, OverflowError) as exc:
                         raise StorageError(f"{path}:{lineno}: corrupt record ({exc})") from None
                     if record.id != len(records) + 1:
                         raise StorageError(f"{path}:{lineno}: expected id {len(records) + 1}, "
@@ -193,7 +230,7 @@ class TrackStore:
         """Assign the next id, persist durably, then expose the record."""
         with self._lock:
             record = FixRecord(id=len(self._records) + 1, **fields)
-            line = (json.dumps(asdict(record), sort_keys=True) + "\n").encode("utf-8")
+            line = (json.dumps(record.as_dict(), sort_keys=True) + "\n").encode("utf-8")
             try:
                 view = memoryview(line)
                 while view:
@@ -209,11 +246,16 @@ class TrackStore:
             self._size += len(line)
             self._records.append(record)
             fixes = self._by_device.setdefault(record.device_id, [])
-            if record.device_id in self._sorted \
-                    and self._sort_key(record) < self._sort_key(fixes[-1]):
-                bisect.insort(fixes, record, key=self._sort_key)
+            last = self._last_key.get(record.device_id)
+            if last is None:
+                fixes.append(record)
+                return record
+            key = self._sort_key(record)
+            if key < last:
+                fixes.insert(bisect.bisect(fixes, key, key=self._sort_key), record)
             else:
                 fixes.append(record)
+                self._last_key[record.device_id] = key
             return record
 
     def records(self) -> list[FixRecord]:
@@ -228,9 +270,9 @@ class TrackStore:
             fixes = self._by_device.get(device_id)
             if not fixes:
                 return []
-            if device_id not in self._sorted:
+            if device_id not in self._last_key:
                 fixes.sort(key=self._sort_key)  # all or nothing: a raise leaves it as it was
-                self._sorted.add(device_id)
+                self._last_key[device_id] = self._sort_key(fixes[-1])
             return fixes[-limit:]
 
     def _sort_key(self, record: FixRecord) -> tuple[datetime, int]:
@@ -343,7 +385,7 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         except StorageError as exc:
             self._error(500, str(exc))
             return
-        self._reply(201, asdict(record))
+        self._reply(201, record.as_dict())
 
     def do_GET(self) -> None:
         parts = urlsplit(self.path)
@@ -361,7 +403,7 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
             if record is None:
                 self._error(404, f"no fix recorded for device '{device_id}'")
                 return
-            self._reply(200, asdict(record))
+            self._reply(200, record.as_dict())
             return
         if parts.path == "/api/locations":
             if not device_id:
@@ -380,7 +422,7 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
             except StorageError as exc:
                 self._error(500, str(exc))
                 return
-            self._reply(200, [asdict(r) for r in records])
+            self._reply(200, [r.as_dict() for r in records])
             return
         self._error(404, "no such resource")
 

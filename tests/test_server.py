@@ -3,6 +3,7 @@ and the HTTP endpoints (in-process and as a real subprocess)."""
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 import os
@@ -137,6 +138,12 @@ def test_store_writes_one_json_line_per_record(tmp_path):
     assert len(lines) == 1
     row = json.loads(lines[0])
     assert row["id"] == 1 and row["device_id"] == "walker-1"
+
+
+def test_record_dict_is_asdict_in_field_order():
+    """Replies and stored lines dump this dict, so their bytes stay as asdict made them."""
+    record = FixRecord(7, "walker-1", -0.0, 1e-05, "2015-06-01T00:00:00Z", "network")
+    assert list(record.as_dict().items()) == list(dataclasses.asdict(record).items())
 
 
 def test_store_inserts_are_thread_safe(tmp_path):

@@ -1,28 +1,43 @@
-"""Tracking store: the per-device index against the original scan
-(reference_store.py), and the store's crash safety on load and on a
-failed append.
+"""Tracking store: the load and the per-device index against the original
+json.loads pass and scan (reference_store.py), and the store's crash
+safety on load and on a failed append.
 
-The differential test interleaves inserts, latest/history queries and
-reopens of the store from disk.  Its timestamps repeat instants in more
-than one valid spelling ('...:00Z', '...:00.000Z', '...:00.5Z', a space
-for the 'T'), so equal instants fall back to the id and text order is not
-time order.
+The index test interleaves inserts, latest/history queries and reopens of
+the store from disk.  Its timestamps repeat instants in more than one valid
+spelling ('...:00Z', '...:00.000Z', '...:00.5Z', a space for the 'T'), so
+equal instants fall back to the id and text order is not time order.
+
+The load test writes store files of lines as insert writes them, mixed
+with other spellings of a fix, corrupt lines, blank lines and a torn tail,
+and requires the same records as the reference load, or the same error.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import re
 import sys
 import tempfile
 import threading
+from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference_store
-from echoguide.server import StorageError, TrackService, TrackStore, parse_record_timestamp
+from echoguide import server
+from echoguide.server import (
+    FixRecord,
+    StorageError,
+    TrackService,
+    TrackStore,
+    parse_record_timestamp,
+    validate_fix,
+)
 
 DEVICES = ("walker-1", "walker-2", "walker-3")
 LIMITS = (1, 2, 50, 1000)
@@ -105,6 +120,194 @@ def test_index_answers_like_the_scan(ops):
             store.close()
 
 
+# -- load: the line insert writes, against the json.loads pass -------------------
+
+
+def spelled(record: FixRecord, **texts) -> bytes:
+    """The line insert writes for the record, with the JSON text of some fields
+    replaced (a name given None is left out, a new name is added)."""
+    doc = {name: json.dumps(value) for name, value in record.as_dict().items()}
+    doc.update(texts)
+    return ("{" + ", ".join(f'"{name}": {text}' for name, text in sorted(doc.items())
+                            if text is not None) + "}").encode("utf-8")
+
+
+# Coordinate spellings other than repr(float): a sign, digits (an integer
+# too large for a float, one too long for int()), a fraction and an exponent,
+# which make JSON numbers, integer literals and near misses json.loads
+# refuses; then the spellings json.loads takes beyond JSON, and other values.
+NUMBER_PARTS = (("", "-", "+"), ("0", "1", "22", "01", "", "9" * 400, "1" + "0" * 5000),
+                ("", ".", ".5", ".25"), ("", "e", "e5", "E+2", "e-3", "e999"))
+OTHER_NUMBERS = ("NaN", "Infinity", "-Infinity", "true", "null", '"1.5"', "0x10", "\uff11.0",
+                 "1.0.0")
+number_texts = st.one_of(st.tuples(*map(st.sampled_from, NUMBER_PARTS)).map("".join),
+                         st.sampled_from(OTHER_NUMBERS))
+
+
+def id_texts(record_id: int) -> tuple[str, ...]:
+    return (f'"{record_id}"', f"{record_id}.0", f"0{record_id}", str(record_id + 1),
+            str(record_id - 1), "-1", "true", "null", "9" * 5000)
+
+
+VARIANT_KINDS = ("none", "compact", "unsorted", "padded", "extra key", "missing key",
+                 "bad utf-8", "two objects", "array", "number spelling", "id spelling")
+TAIL_KINDS = ("none", "none", "cut line", "whole line", "spaces")
+
+coordinates = st.one_of(
+    st.sampled_from((-0.0, 0.0, 90.0, -90.0, 180.0, -180.0, 1e-05, 5e-324, 22.9, 1e16, 1.5e300)),
+    st.integers(-180, 180).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Records whose line insert writes is canonical, and records with strings
+# json.dumps escapes ('"', '\', non-ASCII, control characters) or that a
+# posted fix could not have.
+plain_records = st.builds(
+    FixRecord, id=st.just(0),
+    device_id=st.one_of(st.sampled_from(("walker-1", "", "a b", "x'y{}[]~")), st.text(
+        st.characters(min_codepoint=0x20, max_codepoint=0x7e, exclude_characters='"\\'),
+        max_size=6)),
+    latitude=coordinates, longitude=coordinates, timestamp=st.sampled_from(TIMESTAMPS),
+    provider=st.sampled_from(("gps", "network")),
+)
+odd_records = st.builds(
+    FixRecord, id=st.just(0),
+    device_id=st.one_of(st.sampled_from(('say "hi"', "back\\slash", "g\u00f6", "tab\there",
+                                         "nul\x00", "\x7f", "line\u2028break", "\U0001f600")),
+                        st.text(max_size=6)),
+    latitude=coordinates, longitude=coordinates,
+    timestamp=st.one_of(st.sampled_from(TIMESTAMPS + ["yesterday", ""]), st.text(max_size=4)),
+    provider=st.one_of(st.sampled_from(("gps", "network", "carrier-pigeon")), st.text(max_size=4)),
+)
+
+
+@st.composite
+def store_files(draw, variant: str) -> tuple[bytes, list[str]]:
+    """A store file and the kind of each of its lines: lines as insert writes
+    them and blank lines, one line of the variant kind, and a tail.  Ids run
+    1..n unless the variant spells its id otherwise, and it differs from the
+    line insert writes in that one way only."""
+    kinds = draw(st.lists(st.sampled_from(("insert", "insert", "blank")), max_size=5))
+    if variant != "none":
+        kinds.insert(draw(st.integers(0, len(kinds))), variant)
+    lines = []
+    for n, kind in enumerate(kinds):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from((b"", b"  ", b"\t", b"\r"))) + b"\n")
+            continue
+        written = st.one_of(plain_records, odd_records) if kind == "insert" else plain_records
+        record = replace(draw(written), id=sum(k != "blank" for k in kinds[:n + 1]))
+        line = json.dumps(record.as_dict(), sort_keys=True).encode("utf-8")
+        if kind == "compact":
+            line = json.dumps(record.as_dict(), sort_keys=True, separators=(",", ":")).encode()
+        elif kind == "unsorted":
+            line = json.dumps(record.as_dict()).encode("utf-8")
+        elif kind == "padded":
+            line = draw(st.sampled_from((b" " + line, b"\t" + line, line + b" ", line + b"\r")))
+        elif kind == "number spelling":
+            name = draw(st.sampled_from(("latitude", "longitude")))
+            line = spelled(record, **{name: draw(number_texts)})
+        elif kind == "id spelling":
+            line = spelled(record, id=draw(st.sampled_from(id_texts(record.id))))
+        elif kind == "extra key":
+            line = spelled(record, speed="1.5")
+        elif kind == "missing key":
+            line = spelled(record, **{draw(st.sampled_from(server._FIELDS + ("id",))): None})
+        elif kind == "bad utf-8":
+            line = line.replace(b'"device_id": "', b'"device_id": "\xff', 1)
+        elif kind == "two objects":
+            line = line + draw(st.sampled_from((b", ", b"", b" "))) + line
+        elif kind == "array":
+            line = b"[" + line + b"]"
+        lines.append(line + b"\n")
+    tail_kind = draw(st.sampled_from(TAIL_KINDS))
+    tail = b""
+    if tail_kind in ("cut line", "whole line"):
+        record = replace(draw(plain_records), id=sum(k != "blank" for k in kinds) + 1)
+        tail = json.dumps(record.as_dict(), sort_keys=True).encode("utf-8")
+        if tail_kind == "cut line":
+            tail = tail[:draw(st.integers(1, len(tail) - 1))]
+    elif tail_kind == "spaces":
+        tail = b"  "
+    return b"".join(lines) + tail, kinds + [f"tail: {tail_kind}"]
+
+
+def outcome(path, data: bytes, load) -> tuple[str, list[str]]:
+    """What loading a store file of these bytes gives: the error up to its
+    detail, or the records."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        loaded = load(path)
+    except StorageError as exc:
+        return str(exc).split(" (")[0], []
+    return "records", [repr(r) for r in loaded]
+
+
+def load_store(path: str) -> list[FixRecord]:
+    store = TrackStore(path)
+    store.close()
+    return store.records()
+
+
+@pytest.mark.parametrize("variant", VARIANT_KINDS)
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_load_reads_like_the_json_pass(variant, data):
+    store_file, kinds = data.draw(store_files(variant))
+    for kind in sorted(set(kinds)):
+        event(kind)
+    if b"\\" in store_file:
+        event("escaped string")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "locations.jsonl")
+        expected = outcome(path, store_file, reference_store.load)
+        assert outcome(path, store_file, load_store) == expected
+    event(f"outcome: {re.sub(r'^.*:[0-9]+: | [0-9]+.*$', '', expected[0])}")
+
+
+ORDINARY = FixRecord(1, "walker-1", 22.9, 89.5, "2015-06-01T00:00:00Z", "gps")
+
+
+def test_every_spelling_of_a_number_or_an_id_reads_like_the_json_pass(tmp_path):
+    path = tmp_path / "locations.jsonl"
+    numbers = [*map("".join, itertools.product(*NUMBER_PARTS)), *OTHER_NUMBERS]
+    lines = [spelled(ORDINARY, **{name: text})
+             for name in ("latitude", "longitude") for text in numbers]
+    lines += [spelled(ORDINARY, id=text) for text in id_texts(ORDINARY.id)]
+    lines += [spelled(replace(ORDINARY, device_id=name))
+              for name in ('a"b', "a\\b", "a\u00e9b", "a\x00b", "a\x7fb")]
+    differ = [line for line in lines
+              if outcome(path, line + b"\n", load_store)
+              != outcome(path, line + b"\n", reference_store.load)]
+    assert differ == []
+
+
+ordinary_fixes = st.fixed_dictionaries({
+    "device_id": st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                       exclude_characters='"\\'), min_size=1, max_size=12),
+    "latitude": st.one_of(st.floats(-90, 90), st.integers(-90, 90)),
+    "longitude": st.one_of(st.floats(-180, 180), st.integers(-180, 180)),
+    "timestamp": st.sampled_from(TIMESTAMPS),
+    "provider": st.sampled_from(("gps", "network")),
+})
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(fixes=st.lists(ordinary_fixes, min_size=1, max_size=4))
+def test_every_line_insert_writes_for_an_ordinary_fix_takes_the_fast_path(fixes):
+    """A fix validate_fix accepts, with a device id of printable ASCII other
+    than a quote or a backslash, reloads without json.loads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "locations.jsonl")
+        store = TrackStore(path)
+        inserted = [store.insert(validate_fix(f)) for f in fixes]
+        store.close()
+        with mock.patch.object(server.json, "loads", side_effect=AssertionError("json.loads")):
+            reopened = TrackStore(path)
+        reopened.close()
+    assert [repr(r) for r in reopened.records()] == [repr(r) for r in inserted]
+
+
 # -- load: torn tail, corrupt lines, id gaps ---------------------------------------
 
 
@@ -159,6 +362,9 @@ def test_store_that_is_only_a_torn_line_opens_empty(tmp_path, capsys):
     b'{"id": 2, "device_id": "\xff"}',
     b'{"device_id": ["walker-1"], "id": 2, "latitude": 1.0, "longitude": 2.0, '
     b'"provider": "gps", "timestamp": "2015-06-01T01:00:00Z"}',
+    pytest.param(b'{"device_id": "walker-1", "id": 2, "latitude": ' + b"9" * 400
+                 + b', "longitude": 2.0, "provider": "gps", "timestamp": "2015-06-01T01:00:00Z"}',
+                 id="latitude too large for a float"),
 ])
 def test_corrupt_whole_line_names_path_and_line(tmp_path, bad):
     path = tmp_path / "locations.jsonl"
@@ -185,6 +391,28 @@ def test_blank_lines_are_skipped(tmp_path):
     path.write_bytes(b"\n" + first + b"  \n" + second)
     store = TrackStore(path)
     assert [r.id for r in store.records()] == [1, 2]
+    store.close()
+
+
+def test_insert_into_a_sorted_device_parses_one_timestamp(tmp_path, monkeypatch):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    service = TrackService(store)
+    store.insert(fix("walker-1", "2015-06-01T00:00:00Z"))
+    assert service.latest_fix("walker-1").id == 1  # sorts the device
+    calls = []
+    real = TrackStore._sort_key
+
+    def counted(self, record):
+        calls.append(record.id)
+        return real(self, record)
+
+    monkeypatch.setattr(TrackStore, "_sort_key", counted)
+    for n in range(100):
+        store.insert(fix("walker-1", f"2015-06-01T01:{n // 60:02d}:{n % 60:02d}Z"))
+    assert calls == list(range(2, 102))
+    monkeypatch.undo()
+    records = store.records()
+    assert service.history("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
     store.close()
 
 
