@@ -1,17 +1,17 @@
-"""Handset application logic: spoken obstacle announcements, a push-to-talk
-voice command loop, location fixes with provider fallback, and the periodic
+"""Handset application logic: spoken obstacle announcements, push-to-talk
+voice commands, location fixes with provider fallback, and the periodic
 upload schedule with an offline queue.
 
 The whole app is one logical event loop consuming a merged, time-ordered
-stream of link tokens, user events, and clock ticks; the uploader is a
-timer-driven step inside that loop.
+stream of link tokens and user events; the uploader is a timer-driven step
+inside that loop.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -73,6 +73,11 @@ DEFAULT_COMMANDS: dict[str, str] = {
 _COMMAND_ACTIONS = {"call_emergency", "mute", "unmute"}
 
 
+def normalize_utterance(text: str) -> str:
+    """Lowercase, trim, and collapse internal whitespace."""
+    return " ".join(text.split()).lower()
+
+
 @dataclass(frozen=True)
 class AppConfig:
     language: Language = Language.ENGLISH
@@ -116,12 +121,6 @@ class AppConfig:
 
 
 @dataclass(frozen=True)
-class Speak:
-    text: str
-    message: ObstacleMessage
-
-
-@dataclass(frozen=True)
 class CallEmergency:
     number: str
 
@@ -138,85 +137,6 @@ class LocationFix:
     longitude: float
     timestamp: str  # ISO-8601 UTC, whole seconds, 'Z' suffix
     provider: Provider
-
-
-# --------------------------------------------------------------------------
-# Voice command finite-state machine.
-# --------------------------------------------------------------------------
-
-
-class VoiceMode(Enum):
-    IDLE = "idle"
-    LISTENING = "listening"
-
-
-@dataclass(frozen=True)
-class VoiceState:
-    mode: VoiceMode = VoiceMode.IDLE
-    muted: bool = False
-    listening_deadline_ms: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ButtonPress:
-    t_ms: int
-
-
-@dataclass(frozen=True)
-class Utterance:
-    t_ms: int
-    text: str
-
-
-@dataclass(frozen=True)
-class Tick:
-    t_ms: int
-
-
-def normalize_utterance(text: str) -> str:
-    """Lowercase, trim, and collapse internal whitespace."""
-    return " ".join(text.split()).lower()
-
-
-def voice_fsm_step(state: VoiceState, event: ButtonPress | Utterance | Tick,
-                   cfg: AppConfig) -> tuple[VoiceState, Optional[CallEmergency | SetMuted]]:
-    """Advance the push-to-talk state machine by one event.
-
-    A button press opens (or re-opens) a listening window; the first
-    utterance inside the window is matched against the command table and
-    closes it; the window expires listen_window_ms after the press.
-    Unrecognized speech and speech outside the window do nothing.
-    """
-    deadline = state.listening_deadline_ms
-    expired = (
-        state.mode is VoiceMode.LISTENING
-        and deadline is not None
-        and event.t_ms > deadline  # type: ignore[attr-defined]
-    )
-    if expired:
-        state = replace(state, mode=VoiceMode.IDLE, listening_deadline_ms=None)
-
-    if isinstance(event, ButtonPress):
-        return (
-            replace(state, mode=VoiceMode.LISTENING,
-                    listening_deadline_ms=event.t_ms + cfg.listen_window_ms),
-            None,
-        )
-    if isinstance(event, Utterance):
-        if state.mode is not VoiceMode.LISTENING:
-            return state, None
-        state = replace(state, mode=VoiceMode.IDLE, listening_deadline_ms=None)
-        command = cfg.commands.get(normalize_utterance(event.text))
-        if command == "call_emergency":
-            return state, CallEmergency(cfg.emergency_number)
-        if command == "mute":
-            return replace(state, muted=True), SetMuted(True)
-        if command == "unmute":
-            return replace(state, muted=False), SetMuted(False)
-        return state, None
-    if isinstance(event, Tick):
-        return state, None
-    raise TypeError(f"unknown voice event: {event!r}")
 
 
 # --------------------------------------------------------------------------
@@ -293,12 +213,13 @@ class Uploader:
 
     def tick(self, now_ms: int, horizon_ms: int,
              fix_at: Callable[[int], Optional[LocationFix]],
-             deliver: Callable[[LocationFix], Optional[int]]) -> list[UploadAttempt]:
+             deliver: Callable[[LocationFix, int], Optional[int]]) -> list[UploadAttempt]:
         """Process every due instant up to now (capped at horizon_ms).
 
         fix_at(due_ms) returns the fix as of that instant, or None when no
-        provider is available then.  deliver() returns the server's record id
-        on success and None when the server is unreachable.
+        provider is available then.  deliver(fix, due_ms) returns the
+        server's record id on success and None when the server is
+        unreachable at that instant.
         """
         limit = min(now_ms, horizon_ms)
         attempts: list[UploadAttempt] = []
@@ -313,7 +234,7 @@ class Uploader:
             failed = False
             for item in batch:
                 if not failed:
-                    ack = deliver(item)
+                    ack = deliver(item, due)
                     if ack is not None:
                         attempts.append(UploadAttempt(item, True, ack, due))
                         continue
@@ -334,22 +255,27 @@ class Uploader:
 class AssistiveApp:
     """Event-loop state of the handset app.
 
-    Feed it link tokens, user events, and ticks; it returns the
-    actions (speech, emergency calls, mute switches) they caused.  Announce
+    Feed it link tokens and user events; it returns what they caused: the
+    phrase to speak, an emergency call or a mute switch.  Announce
     deduplication and the mute switch live here; upload scheduling is
     delegated to an Uploader owned by the caller's run loop.
+
+    A button press opens (or re-opens) a listening window, which is one
+    deadline, listen_window_ms after the press.  The next utterance closes
+    it, and runs its command only if it came at or before the deadline.
     """
 
     def __init__(self, cfg: AppConfig) -> None:
         self.cfg = cfg
-        self.voice = VoiceState()
+        self.muted = False
+        self.listening_until_ms: Optional[int] = None
         self._last_spoken_ms: dict[ObstacleMessage, int] = {}
 
     # -- announcements ----------------------------------------------------
 
-    def announce(self, message: ObstacleMessage, now_ms: int) -> Optional[Speak]:
-        """Speak an obstacle phrase unless muted or a repeat came too soon."""
-        if self.voice.muted:
+    def announce(self, message: ObstacleMessage, now_ms: int) -> Optional[str]:
+        """The obstacle phrase to speak, or None if muted or a repeat came too soon."""
+        if self.muted:
             return None
         last = self._last_spoken_ms.get(message)
         if last is not None and now_ms - last < self.cfg.announce_repeat_ms:
@@ -360,37 +286,46 @@ class AssistiveApp:
                 f"no phrase for ({message.value}, {self.cfg.language.value})"
             )
         self._last_spoken_ms[message] = now_ms
-        return Speak(phrase, message)
+        return phrase
 
     def handle_token(self, token: str,
-                     now_ms: int) -> tuple[ObstacleMessage, Optional[Speak]]:
-        """Decode one link token and maybe announce it: the message and its
-        Speak, if any.  May raise UnknownTokenError."""
+                     now_ms: int) -> tuple[ObstacleMessage, Optional[str]]:
+        """Decode one link token and maybe announce it: the message and the
+        phrase to speak, if any.  May raise UnknownTokenError."""
         message = decode_message(token)
         return message, self.announce(message, now_ms)
 
     # -- voice ------------------------------------------------------------
 
-    def _apply_voice(self,
-                     event: ButtonPress | Utterance | Tick) -> list[CallEmergency | SetMuted]:
-        self.voice, action = voice_fsm_step(self.voice, event, self.cfg)
-        return [action] if action is not None else []
+    def handle_button(self, t_ms: int) -> None:
+        self.listening_until_ms = t_ms + self.cfg.listen_window_ms
 
-    def handle_button(self, t_ms: int) -> list[CallEmergency | SetMuted]:
-        return self._apply_voice(ButtonPress(t_ms))
+    def handle_utterance(self, text: str, t_ms: int) -> Optional[CallEmergency | SetMuted]:
+        """Close the listening window and run the command spoken inside it.
 
-    def handle_utterance(self, text: str, t_ms: int) -> list[CallEmergency | SetMuted]:
-        return self._apply_voice(Utterance(t_ms, text))
+        Speech with no window open, after the deadline, or not in the
+        command table does nothing.
+        """
+        deadline, self.listening_until_ms = self.listening_until_ms, None
+        if deadline is None or t_ms > deadline:
+            return None
+        command = self.cfg.commands.get(normalize_utterance(text))
+        if command == "call_emergency":
+            return CallEmergency(self.cfg.emergency_number)
+        if command in ("mute", "unmute"):
+            self.muted = command == "mute"
+            return SetMuted(self.muted)
+        return None
 
-    def handle_tick(self, t_ms: int) -> list[CallEmergency | SetMuted]:
-        return self._apply_voice(Tick(t_ms))
+    def handle_tick(self, t_ms: int) -> None:
+        """Does nothing: handle_utterance checks the deadline, so a window never
+        needs closing on time.  Kept because perfbench/tracing.py wraps the
+        app's voice methods by name, this one included."""
 
 
 __all__ = [
     "ObstacleMessage", "Language", "Provider", "UnknownTokenError",
     "decode_message", "DEFAULT_PHRASES", "DEFAULT_COMMANDS", "AppConfig",
-    "Speak", "CallEmergency", "SetMuted", "LocationFix",
-    "VoiceMode", "VoiceState", "ButtonPress", "Utterance", "Tick",
-    "normalize_utterance", "voice_fsm_step", "select_provider", "make_fix",
-    "Uploader", "UploadAttempt", "AssistiveApp",
+    "CallEmergency", "SetMuted", "LocationFix", "normalize_utterance",
+    "select_provider", "make_fix", "Uploader", "UploadAttempt", "AssistiveApp",
 ]

@@ -162,4 +162,4 @@ def load_config(path: str) -> SystemConfig:
     return config_from_dict(doc)
 
 
-__all__ = ["SystemConfig", "config_from_dict", "load_config", "CONFIG_SCHEMA_VERSION"]
+__all__ = ["SystemConfig", "config_from_dict", "load_config"]

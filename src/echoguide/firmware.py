@@ -212,7 +212,6 @@ def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
 
 
 __all__ = [
-    "EchoSource", "NoEchoError", "FirmwareConfig", "ChannelRound", "FirmwareState",
-    "pulses_to_cm", "gate_valid", "median9", "acquire_distance", "encode_message",
-    "firmware_tick",
+    "NoEchoError", "FirmwareConfig", "ChannelRound", "FirmwareState", "pulses_to_cm",
+    "gate_valid", "median9", "acquire_distance", "encode_message", "firmware_tick",
 ]

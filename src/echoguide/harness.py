@@ -105,13 +105,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     store = TrackStore(store_path)
     service = TrackService(store)
 
-    # The uploader calls fix_at(due) before delivering that instant's batch,
-    # so the due instant also scopes reachability for the deliveries.
-    current_due = 0
-
     def fix_at(due_ms: int):
-        nonlocal current_due
-        current_due = due_ms
         provider = select_provider(script.gps_at(due_ms), script.network_at(due_ms))
         if provider is None:
             return None
@@ -119,8 +113,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         timestamp = utc_string(script.start_epoch_s + due_ms // 1000)
         return make_fix(lat, lon, provider, timestamp, config.app, fix_rng)
 
-    def deliver(fix) -> Optional[int]:
-        if not script.server_at(current_due):
+    def deliver(fix, due_ms: int) -> Optional[int]:
+        if not script.server_at(due_ms):
             return None
         try:
             record = service.insert_fix({
@@ -132,20 +126,12 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             })
         except (FixValidationError, StorageError):
             return None
-        trace.add(ev_server_ack(current_due, record.id, record.device_id, record.timestamp))
+        trace.add(ev_server_ack(due_ms, record.id, record.device_id, record.timestamp))
         return record.id
-
-    def run_app_actions(actions, t_ms: int) -> None:
-        for action in actions:
-            if isinstance(action, CallEmergency):
-                trace.add(ev_call(t_ms, action.number))
-            elif isinstance(action, SetMuted):
-                trace.add(ev_set_muted(t_ms, action.muted))
 
     def app_step(tokens) -> None:
         """Feed the app the (t_ms, token) pairs the link just delivered and the
-        user events now due, in time order; then expire a stale listening
-        window and run the uploader up to now."""
+        user events now due, in time order; then run the uploader up to now."""
         nonlocal next_event
         now = clock.now()
         horizon = min(now, duration)
@@ -159,20 +145,23 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         for t_ms, item in inputs:
             if isinstance(item, str):
                 try:
-                    message, speak = app.handle_token(item, t_ms)
+                    message, phrase = app.handle_token(item, t_ms)
                 except UnknownTokenError:
                     trace.add(ev_unknown_token(t_ms, item))
                     continue
                 trace.add(ev_decode(t_ms, message))
-                if speak is not None:
-                    trace.add(ev_speak(t_ms, message, config.app.language.value, speak.text))
+                if phrase is not None:
+                    trace.add(ev_speak(t_ms, message, config.app.language.value, phrase))
             elif item.kind == "button":
                 trace.add(ev_button(t_ms))
-                run_app_actions(app.handle_button(t_ms), t_ms)
+                app.handle_button(t_ms)
             else:  # utterance
                 trace.add(ev_utterance(t_ms, item.text))
-                run_app_actions(app.handle_utterance(item.text, t_ms), t_ms)
-        app.handle_tick(horizon)
+                action = app.handle_utterance(item.text, t_ms)
+                if isinstance(action, CallEmergency):
+                    trace.add(ev_call(t_ms, action.number))
+                elif isinstance(action, SetMuted):
+                    trace.add(ev_set_muted(t_ms, action.muted))
         for attempt in uploader.tick(now, duration, fix_at, deliver):
             trace.add(ev_upload(attempt))
 
@@ -414,8 +403,6 @@ def load_expectations(path: str) -> list[dict]:
 
 
 __all__ = [
-    "run_scenario", "distance_error_experiment", "experiment_grid",
-    "BucketStats", "ErrorReport", "error_report", "assert_expectations",
-    "load_expectations", "EXPERIMENT_SEED", "GRID_START_CM", "GRID_STOP_CM",
-    "GRID_STEP_CM",
+    "run_scenario", "distance_error_experiment", "experiment_grid", "error_report",
+    "assert_expectations", "load_expectations", "EXPERIMENT_SEED",
 ]

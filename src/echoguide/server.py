@@ -81,6 +81,18 @@ _CANONICAL_LINE = re.compile(
     + rb"\}\n").fullmatch
 
 
+_JSON_TYPES = {"integer": (int,), "number": (int, float)}  # as json.loads makes them
+
+
+def _json_field(doc: dict, name: str, kind: str):
+    """doc[name] if it is a JSON integer or number, as kind says, and not a
+    bool or a string, which int() and float() would take too."""
+    value = doc[name]
+    if type(value) not in _JSON_TYPES[kind]:
+        raise TypeError(f"{name} must be a JSON {kind}, not {value!r}")
+    return value
+
+
 class _Names(dict):
     """Decoded names, kept once each: a store holds few device ids and providers."""
 
@@ -160,7 +172,8 @@ class TrackStore:
 
     The load reads a line as insert() writes it with one regular-expression
     match, and any other line through json.loads; both give the same record.
-    Ids must run 1..n.  A last line with no newline is a torn append that
+    Ids must be JSON integers that run 1..n, and coordinates JSON numbers
+    (not strings or booleans, as validate_fix requires).  A last line with no newline is a torn append that
     was never acknowledged: it is truncated away with a warning on stderr.
     Any other bad line raises StorageError naming path:lineno.
     """
@@ -192,10 +205,10 @@ class TrackStore:
                         else:
                             doc = json.loads(line.decode("utf-8"))
                             record = FixRecord(
-                                id=int(doc["id"]),
+                                id=_json_field(doc, "id", "integer"),
                                 device_id=doc["device_id"],
-                                latitude=float(doc["latitude"]),
-                                longitude=float(doc["longitude"]),
+                                latitude=float(_json_field(doc, "latitude", "number")),
+                                longitude=float(_json_field(doc, "longitude", "number")),
                                 timestamp=doc["timestamp"],
                                 provider=doc["provider"],
                             )

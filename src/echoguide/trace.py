@@ -10,7 +10,7 @@ order on ties.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .app import ObstacleMessage, UploadAttempt
 from .world import Channel, SurfaceKind, Weather
@@ -28,9 +28,6 @@ class TraceLog:
 
     def add(self, event: dict) -> None:
         self.events.append(event)
-
-    def extend(self, events: Iterable[dict]) -> None:
-        self.events.extend(events)
 
     def sort_by_time(self) -> None:
         """Stable sort by virtual time; same-time events keep insertion order."""

@@ -523,7 +523,6 @@ __all__ = [
     "PULSES_PER_CM", "GATE_LOW_CM", "GATE_HIGH_CM",
     "Channel", "SurfaceKind", "Weather", "NoiseParams", "Calibration",
     "DEFAULT_CALIBRATION", "check_calibration_ordering", "noise_params_for",
-    "sample_echo", "StepTimeline", "GeoPath", "UserEvent",
-    "ScenarioScript", "ChannelEcho", "scenario_from_dict", "load_scenario",
-    "parse_start_utc", "utc_string", "DEFAULT_START_UTC",
+    "sample_echo", "StepTimeline", "GeoPath", "ScenarioScript", "ChannelEcho",
+    "scenario_from_dict", "load_scenario", "utc_string",
 ]

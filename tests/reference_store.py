@@ -20,8 +20,9 @@ def load(path) -> list[FixRecord]:
     """The records of a store file, read line by line with json.loads.
 
     A last line with no newline is a torn append and is left out; blank
-    lines are skipped; any other bad line, or an id out of the 1..n run,
-    raises StorageError naming path:lineno.  The file is not changed.
+    lines are skipped; any other bad line (an id that is not a JSON integer
+    or a coordinate that is not a JSON number among them), or an id out of
+    the 1..n run, raises StorageError naming path:lineno.  The file is not changed.
     """
     records: list[FixRecord] = []
     with open(path, "rb") as fh:
@@ -32,8 +33,12 @@ def load(path) -> list[FixRecord]:
                 continue
             try:
                 doc = json.loads(line.decode("utf-8"))
+                if type(doc["id"]) is not int:  # a bool is not an int here
+                    raise TypeError("id must be a JSON integer")
+                if any(type(doc[name]) not in (int, float) for name in ("latitude", "longitude")):
+                    raise TypeError("coordinates must be JSON numbers")
                 record = FixRecord(
-                    id=int(doc["id"]),
+                    id=doc["id"],
                     device_id=doc["device_id"],
                     latitude=float(doc["latitude"]),
                     longitude=float(doc["longitude"]),

@@ -1,5 +1,5 @@
-"""Handset app logic: token decoding, announcements, the voice command
-state machine, provider selection, fixes, and the upload scheduler."""
+"""Handset app logic: token decoding, announcements, push-to-talk voice
+commands, provider selection, fixes, and the upload scheduler."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from echoguide.app import (
     AppConfig,
     AssistiveApp,
-    ButtonPress,
     CallEmergency,
     DEFAULT_PHRASES,
     Language,
@@ -19,17 +18,12 @@ from echoguide.app import (
     ObstacleMessage,
     Provider,
     SetMuted,
-    Tick,
     UnknownTokenError,
     Uploader,
-    Utterance,
-    VoiceMode,
-    VoiceState,
     decode_message,
     make_fix,
     normalize_utterance,
     select_provider,
-    voice_fsm_step,
 )
 from echoguide.errors import ConfigError
 
@@ -58,9 +52,8 @@ def test_decode_rejects_near_misses(token):
 
 def test_announce_repeat_suppression_per_message():
     app = AssistiveApp(AppConfig())
-    first = app.announce(ObstacleMessage.GROUND, 1000)
-    assert first is not None
-    assert first.text == DEFAULT_PHRASES[(ObstacleMessage.GROUND, Language.ENGLISH)]
+    assert app.announce(ObstacleMessage.GROUND, 1000) == \
+        DEFAULT_PHRASES[(ObstacleMessage.GROUND, Language.ENGLISH)]
     assert app.announce(ObstacleMessage.GROUND, 1500) is None  # too soon
     assert app.announce(ObstacleMessage.LEFT, 1500) is not None  # other message free
     assert app.announce(ObstacleMessage.GROUND, 3000) is not None  # 2000 ms elapsed
@@ -76,17 +69,17 @@ def test_announce_boundary_is_at_exactly_repeat_interval():
 def test_announce_respects_mute_and_unmute():
     app = AssistiveApp(AppConfig())
     app.handle_button(0)
-    assert app.handle_utterance("stop speaking", 100) == [SetMuted(True)]
+    assert app.handle_utterance("stop speaking", 100) == SetMuted(True)
     assert app.announce(ObstacleMessage.GROUND, 200) is None
     app.handle_button(300)
-    assert app.handle_utterance("start speaking", 400) == [SetMuted(False)]
+    assert app.handle_utterance("start speaking", 400) == SetMuted(False)
     assert app.announce(ObstacleMessage.GROUND, 500) is not None
 
 
 def test_announce_uses_configured_language():
     app = AssistiveApp(AppConfig(language=Language.BENGALI))
-    speak = app.announce(ObstacleMessage.LEFT, 0)
-    assert speak.text == DEFAULT_PHRASES[(ObstacleMessage.LEFT, Language.BENGALI)]
+    assert app.announce(ObstacleMessage.LEFT, 0) == \
+        DEFAULT_PHRASES[(ObstacleMessage.LEFT, Language.BENGALI)]
 
 
 def test_phrase_table_must_be_total():
@@ -98,14 +91,14 @@ def test_phrase_table_must_be_total():
 
 def test_handle_token_decodes_and_announces():
     app = AssistiveApp(AppConfig())
-    message, speak = app.handle_token("Ground", 50)
-    assert message is ObstacleMessage.GROUND and speak.message is ObstacleMessage.GROUND
+    assert app.handle_token("Ground", 50) == \
+        (ObstacleMessage.GROUND, DEFAULT_PHRASES[(ObstacleMessage.GROUND, Language.ENGLISH)])
     assert app.handle_token("Ground", 60) == (ObstacleMessage.GROUND, None)  # dedup
     with pytest.raises(UnknownTokenError):
         app.handle_token("Gr0und", 60)
 
 
-# -- voice state machine ------------------------------------------------------------
+# -- voice commands -----------------------------------------------------------------
 
 
 def test_normalize_utterance_rules():
@@ -115,79 +108,71 @@ def test_normalize_utterance_rules():
 
 
 def test_fsm_idle_ignores_speech():
-    cfg = AppConfig()
-    state, action = voice_fsm_step(VoiceState(), Utterance(100, "I need help"), cfg)
-    assert state.mode is VoiceMode.IDLE and action is None
+    app = AssistiveApp(AppConfig())
+    assert app.handle_utterance("I need help", 100) is None
+    assert app.listening_until_ms is None and not app.muted
 
 
 def test_fsm_button_opens_window_then_command_fires_once():
-    cfg = AppConfig()
-    state, action = voice_fsm_step(VoiceState(), ButtonPress(1000), cfg)
-    assert state.mode is VoiceMode.LISTENING
-    assert state.listening_deadline_ms == 11_000
-    assert action is None
-    state, action = voice_fsm_step(state, Utterance(2000, "I need help"), cfg)
-    assert action == CallEmergency(cfg.emergency_number)
-    assert state.mode is VoiceMode.IDLE
+    app = AssistiveApp(AppConfig())
+    assert app.handle_button(1000) is None
+    assert app.listening_until_ms == 11_000
+    assert app.handle_utterance("I need help", 2000) == CallEmergency(app.cfg.emergency_number)
+    assert app.listening_until_ms is None
     # Window is closed: a second utterance does nothing.
-    state, action = voice_fsm_step(state, Utterance(2500, "I need help"), cfg)
-    assert action is None
+    assert app.handle_utterance("I need help", 2500) is None
 
 
 def test_fsm_unrecognized_speech_closes_window_silently():
-    cfg = AppConfig()
-    state, _ = voice_fsm_step(VoiceState(), ButtonPress(0), cfg)
-    state, action = voice_fsm_step(state, Utterance(100, "what time is it"), cfg)
-    assert action is None and state.mode is VoiceMode.IDLE
+    app = AssistiveApp(AppConfig())
+    app.handle_button(0)
+    assert app.handle_utterance("what time is it", 100) is None
+    assert app.listening_until_ms is None
+    assert app.handle_utterance("i need help", 200) is None
 
 
 def test_fsm_window_expires_after_ten_seconds():
-    cfg = AppConfig()
-    state, _ = voice_fsm_step(VoiceState(), ButtonPress(0), cfg)
-    state, action = voice_fsm_step(state, Tick(10_001), cfg)
-    assert state.mode is VoiceMode.IDLE and action is None
-    state, action = voice_fsm_step(state, Utterance(10_002, "I need help"), cfg)
-    assert action is None
+    app = AssistiveApp(AppConfig())
+    app.handle_button(0)
+    assert app.handle_utterance("I need help", 10_001) is None
+    assert app.listening_until_ms is None
 
 
 def test_fsm_utterance_at_exact_deadline_is_accepted():
-    cfg = AppConfig()
-    state, _ = voice_fsm_step(VoiceState(), ButtonPress(0), cfg)
-    state, action = voice_fsm_step(state, Utterance(10_000, "i need help"), cfg)
-    assert action == CallEmergency(cfg.emergency_number)
+    app = AssistiveApp(AppConfig())
+    app.handle_button(0)
+    assert app.handle_utterance("i need help", 10_000) == CallEmergency(app.cfg.emergency_number)
 
 
 def test_fsm_late_utterance_without_tick_is_ignored():
-    cfg = AppConfig()
-    state, _ = voice_fsm_step(VoiceState(), ButtonPress(0), cfg)
-    state, action = voice_fsm_step(state, Utterance(10_500, "i need help"), cfg)
-    assert action is None and state.mode is VoiceMode.IDLE
+    app = AssistiveApp(AppConfig())
+    app.handle_button(0)
+    assert app.handle_utterance("i need help", 10_500) is None
+    assert app.listening_until_ms is None
 
 
 def test_fsm_button_refreshes_open_window():
-    cfg = AppConfig()
-    state, _ = voice_fsm_step(VoiceState(), ButtonPress(0), cfg)
-    state, _ = voice_fsm_step(state, ButtonPress(5000), cfg)
-    assert state.listening_deadline_ms == 15_000
-    state, action = voice_fsm_step(state, Utterance(12_000, "i need help"), cfg)
-    assert action == CallEmergency(cfg.emergency_number)
+    app = AssistiveApp(AppConfig())
+    app.handle_button(0)
+    app.handle_button(5000)
+    assert app.listening_until_ms == 15_000
+    assert app.handle_utterance("i need help", 12_000) == CallEmergency(app.cfg.emergency_number)
 
 
 def test_fsm_mute_commands_toggle_state():
-    cfg = AppConfig()
-    state, _ = voice_fsm_step(VoiceState(), ButtonPress(0), cfg)
-    state, action = voice_fsm_step(state, Utterance(10, "Stop  Speaking"), cfg)
-    assert action == SetMuted(True) and state.muted
-    state, _ = voice_fsm_step(state, ButtonPress(20), cfg)
-    state, action = voice_fsm_step(state, Utterance(30, "start speaking"), cfg)
-    assert action == SetMuted(False) and not state.muted
+    app = AssistiveApp(AppConfig())
+    app.handle_button(0)
+    assert app.handle_utterance("Stop  Speaking", 10) == SetMuted(True)
+    assert app.muted
+    app.handle_button(20)
+    assert app.handle_utterance("start speaking", 30) == SetMuted(False)
+    assert not app.muted
 
 
 def test_command_table_is_configurable_and_normalized():
-    cfg = AppConfig(commands={"help me now": "call_emergency"})
-    state, _ = voice_fsm_step(VoiceState(), ButtonPress(0), cfg)
-    _, action = voice_fsm_step(state, Utterance(10, "  HELP me   NOW "), cfg)
-    assert action == CallEmergency(cfg.emergency_number)
+    app = AssistiveApp(AppConfig(commands={"help me now": "call_emergency"}))
+    app.handle_button(0)
+    assert app.handle_utterance("  HELP me   NOW ", 10) == CallEmergency(app.cfg.emergency_number)
     with pytest.raises(ConfigError):
         AppConfig(commands={"Not Normalized": "mute"})
     with pytest.raises(ConfigError):
@@ -271,7 +256,7 @@ def test_uploader_first_due_is_one_interval_in():
     def fix_at(due):
         return fixes.get(due)
 
-    def deliver(fix):
+    def deliver(fix, due):
         delivered.append(fix)
         return len(delivered)
 
@@ -289,7 +274,7 @@ def test_uploader_cadence_over_twenty_minutes():
     def fix_at(due):
         return fix_numbered(due // 60_000)
 
-    def deliver(fix):
+    def deliver(fix, due):
         acked.append(fix)
         return len(acked)
 
@@ -310,7 +295,7 @@ def test_uploader_queues_on_failure_and_flushes_in_order():
     def fix_at(due):
         return fix_numbered(due // 60_000)
 
-    def deliver(fix):
+    def deliver(fix, due):
         if not server_up:
             return None
         delivered.append(fix)
@@ -340,7 +325,7 @@ def test_uploader_skips_due_with_no_provider():
             return None  # no provider at the 10-minute mark
         return fix_numbered(due // 60_000)
 
-    def deliver(fix):
+    def deliver(fix, due):
         delivered.append(fix)
         return len(delivered)
 
@@ -358,5 +343,5 @@ def test_uploader_honours_horizon_cap():
         seen.append(due)
         return None
 
-    uploader.tick(2_000_000, 1_200_000, fix_at, lambda fix: 1)
+    uploader.tick(2_000_000, 1_200_000, fix_at, lambda fix, due: 1)
     assert seen == [300_000, 600_000, 900_000, 1_200_000]

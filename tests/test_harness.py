@@ -270,13 +270,11 @@ def test_experiment_measures_every_grid_point_deterministically():
 
 
 def demo_trace():
-    trace = TraceLog()
-    trace.extend([
+    return TraceLog([
         {"t": 10, "kind": "alert", "channel": "ground"},
         {"t": 20, "kind": "speak", "message": "Ground"},
         {"t": 30, "kind": "alert", "channel": "left"},
     ])
-    return trace
 
 
 def test_eventually_advances_cursor_in_order():

@@ -1,10 +1,12 @@
 """Invariants of run_scenario on generated scenarios and configs.
 
 The scenarios and configs come from the generators of test_differential.py.
-Each run gets up to five user events, alternating button and utterance,
-with "start speaking" among the texts, so a run can mute and unmute. The
-repeat intervals of the firmware and of the announcements are drawn too,
-and the upload interval is short, so server outages queue fixes.
+Each run gets up to five user events, each a button or an utterance, with
+"start speaking" and speech that is no command among the texts, so a run
+can mute and unmute, and a window can be closed by speech, refreshed by a
+button, or expire.  The listening window, the repeat intervals of the
+firmware and of the announcements are drawn too, and the upload interval
+is short, so server outages queue fixes.
 The checks follow the loop's order: firmware tick, frames, link, app,
 uploader.
 """
@@ -19,7 +21,7 @@ from echoguide.harness import run_scenario
 from echoguide.world import scenario_from_dict
 from test_differential import config_docs, scenario_docs, step_times
 
-TEXTS = ("i need help", "stop speaking", "start speaking")
+TEXTS = ("i need help", "stop speaking", "start speaking", "what time is it")
 FRAME_CHANNELS = {"Ground\n": "ground", "Left\n": "left", "Right\n": "right"}
 
 
@@ -27,14 +29,15 @@ FRAME_CHANNELS = {"Ground\n": "ground", "Left\n": "left", "Right\n": "right"}
 def run_docs(draw) -> tuple[dict, dict]:
     doc = draw(scenario_docs())
     doc["user_events"] = [
-        {"t": t, "kind": "button"} if i % 2 == 0
+        {"t": t, "kind": "button"} if draw(st.booleans())
         else {"t": t, "kind": "utterance", "text": draw(st.sampled_from(TEXTS))}
-        for i, t in enumerate(draw(step_times(doc["duration_ms"])))
+        for t in draw(step_times(doc["duration_ms"]))
     ]
     config = draw(config_docs())
     config["firmware"]["repeat_interval_ms"] = draw(st.sampled_from([100, 700, 2000]))
     config["app"]["announce_repeat_ms"] = draw(st.sampled_from([1, 700, 2000, 5000]))
     config["app"]["upload_interval_ms"] = draw(st.sampled_from([250, 777, 1000]))
+    config["app"]["listen_window_ms"] = draw(st.sampled_from([1, 150, 10_000]))
     return doc, config
 
 
@@ -134,9 +137,29 @@ def check_decodes_and_speech(events: list[dict], announce_repeat_ms: int) -> Non
     assert [(e["t"], e["message"]) for e in of_kind(events, "speak")] == expected
 
 
-def example_config(repeat_interval_ms: int, announce_repeat_ms: int) -> dict:
+def check_voice(events: list[dict], listen_window_ms: int, emergency_number: str) -> None:
+    # A button opens a window until t + listen_window_ms; the first utterance
+    # after it closes the window, and runs its command if it came in time.
+    commands = {"i need help": ("call", emergency_number), "stop speaking": ("set_muted", True),
+                "start speaking": ("set_muted", False)}
+    deadline = None
+    expected = []
+    for e in events:
+        if e["kind"] == "button":
+            deadline = e["t"] + listen_window_ms
+        elif e["kind"] == "utterance":
+            if deadline is not None and e["t"] <= deadline and e["text"] in commands:
+                expected.append((e["t"], *commands[e["text"]]))
+            deadline = None
+    assert [(e["t"], e["kind"], e["number"] if e["kind"] == "call" else e["muted"])
+            for e in events if e["kind"] in ("call", "set_muted")] == expected
+
+
+def example_config(repeat_interval_ms: int, announce_repeat_ms: int,
+                   listen_window_ms: int = 10_000) -> dict:
     return {"schema_version": 1, "firmware": {"repeat_interval_ms": repeat_interval_ms},
-            "app": {"announce_repeat_ms": announce_repeat_ms, "upload_interval_ms": 777}}
+            "app": {"announce_repeat_ms": announce_repeat_ms, "upload_interval_ms": 777,
+                    "listen_window_ms": listen_window_ms}}
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,
@@ -144,6 +167,7 @@ def example_config(repeat_interval_ms: int, announce_repeat_ms: int) -> dict:
 @given(docs=run_docs())
 # A ground obstacle throughout: frames every 700 ms, speech at most every 2 s,
 # muted from 1.5 s to 3.5 s; the server is down until 2.5 s, so fixes queue.
+# "stop speaking" comes exactly at the deadline of its 1.4 s window.
 @example(docs=({"schema_version": 1, "duration_ms": 6000, "seed": 4,
                 "channels": {"ground": [{"t": 0, "distance_cm": 40}]},
                 "server_available": [{"t": 0, "value": False}, {"t": 2500, "value": True}],
@@ -151,7 +175,7 @@ def example_config(repeat_interval_ms: int, announce_repeat_ms: int) -> dict:
                                 {"t": 1500, "kind": "utterance", "text": "stop speaking"},
                                 {"t": 2500, "kind": "button"},
                                 {"t": 3500, "kind": "utterance", "text": "start speaking"}]},
-               example_config(700, 2000)))
+               example_config(700, 2000, 1400)))
 # A side obstacle that comes and goes: each new alert sends a frame at once,
 # and the announcement of a frame less than 5 s after the last one is dropped.
 @example(docs=({"schema_version": 1, "duration_ms": 6000, "seed": 9,
@@ -181,3 +205,4 @@ def test_run_invariants(docs):
     check_alerts_and_frames(events, config_doc["firmware"])
     check_motor(events)
     check_decodes_and_speech(events, config_doc["app"]["announce_repeat_ms"])
+    check_voice(events, config.app.listen_window_ms, config.app.emergency_number)

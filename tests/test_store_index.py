@@ -365,6 +365,14 @@ def test_store_that_is_only_a_torn_line_opens_empty(tmp_path, capsys):
     pytest.param(b'{"device_id": "walker-1", "id": 2, "latitude": ' + b"9" * 400
                  + b', "longitude": 2.0, "provider": "gps", "timestamp": "2015-06-01T01:00:00Z"}',
                  id="latitude too large for a float"),
+    *(pytest.param(b'{"device_id": "walker-1", "id": ' + id_text + b', "latitude": 1.0, '
+                   b'"longitude": 2.0, "provider": "gps", "timestamp": "2015-06-01T01:00:00Z"}',
+                   id=f"id {id_text.decode()}")
+      for id_text in (b'"2"', b"true", b"2.0")),
+    *(pytest.param(b'{"device_id": "walker-1", "id": 2, "latitude": ' + latitude
+                   + b', "longitude": 2.0, "provider": "gps", "timestamp": "2015-06-01T01:00:00Z"}',
+                   id=f"latitude {latitude.decode()}")
+      for latitude in (b'"1.5"', b"true")),
 ])
 def test_corrupt_whole_line_names_path_and_line(tmp_path, bad):
     path = tmp_path / "locations.jsonl"
