@@ -129,10 +129,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ScenarioError, ConfigError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -345,6 +345,14 @@ def error_report(traces: Sequence[TraceLog]) -> ErrorReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_patterns(patterns: Sequence[object], prefix: str = "") -> None:
+    for index, pattern in enumerate(patterns):
+        if not (isinstance(pattern, dict) and pattern.get("op") in ("eventually", "never")
+                and isinstance(pattern.get("kind"), str)
+                and isinstance(pattern.get("where", {}), dict)):
+            raise ScenarioError(f"{prefix}pattern {index} is malformed: {pattern!r}")
+
+
 def _matches(event: dict, kind: str, where: dict) -> bool:
     if event.get("kind") != kind:
         return False
@@ -360,16 +368,13 @@ def assert_expectations(trace: TraceLog, patterns: Sequence[dict]) -> tuple[bool
     matching event exists at or after the cursor (it does not advance).  The
     first failure is reported with its pattern index and timestamps.
     """
+    _check_patterns(patterns)
     events = trace.events
     cursor = 0
     for index, pattern in enumerate(patterns):
-        op = pattern.get("op")
-        kind = pattern.get("kind")
+        kind = pattern["kind"]
         where = pattern.get("where", {})
-        if op not in ("eventually", "never") or not isinstance(kind, str) \
-                or not isinstance(where, dict):
-            raise ValueError(f"pattern {index} is malformed: {pattern!r}")
-        if op == "eventually":
+        if pattern["op"] == "eventually":
             for i in range(cursor, len(events)):
                 if _matches(events[i], kind, where):
                     cursor = i + 1
@@ -392,13 +397,14 @@ def assert_expectations(trace: TraceLog, patterns: Sequence[dict]) -> tuple[bool
 
 def load_expectations(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict):
-        patterns = doc.get("patterns")
-    else:
-        patterns = doc
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+    patterns = doc.get("patterns") if isinstance(doc, dict) else doc
     if not isinstance(patterns, list):
         raise ScenarioError(f"{path}: expected a list of patterns or an object with one")
+    _check_patterns(patterns, f"{path}: ")
     return patterns
 
 

@@ -13,6 +13,7 @@ import json
 from typing import Iterator, Optional
 
 from .app import ObstacleMessage, UploadAttempt
+from .errors import ScenarioError
 from .world import Channel, SurfaceKind, Weather
 
 
@@ -51,12 +52,19 @@ class TraceLog:
 
     @classmethod
     def read(cls, path: str) -> "TraceLog":
+        """Load a trace file; a line that is not a JSON object with `t` and
+        `kind` raises ScenarioError naming path:lineno."""
         events = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        event = json.loads(line)
+                    except ValueError:  # not JSON, or not UTF-8
+                        event = None
+                    if not (isinstance(event, dict) and "t" in event and "kind" in event):
+                        raise ScenarioError(f"{path}:{lineno}: not a trace event")
+                    events.append(event)
         return cls(events)
 
 

@@ -14,10 +14,11 @@ import math
 import os
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import datetime, timezone
-from enum import Enum
-from typing import Optional, Sequence
+from enum import Enum, EnumMeta
+from types import FunctionType
+from typing import Optional, Sequence, get_type_hints
 
 from .clock import VirtualClock
 from .errors import ConfigError, ScenarioError
@@ -59,9 +60,9 @@ class NoiseParams:
                  inside the valid gate instead of a reading near the truth
     """
 
-    rel_sigma: float
-    rel_bias: float
-    outlier_prob: float
+    rel_sigma: float = 0.0
+    rel_bias: float = 0.0
+    outlier_prob: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rel_sigma < 0:
@@ -207,10 +208,6 @@ class UserEvent:
     text: str = ""
 
 
-DEFAULT_START_UTC = "2015-06-01T00:00:00Z"
-SCENARIO_SCHEMA_VERSION = 1
-
-
 @dataclass
 class ScenarioScript:
     """Complete deterministic description of one simulated walk."""
@@ -231,13 +228,20 @@ class ScenarioScript:
     def __post_init__(self) -> None:
         # Past duration_ms the world holds its final state while the last
         # measurement round of a run drains.  With no step after duration_ms,
-        # a plain lookup gives exactly that.  The parser already rejects such
-        # a step, naming its field; this guards scripts built in code.
-        for timeline in (*self.channels.values(), self.surface, self.weather, self.geo,
-                         self.gps, self.network, self.server):
+        # a plain lookup gives exactly that.  Errors name the scenario field.
+        timelines = {f"channels.{c.value}": timeline for c, timeline in self.channels.items()}
+        timelines.update(surface=self.surface, weather=self.weather, geo_path=self.geo,
+                         gps_available=self.gps, network_available=self.network,
+                         server_available=self.server)
+        for key, timeline in timelines.items():
             if timeline.times[-1] > self.duration_ms:
-                raise ScenarioError(f"a timeline has a step at t={timeline.times[-1]}, "
-                                    f"after duration_ms={self.duration_ms}")
+                raise ScenarioError(f"{key}[{len(timeline.times) - 1}].t: a step at "
+                                    f"t={timeline.times[-1]} comes after duration_ms")
+        events = self.user_events
+        for i, event in enumerate(events):
+            if event.t_ms > self.duration_ms or (i > 0 and event.t_ms <= events[i - 1].t_ms):
+                raise ScenarioError(f"user_events[{i}].t: must increase strictly and "
+                                    f"not pass duration_ms")
 
     # -- accessors ---------------------------------------------------------
 
@@ -312,189 +316,251 @@ class ChannelEcho:
 
 
 # ---------------------------------------------------------------------------
-# Scenario file parsing.  The on-disk form is a single JSON document; see
-# README for the schema.  Validation errors name the offending field.
+# Typed reading of JSON documents, shared by the scenario and config loaders.
+# A rule reads one JSON value and returns it converted, or raises _Rejected.
+# object_rule reads an object by a table of field -> type (or -> rule),
+# compiled once at import.  A rejection gathers its path on the way out, so
+# a document that loads never formats one.
 # ---------------------------------------------------------------------------
 
 
-def _fail(path: str, msg: str) -> None:
-    raise ScenarioError(f"{path}: {msg}")
+class _Rejected(Exception):
+    def __init__(self, message: str, *where: str) -> None:
+        super().__init__(message)
+        self.where = list(where)  # ".field" and "[index]" parts, innermost first
 
 
-def _require_int(value: object, path: str, minimum: Optional[int] = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, "must be an integer")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}")
-    return int(value)  # type: ignore[arg-type]
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise _Rejected("must be an integer")
+    return value  # type: ignore[return-value]
 
 
-def _parse_steps(raw: object, path: str, duration_ms: int, value_key: str,
-                 parse_value) -> StepTimeline:
-    if not isinstance(raw, list) or not raw:
-        _fail(path, "must be a non-empty list of steps")
-    steps = []
-    for i, entry in enumerate(raw):  # type: ignore[union-attr]
-        here = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            _fail(here, "must be an object")
-        t = _require_int(entry.get("t"), f"{here}.t", minimum=0)
-        if t > duration_ms:
-            _fail(f"{here}.t", "must not exceed duration_ms")
-        if value_key not in entry:
-            _fail(here, f"missing '{value_key}'")
-        steps.append((t, parse_value(entry[value_key], f"{here}.{value_key}")))
+def _float(value: object) -> float:
+    if type(value) is float or type(value) is int:
+        try:
+            number = float(value)  # type: ignore[arg-type]
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise _Rejected("must be a finite number")
+
+
+def _str(value: object) -> str:
+    if type(value) is not str or not value:
+        raise _Rejected("must be a non-empty string")
+    return value  # type: ignore[return-value]
+
+
+def _bool(value: object) -> bool:
+    if type(value) is not bool:
+        raise _Rejected("must be true or false")
+    return value  # type: ignore[return-value]
+
+
+def _enum(cls: EnumMeta):
+    members = {member.value: member for member in cls}
+    message = "must be one of: " + ", ".join(members)
+
+    def read(value: object) -> Enum:
+        try:
+            return members[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise _Rejected(message) from None
+    return read
+
+
+_TYPE_RULES = {int: _int, float: _float, str: _str, bool: _bool}
+
+
+def _rule(kind):
+    """The rule for a table entry: a rule itself, an Enum, or a type in _TYPE_RULES."""
+    if isinstance(kind, FunctionType):
+        return kind
+    return _enum(kind) if isinstance(kind, EnumMeta) else _TYPE_RULES[kind]
+
+
+def object_rule(table: dict, required: Sequence[str] = (), other=None):
+    """Rule for a JSON object whose fields follow `table`.  A field the table
+    does not list follows `other`, and is rejected when `other` is None."""
+    rules = {key: _rule(kind) for key, kind in table.items()}
+    rest = None if other is None else _rule(other)
+
+    def read(value: object) -> dict:
+        if type(value) is not dict:
+            raise _Rejected("must be an object")
+        out = {}
+        try:
+            for key, item in value.items():  # type: ignore[attr-defined]
+                rule = rules.get(key, rest)
+                if rule is None:
+                    raise _Rejected("unknown field")
+                out[key] = rule(item)
+        except _Rejected as exc:
+            exc.where.append(f".{key}")
+            raise
+        for key in required:
+            if key not in out:
+                raise _Rejected("missing", f".{key}")
+        return out
+    return read
+
+
+def list_rule(kind):
+    """Rule for a JSON list whose entries follow `kind`."""
+    rule = _rule(kind)
+
+    def read(value: object) -> list:
+        if type(value) is not list:
+            raise _Rejected("must be a list")
+        out: list = []
+        try:
+            for item in value:  # type: ignore[attr-defined]
+                out.append(rule(item))
+        except _Rejected as exc:
+            exc.where.append(f"[{len(out)}]")
+            raise
+        return out
+    return read
+
+
+def built_rule(kind, build):
+    """Rule that reads by `kind`, then calls build on the result; a ValueError
+    from build (the built type's own checks) is rejected at this path."""
+    rule = _rule(kind)
+
+    def read(value: object):
+        fields = rule(value)
+        try:
+            return build(fields)
+        except ValueError as exc:
+            raise _Rejected(str(exc)) from None
+    return read
+
+
+def dataclass_rule(cls, **overrides):
+    """Rule that builds a dataclass from a JSON object: each field follows
+    its annotated type unless `overrides` gives its rule, and an omitted
+    field takes its default."""
+    hints = get_type_hints(cls)
+    table = {f.name: overrides.get(f.name, hints[f.name]) for f in dataclass_fields(cls)}
+    return built_rule(object_rule(table), lambda fields: cls(**fields))
+
+
+def bounded_rule(kind, low: float, high: float, message: str):
+    """Rule for a number of `kind` inside [low, high]."""
+    rule = _rule(kind)
+
+    def read(value: object):
+        number = rule(value)
+        if not low <= number <= high:
+            raise _Rejected(message)
+        return number
+    return read
+
+
+def read_json(doc: object, rule, error: type[ValueError], root: str):
+    """Read a decoded JSON document by `rule`.  A rejection raises `error`
+    naming the path at fault, or `root` for the document itself."""
     try:
-        return StepTimeline(steps)
-    except ScenarioError as exc:
-        _fail(path, str(exc))
-        raise AssertionError  # unreachable
+        return rule(doc)
+    except _Rejected as exc:
+        path = "".join(reversed(exc.where)).lstrip(".") or root
+        raise error(f"{path}: {exc}") from None
 
 
-def _parse_distance(value: object, path: str):
+# ---------------------------------------------------------------------------
+# Scenario file parsing.  The on-disk form is a single JSON document; see
+# README for the schema.
+# ---------------------------------------------------------------------------
+
+
+_TIME = bounded_rule(int, 0, math.inf, "must be >= 0")
+
+
+def _distance(value: object) -> Optional[float]:
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(path, "must be a number or null")
-    if not 0 < float(value) <= 1000:
-        _fail(path, "must be in (0, 1000] cm")
-    return float(value)
+    cm = _float(value)
+    if not 0 < cm <= 1000:
+        raise _Rejected("must be in (0, 1000] cm")
+    return cm
 
 
-def _parse_bool(value: object, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, "must be true or false")
-    return bool(value)
+def _start_epoch_s(text: object) -> int:
+    """Epoch seconds of an ISO-8601 UTC instant with a 'Z' suffix."""
+    if type(text) is str and text.endswith("Z"):
+        try:
+            return int(datetime.fromisoformat(text[:-1] + "+00:00").timestamp())
+        except ValueError:
+            pass
+    raise _Rejected("must be an ISO-8601 UTC instant ending in 'Z'")
 
 
-def _parse_enum(enum_cls, value: object, path: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        _fail(path, f"must be one of: {allowed}")
+def _steps(value_key: str, kind):
+    entry = object_rule({"t": _TIME, value_key: kind}, required=("t", value_key))
+    return built_rule(list_rule(entry),
+                      lambda steps: StepTimeline([(s["t"], s[value_key]) for s in steps]))
 
 
-def parse_start_utc(text: object, path: str = "start_utc") -> int:
-    """Parse an ISO-8601 UTC instant with 'Z' suffix into epoch seconds."""
-    if not isinstance(text, str) or not text.endswith("Z"):
-        _fail(path, "must be an ISO-8601 UTC string ending in 'Z'")
-    try:
-        dt = datetime.fromisoformat(text[:-1] + "+00:00")  # type: ignore[index]
-    except ValueError:
-        _fail(path, "is not a valid ISO-8601 instant")
-        raise AssertionError
-    return int(dt.timestamp())
+_EVENT_FIELDS = object_rule({"t": _TIME, "kind": str, "text": str}, required=("t", "kind"))
+
+
+def _user_event(value: object) -> UserEvent:
+    event = _EVENT_FIELDS(value)
+    if event["kind"] == "button":
+        return UserEvent(event["t"], "button")
+    if event["kind"] != "utterance":
+        raise _Rejected("must be 'button' or 'utterance'", ".kind")
+    if not event.get("text", " ").strip():
+        raise _Rejected("must be a non-empty string", ".text")
+    return UserEvent(event["t"], "utterance", event["text"])
+
+
+_WAYPOINT = object_rule({"t": _TIME,
+                         "lat": bounded_rule(float, -90, 90, "must be a number in [-90, 90]"),
+                         "lon": bounded_rule(float, -180, 180, "must be a number in [-180, 180]")},
+                        required=("t", "lat", "lon"))
+_SCENARIO = object_rule({
+    "schema_version": bounded_rule(int, 1, 1, "must be 1"),
+    "duration_ms": bounded_rule(int, 1, math.inf, "must be >= 1"),
+    "seed": bounded_rule(int, 0, math.inf, "must be >= 0"),
+    "start_utc": _start_epoch_s,
+    "channels": object_rule({c.value: _steps("distance_cm", _distance) for c in Channel}),
+    "surface": _steps("value", SurfaceKind),
+    "weather": _steps("value", Weather),
+    "geo_path": built_rule(list_rule(_WAYPOINT), lambda points: GeoPath(
+        [(p["t"], p["lat"], p["lon"]) for p in points])),
+    "gps_available": _steps("value", bool),
+    "network_available": _steps("value", bool),
+    "server_available": _steps("value", bool),
+    "user_events": list_rule(_user_event),
+}, required=("schema_version", "duration_ms"))
+
+_DEFAULT_START_EPOCH_S = _start_epoch_s("2015-06-01T00:00:00Z")
+_LAST_EPOCH_S = 253_402_300_799  # 9999-12-31T23:59:59Z, the last instant a fix can name
 
 
 def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioScript:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario: top level must be a JSON object")
-    version = doc.get("schema_version")
-    if version != SCENARIO_SCHEMA_VERSION:
-        _fail("schema_version", f"must be {SCENARIO_SCHEMA_VERSION}")
-    duration_ms = _require_int(doc.get("duration_ms"), "duration_ms", minimum=1)
-    seed = _require_int(doc.get("seed", 0), "seed", minimum=0)
-
-    raw_channels = doc.get("channels", {})
-    if not isinstance(raw_channels, dict):
-        _fail("channels", "must be an object")
-    channels: dict[Channel, StepTimeline] = {}
-    for channel in Channel:
-        raw = raw_channels.get(channel.value)
-        if raw is None:
-            channels[channel] = StepTimeline([(0, None)])
-        else:
-            channels[channel] = _parse_steps(
-                raw, f"channels.{channel.value}", duration_ms, "distance_cm", _parse_distance
-            )
-    for key in raw_channels:
-        if key not in {c.value for c in Channel}:
-            _fail(f"channels.{key}", "unknown channel")
-
-    surface = (
-        _parse_steps(doc["surface"], "surface", duration_ms, "value",
-                     lambda v, p: _parse_enum(SurfaceKind, v, p))
-        if "surface" in doc else StepTimeline([(0, SurfaceKind.TILES)])
-    )
-    weather = (
-        _parse_steps(doc["weather"], "weather", duration_ms, "value",
-                     lambda v, p: _parse_enum(Weather, v, p))
-        if "weather" in doc else StepTimeline([(0, Weather.DRY)])
-    )
-
-    raw_path = doc.get("geo_path", [{"t": 0, "lat": 0.0, "lon": 0.0}])
-    if not isinstance(raw_path, list) or not raw_path:
-        _fail("geo_path", "must be a non-empty list of waypoints")
-    waypoints = []
-    for i, entry in enumerate(raw_path):
-        here = f"geo_path[{i}]"
-        if not isinstance(entry, dict):
-            _fail(here, "must be an object")
-        t = _require_int(entry.get("t"), f"{here}.t", minimum=0)
-        if t > duration_ms:
-            _fail(f"{here}.t", "must not exceed duration_ms")
-        lat = entry.get("lat")
-        lon = entry.get("lon")
-        if not isinstance(lat, (int, float)) or isinstance(lat, bool) or not -90 <= lat <= 90:
-            _fail(f"{here}.lat", "must be a number in [-90, 90]")
-        if not isinstance(lon, (int, float)) or isinstance(lon, bool) or not -180 <= lon <= 180:
-            _fail(f"{here}.lon", "must be a number in [-180, 180]")
-        waypoints.append((t, float(lat), float(lon)))
-    try:
-        geo = GeoPath(waypoints)
-    except ScenarioError as exc:
-        _fail("geo_path", str(exc))
-        raise AssertionError
-
-    def bool_timeline(key: str) -> StepTimeline:
-        if key in doc:
-            return _parse_steps(doc[key], key, duration_ms, "value", _parse_bool)
-        return StepTimeline([(0, True)])
-
-    gps = bool_timeline("gps_available")
-    network = bool_timeline("network_available")
-    server = bool_timeline("server_available")
-
-    raw_events = doc.get("user_events", [])
-    if not isinstance(raw_events, list):
-        _fail("user_events", "must be a list")
-    events: list[UserEvent] = []
-    last_t = -1
-    for i, entry in enumerate(raw_events):
-        here = f"user_events[{i}]"
-        if not isinstance(entry, dict):
-            _fail(here, "must be an object")
-        t = _require_int(entry.get("t"), f"{here}.t", minimum=0)
-        if t > duration_ms:
-            _fail(f"{here}.t", "must not exceed duration_ms")
-        if t <= last_t:
-            _fail(f"{here}.t", "user event times must be strictly increasing")
-        last_t = t
-        kind = entry.get("kind")
-        if kind == "button":
-            events.append(UserEvent(t, "button"))
-        elif kind == "utterance":
-            text = entry.get("text")
-            if not isinstance(text, str) or not text.strip():
-                _fail(f"{here}.text", "must be a non-empty string")
-            events.append(UserEvent(t, "utterance", text))
-        else:
-            _fail(f"{here}.kind", "must be 'button' or 'utterance'")
-
-    start_epoch_s = parse_start_utc(doc.get("start_utc", DEFAULT_START_UTC))
-
+    fields = read_json(doc, _SCENARIO, ScenarioError, "scenario")
+    duration_ms = fields["duration_ms"]
+    start_epoch_s = fields.get("start_utc", _DEFAULT_START_EPOCH_S)
+    if start_epoch_s + duration_ms // 1000 > _LAST_EPOCH_S:
+        raise ScenarioError("start_utc: the walk must end by 9999-12-31T23:59:59Z")
+    channels = fields.get("channels", {})
     return ScenarioScript(
         duration_ms=duration_ms,
-        seed=seed,
-        channels=channels,
-        surface=surface,
-        weather=weather,
-        geo=geo,
-        gps=gps,
-        network=network,
-        server=server,
-        user_events=events,
+        seed=fields.get("seed", 0),
+        channels={channel: channels.get(channel.value) or StepTimeline([(0, None)])
+                  for channel in Channel},
+        surface=fields.get("surface") or StepTimeline([(0, SurfaceKind.TILES)]),
+        weather=fields.get("weather") or StepTimeline([(0, Weather.DRY)]),
+        geo=fields.get("geo_path") or GeoPath([(0, 0.0, 0.0)]),
+        gps=fields.get("gps_available") or StepTimeline([(0, True)]),
+        network=fields.get("network_available") or StepTimeline([(0, True)]),
+        server=fields.get("server_available") or StepTimeline([(0, True)]),
+        user_events=fields.get("user_events", []),
         start_epoch_s=start_epoch_s,
         name=name,
     )
@@ -506,7 +572,7 @@ def load_scenario(path: "str | os.PathLike[str]") -> ScenarioScript:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
     name = os.path.basename(path)
     if name.endswith(".json"):
@@ -516,7 +582,8 @@ def load_scenario(path: "str | os.PathLike[str]") -> ScenarioScript:
 
 def utc_string(epoch_s: int) -> str:
     """Render epoch seconds as the canonical ISO-8601 'Z' form."""
-    return datetime.fromtimestamp(epoch_s, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    # isoformat, not strftime: strftime gives years before 1000 fewer than four digits.
+    return datetime.fromtimestamp(epoch_s, tz=timezone.utc).isoformat()[:-len("+00:00")] + "Z"
 
 
 __all__ = [
@@ -525,4 +592,5 @@ __all__ = [
     "DEFAULT_CALIBRATION", "check_calibration_ordering", "noise_params_for",
     "sample_echo", "StepTimeline", "GeoPath", "ScenarioScript", "ChannelEcho",
     "scenario_from_dict", "load_scenario", "utc_string",
+    "object_rule", "built_rule", "dataclass_rule", "bounded_rule", "read_json",
 ]

@@ -349,6 +349,11 @@ def test_cli_run_missing_scenario_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_cli_run_on_a_directory_exits_2(tmp_path, capsys):
+    assert sim_main(["run", "--scenario", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_cli_assert_pass_and_fail(tmp_path, capsys):
     trace_path = tmp_path / "run.jsonl"
     sim_main(["run", "--scenario", str(SCENARIO_DIR / "ground_obstacle.json"),
@@ -367,6 +372,31 @@ def test_cli_assert_pass_and_fail(tmp_path, capsys):
     code = sim_main(["assert", "--trace", str(trace_path), "--expect", str(bad)])
     assert code == 1
     assert capsys.readouterr().out.startswith("FAIL")
+
+
+@pytest.mark.parametrize("command, bad_file, text, named", [
+    ("assert", "--expect", '[{"op": "eventually", "kind": ', "not valid JSON"),
+    ("assert", "--expect", '[{"op": "eventually", "kind": "alert"}, {"op": "sometimes"}]',
+     "pattern 1 is malformed"),
+    ("assert", "--trace", '{"t": 0, "kind": "button"}\n{"t": 5, "kind"\n', "bad.json:2:"),
+    ("report", "--trace", '{"t": 0, "kind": "button"}\nnot json\n', "bad.json:2:"),
+], ids=["expectations not JSON", "pattern with a bad op", "assert on a torn trace line",
+        "report on a trace line not JSON"])
+def test_cli_bad_input_exits_2_naming_the_place(tmp_path, capsys, command, bad_file, text,
+                                                named):
+    files = {"--trace": tmp_path / "run.jsonl",
+             "--expect": EXPECTATION_DIR / "ground_alert.json"}
+    sim_main(["run", "--scenario", str(SCENARIO_DIR / "ground_obstacle.json"),
+              "--trace", str(files["--trace"])])
+    files[bad_file] = tmp_path / "bad.json"
+    files[bad_file].write_text(text)
+    capsys.readouterr()
+    argv = [command, "--trace", str(files["--trace"])]
+    if command == "assert":
+        argv += ["--expect", str(files["--expect"])]
+    assert sim_main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "bad.json") in err and named in err
 
 
 def test_cli_report_from_experiment_trace(tmp_path, capsys):

@@ -229,12 +229,35 @@ def test_channel_echo_clamps_past_duration():
             {"schema_version": 1, "duration_ms": 100, "start_utc": "2015-06-01 00:00"},
             "start_utc",
         ),
+        ({"schema_version": True, "duration_ms": 100}, "schema_version"),
+        (
+            {"schema_version": 1, "duration_ms": 100,
+             "gps_avaliable": [{"t": 0, "value": False}]},
+            "gps_avaliable: unknown field",
+        ),
+        (
+            # The first upload would be stamped in the year 10000.
+            {"schema_version": 1, "duration_ms": 1000, "start_utc": "9999-12-31T23:59:59Z"},
+            "start_utc",
+        ),
     ],
 )
 def test_invalid_scripts_name_the_offending_field(doc, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         scenario_from_dict(doc)
     assert fragment in str(excinfo.value)
+
+
+def test_walk_may_end_on_the_last_second_of_9999():
+    script = scenario_from_dict({"schema_version": 1, "duration_ms": 1999,
+                                 "start_utc": "9999-12-31T23:59:58Z"})
+    assert utc_string(script.start_epoch_s + 1) == "9999-12-31T23:59:59Z"
+
+
+def test_utc_string_gives_every_year_four_digits():
+    script = scenario_from_dict({"schema_version": 1, "duration_ms": 1000,
+                                 "start_utc": "0999-01-01T00:00:00Z"})
+    assert utc_string(script.start_epoch_s) == "0999-01-01T00:00:00Z"
 
 
 def test_script_defaults_are_usable():
