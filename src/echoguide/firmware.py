@@ -22,7 +22,7 @@ from .world import (
 )
 
 # One poll of the rangefinder: a raw pulse count, or None when no echo returned.
-# A source may also have an empty_until method; see acquire_distance.
+# A source may instead have a segment method; see acquire_distance.
 EchoSource = Callable[[], Optional[int]]
 
 
@@ -30,9 +30,11 @@ class NoEchoError(RuntimeError):
     """A measurement round ran out of poll attempts before nine valid samples."""
 
     def __init__(self, channel: Channel, attempts: int) -> None:
-        super().__init__(f"no usable echo on {channel.value} after {attempts} polls")
         self.channel = channel
         self.attempts = attempts
+
+    def __str__(self) -> str:  # built only when read: most empty rounds are never printed
+        return f"no usable echo on {self.channel.value} after {self.attempts} polls"
 
 
 @dataclass(frozen=True)
@@ -109,40 +111,40 @@ def acquire_distance(channel: Channel, sensor: EchoSource, clock: VirtualClock,
     virtual time whether or not it produced a usable reading.  Raises
     NoEchoError when max_sample_attempts polls yield too few valid samples.
 
-    After a missing echo, a sensor with an empty_until(t_ms) method (see
-    world.ChannelEcho) says how long the channel stays empty.  The polls
-    that would fall in that run are accounted in closed form: they count as
-    attempts and move the clock one sample period each, but the sensor is
-    not called for them.  The result, the clock and any NoEchoError are
-    those of polling one by one.
+    A sensor with a segment(t_ms) method (see world.ChannelEcho) gives
+    (draw, until_ms): each poll from t_ms before until_ms calls draw(), or,
+    while draw is None, the run counts its attempts and moves the clock in
+    one step.  A plain callable is a segment of one poll.  Segments are
+    looked up only at poll times with attempts left, so the result, clock
+    and any error are those of polling one by one.
     """
     period = cfg.sample_period_ms
     limit = cfg.max_sample_attempts
-    empty_until = getattr(sensor, "empty_until", None)
+    segment = getattr(sensor, "segment", None)
+    advance = clock.advance
     valid: list[int] = []
     attempts = 0
-    while len(valid) < cfg.samples_per_measurement:
-        if attempts >= limit:
-            raise NoEchoError(channel, attempts)
-        pulses = sensor()
-        attempts += 1
-        clock.advance(period)
-        if pulses is None:
-            # Only while polls remain: a lookup at a time never polled could raise.
-            if empty_until is not None and attempts < limit:
-                now = clock.now()
-                until = empty_until(now)
-                # The polls at now, now + period, ... that fall before `until`.
-                skipped = limit - attempts
-                if until != math.inf:
-                    skipped = min(skipped, -((now - until) // period))
-                attempts += skipped
-                clock.advance(skipped * period)
+    while attempts < limit:
+        t_ms = clock.now()
+        draw, until = segment(t_ms) if segment is not None else (sensor, t_ms + 1)
+        polls = limit - attempts
+        if until != math.inf:  # the polls at t_ms, t_ms + period, ... before until
+            polls = min(polls, -((t_ms - until) // period))
+        attempts += polls
+        if draw is None:
+            advance(polls * period)
             continue
-        distance = pulses_to_cm(pulses, cfg)
-        if gate_valid(distance, cfg):
-            valid.append(distance)
-    return median9(valid, cfg)
+        for _ in range(polls):
+            pulses = draw()
+            advance(period)
+            if pulses is None:
+                continue
+            distance = pulses_to_cm(pulses, cfg)
+            if gate_valid(distance, cfg):
+                valid.append(distance)
+                if len(valid) == cfg.samples_per_measurement:
+                    return median9(valid, cfg)
+    raise NoEchoError(channel, attempts)
 
 
 _CHANNEL_TOKENS = {

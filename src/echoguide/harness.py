@@ -57,6 +57,8 @@ from .world import (
     SurfaceKind,
     Weather,
     noise_params_for,
+    object_rule,
+    read_json,
     sample_echo,
     utc_string,
 )
@@ -308,21 +310,33 @@ class ErrorReport:
         return "\n".join(lines)
 
 
+# What error_report reads of a measurement event that has a true distance.
+_MEASURED = object_rule({"true_cm": float, "measured_cm": float, "surface": SurfaceKind,
+                         "weather": Weather}, required=("measured_cm", "surface", "weather"),
+                        other=lambda value: value)
+
+
 def error_report(traces: Sequence[TraceLog]) -> ErrorReport:
     """Aggregate measurement events into per-condition accuracy statistics.
 
     Errors are relative (percent of the true distance), so the report is
-    invariant under uniform rescaling of true and measured values.
+    invariant under uniform rescaling of true and measured values.  A bad
+    measurement with a true distance raises ScenarioError naming it and the field.
     """
     errors: dict[tuple[SurfaceKind, Weather], list[float]] = {}
-    for trace in traces:
-        for event in trace.kind("measurement"):
-            true_cm = event.get("true_cm")
-            if true_cm is None or true_cm <= 0:
+    for number, trace in enumerate(traces, 1):
+        for index, event in enumerate(trace.events):
+            if event.get("kind") != "measurement" or event.get("true_cm") is None:
                 continue
-            key = (SurfaceKind(event["surface"]), Weather(event["weather"]))
-            err_pct = abs(event["measured_cm"] - true_cm) / true_cm * 100.0
-            errors.setdefault(key, []).append(err_pct)
+            try:
+                fields = read_json(event, _MEASURED, ScenarioError, "event")
+            except ScenarioError as exc:
+                raise ScenarioError(f"trace {number}, event {index} (t={event.get('t')}): "
+                                    f"{exc}") from None
+            true_cm = fields["true_cm"]
+            if true_cm > 0:
+                errors.setdefault((fields["surface"], fields["weather"]), []).append(
+                    abs(fields["measured_cm"] - true_cm) / true_cm * 100.0)
 
     buckets: dict[tuple[SurfaceKind, Weather], BucketStats] = {}
     weighted_sum = 0.0

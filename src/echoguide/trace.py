@@ -17,8 +17,8 @@ from .errors import ScenarioError
 from .world import Channel, SurfaceKind, Weather
 
 
-def _dump(event: dict) -> str:
-    return json.dumps(event, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# One encoder for every event: json.dumps with these arguments would build a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 class TraceLog:
@@ -44,7 +44,7 @@ class TraceLog:
         return iter(self.events)
 
     def to_jsonl(self) -> str:
-        return "".join(_dump(e) + "\n" for e in self.events)
+        return "\n".join(map(_ENCODER.encode, self.events)) + "\n" if self.events else ""
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -17,8 +17,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields as dataclass_fields
 from datetime import datetime, timezone
 from enum import Enum, EnumMeta
+from functools import partial
 from types import FunctionType
-from typing import Optional, Sequence, get_type_hints
+from typing import Callable, Optional, Sequence, get_type_hints
 
 from .clock import VirtualClock
 from .errors import ConfigError, ScenarioError
@@ -268,7 +269,7 @@ class ScenarioScript:
 
 
 class ChannelEcho:
-    """The rangefinder of one channel in a scripted world, polled at the clock's time.
+    """The rangefinder of one channel in a scripted world, one segment at a time.
 
     The channel's true distance and noise params hold for a segment: up to
     the next step of the channel, surface or weather timeline.  They are
@@ -288,31 +289,21 @@ class ChannelEcho:
         self._rng = rng
         self._clock = clock
         self._sample = sample
-        self._true_cm: Optional[float] = None
-        self._params: Optional[NoiseParams] = None
-        self._until_ms: float = 0  # the cached segment ends here; the clock never goes back
+        self._segment: tuple = (None, 0)  # cached (draw, until_ms); the clock never goes back
 
-    def _enter(self, t_ms: int) -> None:
-        steps = [timeline.step_at(t_ms) for timeline in self._timelines]
-        (true_cm, _), (surface, _), (weather, _) = steps
-        self._params = noise_params_for(surface, weather, self._calibration)
-        self._true_cm = true_cm  # type: ignore[assignment]
-        self._until_ms = min((nxt for _, nxt in steps if nxt is not None), default=math.inf)
-
-    def __call__(self) -> Optional[int]:
-        t_ms = self._clock.now()
-        if t_ms >= self._until_ms:
-            self._enter(t_ms)
-        if self._true_cm is None:
-            return None
-        return self._sample(self._true_cm, self._params, self._rng)
-
-    def empty_until(self, t_ms: int) -> float:
-        """The first time at or after t_ms at which the channel may have a
-        target: t_ms itself when it has one, math.inf when it stays empty."""
-        if t_ms >= self._until_ms:
-            self._enter(t_ms)
-        return t_ms if self._true_cm is not None else self._until_ms
+    def segment(self, t_ms: Optional[int] = None) -> tuple[Optional[Callable[[], int]], float]:
+        """(draw, until_ms) for the segment holding t_ms, the clock's time by
+        default.  draw() takes one reading, or is None while the channel is
+        empty; until_ms is the segment's end, math.inf for the last one."""
+        t_ms = self._clock.now() if t_ms is None else t_ms
+        if t_ms >= self._segment[1]:
+            steps = [timeline.step_at(t_ms) for timeline in self._timelines]
+            (true_cm, _), (surface, _), (weather, _) = steps
+            params = noise_params_for(surface, weather, self._calibration)
+            draw = None if true_cm is None else partial(self._sample, true_cm, params, self._rng)
+            self._segment = (draw, min((nxt for _, nxt in steps if nxt is not None),
+                                       default=math.inf))
+        return self._segment
 
 
 # ---------------------------------------------------------------------------

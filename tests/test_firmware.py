@@ -211,15 +211,16 @@ def test_acquire_returns_median_of_noisy_run():
 
 def ground_sources(script, calibration=DEFAULT_CALIBRATION):
     """The skip-ahead source and the reference source on the ground channel,
-    each as (source, clock, times of its echo draws), on equally seeded streams."""
+    each as (source, clock, its echo draws as (time, true_cm, params)), on
+    equally seeded streams."""
     sides = []
     for make in (ChannelEcho, naive_sensor):
         clock = VirtualClock()
-        draws: list[int] = []
+        draws: list[tuple] = []
 
         def sample(true_cm, params, rng, clock=clock, draws=draws):
             if true_cm is not None:
-                draws.append(clock.now())
+                draws.append((clock.now(), true_cm, params))
             return sample_echo(true_cm, params, rng)
 
         source = make(script, Channel.GROUND, calibration, random.Random(7), clock, sample=sample)
@@ -228,11 +229,11 @@ def ground_sources(script, calibration=DEFAULT_CALIBRATION):
 
 
 class CountingEcho(ChannelEcho):
-    polls = 0
+    lookups = 0
 
-    def __call__(self):
-        self.polls += 1
-        return super().__call__()
+    def segment(self, t_ms=None):
+        self.lookups += 1
+        return super().segment(t_ms)
 
 
 def test_acquire_books_a_fully_empty_round_in_one_step():
@@ -244,7 +245,7 @@ def test_acquire_books_a_fully_empty_round_in_one_step():
         acquire_distance(Channel.GROUND, echo, clock, cfg)
     assert excinfo.value.attempts == cfg.max_sample_attempts
     assert clock.now() == 1000 + cfg.max_sample_attempts * cfg.sample_period_ms
-    assert echo.polls == 1  # the first poll finds the channel empty; the rest are booked
+    assert echo.lookups == 1  # one segment lookup finds the channel empty; all polls are booked
 
 
 @pytest.mark.parametrize("appears_ms", [1, 9, 10, 11, 95, 401])
@@ -257,7 +258,7 @@ def test_acquire_banks_first_sample_when_a_target_appears_mid_round(appears_ms):
     assert distance == naive_acquire_distance(Channel.GROUND, ref, ref_clock)
     assert clock.now() == ref_clock.now()
     assert draws == ref_draws
-    assert draws[0] == -(-appears_ms // 10) * 10
+    assert draws[0][:2] == (-(-appears_ms // 10) * 10, 50)
 
 
 def test_acquire_asks_for_no_skip_after_the_last_attempt():
@@ -294,6 +295,48 @@ def test_missing_calibration_entry_raises_at_the_same_poll_as_polling_one_by_one
                     acquire(Channel.GROUND, echo, clock)
         raised_at.append(clock.now())
     assert raised_at == [1240, 1240]
+
+
+@pytest.mark.parametrize("step_ms", [1, 40, 45, 80, 85, 131])
+def test_acquire_draws_rounds_across_a_distance_step_as_polling_one_by_one(step_ms):
+    # Each round's nine polls straddle the distance step or the surface step
+    # at 60 ms (or both); three rounds in a row share each source's segments.
+    script = make_script(duration_ms=2000,
+                         channels={"ground": [{"t": 0, "distance_cm": 50},
+                                              {"t": step_ms, "distance_cm": 300}]},
+                         surface=[{"t": 0, "value": "tiles"}, {"t": 60, "value": "concrete"}])
+    (echo, clock, draws), (ref, ref_clock, ref_draws) = ground_sources(script)
+    for _ in range(3):
+        distance = acquire_distance(Channel.GROUND, echo, clock)
+        assert distance == naive_acquire_distance(Channel.GROUND, ref, ref_clock)
+        assert clock.now() == ref_clock.now()
+        assert draws == ref_draws
+    assert {true_cm for _, true_cm, _ in draws} == {50, 300}  # the rounds crossed the step
+
+
+def test_missing_calibration_entry_with_a_target_raises_at_the_same_poll():
+    # As the test above with an empty channel, but a target is present, so
+    # the polls before 1234 ms each draw an echo.
+    script = make_script(duration_ms=5000,
+                         channels={"ground": [{"t": 0, "distance_cm": 50}]},
+                         surface=[{"t": 0, "value": "tiles"}, {"t": 1234, "value": "concrete"}])
+    calibration = {(SurfaceKind.TILES, Weather.DRY):
+                   DEFAULT_CALIBRATION[(SurfaceKind.TILES, Weather.DRY)]}
+    raised_at = []
+    for (echo, clock, draws), acquire in zip(ground_sources(script, calibration),
+                                             (acquire_distance, naive_acquire_distance)):
+        with pytest.raises(ConfigError, match="surface=concrete weather=dry"):
+            for _ in range(20):  # rounds of nine or more polls, well past 1234 ms
+                acquire(Channel.GROUND, echo, clock)
+        raised_at.append((clock.now(), draws))
+    assert raised_at[0] == raised_at[1]
+    assert raised_at[0][0] == 1240 and raised_at[0][1][-1][0] == 1230
+
+
+def test_no_echo_error_keeps_its_fields_and_message():
+    error = NoEchoError(Channel.LEFT, 50)
+    assert (error.channel, error.attempts) == (Channel.LEFT, 50)
+    assert str(error) == "no usable echo on left after 50 polls"
 
 
 def test_encode_message_tokens_and_terminator():

@@ -399,6 +399,26 @@ def test_cli_bad_input_exits_2_naming_the_place(tmp_path, capsys, command, bad_f
     assert str(tmp_path / "bad.json") in err and named in err
 
 
+GOOD_MEASUREMENT = {"t": 0, "kind": "measurement", "channel": "ground", "measured_cm": 50,
+                    "true_cm": 50.0, "surface": "tiles", "weather": "dry"}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("surface", "grass", "surface: must be one of: concrete, tiles"),
+    ("measured_cm", None, "measured_cm: missing"),  # None: the field is left out
+    ("true_cm", "50", "true_cm: must be a finite number"),
+], ids=["unknown surface", "missing measured_cm", "string true_cm"])
+def test_cli_report_on_a_bad_measurement_exits_2_naming_event_and_field(tmp_path, capsys,
+                                                                          field, value, named):
+    bad = {**GOOD_MEASUREMENT, "t": 10, field: value}
+    if value is None:
+        del bad[field]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD_MEASUREMENT) + "\n" + json.dumps(bad) + "\n")
+    assert sim_main(["report", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: trace 1, event 1 (t=10): {named}\n"
+
+
 def test_cli_report_from_experiment_trace(tmp_path, capsys):
     trace_path = tmp_path / "exp.jsonl"
     report_path = tmp_path / "report.json"

@@ -1,8 +1,10 @@
-"""Fuzzing the config and scenario loaders: each bundled file, mutated by
+"""Fuzzing the loaders.  Each bundled config and scenario, mutated by
 swapping a value's type, adding or dropping a key or entry, or putting in a
 boundary or non-finite number, either loads or raises ConfigError or
 ScenarioError.  A config that loads also runs ground_obstacle to a trace or
-to one of those errors."""
+to one of those errors.  A tracking-store file of lines as insert writes
+them, with bytes flipped, lines cut short, values of another type put in or
+fields dropped, either opens and answers queries or raises StorageError."""
 
 from __future__ import annotations
 
@@ -10,13 +12,15 @@ import copy
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, SCENARIO_DIR
 from echoguide.config import config_from_dict
 from echoguide.errors import ConfigError, ScenarioError
 from echoguide.harness import run_scenario
+from echoguide.server import StorageError, TrackStore
 from echoguide.world import load_scenario, scenario_from_dict
 
 
@@ -103,3 +107,68 @@ def test_mutated_configs_load_and_run_or_raise_config_error(doc):
     except (ConfigError, ScenarioError):
         return
     assert len(trace) > 0
+
+
+FIXES = st.fixed_dictionaries({
+    "device_id": st.sampled_from(["walker-1", "walker-2"]),
+    "latitude": st.sampled_from([-90.0, -0.0, 22.9, 90.0]),
+    "longitude": st.sampled_from([-180.0, 0.0, 89.5, 1e-05, 180.0]),
+    "timestamp": st.sampled_from(["2015-06-01T00:00:00Z", "2015-06-01T00:00:01.5Z"]),
+    "provider": st.sampled_from(["gps", "network"]),
+})
+
+
+@st.composite
+def mutated_store(draw) -> bytes:
+    """Lines as TrackStore.insert writes them, then one to three mutations:
+    a field's value swapped for one of another type, a field dropped, a line
+    cut short, a byte of the file flipped (a newline too), or the file cut
+    anywhere (a torn tail)."""
+    docs = [{"id": n, **fix} for n, fix in enumerate(draw(st.lists(FIXES, min_size=1,
+                                                                      max_size=3)), 1)]
+    lines = [json.dumps(doc, sort_keys=True).encode() for doc in docs]
+    hows = draw(st.lists(st.sampled_from(["swap", "drop", "cut line", "flip", "cut file"]),
+                         min_size=1, max_size=3))
+    for how in hows:
+        i = draw(st.integers(0, len(lines) - 1))
+        if how == "cut line":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif how in ("swap", "drop"):
+            field = draw(st.sampled_from(sorted(docs[i])))
+            if how == "swap":
+                docs[i][field] = draw(VALUES)
+            else:
+                del docs[i][field]
+            lines[i] = json.dumps(docs[i], sort_keys=True).encode()
+    content = bytearray(b"".join(line + b"\n" for line in lines))
+    for _ in range(hows.count("flip")):
+        content[draw(st.integers(0, len(content) - 1))] ^= draw(st.integers(1, 255))
+    if "cut file" in hows:
+        del content[draw(st.integers(0, len(content))):]
+    return bytes(content)
+
+
+@pytest.fixture(scope="module")
+def store_path(tmp_path_factory) -> str:
+    return str(tmp_path_factory.mktemp("store") / "locations.jsonl")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(content=mutated_store())
+def test_mutated_store_files_open_or_raise_storage_error(store_path, content):
+    with open(store_path, "wb") as fh:
+        fh.write(content)
+    try:
+        store = TrackStore(store_path)
+    except StorageError:
+        event("refused")
+        return
+    event("opened")
+    try:
+        for record in store.records():
+            try:
+                store.recent(record.device_id, 1)
+            except StorageError:
+                pass
+    finally:
+        store.close()

@@ -4,6 +4,7 @@ the echo sampler."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -127,7 +128,8 @@ def test_channel_echo_follows_channel_surface_and_weather_steps():
     readings = {}
     for t in (0, 100, 101, 300, 301, 400, 401, 600, 601, 1000):
         clock.advance(t - clock.now())
-        readings[t] = echo()
+        draw, _ = echo.segment()
+        readings[t] = None if draw is None else draw()
     assert readings[300] == 80 * 58 and readings[601] == 120 * 58
     assert [readings[t] for t in (301, 400, 401, 600)] == [None] * 4
     tiles_dry = DEFAULT_CALIBRATION[(SurfaceKind.TILES, Weather.DRY)]
@@ -147,10 +149,11 @@ def test_channel_echo_empty_until_stops_at_every_segment_edge():
     )
     echo = ChannelEcho(script, Channel.GROUND, DEFAULT_CALIBRATION, random.Random(1),
                        VirtualClock())
-    assert [echo.empty_until(t) for t in (0, 248, 249, 500, 501, 699)] == [
-        249, 249, 501, 501, 700, 700]
-    assert echo.empty_until(700) == 700  # a target: no skipping
-    assert echo.empty_until(5000) == 5000  # the target holds past the end
+    assert [echo.segment(t) for t in (0, 248, 249, 500, 501, 699)] == [
+        (None, 249), (None, 249), (None, 501), (None, 501), (None, 700), (None, 700)]
+    draw, until = echo.segment(700)  # a target, from the last step on
+    assert draw is not None and until == math.inf
+    assert echo.segment(5000) == (draw, math.inf)  # the target holds past the end
 
 
 def test_channel_echo_clamps_past_duration():
@@ -170,8 +173,9 @@ def test_channel_echo_clamps_past_duration():
                          surface=[{"t": 0, "value": "tiles"}, {"t": 1000, "value": "concrete"}])
     echo = ChannelEcho(script, Channel.RIGHT, DEFAULT_CALIBRATION, random.Random(1),
                        VirtualClock())
-    assert echo.empty_until(999) == 1000
-    assert echo.empty_until(1600) == 1600  # a target from 1000 ms on: no skipping
+    assert echo.segment(999) == (None, 1000)
+    draw, until = echo.segment(1600)  # a target from 1000 ms on, to the end
+    assert draw is not None and until == math.inf
     assert script.distance_cm_at(Channel.RIGHT, 1600) == 40.0
     assert script.surface_at(1600) is SurfaceKind.CONCRETE
 
