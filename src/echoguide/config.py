@@ -9,17 +9,16 @@ ConfigError naming the offending field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 from .app import AppConfig, DEFAULT_PHRASES, Language, ObstacleMessage
 from .errors import ConfigError
 from .firmware import FirmwareConfig
-from .world import (
-    Calibration, DEFAULT_CALIBRATION, NoiseParams, SurfaceKind, Weather,
-    bounded_rule, built_rule, dataclass_rule, object_rule, read_json,
+from .jsonread import (
+    bounded_rule, built_rule, dataclass_rule, load_json, object_rule, read_json,
 )
+from .world import Calibration, DEFAULT_CALIBRATION, NoiseParams, SurfaceKind, Weather
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,7 @@ def config_from_dict(doc: dict) -> SystemConfig:
 
 
 def load_config(path: str) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    return config_from_dict(doc)
+    return config_from_dict(load_json(path, ConfigError))
 
 
 __all__ = ["SystemConfig", "config_from_dict", "load_config"]

@@ -10,7 +10,6 @@ trace.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import tempfile
@@ -30,6 +29,7 @@ from .clock import VirtualClock
 from .config import SystemConfig
 from .errors import ScenarioError
 from .firmware import FirmwareConfig, FirmwareState, NoEchoError, acquire_distance, firmware_tick
+from .jsonread import load_json, object_rule, read_json
 from .link import LinkBuffer
 from .server import FixValidationError, StorageError, TrackService, TrackStore
 from .trace import (
@@ -57,8 +57,6 @@ from .world import (
     SurfaceKind,
     Weather,
     noise_params_for,
-    object_rule,
-    read_json,
     sample_echo,
     utc_string,
 )
@@ -410,11 +408,7 @@ def assert_expectations(trace: TraceLog, patterns: Sequence[dict]) -> tuple[bool
 
 
 def load_expectations(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
+    doc = load_json(path, ScenarioError)
     patterns = doc.get("patterns") if isinstance(doc, dict) else doc
     if not isinstance(patterns, list):
         raise ScenarioError(f"{path}: expected a list of patterns or an object with one")

@@ -9,8 +9,9 @@ sees a response, so a restart answers queries identically.
 The store indexes fixes by device, each device's list sorted by
 (timestamp, id) on its first query and kept sorted after, so latest is
 O(1) and history O(limit).  The HTTP handler answers a bad Content-Length
-with 400 and one over MAX_BODY_BYTES with 413, without reading the body,
-and gives up on a connection that stays silent for REQUEST_TIMEOUT_S.
+with 400, one over MAX_BODY_BYTES with 413 and a method other than GET or
+POST with 405, without reading the body, and gives up on a connection that
+stays silent for REQUEST_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
+from .jsonread import (
+    INSTANT, LATITUDE, LONGITUDE, choice_rule, object_rule, parse_instant, read_json,
+)
+
 DEFAULT_LISTEN = "127.0.0.1:8750"
 DEFAULT_STORE = "locations.jsonl"
 DEFAULT_HISTORY_LIMIT = 1000
@@ -37,16 +42,11 @@ REQUEST_TIMEOUT_S = 10.0
 ENV_LISTEN = "ECHOGUIDE_LISTEN"
 ENV_STORE = "ECHOGUIDE_STORE"
 
-_PROVIDERS = ("gps", "network")
-_FIELDS = ("device_id", "latitude", "longitude", "timestamp", "provider")
-
 
 class FixValidationError(ValueError):
-    """A posted fix failed validation; .field names the offending field."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(message)
-        self.field = field
+    """A posted fix failed validation.  The message reads '<field>: <reason>',
+    and .field (set by read_json) names the field, or "body" when the body
+    is not a JSON object."""
 
 
 class StorageError(RuntimeError):
@@ -101,57 +101,20 @@ class _Names(dict):
         return name
 
 
-def parse_record_timestamp(text: str) -> datetime:
-    """Parse the canonical 'Z'-suffixed ISO-8601 instant; raises ValueError."""
-    if not text.endswith("Z"):
-        raise ValueError("timestamp must end with 'Z'")
-    return datetime.fromisoformat(text[:-1] + "+00:00")
+parse_record_timestamp = parse_instant  # the parsed instant of a stored timestamp
 
-
-def _number_in(low: float, high: float):
-    return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and low <= v <= high
-
-
-def _is_timestamp(value: object) -> bool:
-    try:
-        return isinstance(value, str) and bool(parse_record_timestamp(value))
-    except ValueError:
-        return False
-
-
-# The value rule of each fix field and the message naming it, in the order
-# validate_fix checks them.  TrackStore applies the coordinate and provider
-# rules to stored records too.
-_FIELD_RULES = {
-    "device_id": (lambda v: isinstance(v, str) and v != "",
-                  "device_id must be a non-empty string"),
-    "latitude": (_number_in(-90.0, 90.0), "latitude must be a number in [-90, 90]"),
-    "longitude": (_number_in(-180.0, 180.0), "longitude must be a number in [-180, 180]"),
-    "timestamp": (_is_timestamp, "timestamp must be ISO-8601 UTC with a 'Z' suffix"),
-    "provider": (lambda v: v in _PROVIDERS, "provider must be 'gps' or 'network'"),
-}
-_STORED_RULES = [(name, *_FIELD_RULES[name]) for name in ("latitude", "longitude", "provider")]
+# A fix as validate_fix takes it from a POST body, every field required.
+# TrackStore checks stored records by the same table.
+_FIX_FIELDS = {"device_id": str, "latitude": LATITUDE, "longitude": LONGITUDE,
+               "timestamp": INSTANT, "provider": choice_rule({"gps": "gps", "network": "network"})}
+_FIX = object_rule(_FIX_FIELDS, required=tuple(_FIX_FIELDS))
 
 
 def validate_fix(body: object) -> dict:
-    """Check a decoded POST body and return its canonical field dict.
-
-    The body must be a JSON object carrying exactly device_id, latitude,
-    longitude, timestamp, and provider with valid values; the error names
-    the first offending field.
-    """
-    if not isinstance(body, dict):
-        raise FixValidationError("body", "request body must be a JSON object")
-    for name in _FIELDS:
-        if name not in body:
-            raise FixValidationError(name, f"missing required field '{name}'")
-    for name in body:
-        if name not in _FIELDS:
-            raise FixValidationError(name, f"unexpected field '{name}'")
-    for name, (valid, message) in _FIELD_RULES.items():
-        if not valid(body[name]):
-            raise FixValidationError(name, message)
-    return {**body, "latitude": float(body["latitude"]), "longitude": float(body["longitude"])}
+    """The canonical field dict of a decoded POST body, which must be a JSON
+    object of exactly the fields of a fix, each valid; the error names the
+    field at fault."""
+    return read_json(body, _FIX, FixValidationError, "body")
 
 
 class TrackStore:
@@ -166,9 +129,9 @@ class TrackStore:
     device's list starts in id order and is sorted by (timestamp, id) the
     first time recent() asks for it, so loading parses no timestamps; from
     then on each insert keeps it sorted, comparing its key with the list's
-    last key, which the store keeps.  A stored timestamp that does not
-    parse, or a latitude, longitude or provider that a posted fix could not
-    have, makes that first sort raise StorageError naming the record.
+    last key, which the store keeps.  A stored record that validate_fix
+    would refuse, such as one whose timestamp does not parse, makes that
+    first sort raise StorageError naming the record and the field.
 
     The load reads a line as insert() writes it with one regular-expression
     match, and any other line through json.loads; both give the same record.
@@ -289,15 +252,15 @@ class TrackStore:
             return fixes[-limit:]
 
     def _sort_key(self, record: FixRecord) -> tuple[datetime, int]:
-        for name, valid, message in _STORED_RULES:
-            if not valid(getattr(record, name)):
-                raise StorageError(f"{self.path}: record {record.id}: {name} "
-                                   f"{getattr(record, name)!r} is invalid ({message})")
+        fields = record.as_dict()
+        del fields["id"]
         try:
-            return parse_record_timestamp(record.timestamp), record.id
-        except (ValueError, AttributeError):  # AttributeError: not a string
-            raise StorageError(f"{self.path}: record {record.id}: timestamp "
-                               f"{record.timestamp!r} is not ISO-8601 UTC") from None
+            read_json(fields, _FIX, ValueError, "record")
+        except ValueError as exc:
+            name = exc.field  # type: ignore[attr-defined]
+            raise StorageError(f"{self.path}: record {record.id}: {name} "
+                               f"{fields[name]!r} is invalid ({exc})") from None
+        return parse_instant(record.timestamp), record.id
 
 
 class TrackService:
@@ -324,6 +287,15 @@ class TrackService:
 # --------------------------------------------------------------------------
 
 
+def _digits(text: str) -> Optional[int]:
+    """The value of ASCII digits, at most sys.maxsize, or None for any other
+    text, such as '+5', '1_0', ' 5' or other scripts' digits, which int() takes."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0")
+    return int(digits or "0") if len(digits) < 19 else sys.maxsize
+
+
 class TrackRequestHandler(BaseHTTPRequestHandler):
     service: TrackService  # injected by make_http_server
     protocol_version = "HTTP/1.1"
@@ -339,10 +311,13 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if status == 405:
+            self.send_header("Allow", "GET, POST")
         if close:
             self.send_header("Connection", "close")  # also ends this connection
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _error(self, status: int, message: str, field: Optional[str] = None,
                close: bool = False) -> None:
@@ -358,18 +333,24 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         both errors close it.
         """
         values = self.headers.get_all("Content-Length") or []
-        text = values[0].strip() if len(set(values)) == 1 else ""
-        if not (text.isascii() and text.isdigit()):
+        length = _digits(values[0].strip()) if len(set(values)) == 1 else None
+        if length is None:
             self._error(400, "Content-Length must be one non-negative integer",
                         field="Content-Length", close=True)
             return None
-        if int(text) > MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
             self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes",
                         field="Content-Length", close=True)
             return None
-        return int(text)
+        return length
 
     # -- routes ---------------------------------------------------------------
+
+    def _not_allowed(self) -> None:
+        """Any method but GET and POST; a body it carries stays unread."""
+        self._error(405, f"method {self.command} is not allowed", close=True)
+
+    do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _not_allowed
 
     def do_POST(self) -> None:
         parts = urlsplit(self.path)
@@ -404,40 +385,29 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         query = parse_qs(parts.query)
         device_id = (query.get("device_id") or [None])[0]
-        if parts.path == "/api/locations/latest":
-            if not device_id:
-                self._error(400, "query parameter 'device_id' is required", field="device_id")
-                return
-            try:
-                record = self.service.latest_fix(device_id)
-            except StorageError as exc:
-                self._error(500, str(exc))
-                return
-            if record is None:
-                self._error(404, f"no fix recorded for device '{device_id}'")
-                return
-            self._reply(200, record.as_dict())
+        history = parts.path == "/api/locations"
+        if not history and parts.path != "/api/locations/latest":
+            self._error(404, "no such resource")
             return
-        if parts.path == "/api/locations":
-            if not device_id:
-                self._error(400, "query parameter 'device_id' is required", field="device_id")
-                return
-            raw_limit = (query.get("limit") or [str(DEFAULT_HISTORY_LIMIT)])[0]
-            try:
-                limit = int(raw_limit)
-                if limit < 1:
-                    raise ValueError
-            except ValueError:
-                self._error(400, "limit must be a positive integer", field="limit")
-                return
-            try:
-                records = self.service.history(device_id, limit)
-            except StorageError as exc:
-                self._error(500, str(exc))
-                return
-            self._reply(200, [r.as_dict() for r in records])
+        if not device_id:
+            self._error(400, "query parameter 'device_id' is required", field="device_id")
             return
-        self._error(404, "no such resource")
+        limit = _digits((query.get("limit") or [str(DEFAULT_HISTORY_LIMIT)])[0])
+        if history and not limit:  # None or 0
+            self._error(400, "limit must be a positive integer", field="limit")
+            return
+        try:
+            found = (self.service.history(device_id, limit) if history
+                     else self.service.latest_fix(device_id))
+        except StorageError as exc:
+            self._error(500, str(exc))
+            return
+        if history:
+            self._reply(200, [r.as_dict() for r in found])
+        elif found is None:
+            self._error(404, f"no fix recorded for device '{device_id}'")
+        else:
+            self._reply(200, found.as_dict())
 
 
 def make_http_server(listen: str, service: TrackService) -> ThreadingHTTPServer:

@@ -9,20 +9,22 @@ seeded random generator, so runs replay bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from enum import Enum, EnumMeta
+from enum import Enum
 from functools import partial
-from types import FunctionType
-from typing import Callable, Optional, Sequence, get_type_hints
+from typing import Callable, Optional, Sequence
 
 from .clock import VirtualClock
 from .errors import ConfigError, ScenarioError
+from .jsonread import (
+    INSTANT, LATITUDE, LONGITUDE, Rejected, bounded_rule, built_rule, list_rule, load_json,
+    object_rule, parse_instant, read_json,
+)
 
 # Rangefinder characteristics shared by the world model and the firmware:
 # the sensor emits 58 pulses per centimetre of range, and readings are
@@ -307,161 +309,6 @@ class ChannelEcho:
 
 
 # ---------------------------------------------------------------------------
-# Typed reading of JSON documents, shared by the scenario and config loaders.
-# A rule reads one JSON value and returns it converted, or raises _Rejected.
-# object_rule reads an object by a table of field -> type (or -> rule),
-# compiled once at import.  A rejection gathers its path on the way out, so
-# a document that loads never formats one.
-# ---------------------------------------------------------------------------
-
-
-class _Rejected(Exception):
-    def __init__(self, message: str, *where: str) -> None:
-        super().__init__(message)
-        self.where = list(where)  # ".field" and "[index]" parts, innermost first
-
-
-def _int(value: object) -> int:
-    if type(value) is not int:
-        raise _Rejected("must be an integer")
-    return value  # type: ignore[return-value]
-
-
-def _float(value: object) -> float:
-    if type(value) is float or type(value) is int:
-        try:
-            number = float(value)  # type: ignore[arg-type]
-        except OverflowError:  # an integer past the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise _Rejected("must be a finite number")
-
-
-def _str(value: object) -> str:
-    if type(value) is not str or not value:
-        raise _Rejected("must be a non-empty string")
-    return value  # type: ignore[return-value]
-
-
-def _bool(value: object) -> bool:
-    if type(value) is not bool:
-        raise _Rejected("must be true or false")
-    return value  # type: ignore[return-value]
-
-
-def _enum(cls: EnumMeta):
-    members = {member.value: member for member in cls}
-    message = "must be one of: " + ", ".join(members)
-
-    def read(value: object) -> Enum:
-        try:
-            return members[value]
-        except (KeyError, TypeError):  # TypeError: an unhashable value
-            raise _Rejected(message) from None
-    return read
-
-
-_TYPE_RULES = {int: _int, float: _float, str: _str, bool: _bool}
-
-
-def _rule(kind):
-    """The rule for a table entry: a rule itself, an Enum, or a type in _TYPE_RULES."""
-    if isinstance(kind, FunctionType):
-        return kind
-    return _enum(kind) if isinstance(kind, EnumMeta) else _TYPE_RULES[kind]
-
-
-def object_rule(table: dict, required: Sequence[str] = (), other=None):
-    """Rule for a JSON object whose fields follow `table`.  A field the table
-    does not list follows `other`, and is rejected when `other` is None."""
-    rules = {key: _rule(kind) for key, kind in table.items()}
-    rest = None if other is None else _rule(other)
-
-    def read(value: object) -> dict:
-        if type(value) is not dict:
-            raise _Rejected("must be an object")
-        out = {}
-        try:
-            for key, item in value.items():  # type: ignore[attr-defined]
-                rule = rules.get(key, rest)
-                if rule is None:
-                    raise _Rejected("unknown field")
-                out[key] = rule(item)
-        except _Rejected as exc:
-            exc.where.append(f".{key}")
-            raise
-        for key in required:
-            if key not in out:
-                raise _Rejected("missing", f".{key}")
-        return out
-    return read
-
-
-def list_rule(kind):
-    """Rule for a JSON list whose entries follow `kind`."""
-    rule = _rule(kind)
-
-    def read(value: object) -> list:
-        if type(value) is not list:
-            raise _Rejected("must be a list")
-        out: list = []
-        try:
-            for item in value:  # type: ignore[attr-defined]
-                out.append(rule(item))
-        except _Rejected as exc:
-            exc.where.append(f"[{len(out)}]")
-            raise
-        return out
-    return read
-
-
-def built_rule(kind, build):
-    """Rule that reads by `kind`, then calls build on the result; a ValueError
-    from build (the built type's own checks) is rejected at this path."""
-    rule = _rule(kind)
-
-    def read(value: object):
-        fields = rule(value)
-        try:
-            return build(fields)
-        except ValueError as exc:
-            raise _Rejected(str(exc)) from None
-    return read
-
-
-def dataclass_rule(cls, **overrides):
-    """Rule that builds a dataclass from a JSON object: each field follows
-    its annotated type unless `overrides` gives its rule, and an omitted
-    field takes its default."""
-    hints = get_type_hints(cls)
-    table = {f.name: overrides.get(f.name, hints[f.name]) for f in dataclass_fields(cls)}
-    return built_rule(object_rule(table), lambda fields: cls(**fields))
-
-
-def bounded_rule(kind, low: float, high: float, message: str):
-    """Rule for a number of `kind` inside [low, high]."""
-    rule = _rule(kind)
-
-    def read(value: object):
-        number = rule(value)
-        if not low <= number <= high:
-            raise _Rejected(message)
-        return number
-    return read
-
-
-def read_json(doc: object, rule, error: type[ValueError], root: str):
-    """Read a decoded JSON document by `rule`.  A rejection raises `error`
-    naming the path at fault, or `root` for the document itself."""
-    try:
-        return rule(doc)
-    except _Rejected as exc:
-        path = "".join(reversed(exc.where)).lstrip(".") or root
-        raise error(f"{path}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
 # Scenario file parsing.  The on-disk form is a single JSON document; see
 # README for the schema.
 # ---------------------------------------------------------------------------
@@ -470,23 +317,17 @@ def read_json(doc: object, rule, error: type[ValueError], root: str):
 _TIME = bounded_rule(int, 0, math.inf, "must be >= 0")
 
 
-def _distance(value: object) -> Optional[float]:
-    if value is None:
-        return None
-    cm = _float(value)
+def _in_range_cm(cm: float) -> float:
     if not 0 < cm <= 1000:
-        raise _Rejected("must be in (0, 1000] cm")
+        raise ValueError("must be in (0, 1000] cm")
     return cm
 
 
-def _start_epoch_s(text: object) -> int:
-    """Epoch seconds of an ISO-8601 UTC instant with a 'Z' suffix."""
-    if type(text) is str and text.endswith("Z"):
-        try:
-            return int(datetime.fromisoformat(text[:-1] + "+00:00").timestamp())
-        except ValueError:
-            pass
-    raise _Rejected("must be an ISO-8601 UTC instant ending in 'Z'")
+_DISTANCE_CM = built_rule(float, _in_range_cm)
+
+
+def _distance(value: object) -> Optional[float]:
+    return None if value is None else _DISTANCE_CM(value)
 
 
 def _steps(value_key: str, kind):
@@ -503,21 +344,19 @@ def _user_event(value: object) -> UserEvent:
     if event["kind"] == "button":
         return UserEvent(event["t"], "button")
     if event["kind"] != "utterance":
-        raise _Rejected("must be 'button' or 'utterance'", ".kind")
+        raise Rejected("must be 'button' or 'utterance'", ".kind")
     if not event.get("text", " ").strip():
-        raise _Rejected("must be a non-empty string", ".text")
+        raise Rejected("must be a non-empty string", ".text")
     return UserEvent(event["t"], "utterance", event["text"])
 
 
-_WAYPOINT = object_rule({"t": _TIME,
-                         "lat": bounded_rule(float, -90, 90, "must be a number in [-90, 90]"),
-                         "lon": bounded_rule(float, -180, 180, "must be a number in [-180, 180]")},
+_WAYPOINT = object_rule({"t": _TIME, "lat": LATITUDE, "lon": LONGITUDE},
                         required=("t", "lat", "lon"))
 _SCENARIO = object_rule({
     "schema_version": bounded_rule(int, 1, 1, "must be 1"),
     "duration_ms": bounded_rule(int, 1, math.inf, "must be >= 1"),
     "seed": bounded_rule(int, 0, math.inf, "must be >= 0"),
-    "start_utc": _start_epoch_s,
+    "start_utc": built_rule(INSTANT, lambda text: int(parse_instant(text).timestamp())),
     "channels": object_rule({c.value: _steps("distance_cm", _distance) for c in Channel}),
     "surface": _steps("value", SurfaceKind),
     "weather": _steps("value", Weather),
@@ -529,7 +368,7 @@ _SCENARIO = object_rule({
     "user_events": list_rule(_user_event),
 }, required=("schema_version", "duration_ms"))
 
-_DEFAULT_START_EPOCH_S = _start_epoch_s("2015-06-01T00:00:00Z")
+_DEFAULT_START_EPOCH_S = 1_433_116_800  # 2015-06-01T00:00:00Z
 _LAST_EPOCH_S = 253_402_300_799  # 9999-12-31T23:59:59Z, the last instant a fix can name
 
 
@@ -559,16 +398,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioScript:
 
 def load_scenario(path: "str | os.PathLike[str]") -> ScenarioScript:
     """Read and validate a scenario script from a JSON file."""
-    path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from None
-    name = os.path.basename(path)
-    if name.endswith(".json"):
-        name = name[: -len(".json")]
-    return scenario_from_dict(doc, name=name)
+    name = os.path.basename(path).removesuffix(".json")
+    return scenario_from_dict(load_json(path, ScenarioError), name=name)
 
 
 def utc_string(epoch_s: int) -> str:
@@ -583,5 +414,4 @@ __all__ = [
     "DEFAULT_CALIBRATION", "check_calibration_ordering", "noise_params_for",
     "sample_echo", "StepTimeline", "GeoPath", "ScenarioScript", "ChannelEcho",
     "scenario_from_dict", "load_scenario", "utc_string",
-    "object_rule", "built_rule", "dataclass_rule", "bounded_rule", "read_json",
 ]

@@ -4,7 +4,9 @@ boundary or non-finite number, either loads or raises ConfigError or
 ScenarioError.  A config that loads also runs ground_obstacle to a trace or
 to one of those errors.  A tracking-store file of lines as insert writes
 them, with bytes flipped, lines cut short, values of another type put in or
-fields dropped, either opens and answers queries or raises StorageError."""
+fields dropped, either opens and answers queries or raises StorageError.  A
+posted fix mutated the same way, or given another timestamp spelling, is
+refused naming one of its fields, or is stored and then answers queries."""
 
 from __future__ import annotations
 
@@ -20,7 +22,13 @@ from conftest import CONFIG_DIR, SCENARIO_DIR
 from echoguide.config import config_from_dict
 from echoguide.errors import ConfigError, ScenarioError
 from echoguide.harness import run_scenario
-from echoguide.server import StorageError, TrackStore
+from echoguide.server import (
+    FixValidationError,
+    StorageError,
+    TrackService,
+    TrackStore,
+    validate_fix,
+)
 from echoguide.world import load_scenario, scenario_from_dict
 
 
@@ -172,3 +180,59 @@ def test_mutated_store_files_open_or_raise_storage_error(store_path, content):
                 pass
     finally:
         store.close()
+
+
+FIX_FIELDS = ("device_id", "latitude", "longitude", "timestamp", "provider")
+COORDINATES = st.sampled_from([90, -90, 90.000001, -180.0, 180, 180.5, -1e-320, 10**400])
+TIMESTAMPS = st.sampled_from([
+    "2015-06-01Z", "2015-06-01", "2015-06-01T00Z", "2015-06-01T00:00Z",
+    "2015-06-01T00:00:00", "2015-06-01T00:00:00+00:00", "2015-06-01T00:00:00+06:00Z",
+    "2015-06-01 00:00:00Z", "2015-06-01T00:00:00.5Z", "2015-06-01T24:00:00Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59.999999Z", "2015-13-01T00:00:00Z", "Z", "",
+])
+
+
+@st.composite
+def mutated_fix(draw) -> object:
+    """A valid fix body with one value swapped for one of another type, a
+    boundary number or another timestamp spelling, one key dropped or added,
+    or the body replaced whole."""
+    fix = draw(FIXES)
+    how = draw(st.sampled_from(["swap", "coordinate", "timestamp", "drop", "add", "whole"]))
+    if how == "swap":
+        fix[draw(st.sampled_from(FIX_FIELDS))] = draw(VALUES)
+    elif how == "coordinate":
+        fix[draw(st.sampled_from(["latitude", "longitude"]))] = draw(COORDINATES)
+    elif how == "timestamp":
+        fix["timestamp"] = draw(TIMESTAMPS)
+    elif how == "drop":
+        del fix[draw(st.sampled_from(FIX_FIELDS))]
+    elif how == "add":
+        fix[draw(KEYS)] = draw(VALUES)
+    else:
+        return draw(VALUES)
+    return fix
+
+
+@pytest.fixture(scope="module")
+def fix_service(tmp_path_factory):
+    """One store for every example, so each accepted fix is also sorted
+    against those accepted before it."""
+    store = TrackStore(str(tmp_path_factory.mktemp("fixes") / "locations.jsonl"))
+    yield TrackService(store)
+    store.close()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(body=mutated_fix())
+def test_mutated_fixes_are_refused_by_field_or_stored_and_served(fix_service, body):
+    try:
+        fields = validate_fix(body)
+    except FixValidationError as exc:
+        event("refused")
+        assert exc.field in FIX_FIELDS + ("body",) or exc.field in body
+        return
+    event("accepted")
+    record = fix_service.insert_fix(body)
+    assert fix_service.latest_fix(fields["device_id"]) is not None
+    assert record in fix_service.history(fields["device_id"], 10**6)

@@ -76,6 +76,7 @@ def test_validate_names_missing_field(field):
     ("longitude", None),
     ("timestamp", "2015-06-01 00:05:00"),
     ("timestamp", "2015-06-01T00:05:00"),
+    ("timestamp", "2015-06-01Z"),
     ("timestamp", 1433116800),
     ("provider", "wifi"),
     ("provider", "GPS"),
@@ -300,6 +301,12 @@ def test_post_validation_error_is_400_with_field(live_server):
     assert "error" in body
 
 
+def test_post_date_only_timestamp_is_400(live_server):
+    status, body = http_post(live_server, "/api/locations", good_fix(timestamp="2015-06-01Z"))
+    assert (status, body["field"]) == (400, "timestamp")
+    assert http_get(live_server, "/api/locations/latest?device_id=walker-1")[0] == 404
+
+
 def test_post_malformed_json_is_400(live_server):
     status, body = http_post(live_server, "/api/locations", b"{nope")
     assert status == 400
@@ -340,6 +347,11 @@ def test_post_oversized_content_length_is_413_unread(live_server, length):
     assert status == 413
     assert body["field"] == "Content-Length"
     assert connection == "close"
+
+
+def test_post_content_length_of_5000_digits_is_413(live_server):
+    status, body, connection = raw_post(live_server, f"Content-Length: {'9' * 5000}\r\n")
+    assert (status, body["field"], connection) == (413, "Content-Length", "close")
 
 
 def test_post_body_at_the_cap_is_accepted(live_server):
@@ -417,6 +429,34 @@ def test_get_history_bad_limit_is_400(live_server):
         assert status == 400
 
 
+@pytest.mark.parametrize("limit", ["%2B5", "+5", "%205", "1_0", "5%20", "%D9%A3", "%EF%BC%95"])
+def test_get_history_limit_takes_ascii_digits_only(live_server, limit):
+    http_post(live_server, "/api/locations", good_fix())
+    status, body = http_get(live_server, f"/api/locations?device_id=walker-1&limit={limit}")
+    assert (status, body["field"]) == (400, "limit")
+    assert http_get(live_server, "/api/locations?device_id=walker-1&limit=05")[0] == 200
+
+
+@pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"])
+def test_other_methods_are_405_json_and_close(live_server, method):
+    connection = http.client.HTTPConnection(live_server[len("http://"):], timeout=5)
+    try:
+        connection.request(method, "/api/locations", body=json.dumps(good_fix()))
+        response = connection.getresponse()
+        raw = response.read()
+    finally:
+        connection.close()
+    assert response.status == 405
+    assert response.getheader("Allow") == "GET, POST"
+    assert response.getheader("Connection") == "close"
+    assert response.getheader("Content-Type").startswith("application/json")
+    if method == "HEAD":
+        assert raw == b""
+    else:
+        assert "error" in json.loads(raw)
+    assert http_post(live_server, "/api/locations", good_fix())[0] == 201
+
+
 def test_unknown_path_is_404(live_server):
     status, _ = http_get(live_server, "/api/nope")
     assert status == 404
@@ -451,6 +491,22 @@ def test_get_with_an_unparseable_stored_timestamp_is_500(tmp_path):
                       "/api/locations?device_id=walker-1"):
             status, body = http_get(base, query)
             assert status == 500 and "record 1" in body["error"]
+        assert http_get(base, "/api/locations/latest?device_id=walker-2")[0] == 200
+    store.close()
+
+
+def test_get_with_a_date_only_stored_timestamp_is_500(tmp_path):
+    """A store written before POST refused a date alone still opens; the
+    device's queries answer 500 naming the record, not a dropped connection."""
+    path = tmp_path / "locations.jsonl"
+    write_rows(path, [good_fix(), good_fix(timestamp="2015-06-01Z"),
+                      good_fix(device_id="walker-2")])
+    store = TrackStore(path)
+    with serving(TrackService(store)) as base:
+        for query in ("/api/locations/latest?device_id=walker-1",
+                      "/api/locations?device_id=walker-1"):
+            status, body = http_get(base, query)
+            assert status == 500 and "record 2" in body["error"] and "timestamp" in body["error"]
         assert http_get(base, "/api/locations/latest?device_id=walker-2")[0] == 200
     store.close()
 
@@ -509,6 +565,14 @@ def test_restart_preserves_history(tmp_path):
 
 
 # -- subprocess entry point ---------------------------------------------------------
+
+
+def test_importing_the_server_leaves_the_simulator_out():
+    code = ("import sys, echoguide.server; "
+            "print([m for m in ('echoguide.world', 'echoguide.app') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, timeout=60)
+    assert result.stdout == "[]\n"
 
 
 def test_cli_serves_and_env_overrides_flags(tmp_path):

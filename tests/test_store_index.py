@@ -40,6 +40,7 @@ from echoguide.server import (
 )
 
 DEVICES = ("walker-1", "walker-2", "walker-3")
+FIX_FIELDS = ("device_id", "latitude", "longitude", "timestamp", "provider")
 LIMITS = (1, 2, 50, 1000)
 
 
@@ -211,7 +212,7 @@ def store_files(draw, variant: str) -> tuple[bytes, list[str]]:
         elif kind == "extra key":
             line = spelled(record, speed="1.5")
         elif kind == "missing key":
-            line = spelled(record, **{draw(st.sampled_from(server._FIELDS + ("id",))): None})
+            line = spelled(record, **{draw(st.sampled_from(FIX_FIELDS + ("id",))): None})
         elif kind == "bad utf-8":
             line = line.replace(b'"device_id": "', b'"device_id": "\xff', 1)
         elif kind == "two objects":

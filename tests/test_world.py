@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -244,12 +247,30 @@ def test_channel_echo_clamps_past_duration():
             {"schema_version": 1, "duration_ms": 1000, "start_utc": "9999-12-31T23:59:59Z"},
             "start_utc",
         ),
+        (
+            # A date alone once parsed as local midnight, so the walk's
+            # timestamps followed the machine's time zone.
+            {"schema_version": 1, "duration_ms": 100, "start_utc": "2015-06-01Z"},
+            "start_utc: must be an ISO-8601 UTC date and time",
+        ),
     ],
 )
 def test_invalid_scripts_name_the_offending_field(doc, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         scenario_from_dict(doc)
     assert fragment in str(excinfo.value)
+
+
+def test_start_utc_does_not_follow_the_local_time_zone():
+    code = ("from echoguide.world import scenario_from_dict; print(scenario_from_dict("
+            "{'schema_version': 1, 'duration_ms': 1000, 'start_utc': '2015-06-01T00:00:00Z'})"
+            ".start_epoch_s)")
+
+    def start_epoch_s(tz: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, TZ=tz),
+                              capture_output=True, text=True, check=True, timeout=60).stdout
+
+    assert start_epoch_s("Asia/Dhaka") == start_epoch_s("UTC") == "1433116800\n"
 
 
 def test_walk_may_end_on_the_last_second_of_9999():
