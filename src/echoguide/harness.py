@@ -29,7 +29,7 @@ from .clock import VirtualClock
 from .config import SystemConfig
 from .errors import ScenarioError
 from .firmware import FirmwareConfig, FirmwareState, NoEchoError, acquire_distance, firmware_tick
-from .jsonread import load_json, object_rule, read_json
+from .jsonread import choice_rule, load_json, object_rule, read_json
 from .link import LinkBuffer
 from .server import FixValidationError, StorageError, TrackService, TrackStore
 from .trace import (
@@ -56,6 +56,7 @@ from .world import (
     ScenarioScript,
     SurfaceKind,
     Weather,
+    echo_sampler,
     noise_params_for,
     sample_echo,
     utc_string,
@@ -235,10 +236,9 @@ def distance_error_experiment(calibration: Optional[Calibration] = None,
         for weather in (Weather.DRY, Weather.WET):
             params = noise_params_for(surface, weather, calibration)
             for true_cm in points:
-                def poll(true_cm=true_cm, params=params) -> Optional[int]:
-                    return sample_echo(true_cm, params, rng)
                 try:
-                    measured = acquire_distance(Channel.GROUND, poll, clock, cfg)
+                    measured = acquire_distance(Channel.GROUND, echo_sampler(true_cm, params, rng),
+                                                clock, cfg)
                 except NoEchoError:
                     trace.add(ev_no_echo(clock.now(), Channel.GROUND))
                     continue
@@ -357,12 +357,19 @@ def error_report(traces: Sequence[TraceLog]) -> ErrorReport:
 # ---------------------------------------------------------------------------
 
 
+_PATTERN = object_rule({
+    "op": choice_rule({"eventually": "eventually", "never": "never"}),
+    "kind": str,
+    "where": object_rule({}, other=lambda value: value),  # event field -> any JSON value
+}, required=("op", "kind"))
+
+
 def _check_patterns(patterns: Sequence[object], prefix: str = "") -> None:
     for index, pattern in enumerate(patterns):
-        if not (isinstance(pattern, dict) and pattern.get("op") in ("eventually", "never")
-                and isinstance(pattern.get("kind"), str)
-                and isinstance(pattern.get("where", {}), dict)):
-            raise ScenarioError(f"{prefix}pattern {index} is malformed: {pattern!r}")
+        try:
+            read_json(pattern, _PATTERN, ScenarioError, "pattern")
+        except ScenarioError as exc:
+            raise ScenarioError(f"{prefix}pattern {index} is malformed: {exc}") from None
 
 
 def _matches(event: dict, kind: str, where: dict) -> bool:

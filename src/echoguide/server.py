@@ -29,9 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from .jsonread import (
-    INSTANT, LATITUDE, LONGITUDE, choice_rule, object_rule, parse_instant, read_json,
-)
+from .jsonread import FIX, parse_instant, read_json
 
 DEFAULT_LISTEN = "127.0.0.1:8750"
 DEFAULT_STORE = "locations.jsonl"
@@ -103,18 +101,12 @@ class _Names(dict):
 
 parse_record_timestamp = parse_instant  # the parsed instant of a stored timestamp
 
-# A fix as validate_fix takes it from a POST body, every field required.
-# TrackStore checks stored records by the same table.
-_FIX_FIELDS = {"device_id": str, "latitude": LATITUDE, "longitude": LONGITUDE,
-               "timestamp": INSTANT, "provider": choice_rule({"gps": "gps", "network": "network"})}
-_FIX = object_rule(_FIX_FIELDS, required=tuple(_FIX_FIELDS))
-
 
 def validate_fix(body: object) -> dict:
     """The canonical field dict of a decoded POST body, which must be a JSON
     object of exactly the fields of a fix, each valid; the error names the
     field at fault."""
-    return read_json(body, _FIX, FixValidationError, "body")
+    return read_json(body, FIX, FixValidationError, "body")
 
 
 class TrackStore:
@@ -255,7 +247,7 @@ class TrackStore:
         fields = record.as_dict()
         del fields["id"]
         try:
-            read_json(fields, _FIX, ValueError, "record")
+            read_json(fields, FIX, ValueError, "record")
         except ValueError as exc:
             name = exc.field  # type: ignore[attr-defined]
             raise StorageError(f"{self.path}: record {record.id}: {name} "

@@ -10,6 +10,7 @@ order on ties.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Iterator, Optional
 
 from .app import ObstacleMessage, UploadAttempt
@@ -17,7 +18,11 @@ from .errors import ScenarioError
 from .world import Channel, SurfaceKind, Weather
 
 
-# One encoder for every event: json.dumps with these arguments would build a new one per call.
+# The serialization: json.dumps(event, sort_keys=True, ensure_ascii=False,
+# separators=(",", ":")).  _ENCODER.encode would build a new C encoder for
+# every event, so to_jsonl builds one per trace, with the arguments that
+# _ENCODER.iterencode passes it; a fresh markers dict keeps the circular
+# check.  Without the C accelerator, iterencode is the pure-Python encoder.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
@@ -44,7 +49,15 @@ class TraceLog:
         return iter(self.events)
 
     def to_jsonl(self) -> str:
-        return "\n".join(map(_ENCODER.encode, self.events)) + "\n" if self.events else ""
+        if not self.events:
+            return ""
+        if c_make_encoder is None:
+            encode = _ENCODER.iterencode
+        else:
+            e = _ENCODER
+            encode = c_make_encoder({}, e.default, encode_basestring, e.indent, e.key_separator,
+                                    e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+        return "\n".join(["".join(encode(event, 0)) for event in self.events]) + "\n"
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

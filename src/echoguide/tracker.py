@@ -3,18 +3,21 @@ latest fix or trail and emit map-ready output.
 
 Subcommands: get-location (print the newest fix), show-map (GeoJSON Point
 plus a maps URL), track (GeoJSON trail).  Exit codes: 0 success, 2 server
-unreachable, 3 no fix recorded for the device.
+unreachable or its reply malformed, 3 no fix recorded for the device.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import urllib.error
 import urllib.request
 from typing import Optional
 from urllib.parse import urlencode
+
+from .jsonread import FIX_FIELDS, bounded_rule, list_rule, object_rule, read_json
 
 DEFAULT_SERVER = "127.0.0.1:8750"
 DEFAULT_TRACK_LIMIT = 100
@@ -30,6 +33,17 @@ class ServerUnreachable(RuntimeError):
 
 class NoFix(RuntimeError):
     pass
+
+
+class BadReply(ValueError):
+    """A 200 reply that is not a fix or a trail of fixes; the message names
+    the field at fault."""
+
+
+# A fix as the server sends it: the fields it was posted with, plus the record id.
+_REPLY_FIX = object_rule({**FIX_FIELDS, "id": bounded_rule(int, 1, math.inf, "must be >= 1")},
+                         required=(*FIX_FIELDS, "id"))
+_REPLY_TRAIL = list_rule(_REPLY_FIX)
 
 
 def _base_url(server: str) -> str:
@@ -54,14 +68,14 @@ def _get_json(url: str, timeout: float) -> tuple[int, object]:
 
 
 def fetch_latest(server: str, device_id: str, timeout: float = 5.0) -> dict:
-    """Latest fix for a device; raises NoFix (404) or ServerUnreachable."""
+    """Latest fix for a device; raises NoFix (404), ServerUnreachable or BadReply."""
     url = f"{_base_url(server)}/api/locations/latest?{urlencode({'device_id': device_id})}"
     status, payload = _get_json(url, timeout)
     if status == 404:
         raise NoFix(device_id)
-    if status != 200 or not isinstance(payload, dict):
+    if status != 200:
         raise ServerUnreachable(f"unexpected response {status}: {payload}")
-    return payload
+    return read_json(payload, _REPLY_FIX, BadReply, "reply")
 
 
 def fetch_history(server: str, device_id: str, limit: int, timeout: float = 5.0) -> list[dict]:
@@ -69,9 +83,9 @@ def fetch_history(server: str, device_id: str, limit: int, timeout: float = 5.0)
     query = urlencode({"device_id": device_id, "limit": limit})
     url = f"{_base_url(server)}/api/locations?{query}"
     status, payload = _get_json(url, timeout)
-    if status != 200 or not isinstance(payload, list):
+    if status != 200:
         raise ServerUnreachable(f"unexpected response {status}: {payload}")
-    return payload
+    return read_json(payload, _REPLY_TRAIL, BadReply, "reply")
 
 
 def format_coord(value: float) -> str:
@@ -193,6 +207,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             _write_geojson(track_feature(fixes), args.out)
     except ServerUnreachable as exc:
         print(f"server unreachable: {exc}", file=sys.stderr)
+        return EXIT_UNREACHABLE
+    except BadReply as exc:
+        print(f"bad server reply: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
     except NoFix:
         print(f"no fix recorded for device '{args.device}'", file=sys.stderr)

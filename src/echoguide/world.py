@@ -131,22 +131,34 @@ def noise_params_for(surface: SurfaceKind, weather: Weather,
         ) from None
 
 
+def echo_sampler(true_cm: float, params: NoiseParams,
+                 rng: random.Random) -> Callable[[], int]:
+    """Polls of a target at true_cm: draw() is the raw pulse count the sensor
+    reports for one poll.
+
+    With probability outlier_prob the reading is a spurious echo drawn
+    uniformly inside the valid gate; otherwise it is the true distance with
+    relative bias and gaussian scatter applied, converted to pulses.  The
+    terms that hold for the target are worked out once, in the same float
+    operations, so the readings do not depend on how they are drawn.
+    """
+    random_, gauss, uniform = rng.random, rng.gauss, rng.uniform
+    outlier_prob = params.outlier_prob
+    biased_cm = true_cm * (1.0 + params.rel_bias)
+    sigma_cm = params.rel_sigma * true_cm
+
+    def draw() -> int:
+        if random_() < outlier_prob:
+            return max(1, round(uniform(GATE_LOW_CM, GATE_HIGH_CM) * PULSES_PER_CM))
+        return max(1, round((biased_cm + gauss(0.0, sigma_cm)) * PULSES_PER_CM))
+    return draw
+
+
 def sample_echo(true_cm: Optional[float], params: NoiseParams,
                 rng: random.Random) -> Optional[int]:
-    """One ultrasonic poll: the raw pulse count the sensor would report.
-
-    Returns None when there is nothing in range to echo.  With probability
-    outlier_prob the reading is a spurious echo drawn uniformly inside the
-    valid gate; otherwise it is the true distance with relative bias and
-    gaussian scatter applied, converted to pulses.
-    """
-    if true_cm is None:
-        return None
-    if rng.random() < params.outlier_prob:
-        ghost_cm = rng.uniform(GATE_LOW_CM, GATE_HIGH_CM)
-        return max(1, round(ghost_cm * PULSES_PER_CM))
-    noisy_cm = true_cm * (1.0 + params.rel_bias) + rng.gauss(0.0, params.rel_sigma * true_cm)
-    return max(1, round(noisy_cm * PULSES_PER_CM))
+    """One ultrasonic poll, as echo_sampler draws it; None when there is
+    nothing in range to echo."""
+    return None if true_cm is None else echo_sampler(true_cm, params, rng)()
 
 
 class StepTimeline:
@@ -281,7 +293,8 @@ class ChannelEcho:
     final state, so the last segment never ends.
 
     `sample` draws one reading from (true distance, params, rng), as
-    sample_echo does.
+    sample_echo does.  For sample_echo itself a segment draws through one
+    echo_sampler closure; any other `sample` is called once per poll.
     """
 
     def __init__(self, script: ScenarioScript, channel: Channel, calibration: Calibration,
@@ -302,7 +315,15 @@ class ChannelEcho:
             steps = [timeline.step_at(t_ms) for timeline in self._timelines]
             (true_cm, _), (surface, _), (weather, _) = steps
             params = noise_params_for(surface, weather, self._calibration)
-            draw = None if true_cm is None else partial(self._sample, true_cm, params, self._rng)
+            if true_cm is None:
+                draw = None
+            elif self._sample is sample_echo:
+                draw = echo_sampler(true_cm, params, self._rng)
+            else:
+                # Called per poll: perfbench's traced run counts polls by
+                # wrapping harness.sample_echo.  This path goes once runs
+                # count their own polls (ROADMAP items 1 and 6).
+                draw = partial(self._sample, true_cm, params, self._rng)
             self._segment = (draw, min((nxt for _, nxt in steps if nxt is not None),
                                        default=math.inf))
         return self._segment
@@ -412,6 +433,6 @@ __all__ = [
     "PULSES_PER_CM", "GATE_LOW_CM", "GATE_HIGH_CM",
     "Channel", "SurfaceKind", "Weather", "NoiseParams", "Calibration",
     "DEFAULT_CALIBRATION", "check_calibration_ordering", "noise_params_for",
-    "sample_echo", "StepTimeline", "GeoPath", "ScenarioScript", "ChannelEcho",
+    "echo_sampler", "sample_echo", "StepTimeline", "GeoPath", "ScenarioScript", "ChannelEcho",
     "scenario_from_dict", "load_scenario", "utc_string",
 ]

@@ -7,19 +7,25 @@ grid, targets that appear inside a round, steps at duration_ms, rounds
 that run past duration_ms, surface and weather changes inside an empty
 stretch, channels left out, very short durations, other poll periods and
 attempt limits, and calibration tables with entries missing.
+
+A second side runs the same scenarios, and the bundled ones, with the
+sample function behind a wrapper, which makes ChannelEcho call it once per
+poll, and compares the bytes with the plain run's.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_loop
-from echoguide import world
-from echoguide.config import SystemConfig, config_from_dict
-from echoguide.world import SurfaceKind, Weather, scenario_from_dict
+from conftest import CONFIG_DIR, SCENARIO_DIR
+from echoguide import harness, world
+from echoguide.config import SystemConfig, config_from_dict, load_config
+from echoguide.world import SurfaceKind, Weather, load_scenario, scenario_from_dict
 
 from reference_loop import both_outcomes
 
@@ -167,3 +173,51 @@ def test_reference_polls_every_time_and_skip_ahead_does_not():
         traces = both_outcomes(script)
     assert traces[0] == traces[1]
     assert (fast.call_count, slow.call_count) == (3, 150)
+
+
+# -- the per-poll sample path ------------------------------------------------------
+#
+# perfbench's traced run counts polls by wrapping harness.sample_echo, and a
+# ChannelEcho given any sample but world.sample_echo calls it once per poll
+# instead of drawing through one echo_sampler closure per segment.  Both
+# paths must give the same bytes.
+
+
+def wrapped_sample_outcome(script, config=None, seed=None) -> tuple[tuple[str, str], int]:
+    """(outcome, draws) of run_scenario with harness.sample_echo behind a
+    pass-through wrapper, as the traced benchmark run installs it."""
+    draws = 0
+
+    def pass_through(*args):
+        nonlocal draws
+        draws += 1
+        return world.sample_echo(*args)
+
+    with mock.patch.object(harness, "sample_echo", pass_through):
+        result = reference_loop.outcome(harness.run_scenario, script, config, seed)
+    return result, draws
+
+
+@pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+@pytest.mark.parametrize("scenario_name", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+def test_bundled_walks_are_the_same_with_a_wrapped_sample(scenario_name, config_name):
+    script = load_scenario(SCENARIO_DIR / f"{scenario_name}.json")
+    config = load_config(CONFIG_DIR / f"{config_name}.json")
+    with mock.patch.object(world, "echo_sampler", wraps=world.echo_sampler) as closures:
+        plain = reference_loop.outcome(harness.run_scenario, script, config, None)
+    wrapped, draws = wrapped_sample_outcome(script, config)
+    assert plain[0] == "trace" and wrapped == plain
+    # The runs took different paths: a closure per segment, a wrapper call per
+    # poll.  Scenarios with no target (gps_outage, ...) draw nothing on either.
+    assert closures.call_count < draws or closures.call_count == draws == 0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(doc=scenario_docs(), config_doc=config_docs(), missing=missing_entry)
+def test_wrapped_sample_matches_segment_sampler_byte_for_byte(doc, config_doc, missing):
+    script = scenario_from_dict(doc)
+    config = build_config(config_doc, missing)
+    plain = reference_loop.outcome(harness.run_scenario, script, config, None)
+    wrapped, _ = wrapped_sample_outcome(script, config)
+    assert wrapped == plain

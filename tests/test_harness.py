@@ -9,7 +9,7 @@ import pytest
 
 from echoguide.cli import main as sim_main
 from echoguide.config import SystemConfig
-from echoguide.errors import ConfigError
+from echoguide.errors import ConfigError, ScenarioError
 from echoguide.harness import (
     assert_expectations,
     distance_error_experiment,
@@ -320,6 +320,23 @@ def test_malformed_pattern_raises():
         assert_expectations(demo_trace(), [{"op": "sometimes", "kind": "alert"}])
     with pytest.raises(ValueError):
         assert_expectations(demo_trace(), [{"op": "eventually"}])
+
+
+@pytest.mark.parametrize("pattern, named", [
+    ({"op": "eventually", "kind": "alert", "wher": {"channel": "ground"}}, "wher: unknown field"),
+    ({"op": "never", "kind": "call", "where": ["channel"]}, "where: must be an object"),
+    ({"op": "never", "kind": 3}, "kind: must be a non-empty string"),
+    ("eventually alert", "must be an object"),
+], ids=["misspelled where", "where not an object", "kind not a string", "not an object"])
+def test_pattern_fields_are_read_by_a_table(tmp_path, pattern, named):
+    # A misspelled filter used to be dropped, so the pattern matched any alert.
+    patterns = [{"op": "eventually", "kind": "alert"}, pattern]
+    with pytest.raises(ScenarioError, match=f"^pattern 1 is malformed: .*{named}"):
+        assert_expectations(demo_trace(), patterns)
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps({"schema_version": 1, "patterns": patterns}))
+    with pytest.raises(ScenarioError, match=f"expect.json: pattern 1 is malformed: .*{named}"):
+        load_expectations(path)
 
 
 def test_bundled_expectations_hold_for_ground_obstacle():

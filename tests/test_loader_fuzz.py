@@ -6,22 +6,29 @@ to one of those errors.  A tracking-store file of lines as insert writes
 them, with bytes flipped, lines cut short, values of another type put in or
 fields dropped, either opens and answers queries or raises StorageError.  A
 posted fix mutated the same way, or given another timestamp spelling, is
-refused naming one of its fields, or is stored and then answers queries."""
+refused naming one of its fields, or is stored and then answers queries.
+A server reply so mutated makes the tracker exit 0, or 2 naming a field,
+and a mutated expectation file loads or raises ScenarioError."""
 
 from __future__ import annotations
 
 import copy
+import io
 import json
 import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR, SCENARIO_DIR
+from conftest import CONFIG_DIR, EXPECTATION_DIR, SCENARIO_DIR
+from echoguide import tracker
 from echoguide.config import config_from_dict
 from echoguide.errors import ConfigError, ScenarioError
-from echoguide.harness import run_scenario
+from echoguide.harness import assert_expectations, load_expectations, run_scenario
 from echoguide.server import (
     FixValidationError,
     StorageError,
@@ -29,6 +36,7 @@ from echoguide.server import (
     TrackStore,
     validate_fix,
 )
+from echoguide.trace import TraceLog
 from echoguide.world import load_scenario, scenario_from_dict
 
 
@@ -49,8 +57,9 @@ VALUES = st.sampled_from([
     "", " ", "0.1", "tiles", "2015-06-01T00:00:00Z", "9999-12-31T23:59:59Z",
     [], [{}], {}, {"t": 0},
 ])
-KEYS = st.sampled_from(["colour", "gps_avaliable", "t", "value", "text", "rel_sigma",
-                        "distance_cm", "pulses_per_inch", "ground", "english"])
+KEY_NAMES = ("colour", "gps_avaliable", "t", "value", "text", "rel_sigma", "distance_cm",
+             "pulses_per_inch", "ground", "english")
+KEYS = st.sampled_from(KEY_NAMES)
 
 
 def paths(node, here=()):
@@ -236,3 +245,53 @@ def test_mutated_fixes_are_refused_by_field_or_stored_and_served(fix_service, bo
     record = fix_service.insert_fix(body)
     assert fix_service.latest_fix(fields["device_id"]) is not None
     assert record in fix_service.history(fields["device_id"], 10**6)
+
+
+@st.composite
+def mutated_reply(draw) -> tuple[str, object]:
+    """A tracker command and the 200 reply it gets: the stored record of a
+    fix mutated as above, alone for get-location and show-map or among
+    well-formed ones for track, or a reply of another shape."""
+    command = draw(st.sampled_from(["get-location", "show-map", "track"]))
+    fix = draw(mutated_fix())
+    record = {"id": draw(st.just(1) | st.sampled_from([0, -3, True, 2.0, "1"])), **fix} \
+        if isinstance(fix, dict) else fix
+    if command != "track":
+        return command, record
+    return command, [{"id": 1, **draw(FIXES)}, record][draw(st.integers(0, 1)):]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(reply=mutated_reply())
+def test_mutated_tracker_replies_exit_0_or_2_naming_a_field(reply):
+    command, payload = reply
+    err = io.StringIO()
+    with mock.patch.object(tracker, "_get_json", return_value=(200, payload)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = tracker.main(["--device", "walker-1", command])
+    err = err.getvalue()
+    if code == tracker.EXIT_OK:
+        event("accepted")
+        return
+    event("refused")
+    assert code == tracker.EXIT_UNREACHABLE and err.startswith("bad server reply: ")
+    field = err.removeprefix("bad server reply: ").split(": ")[0].rpartition(".")[2]
+    assert (field in FIX_FIELDS + ("id", "reply") or field in KEY_NAMES
+            or re.fullmatch(r"\[[01]\]", field))  # a trail entry that is not an object
+
+
+EXPECTATIONS = bundled(EXPECTATION_DIR)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(EXPECTATIONS))
+def test_mutated_expectation_files_load_or_raise_scenario_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("expect") / "expect.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        patterns = load_expectations(str(path))
+    except ScenarioError:
+        event("refused")
+        return
+    event("loaded")
+    assert_expectations(TraceLog([{"t": 0, "kind": "alert", "channel": "ground"}]), patterns)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -191,3 +192,71 @@ def test_unreachable_server_exits_2(capsys):
                  "--timeout", "2", "get-location"])
     assert code == EXIT_UNREACHABLE
     assert "unreachable" in capsys.readouterr().err
+
+
+# -- CLI against a stub server whose replies are malformed ------------------------------
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    """Answers every GET with 200 and the server's `reply`, as JSON."""
+
+    def do_GET(self):
+        body = json.dumps(self.server.reply).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join()
+
+
+def reply_fix(**changes):
+    fix = {"id": 7, **fix_dict()}
+    fix.update(changes)
+    return {key: value for key, value in fix.items() if value is not None}
+
+
+def run_against(stub, reply, *command) -> int:
+    stub.reply = reply
+    host, port = stub.server_address[:2]
+    return main(["--server", f"{host}:{port}", "--device", "walker-1", *command])
+
+
+def test_stub_serves_a_well_formed_reply(stub_server, capsys):
+    assert run_against(stub_server, reply_fix(latitude=23), "get-location") == EXIT_OK
+    assert capsys.readouterr().out == "walker-1 23.000000 89.502400 2015-06-01T00:05:00Z gps\n"
+
+
+@pytest.mark.parametrize("command, reply, named", [
+    (["get-location"], reply_fix(latitude="22.9"), "latitude: must be a finite number"),
+    (["get-location"], reply_fix(provider=None), "provider: missing"),
+    (["get-location"], reply_fix(id=None), "id: missing"),
+    (["get-location"], [reply_fix()], "reply: must be an object"),
+    (["show-map"], reply_fix(longitude=200.0), "longitude: must be a number in [-180, 180]"),
+    (["show-map"], reply_fix(timestamp="yesterday"), "timestamp: must be an ISO-8601"),
+    (["show-map"], reply_fix(device_id=5), "device_id: must be a non-empty string"),
+    (["track"], [reply_fix(), reply_fix(latitude=True)], "[1].latitude: must be a finite number"),
+    (["track"], [reply_fix(), {**reply_fix(), "lat": 1.0}], "[1].lat: unknown field"),
+    (["track"], reply_fix(), "reply: must be a list"),
+], ids=["latitude a string", "provider missing", "id missing", "latest a list",
+        "longitude out of range", "timestamp not an instant", "device_id a number",
+        "latitude a bool", "unknown field", "history an object"])
+def test_malformed_reply_exits_2_naming_the_field(stub_server, capsys, command, reply, named):
+    assert run_against(stub_server, reply, *command) == EXIT_UNREACHABLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bad server reply: {named}")

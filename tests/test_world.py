@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_script
 from echoguide.clock import VirtualClock
@@ -26,7 +28,9 @@ from echoguide.world import (
     NoiseParams,
     SurfaceKind,
     Weather,
+    PULSES_PER_CM,
     check_calibration_ordering,
+    echo_sampler,
     noise_params_for,
     StepTimeline,
     sample_echo,
@@ -386,6 +390,49 @@ def test_sample_echo_never_returns_nonpositive_pulses():
     noisy = NoiseParams(0.9, -0.9, 0.0)
     for _ in range(500):
         assert sample_echo(1, noisy, rng) >= 1
+
+
+def written_out_sample(true_cm, params, rng):
+    """The noise model as one expression per draw, with nothing worked out ahead."""
+    if rng.random() < params.outlier_prob:
+        return max(1, round(rng.uniform(GATE_LOW_CM, GATE_HIGH_CM) * PULSES_PER_CM))
+    noisy_cm = true_cm * (1.0 + params.rel_bias) + rng.gauss(0.0, params.rel_sigma * true_cm)
+    return max(1, round(noisy_cm * PULSES_PER_CM))
+
+
+unit = st.floats(0.0, 1.0)
+noise_params = st.builds(
+    NoiseParams,
+    rel_sigma=st.sampled_from([0.0, 0.065, 0.19]) | st.floats(0.0, 2.0),
+    rel_bias=st.sampled_from([0.0, 0.06, -0.2]) | st.floats(-0.999, 0.999),
+    outlier_prob=st.sampled_from([0.0, 1.0, 0.05]) | unit,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(true_cm=st.sampled_from([0.5, 1, 15.4, 100, 644, 1000]) | st.floats(0.5, 1000.0),
+       params=noise_params, seed=st.integers(0, 2**64), polls=st.integers(0, 40))
+def test_echo_sampler_draws_as_sample_echo_per_poll(true_cm, params, seed, polls):
+    # A segment's draw closure, one sample_echo call per poll and the noise
+    # model written out take the same readings and leave the generator in
+    # the same state (gauss's cached second value included).
+    rngs = [random.Random(seed) for _ in range(3)]
+    draw = echo_sampler(true_cm, params, rngs[0])
+    closure = [draw() for _ in range(polls)]
+    per_poll = [sample_echo(true_cm, params, rngs[1]) for _ in range(polls)]
+    written = [written_out_sample(true_cm, params, rngs[2]) for _ in range(polls)]
+    assert closure == per_poll == written
+    assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+
+
+def test_echo_sampler_shares_the_generator_with_other_draws():
+    # Draws of two closures on one generator interleave as their calls do.
+    params = NoiseParams(0.1, 0.02, 0.3)
+    a, b = random.Random(5), random.Random(5)
+    near, far = echo_sampler(40.0, params, a), echo_sampler(300.0, params, a)
+    got = [near(), far(), far(), near(), sample_echo(120.0, params, a), near()]
+    want = [written_out_sample(cm, params, b) for cm in (40.0, 300.0, 300.0, 40.0, 120.0, 40.0)]
+    assert got == want and a.getstate() == b.getstate()
 
 
 def test_channel_enum_values_are_wire_words():
