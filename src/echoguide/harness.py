@@ -29,7 +29,7 @@ from .clock import VirtualClock
 from .config import SystemConfig
 from .errors import ScenarioError
 from .firmware import FirmwareConfig, FirmwareState, NoEchoError, acquire_distance, firmware_tick
-from .jsonread import choice_rule, load_json, object_rule, read_json
+from .jsonread import bounded_rule, choice_rule, list_rule, load_json, object_rule, read_json
 from .link import LinkBuffer
 from .server import FixValidationError, StorageError, TrackService, TrackStore
 from .trace import (
@@ -364,12 +364,20 @@ _PATTERN = object_rule({
 }, required=("op", "kind"))
 
 
-def _check_patterns(patterns: Sequence[object], prefix: str = "") -> None:
+def _check_patterns(patterns: Sequence[object]) -> None:
     for index, pattern in enumerate(patterns):
         try:
             read_json(pattern, _PATTERN, ScenarioError, "pattern")
         except ScenarioError as exc:
-            raise ScenarioError(f"{prefix}pattern {index} is malformed: {exc}") from None
+            raise ScenarioError(f"pattern {index} is malformed: {exc}") from None
+
+
+# The object form of an expectations file; its patterns are read one by one
+# by _check_patterns, as a bare list's are.
+_EXPECTATIONS = object_rule({
+    "schema_version": bounded_rule(int, 1, 1, "must be 1"),
+    "patterns": list_rule(lambda pattern: pattern),
+}, required=("patterns",))
 
 
 def _matches(event: dict, kind: str, where: dict) -> bool:
@@ -415,12 +423,18 @@ def assert_expectations(trace: TraceLog, patterns: Sequence[dict]) -> tuple[bool
 
 
 def load_expectations(path: str) -> list[dict]:
+    """The patterns of an expectations file: a bare list of them, or an
+    object {"schema_version": 1, "patterns": [...]}."""
     doc = load_json(path, ScenarioError)
-    patterns = doc.get("patterns") if isinstance(doc, dict) else doc
-    if not isinstance(patterns, list):
-        raise ScenarioError(f"{path}: expected a list of patterns or an object with one")
-    _check_patterns(patterns, f"{path}: ")
-    return patterns
+    try:
+        if type(doc) is dict:
+            doc = read_json(doc, _EXPECTATIONS, ScenarioError, "expectations")["patterns"]
+        elif type(doc) is not list:
+            raise ScenarioError("expected a list of patterns or an object with one")
+        _check_patterns(doc)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    return doc
 
 
 __all__ = [

@@ -46,6 +46,11 @@ def _float(value: object) -> float:
 def _str(value: object) -> str:
     if type(value) is not str or not value:
         raise Rejected("must be a non-empty string")
+    if not value.isascii():  # type: ignore[attr-defined]
+        try:
+            value.encode("utf-8")  # type: ignore[attr-defined]
+        except UnicodeEncodeError:  # a lone surrogate, which a JSON \uXXXX escape can give
+            raise Rejected("must be Unicode text, without lone surrogates") from None
     return value  # type: ignore[return-value]
 
 

@@ -25,6 +25,17 @@ from .world import Channel, SurfaceKind, Weather
 # check.  Without the C accelerator, iterencode is the pure-Python encoder.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
+# The hot kinds, written as json.dumps writes them when their event is
+# exactly what its ev_* function builds: these keys in this order, exact
+# ints (true_cm: None, an int or a finite float) and strings that are enum
+# values, which need no escaping.  Any other event goes through the encoder.
+_MEASUREMENT_KEYS = ("t", "kind", "channel", "measured_cm", "true_cm", "surface", "weather")
+_ALERT_KEYS = ("t", "kind", "channel", "distance_cm")
+_NO_ECHO_KEYS = ("t", "kind", "channel")
+_CHANNELS = frozenset(c.value for c in Channel)
+_SURFACES = frozenset(s.value for s in SurfaceKind)
+_WEATHERS = frozenset(w.value for w in Weather)
+
 
 class TraceLog:
     """Append-only event record with JSON-lines serialization."""
@@ -49,15 +60,47 @@ class TraceLog:
         return iter(self.events)
 
     def to_jsonl(self) -> str:
-        if not self.events:
-            return ""
         if c_make_encoder is None:
             encode = _ENCODER.iterencode
         else:
             e = _ENCODER
             encode = c_make_encoder({}, e.default, encode_basestring, e.indent, e.key_separator,
                                     e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-        return "\n".join(["".join(encode(event, 0)) for event in self.events]) + "\n"
+        lines: list[str] = []
+        append = lines.append
+        for event in self.events:
+            keys = tuple(event)
+            if keys == _MEASUREMENT_KEYS:
+                t, kind, channel, measured, true_cm, surface, weather = event.values()
+                if (type(t) is int and type(measured) is int
+                        and (true_cm is None or type(true_cm) is int
+                             # finite: inf - inf and nan - nan are nan
+                             or type(true_cm) is float and true_cm - true_cm == 0.0)
+                        and type(kind) is str and kind == "measurement"
+                        and type(channel) is str and channel in _CHANNELS
+                        and type(surface) is str and surface in _SURFACES
+                        and type(weather) is str and weather in _WEATHERS):
+                    append(f'{{"channel":"{channel}","kind":"measurement",'
+                           f'"measured_cm":{measured},"surface":"{surface}","t":{t},'
+                           f'"true_cm":{"null" if true_cm is None else true_cm},'
+                           f'"weather":"{weather}"}}')
+                    continue
+            elif keys == _ALERT_KEYS:
+                t, kind, channel, distance = event.values()
+                if (type(t) is int and type(distance) is int and type(kind) is str
+                        and kind == "alert" and type(channel) is str and channel in _CHANNELS):
+                    append(f'{{"channel":"{channel}","distance_cm":{distance},'
+                           f'"kind":"alert","t":{t}}}')
+                    continue
+            elif keys == _NO_ECHO_KEYS:
+                t, kind, channel = event.values()
+                if (type(t) is int and type(kind) is str and kind == "no_echo"
+                        and type(channel) is str and channel in _CHANNELS):
+                    append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
+                    continue
+            append("".join(encode(event, 0)))
+        append("")  # the final newline; one join, with no second copy of the text
+        return "\n".join(lines)
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from functools import partial
+from math import cos, log, sin, sqrt, tau
 from typing import Callable, Optional, Sequence
 
 from .clock import VirtualClock
@@ -142,15 +143,28 @@ def echo_sampler(true_cm: float, params: NoiseParams,
     terms that hold for the target are worked out once, in the same float
     operations, so the readings do not depend on how they are drawn.
     """
-    random_, gauss, uniform = rng.random, rng.gauss, rng.uniform
+    random_ = rng.random
     outlier_prob = params.outlier_prob
     biased_cm = true_cm * (1.0 + params.rel_bias)
     sigma_cm = params.rel_sigma * true_cm
+    gate_cm = GATE_HIGH_CM - GATE_LOW_CM
 
     def draw() -> int:
         if random_() < outlier_prob:
-            return max(1, round(uniform(GATE_LOW_CM, GATE_HIGH_CM) * PULSES_PER_CM))
-        return max(1, round((biased_cm + gauss(0.0, sigma_cm)) * PULSES_PER_CM))
+            # rng.uniform(GATE_LOW_CM, GATE_HIGH_CM)
+            pulses = round((GATE_LOW_CM + gate_cm * random_()) * PULSES_PER_CM)
+        else:
+            # rng.gauss(0.0, sigma_cm), written out as Random.gauss does it,
+            # keeping its second value in rng.gauss_next for the next call
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = random_() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random_()))
+                z = cos(x2pi) * g2rad
+                rng.gauss_next = sin(x2pi) * g2rad
+            pulses = round((biased_cm + (0.0 + z * sigma_cm)) * PULSES_PER_CM)
+        return pulses if pulses > 1 else 1  # max(1, pulses) without the call
     return draw
 
 

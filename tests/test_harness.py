@@ -4,6 +4,7 @@ trace serialization, and the echoguide-sim command line."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -339,6 +340,31 @@ def test_pattern_fields_are_read_by_a_table(tmp_path, pattern, named):
         load_expectations(path)
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"schema_version": 99, "patterns": []}, "schema_version: must be 1"),
+    ({"schema_version": 1, "paterns_extra": 1, "patterns": []}, "paterns_extra: unknown field"),
+    ({"schema_version": 1}, "patterns: missing"),
+    ({"patterns": {"op": "never", "kind": "call"}}, "patterns: must be a list"),
+    ("never call", "expected a list of patterns or an object with one"),
+], ids=["other schema version", "unknown top-level key", "no patterns", "patterns not a list",
+        "neither list nor object"])
+def test_expectation_file_is_read_by_a_table(tmp_path, doc, named):
+    # Top-level keys other than patterns used to be ignored.
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}: {named}$"):
+        load_expectations(path)
+
+
+def test_expectation_file_forms_load_alike(tmp_path):
+    patterns = [{"op": "eventually", "kind": "alert", "where": {"channel": "ground"}},
+                {"op": "never", "kind": "call"}]
+    path = tmp_path / "expect.json"
+    for doc in (patterns, {"patterns": patterns}, {"schema_version": 1, "patterns": patterns}):
+        path.write_text(json.dumps(doc))
+        assert load_expectations(path) == patterns
+
+
 def test_bundled_expectations_hold_for_ground_obstacle():
     trace = run_scenario(load_scenario(SCENARIO_DIR / "ground_obstacle.json"))
     patterns = load_expectations(EXPECTATION_DIR / "ground_alert.json")
@@ -414,6 +440,32 @@ def test_cli_bad_input_exits_2_naming_the_place(tmp_path, capsys, command, bad_f
     assert sim_main(argv) == 2
     err = capsys.readouterr().err
     assert str(tmp_path / "bad.json") in err and named in err
+
+
+@pytest.mark.parametrize("section, value, named", [
+    ("scenario", {"user_events": [{"t": 1000, "kind": "utterance", "text": "\ud800 help"}]},
+     "user_events[0].text"),
+    ("config", {"app": {"device_id": "walker-\udfff"}}, "app.device_id"),
+    ("config", {"app": {"phrases": {"Ground": {"english": "Ground \ud83d"}}}},
+     "app.phrases.Ground.english"),
+], ids=["utterance text", "device id", "phrase"])
+def test_cli_run_refuses_a_lone_surrogate_before_writing(tmp_path, capsys, section, value,
+                                                         named):
+    # A lone surrogate is valid JSON but cannot be written as UTF-8: the run
+    # used to die with a UnicodeEncodeError and leave an empty trace file.
+    scenario = json.loads((SCENARIO_DIR / "ground_obstacle.json").read_text(encoding="utf-8"))
+    config = {"schema_version": 1}
+    {"scenario": scenario, "config": config}[section].update(value)
+    paths = {name: tmp_path / f"{name}.json" for name in ("scenario", "config")}
+    paths["scenario"].write_text(json.dumps(scenario), encoding="utf-8")
+    paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    trace_path = tmp_path / "run.jsonl"
+    code = sim_main(["run", "--scenario", str(paths["scenario"]),
+                     "--config", str(paths["config"]), "--trace", str(trace_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{named}: must be Unicode text, without lone surrogates" in err
+    assert not trace_path.exists()
 
 
 GOOD_MEASUREMENT = {"t": 0, "kind": "measurement", "channel": "ground", "measured_cm": 50,

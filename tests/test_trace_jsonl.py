@@ -1,15 +1,19 @@
 """TraceLog.to_jsonl against json.dumps: one line per event, byte for byte,
-with the C encoder it builds once per trace and with the pure-Python
-encoder it falls back to."""
+with the C encoder it builds once per trace, with the pure-Python encoder
+it falls back to, and on the lines it writes directly for the hot kinds."""
 
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from echoguide import trace
-from echoguide.trace import TraceLog
+from echoguide.trace import TraceLog, ev_alert, ev_measurement, ev_no_echo
+from echoguide.world import Channel, SurfaceKind, Weather
 
 EVENTS = [
     {"t": 0, "kind": "speak", "message": "Ground", "language": "bn",
@@ -78,3 +82,115 @@ def test_shared_values_are_not_circular(monkeypatch, switch):
 
 def test_empty_trace_is_empty_text():
     assert TraceLog().to_jsonl() == ""
+
+
+# -- the hot kinds: measurement, alert and no_echo -------------------------------
+
+
+class OddStr(str):
+    """Encodes as its text, but formats as something else."""
+
+    def __str__(self) -> str:
+        return "odd"
+
+
+class LyingStr(str):
+    """Encodes as its text, but claims to equal anything."""
+
+    def __eq__(self, other: object) -> bool:
+        return True
+
+    __hash__ = str.__hash__
+
+
+class OddInt(int):
+    def __str__(self) -> str:
+        return "odd"
+
+    __repr__ = __str__
+
+
+PRISTINE = [
+    ev_measurement(0, Channel.GROUND, 51, 50.0, SurfaceKind.TILES, Weather.DRY),
+    ev_measurement(10, Channel.LEFT, 1, None, SurfaceKind.CONCRETE, Weather.WET),
+    ev_measurement(20, Channel.RIGHT, 600, 600, SurfaceKind.TILES, Weather.WET),
+    ev_alert(30, Channel.GROUND, 40),
+    ev_no_echo(40, Channel.RIGHT),
+]
+MEASUREMENT, _, _, ALERT, NO_ECHO = PRISTINE
+
+
+def test_pristine_hot_events_do_not_reach_the_encoder():
+    def no_encoder(*args):
+        def encode(event, level):
+            raise AssertionError(f"encoded {event}")
+        return encode
+
+    with mock.patch.object(trace, "c_make_encoder", no_encoder):
+        assert TraceLog(PRISTINE).to_jsonl() == expected_lines(PRISTINE)
+
+
+ODD_VALUES = [
+    None, True, False, 0, -7, 2**70, OddInt(5), 0.5, 1.0, -0.0, 1e16, 1e-7,
+    float("nan"), float("inf"), float("-inf"), "ground", "tiles", "dry", "measurement",
+    "alert", "no_echo", 'gro"und', "ground\\", "grass", "", "é", OddStr("ground"),
+    OddStr("measurement"), LyingStr("alarm"), [1, "ground"], {"b": 1, "a": None},
+]
+EXTRA_KEYS = ["a", "extra", "t", "kind", "zz", "channel", "true_cm"]
+
+
+@st.composite
+def mutated_hot_events(draw) -> dict:
+    """A hot-kind event as its ev_* function builds it, then mutated: keys
+    reordered, added or dropped, and values swapped for odd ones."""
+    t = draw(st.integers(0, 10**7))
+    channel = draw(st.sampled_from(Channel))
+    kind = draw(st.sampled_from(["measurement", "alert", "no_echo"]))
+    if kind == "measurement":
+        true_cm = draw(st.one_of(st.none(), st.integers(0, 700), st.floats(allow_nan=True)))
+        event = ev_measurement(t, channel, draw(st.integers(-5, 10**6)), true_cm,
+                               draw(st.sampled_from(SurfaceKind)), draw(st.sampled_from(Weather)))
+    elif kind == "alert":
+        event = ev_alert(t, channel, draw(st.integers(0, 700)))
+    else:
+        event = ev_no_echo(t, channel)
+    items = list(event.items())
+    for _ in range(draw(st.integers(0, 3))):
+        mutation = draw(st.sampled_from(["swap", "add", "drop", "reorder"]))
+        if mutation == "swap" and items:
+            i = draw(st.integers(0, len(items) - 1))
+            items[i] = (items[i][0], draw(st.sampled_from(ODD_VALUES)))
+        elif mutation == "add":
+            key = draw(st.sampled_from(EXTRA_KEYS))
+            items = [item for item in items if item[0] != key]
+            items.insert(draw(st.integers(0, len(items))), (key, draw(st.sampled_from(ODD_VALUES))))
+        elif mutation == "drop" and items:
+            del items[draw(st.integers(0, len(items) - 1))]
+        elif mutation == "reorder":
+            items = draw(st.permutations(items))
+    return dict(items)
+
+
+def with_value(event: dict, key: str, value) -> dict:
+    return {k: (value if k == key else v) for k, v in event.items()}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(events=st.lists(mutated_hot_events(), min_size=1, max_size=4))
+@example(events=[with_value(MEASUREMENT, "t", True), with_value(ALERT, "t", 3.0),
+                 with_value(NO_ECHO, "t", OddInt(4)), with_value(ALERT, "distance_cm", False)])
+@example(events=[with_value(MEASUREMENT, "true_cm", value)
+                 for value in (float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 7)])
+@example(events=[with_value(NO_ECHO, "channel", 'gro"und'), with_value(ALERT, "channel", "\\"),
+                 with_value(MEASUREMENT, "surface", "grass"),
+                 with_value(MEASUREMENT, "weather", OddStr("dry")),
+                 with_value(NO_ECHO, "kind", OddStr("no_echo")),
+                 with_value(ALERT, "kind", LyingStr("alarm")),
+                 with_value(MEASUREMENT, "measured_cm", OddInt(50))])
+@example(events=[dict(reversed(list(MEASUREMENT.items()))), {**ALERT, "extra": 1},
+                 {k: v for k, v in MEASUREMENT.items() if k != "true_cm"}])
+def test_hot_kinds_are_written_as_json_dumps_writes_them(events):
+    expected = expected_lines(events)
+    assert TraceLog(events).to_jsonl() == expected
+    with mock.patch.object(trace, "c_make_encoder", None):
+        assert TraceLog(events).to_jsonl() == expected

@@ -426,12 +426,18 @@ def test_echo_sampler_draws_as_sample_echo_per_poll(true_cm, params, seed, polls
 
 
 def test_echo_sampler_shares_the_generator_with_other_draws():
-    # Draws of two closures on one generator interleave as their calls do.
+    # Draws of two closures on one generator interleave as their calls do,
+    # and with the generator's own gauss, which shares its cached value.
     params = NoiseParams(0.1, 0.02, 0.3)
     a, b = random.Random(5), random.Random(5)
     near, far = echo_sampler(40.0, params, a), echo_sampler(300.0, params, a)
     got = [near(), far(), far(), near(), sample_echo(120.0, params, a), near()]
     want = [written_out_sample(cm, params, b) for cm in (40.0, 300.0, 300.0, 40.0, 120.0, 40.0)]
+    assert got == want and a.getstate() == b.getstate()
+    got = [a.gauss(0.0, 1.0), near(), a.gauss(0.0, 1.0), far(), far(), a.gauss(0.0, 1.0)]
+    want = [b.gauss(0.0, 1.0), written_out_sample(40.0, params, b), b.gauss(0.0, 1.0),
+            written_out_sample(300.0, params, b), written_out_sample(300.0, params, b),
+            b.gauss(0.0, 1.0)]
     assert got == want and a.getstate() == b.getstate()
 
 
