@@ -11,7 +11,9 @@ The store indexes fixes by device, each device's list sorted by
 O(1) and history O(limit).  The HTTP handler answers a bad Content-Length
 with 400, one over MAX_BODY_BYTES with 413 and a method other than GET or
 POST with 405, without reading the body, and gives up on a connection that
-stays silent for REQUEST_TIMEOUT_S.
+stays silent for REQUEST_TIMEOUT_S, an idle kept-alive one among them.
+Replies leave with TCP_NODELAY, headers and body in one send, so a client
+that keeps its connection open waits for no delayed ACK.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import bisect
 import json
 import os
 import re
+import socket
 import sys
 import threading
 from dataclasses import dataclass
@@ -292,11 +295,22 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
     service: TrackService  # injected by make_http_server
     protocol_version = "HTTP/1.1"
     timeout = REQUEST_TIMEOUT_S  # a silent connection or a short body frees its thread
+    # A reply that fits wbufsize leaves in one send, at handle_one_request's
+    # flush.  TCP_NODELAY keeps one that takes more sends from waiting for
+    # the client's delayed ACK (tens of ms) on a kept-alive connection.
+    disable_nagle_algorithm = True
+    wbufsize = 64 * 1024
 
     # -- plumbing -----------------------------------------------------------
 
     def log_message(self, fmt: str, *args: object) -> None:
         pass  # keep stdio clean; errors surface through status codes
+
+    def handle_expect_100(self) -> bool:
+        """Send "100 Continue" now: the client holds the body back until it arrives."""
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _reply(self, status: int, payload: object, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -402,13 +416,45 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
             self._reply(200, found.as_dict())
 
 
+class _TrackHTTPServer(ThreadingHTTPServer):
+    """ThreadingHTTPServer whose server_close() also ends the connections it
+    still serves and waits for their handlers to return, so no kept-alive
+    client is answered by a stopped server."""
+
+    daemon_threads = False  # so that ThreadingMixIn.server_close() joins them
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._open: set[socket.socket] = set()  # connections being served
+        self._open_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        with self._open_lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # its handler reads EOF and returns
+                except OSError:  # the peer is gone already
+                    pass
+        super().server_close()
+
+
 def make_http_server(listen: str, service: TrackService) -> ThreadingHTTPServer:
     """Bind a threaded HTTP server exposing the service; caller runs it."""
     host, _, port_text = listen.rpartition(":")
     if not host or not port_text.isdigit():
         raise ValueError(f"listen address must be host:port, got {listen!r}")
     handler = type("BoundHandler", (TrackRequestHandler,), {"service": service})
-    return ThreadingHTTPServer((host, int(port_text)), handler)
+    return _TrackHTTPServer((host, int(port_text)), handler)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

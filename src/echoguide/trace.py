@@ -103,8 +103,10 @@ class TraceLog:
         return "\n".join(lines)
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+        """Write the trace to `path`; one that cannot be serialized leaves the file as it was."""
+        data = self.to_jsonl().encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
 
     @classmethod
     def read(cls, path: str) -> "TraceLog":

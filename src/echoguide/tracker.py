@@ -4,18 +4,22 @@ latest fix or trail and emit map-ready output.
 Subcommands: get-location (print the newest fix), show-map (GeoJSON Point
 plus a maps URL), track (GeoJSON trail).  Exit codes: 0 success, 2 server
 unreachable or its reply malformed, 3 no fix recorded for the device.
+
+Queries go over HTTP/1.1 persistent connections: each one the server
+leaves open goes back to an idle list for the next query to the same
+server, from any thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import math
 import sys
-import urllib.error
-import urllib.request
+import threading
 from typing import Optional
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 from .jsonread import FIX_FIELDS, bounded_rule, list_rule, object_rule, read_json
 
@@ -52,19 +56,81 @@ def _base_url(server: str) -> str:
     return "http://" + server.rstrip("/")
 
 
+# Idle kept-alive connections by (scheme, host, port), most recently used last.
+_idle: dict[tuple[str, str, int], list[http.client.HTTPConnection]] = {}
+_idle_lock = threading.Lock()
+
+# How a connection that sat idle fails once the server has closed it: the GET
+# is sent (or refused) and no status line comes back.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
+def _exchange(conn: http.client.HTTPConnection, target: str) -> http.client.HTTPResponse:
+    """Send the GET and read the reply's status line and headers."""
+    conn.request("GET", target)
+    return conn.getresponse()
+
+
 def _get_json(url: str, timeout: float) -> tuple[int, object]:
+    """Status and decoded body of a GET, over an idle connection to the same
+    server when there is one.  A 200 body that is not UTF-8 JSON raises
+    BadReply; any other body that is not becomes {"error": reason}.
+
+    Only a connection taken from the idle list is tried again, on a new
+    connection and once, and only when it fails before a status line
+    arrives: the server may have closed it while it sat idle.
+    """
+    parts = urlsplit(url)
+    https = parts.scheme == "https"
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
-            return resp.status, json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        # Server answered with an error status; still a reachable server.
-        try:
-            payload = json.loads(exc.read().decode("utf-8"))
-        except ValueError:
-            payload = {"error": exc.reason}
-        return exc.code, payload
-    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
+        port = parts.port or (443 if https else 80)
+    except ValueError as exc:  # a port that is not a number in 0..65535
         raise ServerUnreachable(str(exc)) from None
+    if not parts.hostname:
+        raise ServerUnreachable("no host given")
+    key = (parts.scheme, parts.hostname, port)
+    target = f"{parts.path}?{parts.query}"
+    with _idle_lock:
+        idle = _idle.get(key)
+        conn = idle.pop() if idle else None
+    try:
+        response = None
+        if conn is not None:
+            conn.sock.settimeout(timeout)
+            try:
+                response = _exchange(conn, target)
+            except _STALE:
+                conn.close()
+        if response is None:
+            connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            conn = connection(parts.hostname, port, timeout=timeout)
+            response = _exchange(conn, target)
+        body = response.read()
+    except (http.client.HTTPException, OSError) as exc:  # OSError: refused, reset, timed out
+        if conn is not None:
+            conn.close()
+        raise ServerUnreachable(str(exc) or type(exc).__name__) from None
+    if response.will_close:
+        conn.close()
+    else:
+        with _idle_lock:
+            _idle.setdefault(key, []).append(conn)
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        if response.status == 200:
+            raise BadReply(f"reply: not valid JSON ({exc})") from None
+        payload = {"error": response.reason}
+    return response.status, payload
+
+
+def _close_idle() -> None:
+    """Close every idle connection, for a process that is about to end."""
+    with _idle_lock:
+        conns = [conn for idle in _idle.values() for conn in idle]
+        _idle.clear()
+    for conn in conns:
+        conn.close()
 
 
 def fetch_latest(server: str, device_id: str, timeout: float = 5.0) -> dict:
@@ -214,6 +280,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoFix:
         print(f"no fix recorded for device '{args.device}'", file=sys.stderr)
         return EXIT_NO_FIX
+    finally:
+        _close_idle()
     return EXIT_OK
 
 

@@ -462,6 +462,58 @@ def test_unknown_path_is_404(live_server):
     assert status == 404
 
 
+# -- kept-alive connections ----------------------------------------------------------
+
+
+def test_kept_alive_gets_do_not_wait_for_delayed_acks(live_server):
+    http_post(live_server, "/api/locations", good_fix())
+    connection = http.client.HTTPConnection(live_server[len("http://"):], timeout=5)
+    try:
+        started = time.monotonic()
+        for _ in range(50):  # at a 40 ms delayed-ACK stall each, these would take 2 s
+            connection.request("GET", "/api/locations/latest?device_id=walker-1")
+            response = connection.getresponse()
+            assert (response.status, json.loads(response.read())["id"]) == (200, 1)
+        elapsed = time.monotonic() - started
+    finally:
+        connection.close()
+    assert elapsed < 0.5
+
+
+def test_server_close_ends_kept_alive_connections(tmp_path):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    before = set(threading.enumerate())
+    with serving(TrackService(store)) as base:
+        connection = http.client.HTTPConnection(base[len("http://"):], timeout=5)
+        connection.request("GET", "/api/locations/latest?device_id=walker-1")
+        assert connection.getresponse().read()  # the 404, on a connection kept open
+        started = time.monotonic()
+    closing_s = time.monotonic() - started
+    store.close()
+    try:
+        assert connection.sock.recv(1) == b""  # the server ended the connection
+    finally:
+        connection.close()
+    started = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in started:  # the serving thread and the connection's handler
+        thread.join(timeout=1.0)
+    assert [thread for thread in started if thread.is_alive()] == []
+    assert closing_s < 1.0
+
+
+def test_expect_100_continue_is_answered_before_the_body(live_server):
+    port = int(live_server.rsplit(":", 1)[1])
+    body = json.dumps(good_fix()).encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+        sock.sendall(f"POST /api/locations HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                     f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n".encode())
+        assert sock.recv(1024).startswith(b"HTTP/1.1 100 Continue\r\n")
+        sock.sendall(body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        assert (response.status, json.loads(response.read())["id"]) == (201, 1)
+
+
 def write_rows(path, rows) -> None:
     path.write_text("".join(json.dumps(dict(row, id=i)) + "\n"
                             for i, row in enumerate(rows, start=1)))

@@ -84,6 +84,17 @@ def test_empty_trace_is_empty_text():
     assert TraceLog().to_jsonl() == ""
 
 
+@pytest.mark.parametrize("value, error", [(b"bytes", TypeError), ("\ud800", UnicodeEncodeError)],
+                         ids=["bytes", "lone surrogate"])
+def test_write_that_cannot_serialize_leaves_the_old_file(tmp_path, value, error):
+    path = tmp_path / "trace.jsonl"
+    old = [{"t": 0, "kind": "speak", "text": "সাবধান"}]
+    TraceLog(old).write(path)
+    with pytest.raises(error):
+        TraceLog([*old, {"t": 1, "kind": "x", "data": value}]).write(path)
+    assert path.read_text(encoding="utf-8") == expected_lines(old)
+
+
 # -- the hot kinds: measurement, alert and no_echo -------------------------------
 
 

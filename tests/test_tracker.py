@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from echoguide import tracker
 from echoguide.server import TrackService, TrackStore, make_http_server
 from echoguide.tracker import (
     EXIT_NO_FIX,
     EXIT_OK,
     EXIT_UNREACHABLE,
+    ServerUnreachable,
+    fetch_latest,
     fix_line,
     format_coord,
     main,
@@ -97,19 +101,46 @@ def test_track_feature_requires_at_least_one_fix():
 # -- CLI against a live server ---------------------------------------------------------
 
 
+def count_connections(httpd) -> list:
+    """Make httpd append each connection it accepts to the list returned."""
+    accepted = []
+    process_request = httpd.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    httpd.process_request = counting
+    return accepted
+
+
+class Serving:
+    """A tracking server on `port` over the store at `path`, in a thread."""
+
+    def __init__(self, path, port, handler_timeout=None):
+        self.store = TrackStore(path)
+        self.service = TrackService(self.store)
+        self.httpd = make_http_server(f"127.0.0.1:{port}", self.service)
+        if handler_timeout is not None:
+            self.httpd.RequestHandlerClass.timeout = handler_timeout
+        self.accepted = count_connections(self.httpd)
+        self.thread = threading.Thread(target=self.httpd.serve_forever,
+                                       kwargs={"poll_interval": 0.05}, daemon=True)
+        self.thread.start()
+
+    def stop(self):
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join(timeout=5.0)
+        self.store.close()
+
+
 @pytest.fixture
 def live_tracking(tmp_path):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
     port = free_port()
-    httpd = make_http_server(f"127.0.0.1:{port}", service)
-    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
-                              daemon=True)
-    thread.start()
-    yield service, f"127.0.0.1:{port}"
-    httpd.shutdown()
-    httpd.server_close()
-    store.close()
+    serving = Serving(tmp_path / "locations.jsonl", port)
+    yield serving.service, f"127.0.0.1:{port}"
+    serving.stop()
 
 
 def test_get_location_prints_latest_line(live_tracking, capsys):
@@ -194,17 +225,84 @@ def test_unreachable_server_exits_2(capsys):
     assert "unreachable" in capsys.readouterr().err
 
 
+# -- kept-alive connections ------------------------------------------------------------
+
+
+def test_fetches_on_one_thread_share_one_connection(tmp_path):
+    port = free_port()
+    serving = Serving(tmp_path / "locations.jsonl", port)
+    try:
+        serving.service.insert_fix(fix_dict())
+        for _ in range(3):
+            assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 22.9006
+        assert len(serving.accepted) == 1
+    finally:
+        serving.stop()
+
+
+def test_connection_the_server_dropped_while_idle_is_retried_once(tmp_path):
+    port = free_port()
+    serving = Serving(tmp_path / "locations.jsonl", port, handler_timeout=0.2)
+    try:
+        serving.service.insert_fix(fix_dict())
+        fetch_latest(f"127.0.0.1:{port}", "walker-1")
+        time.sleep(0.8)  # the handler gives up on the idle connection and closes it
+        assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 22.9006
+        assert len(serving.accepted) == 2
+    finally:
+        serving.stop()
+
+
+def test_server_restarted_on_the_same_port_answers_the_next_fetch(tmp_path):
+    port = free_port()
+    old = Serving(tmp_path / "old.jsonl", port)
+    old.service.insert_fix(fix_dict(lat=10.0))
+    assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 10.0
+    old.stop()
+    new = Serving(tmp_path / "new.jsonl", port)
+    try:
+        new.service.insert_fix(fix_dict(lat=20.0))
+        assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 20.0
+    finally:
+        new.stop()
+
+
+def test_idle_connection_to_a_stopped_server_is_still_exit_2(tmp_path, capsys):
+    port = free_port()
+    serving = Serving(tmp_path / "locations.jsonl", port)
+    serving.service.insert_fix(fix_dict())
+    fetch_latest(f"127.0.0.1:{port}", "walker-1")
+    serving.stop()  # nothing listens on the port now; the retry is refused
+    code = main(["--server", f"127.0.0.1:{port}", "--device", "walker-1", "get-location"])
+    assert code == EXIT_UNREACHABLE
+    assert capsys.readouterr().err.startswith("server unreachable: ")
+
+
 # -- CLI against a stub server whose replies are malformed ------------------------------
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Answers every GET with 200 and the server's `reply`, as JSON."""
+    """Answers every GET with 200 and the server's `reply`: JSON, or bytes as
+    they are.  With the server's `close` set, each reply says Connection:
+    close.  A second GET on one connection gets no reply: it waits for the
+    server's `release` and is dropped."""
+
+    protocol_version = "HTTP/1.1"
+    requests = 0
 
     def do_GET(self):
-        body = json.dumps(self.server.reply).encode("utf-8")
+        self.requests += 1
+        if self.requests > 1:
+            self.server.release.wait(5.0)
+            self.close_connection = True
+            return
+        reply = self.server.reply
+        body = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.server.close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -215,10 +313,13 @@ class StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    httpd.close = False
+    httpd.release = threading.Event()
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
     yield httpd
+    httpd.release.set()
     httpd.shutdown()
     httpd.server_close()
     thread.join()
@@ -260,3 +361,35 @@ def test_malformed_reply_exits_2_naming_the_field(stub_server, capsys, command, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"bad server reply: {named}")
+
+
+@pytest.mark.parametrize("reply", [b"<html>not json</html>", b'"\xff"'],
+                         ids=["not JSON", "not UTF-8"])
+def test_reply_that_is_not_json_exits_2(stub_server, capsys, reply):
+    assert run_against(stub_server, reply, "get-location") == EXIT_UNREACHABLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bad server reply: reply: not valid JSON")
+
+
+def test_reply_with_connection_close_is_not_kept(stub_server):
+    stub_server.reply = reply_fix()
+    stub_server.close = True
+    accepted = count_connections(stub_server)
+    host, port = stub_server.server_address[:2]
+    for _ in range(2):
+        assert fetch_latest(f"{host}:{port}", "walker-1")["id"] == 7
+    assert len(accepted) == 2
+    assert not tracker._idle.get(("http", host, port))
+
+
+def test_timeout_bounds_a_kept_alive_connection_and_is_not_retried(stub_server):
+    stub_server.reply = reply_fix()
+    accepted = count_connections(stub_server)
+    host, port = stub_server.server_address[:2]
+    fetch_latest(f"{host}:{port}", "walker-1", timeout=5.0)
+    started = time.monotonic()
+    with pytest.raises(ServerUnreachable, match="timed out"):
+        fetch_latest(f"{host}:{port}", "walker-1", timeout=0.3)  # the stub stalls
+    assert time.monotonic() - started < 2.0
+    assert len(accepted) == 1
