@@ -42,26 +42,34 @@ def _summarize(trace: TraceLog) -> str:
     return ", ".join(parts)
 
 
+def _write_trace(trace: TraceLog, path: Optional[str]) -> None:
+    if path:
+        trace.write(path)
+        print(f"trace written to {path}")
+
+
+def _print_report(traces: list[TraceLog], out: Optional[str]) -> None:
+    """Print the accuracy table of the traces, and write it as JSON to out if given."""
+    report = error_report(traces)
+    print(report.table())
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"report written to {out}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     script = load_scenario(args.scenario)
     config = load_config(args.config) if args.config else SystemConfig.default()
     trace = run_scenario(script, config, seed=args.seed, store_path=args.store)
-    if args.trace:
-        trace.write(args.trace)
-        print(f"trace written to {args.trace}")
+    _write_trace(trace, args.trace)
     print(_summarize(trace))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    traces = [TraceLog.read(path) for path in args.trace]
-    report = error_report(traces)
-    print(report.table())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.out}")
+    _print_report([TraceLog.read(path) for path in args.trace], args.out)
     return 0
 
 
@@ -78,16 +86,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     trace = distance_error_experiment(
         calibration=config.calibration, firmware_cfg=config.firmware, seed=args.seed
     )
-    if args.trace:
-        trace.write(args.trace)
-        print(f"trace written to {args.trace}")
-    report = error_report([trace])
-    print(report.table())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.out}")
+    _write_trace(trace, args.trace)
+    _print_report([trace], args.out)
     return 0
 
 

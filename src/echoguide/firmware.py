@@ -21,9 +21,9 @@ from .world import (
     PULSES_PER_CM,
 )
 
-# One poll of the rangefinder: a raw pulse count, or None when no echo returned.
-# A source may instead have a segment method; see acquire_distance.
-EchoSource = Callable[[], Optional[int]]
+# The rangefinder of one channel, one segment at a time: segment(t_ms) gives
+# (draw, until_ms), draw being None while there is no echo; see acquire_distance.
+EchoSource = Callable[[int], tuple[Optional[Callable[[], int]], float]]
 
 
 class NoEchoError(RuntimeError):
@@ -101,7 +101,7 @@ def median9(samples: Sequence[int], cfg: FirmwareConfig = FirmwareConfig()) -> i
     return sorted(samples)[n // 2]
 
 
-def acquire_distance(channel: Channel, sensor: EchoSource, clock: VirtualClock,
+def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
                      cfg: FirmwareConfig = FirmwareConfig()) -> int:
     """Run one full measurement round on a channel.
 
@@ -111,22 +111,21 @@ def acquire_distance(channel: Channel, sensor: EchoSource, clock: VirtualClock,
     virtual time whether or not it produced a usable reading.  Raises
     NoEchoError when max_sample_attempts polls yield too few valid samples.
 
-    A sensor with a segment(t_ms) method (see world.ChannelEcho) gives
-    (draw, until_ms): each poll from t_ms before until_ms calls draw(), or,
-    while draw is None, the run counts its attempts and moves the clock in
-    one step.  A plain callable is a segment of one poll.  Segments are
-    looked up only at poll times with attempts left, so the result, clock
-    and any error are those of polling one by one.
+    segment(t_ms) gives (draw, until_ms) for the segment holding t_ms (see
+    world.ChannelEcho): each poll from t_ms before until_ms calls draw(),
+    or, while draw is None, the round counts its attempts and moves the
+    clock in one step.  Segments are looked up only at poll times with
+    attempts left, so the result, clock and any error are those of polling
+    one by one.
     """
     period = cfg.sample_period_ms
     limit = cfg.max_sample_attempts
-    segment = getattr(sensor, "segment", None)
     advance = clock.advance
     valid: list[int] = []
     attempts = 0
     while attempts < limit:
         t_ms = clock.now()
-        draw, until = segment(t_ms) if segment is not None else (sensor, t_ms + 1)
+        draw, until = segment(t_ms)
         polls = limit - attempts
         if until != math.inf:  # the polls at t_ms, t_ms + period, ... before until
             polls = min(polls, -((t_ms - until) // period))
@@ -137,8 +136,6 @@ def acquire_distance(channel: Channel, sensor: EchoSource, clock: VirtualClock,
         for _ in range(polls):
             pulses = draw()
             advance(period)
-            if pulses is None:
-                continue
             distance = pulses_to_cm(pulses, cfg)
             if gate_valid(distance, cfg):
                 valid.append(distance)

@@ -10,6 +10,7 @@ trace.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import tempfile
@@ -95,8 +96,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
 
     # sample_echo is passed by this module's name, where perfbench's traced
     # run wraps it to count draws.
-    sensors = {channel: ChannelEcho(script, channel, config.calibration, echo_rng, clock,
-                                    sample=sample_echo)
+    sensors = {channel: ChannelEcho(script, channel, config.calibration, echo_rng,
+                                    sample=sample_echo).segment
                for channel in Channel}
 
     temp_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -107,15 +108,15 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     service = TrackService(store)
 
     def fix_at(due_ms: int):
-        provider = select_provider(script.gps_at(due_ms), script.network_at(due_ms))
+        provider = select_provider(script.gps.at(due_ms), script.network.at(due_ms))
         if provider is None:
             return None
-        lat, lon = script.position_at(due_ms)
+        lat, lon = script.geo.at(due_ms)
         timestamp = utc_string(script.start_epoch_s + due_ms // 1000)
         return make_fix(lat, lon, provider, timestamp, config.app, fix_rng)
 
     def deliver(fix, due_ms: int) -> Optional[int]:
-        if not script.server_at(due_ms):
+        if not script.server.at(due_ms):
             return None
         try:
             record = service.insert_fix({
@@ -178,8 +179,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
                 else:
                     trace.add(ev_measurement(
                         r.t_ms, r.channel, r.distance_cm,
-                        script.distance_cm_at(r.channel, r.t_ms),
-                        script.surface_at(r.t_ms), script.weather_at(r.t_ms),
+                        script.channels[r.channel].at(r.t_ms),
+                        script.surface.at(r.t_ms), script.weather.at(r.t_ms),
                     ))
                 if r.alerting:
                     trace.add(ev_alert(r.t_ms, r.channel, r.distance_cm))
@@ -217,8 +218,7 @@ def experiment_grid() -> list[int]:
 
 def distance_error_experiment(calibration: Optional[Calibration] = None,
                               firmware_cfg: Optional[FirmwareConfig] = None,
-                              seed: int = EXPERIMENT_SEED,
-                              grid: Optional[Sequence[float]] = None) -> TraceLog:
+                              seed: int = EXPERIMENT_SEED) -> TraceLog:
     """Measure every grid distance once per (surface, weather) condition.
 
     Each point runs the full firmware measurement round (nine gated samples,
@@ -228,16 +228,16 @@ def distance_error_experiment(calibration: Optional[Calibration] = None,
     if calibration is None:
         calibration = SystemConfig.default().calibration
     cfg = firmware_cfg if firmware_cfg is not None else FirmwareConfig()
-    points = list(grid) if grid is not None else experiment_grid()
     rng = random.Random(seed)
     clock = VirtualClock()
     trace = TraceLog()
     for surface in (SurfaceKind.TILES, SurfaceKind.CONCRETE):
         for weather in (Weather.DRY, Weather.WET):
             params = noise_params_for(surface, weather, calibration)
-            for true_cm in points:
-                try:
-                    measured = acquire_distance(Channel.GROUND, echo_sampler(true_cm, params, rng),
+            for true_cm in experiment_grid():
+                draw = echo_sampler(true_cm, params, rng)
+                try:  # a fixed target: one segment that never ends
+                    measured = acquire_distance(Channel.GROUND, lambda t_ms: (draw, math.inf),
                                                 clock, cfg)
                 except NoEchoError:
                     trace.add(ev_no_echo(clock.now(), Channel.GROUND))

@@ -438,6 +438,12 @@ class _TrackHTTPServer(ThreadingHTTPServer):
             self._open.discard(request)
         super().shutdown_request(request)
 
+    def handle_error(self, request, client_address) -> None:
+        """Say nothing of a client that reset or dropped its connection;
+        report any other failure as socketserver does."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
     def server_close(self) -> None:
         with self._open_lock:
             for sock in self._open:
@@ -451,10 +457,13 @@ class _TrackHTTPServer(ThreadingHTTPServer):
 def make_http_server(listen: str, service: TrackService) -> ThreadingHTTPServer:
     """Bind a threaded HTTP server exposing the service; caller runs it."""
     host, _, port_text = listen.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"listen address must be host:port, got {listen!r}")
+    port = _digits(port_text)
+    if not host or port is None:
+        raise ValueError("listen address must be host:port, the port in ASCII digits")
+    if port > 65535:
+        raise ValueError("port must be at most 65535")
     handler = type("BoundHandler", (TrackRequestHandler,), {"service": service})
-    return _TrackHTTPServer((host, int(port_text)), handler)
+    return _TrackHTTPServer((host, port), handler)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -474,9 +483,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     listen = os.environ.get(ENV_LISTEN, args.listen)
     store_path = os.environ.get(ENV_STORE, args.store)
 
-    store = TrackStore(store_path)
-    service = TrackService(store)
-    httpd = make_http_server(listen, service)
+    # A startup error exits 2 with one line naming the setting at fault, as
+    # echoguide-sim and echoguide-tracker do.
+    def setting(env: str, flag: str) -> str:
+        return env if env in os.environ else flag
+
+    try:
+        store = TrackStore(store_path)
+    except (StorageError, OSError) as exc:  # a corrupt store, or a path it cannot open
+        print(f"error: {setting(ENV_STORE, '--store')}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        httpd = make_http_server(listen, TrackService(store))
+    except (ValueError, OSError) as exc:  # a bad address, or one that cannot be bound
+        store.close()
+        print(f"error: {setting(ENV_LISTEN, '--listen')} {listen}: {exc}", file=sys.stderr)
+        return 2
     host, port = httpd.server_address[:2]
     print(f"serving on http://{host}:{port} (store: {store_path})", flush=True)
     try:

@@ -20,7 +20,6 @@ from functools import partial
 from math import cos, log, sin, sqrt, tau
 from typing import Callable, Optional, Sequence
 
-from .clock import VirtualClock
 from .errors import ConfigError, ScenarioError
 from .jsonread import (
     INSTANT, LATITUDE, LONGITUDE, Rejected, bounded_rule, built_rule, list_rule, load_json,
@@ -239,7 +238,8 @@ class UserEvent:
 
 @dataclass
 class ScenarioScript:
-    """Complete deterministic description of one simulated walk."""
+    """Complete deterministic description of one simulated walk; each
+    timeline is read with its own at(t_ms)."""
 
     duration_ms: int
     seed: int
@@ -272,29 +272,6 @@ class ScenarioScript:
                 raise ScenarioError(f"user_events[{i}].t: must increase strictly and "
                                     f"not pass duration_ms")
 
-    # -- accessors ---------------------------------------------------------
-
-    def distance_cm_at(self, channel: Channel, t_ms: int) -> Optional[float]:
-        return self.channels[channel].at(t_ms)  # type: ignore[return-value]
-
-    def surface_at(self, t_ms: int) -> SurfaceKind:
-        return self.surface.at(t_ms)  # type: ignore[return-value]
-
-    def weather_at(self, t_ms: int) -> Weather:
-        return self.weather.at(t_ms)  # type: ignore[return-value]
-
-    def position_at(self, t_ms: int) -> tuple[float, float]:
-        return self.geo.at(t_ms)
-
-    def gps_at(self, t_ms: int) -> bool:
-        return bool(self.gps.at(t_ms))
-
-    def network_at(self, t_ms: int) -> bool:
-        return bool(self.network.at(t_ms))
-
-    def server_at(self, t_ms: int) -> bool:
-        return bool(self.server.at(t_ms))
-
 
 class ChannelEcho:
     """The rangefinder of one channel in a scripted world, one segment at a time.
@@ -303,7 +280,7 @@ class ChannelEcho:
     the next step of the channel, surface or weather timeline.  They are
     looked up when a poll first falls in a segment (so a calibration gap
     raises ConfigError at the first poll in it, empty channel or not) and
-    reused until the clock leaves it.  Past duration_ms the world holds its
+    reused until a later poll leaves it.  Past duration_ms the world holds its
     final state, so the last segment never ends.
 
     `sample` draws one reading from (true distance, params, rng), as
@@ -312,19 +289,17 @@ class ChannelEcho:
     """
 
     def __init__(self, script: ScenarioScript, channel: Channel, calibration: Calibration,
-                 rng: random.Random, clock: VirtualClock, sample=sample_echo) -> None:
+                 rng: random.Random, sample=sample_echo) -> None:
         self._timelines = (script.channels[channel], script.surface, script.weather)
         self._calibration = calibration
         self._rng = rng
-        self._clock = clock
         self._sample = sample
-        self._segment: tuple = (None, 0)  # cached (draw, until_ms); the clock never goes back
+        self._segment: tuple = (None, 0)  # cached (draw, until_ms); time never goes back
 
-    def segment(self, t_ms: Optional[int] = None) -> tuple[Optional[Callable[[], int]], float]:
-        """(draw, until_ms) for the segment holding t_ms, the clock's time by
-        default.  draw() takes one reading, or is None while the channel is
-        empty; until_ms is the segment's end, math.inf for the last one."""
-        t_ms = self._clock.now() if t_ms is None else t_ms
+    def segment(self, t_ms: int) -> tuple[Optional[Callable[[], int]], float]:
+        """(draw, until_ms) for the segment holding t_ms.  draw() takes one
+        reading, or is None while the channel is empty; until_ms is the
+        segment's end, math.inf for the last one."""
         if t_ms >= self._segment[1]:
             steps = [timeline.step_at(t_ms) for timeline in self._timelines]
             (true_cm, _), (surface, _), (weather, _) = steps

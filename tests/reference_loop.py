@@ -1,15 +1,17 @@
 """Test-only reference for the sensing loop: the naive per-poll version.
 
-Every poll reads the channel, surface and weather timelines and the
-calibration at the clock's time, and the acquisition loop calls the sensor
-once per poll, empty channel or not.  The simulator's skip-ahead loop must
-give the same traces, clocks and errors; see test_differential.py.
+Every poll looks up a segment of one poll: it reads the channel, surface
+and weather timelines and the calibration at the clock's time, and the
+acquisition loop draws from it once, empty channel or not.  The
+simulator's skip-ahead loop must give the same traces, clocks and errors;
+see test_differential.py.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional
+from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 from echoguide import firmware, harness
@@ -17,23 +19,28 @@ from echoguide.firmware import FirmwareConfig, NoEchoError, gate_valid, median9,
 from echoguide.world import noise_params_for, sample_echo
 
 
-def naive_sensor(script, channel, calibration, rng, clock, sample=sample_echo):
-    """Drop-in for world.ChannelEcho: looks everything up on every poll."""
-    def poll() -> Optional[int]:
-        t = clock.now()
-        params = noise_params_for(script.surface_at(t), script.weather_at(t), calibration)
-        return sample(script.distance_cm_at(channel, t), params, rng)
-    return poll
+def naive_sensor(script, channel, calibration, rng, sample=sample_echo):
+    """Drop-in for world.ChannelEcho: looks everything up on every poll.
+
+    segment(t) is the one poll at t.  Its draw calls sample, which gives
+    None for an empty channel.
+    """
+    def segment(t):
+        params = noise_params_for(script.surface.at(t), script.weather.at(t), calibration)
+        return partial(sample, script.channels[channel].at(t), params, rng), t + 1
+    return SimpleNamespace(segment=segment)
 
 
-def naive_acquire_distance(channel, sensor, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:
-    """firmware.acquire_distance as one sensor call and one clock step per poll."""
+def naive_acquire_distance(channel, segment, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:
+    """firmware.acquire_distance as one segment lookup, one draw and one clock
+    step per poll; a segment with no draw, or a draw giving None, is a missing echo."""
     valid: list[int] = []
     attempts = 0
     while len(valid) < cfg.samples_per_measurement:
         if attempts >= cfg.max_sample_attempts:
             raise NoEchoError(channel, attempts)
-        pulses = sensor()
+        draw, _ = segment(clock.now())
+        pulses = None if draw is None else draw()
         attempts += 1
         clock.advance(cfg.sample_period_ms)
         if pulses is None:

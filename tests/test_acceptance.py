@@ -146,7 +146,7 @@ def test_c08_position_provider_falls_back_to_network_during_gps_outage():
         assert uploads[due]["provider"] == "gps"
     for due, upload in uploads.items():
         if upload["provider"] == "network":
-            assert not script.gps_at(due)
+            assert not script.gps.at(due)
 
 
 def test_c09_server_restart_preserves_every_answer(server_factory):

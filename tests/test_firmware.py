@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import statistics
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import pytest
 
@@ -37,14 +37,15 @@ from reference_loop import naive_acquire_distance, naive_sensor
 
 
 class ScriptedSensor:
-    """Echo source that replays a fixed poll sequence and counts polls."""
+    """Echo source that replays a fixed poll sequence, one poll per segment,
+    and counts polls; a None in the sequence is a poll with no echo."""
 
     def __init__(self, readings, repeat_last: bool = False):
         self.readings = list(readings)
         self.repeat_last = repeat_last
         self.polls = 0
 
-    def __call__(self) -> Optional[int]:
+    def __call__(self, t_ms: int) -> tuple[Optional[Callable[[], int]], int]:
         if self.polls < len(self.readings):
             value = self.readings[self.polls]
         elif self.repeat_last and self.readings:
@@ -52,7 +53,7 @@ class ScriptedSensor:
         else:
             value = None
         self.polls += 1
-        return value
+        return (None if value is None else lambda: value), t_ms + 1
 
 
 # -- pulse conversion ---------------------------------------------------------
@@ -223,15 +224,15 @@ def ground_sources(script, calibration=DEFAULT_CALIBRATION):
                 draws.append((clock.now(), true_cm, params))
             return sample_echo(true_cm, params, rng)
 
-        source = make(script, Channel.GROUND, calibration, random.Random(7), clock, sample=sample)
-        sides.append((source, clock, draws))
+        source = make(script, Channel.GROUND, calibration, random.Random(7), sample=sample)
+        sides.append((source.segment, clock, draws))
     return sides
 
 
 class CountingEcho(ChannelEcho):
     lookups = 0
 
-    def segment(self, t_ms=None):
+    def segment(self, t_ms):
         self.lookups += 1
         return super().segment(t_ms)
 
@@ -239,10 +240,10 @@ class CountingEcho(ChannelEcho):
 def test_acquire_books_a_fully_empty_round_in_one_step():
     clock = VirtualClock(start_ms=1000)
     echo = CountingEcho(make_script(duration_ms=10_000), Channel.GROUND, DEFAULT_CALIBRATION,
-                        random.Random(7), clock)
+                        random.Random(7))
     cfg = FirmwareConfig(sample_period_ms=7, max_sample_attempts=20)
     with pytest.raises(NoEchoError) as excinfo:
-        acquire_distance(Channel.GROUND, echo, clock, cfg)
+        acquire_distance(Channel.GROUND, echo.segment, clock, cfg)
     assert excinfo.value.attempts == cfg.max_sample_attempts
     assert clock.now() == 1000 + cfg.max_sample_attempts * cfg.sample_period_ms
     assert echo.lookups == 1  # one segment lookup finds the channel empty; all polls are booked
@@ -432,8 +433,9 @@ def test_tick_cleared_alert_rearms_edge_trigger():
         def __init__(self):
             self.phase = 0
 
-        def __call__(self):
-            return 40 * 58 if self.phase != 1 else 90 * 58
+        def __call__(self, t_ms):
+            pulses = 40 * 58 if self.phase != 1 else 90 * 58
+            return (lambda: pulses), t_ms + 1
 
     ground = Phased()
     echoes = {

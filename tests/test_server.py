@@ -8,6 +8,7 @@ import http.client
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -20,6 +21,8 @@ import pytest
 
 from echoguide.server import (
     DEFAULT_HISTORY_LIMIT,
+    ENV_LISTEN,
+    ENV_STORE,
     MAX_BODY_BYTES,
     REQUEST_TIMEOUT_S,
     FixRecord,
@@ -28,6 +31,7 @@ from echoguide.server import (
     TrackRequestHandler,
     TrackService,
     TrackStore,
+    main as server_main,
     make_http_server,
     validate_fix,
 )
@@ -501,6 +505,33 @@ def test_server_close_ends_kept_alive_connections(tmp_path):
     assert closing_s < 1.0
 
 
+def test_a_client_reset_mid_request_prints_nothing(tmp_path, capsys):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    with serving(TrackService(store)) as base:
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+            sock.sendall(b"GET /api/locations/latest?device_id=walker-1 HTTP/1.1\r\nHost: 12")
+            # Closing with a zero linger time resets the connection.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        assert http_get(base, "/api/locations/latest?device_id=walker-1")[0] == 404
+    store.close()  # server_close() waited for every handler, the reset one's too
+    assert capsys.readouterr().err == ""
+
+
+def test_other_handler_failures_are_still_reported(tmp_path, capsys):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    httpd = make_http_server("127.0.0.1:0", TrackService(store))
+    try:
+        try:
+            raise ValueError("a handler bug")
+        except ValueError:
+            httpd.handle_error(None, ("127.0.0.1", 1))
+    finally:
+        httpd.server_close()
+        store.close()
+    assert "ValueError: a handler bug" in capsys.readouterr().err
+
+
 def test_expect_100_continue_is_answered_before_the_body(live_server):
     port = int(live_server.rsplit(":", 1)[1])
     body = json.dumps(good_fix()).encode()
@@ -625,6 +656,61 @@ def test_importing_the_server_leaves_the_simulator_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, timeout=60)
     assert result.stdout == "[]\n"
+
+
+@pytest.fixture
+def no_env(monkeypatch):
+    monkeypatch.delenv(ENV_LISTEN, raising=False)
+    monkeypatch.delenv(ENV_STORE, raising=False)
+
+
+@pytest.mark.parametrize("listen,reason", [
+    ("127.0.0.1:70000", "port must be at most 65535"),
+    ("127.0.0.1:\u00b2", "listen address must be host:port, the port in ASCII digits"),
+    ("nohost", "listen address must be host:port, the port in ASCII digits"),
+])
+def test_cli_bad_listen_address_exits_2(tmp_path, capsys, no_env, listen, reason):
+    assert server_main(["--listen", listen, "--store", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr() == ("", f"error: --listen {listen}: {reason}\n")
+
+
+def test_listen_port_takes_ascii_digits_only(tmp_path):
+    # int() reads these Arabic-Indic digits as 8750, and bind() would take that.
+    store = TrackStore(tmp_path / "s.jsonl")
+    with pytest.raises(ValueError, match="must be host:port"):
+        make_http_server("127.0.0.1:\u0668\u0667\u0665\u0660", TrackService(store))
+    store.close()
+
+
+def test_cli_address_in_use_exits_2(tmp_path, capsys, no_env):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        listen = f"127.0.0.1:{taken.getsockname()[1]}"
+        assert server_main(["--listen", listen, "--store", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --listen {listen}: [Errno ")
+
+
+def test_cli_names_the_environment_variable_that_set_the_address(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(ENV_LISTEN, "127.0.0.1:99999")
+    monkeypatch.delenv(ENV_STORE, raising=False)
+    assert server_main(["--listen", "127.0.0.1:0", "--store", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err == (f"error: {ENV_LISTEN} 127.0.0.1:99999: "
+                                       f"port must be at most 65535\n")
+
+
+def test_cli_corrupt_store_exits_2(tmp_path, capsys, no_env):
+    store = tmp_path / "s.jsonl"
+    store.write_text("not json\n")
+    assert server_main(["--listen", "127.0.0.1:0", "--store", str(store)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --store: {store}:1: corrupt record")
+
+
+def test_cli_store_in_a_missing_directory_exits_2(tmp_path, capsys, no_env):
+    store = tmp_path / "missing" / "s.jsonl"
+    assert server_main(["--listen", "127.0.0.1:0", "--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --store: [Errno ") and str(store) in err
 
 
 def test_cli_serves_and_env_overrides_flags(tmp_path):

@@ -1,5 +1,5 @@
-"""World model: scenario timelines and accessors, noise calibration, and
-the echo sampler."""
+"""World model: scenario timelines, noise calibration, and the echo
+sampler."""
 
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from echoguide.world import (
 )
 
 
-# -- scenario accessors ------------------------------------------------------
+# -- scenario timelines ------------------------------------------------------
 
 
 def test_scene_piecewise_distances_and_holds():
@@ -53,14 +53,14 @@ def test_scene_piecewise_distances_and_holds():
             ]
         },
     )
-    ground = Channel.GROUND
-    assert script.distance_cm_at(ground, 0) == 90
-    assert script.distance_cm_at(ground, 3999) == 90
-    assert script.distance_cm_at(ground, 4000) == 40  # step takes effect at its time
-    assert script.distance_cm_at(ground, 5999) == 40
-    assert script.distance_cm_at(ground, 6000) is None
-    assert script.distance_cm_at(ground, 10_000) is None  # value holds to the end
-    assert script.distance_cm_at(Channel.LEFT, 500) is None  # unscripted channels are empty
+    ground = script.channels[Channel.GROUND]
+    assert ground.at(0) == 90
+    assert ground.at(3999) == 90
+    assert ground.at(4000) == 40  # step takes effect at its time
+    assert ground.at(5999) == 40
+    assert ground.at(6000) is None
+    assert ground.at(10_000) is None  # value holds to the end
+    assert script.channels[Channel.LEFT].at(500) is None  # unscripted channels are empty
 
 
 def test_scene_geo_path_interpolates_linearly():
@@ -71,11 +71,11 @@ def test_scene_geo_path_interpolates_linearly():
             {"t": 10_000, "lat": 11.0, "lon": 21.0},
         ],
     )
-    assert script.position_at(0)[0] == pytest.approx(10.0)
-    mid = script.position_at(5000)
+    assert script.geo.at(0)[0] == pytest.approx(10.0)
+    mid = script.geo.at(5000)
     assert mid[0] == pytest.approx(10.5)
     assert mid[1] == pytest.approx(20.5)
-    end = script.position_at(10_000)
+    end = script.geo.at(10_000)
     assert end[0] == pytest.approx(11.0)
 
 
@@ -86,11 +86,11 @@ def test_scene_surface_weather_and_providers():
         weather=[{"t": 0, "value": "wet"}],
         gps_available=[{"t": 0, "value": True}, {"t": 10_000, "value": False}],
     )
-    assert script.surface_at(0) is SurfaceKind.TILES
-    assert script.surface_at(30_000) is SurfaceKind.CONCRETE
-    assert script.weather_at(0) is Weather.WET
-    assert script.gps_at(0) and not script.gps_at(10_000)
-    assert script.network_at(0) and script.server_at(0)  # defaults on
+    assert script.surface.at(0) is SurfaceKind.TILES
+    assert script.surface.at(30_000) is SurfaceKind.CONCRETE
+    assert script.weather.at(0) is Weather.WET
+    assert script.gps.at(0) is True and script.gps.at(10_000) is False
+    assert script.network.at(0) is True and script.server.at(0) is True  # defaults on
 
 
 def test_step_at_gives_the_value_and_the_next_step():
@@ -130,12 +130,11 @@ def test_channel_echo_follows_channel_surface_and_weather_steps():
     )
     clock = VirtualClock()
     log = DrawLog(clock)
-    echo = ChannelEcho(script, Channel.LEFT, DEFAULT_CALIBRATION, random.Random(1), clock,
-                       sample=log)
+    echo = ChannelEcho(script, Channel.LEFT, DEFAULT_CALIBRATION, random.Random(1), sample=log)
     readings = {}
     for t in (0, 100, 101, 300, 301, 400, 401, 600, 601, 1000):
         clock.advance(t - clock.now())
-        draw, _ = echo.segment()
+        draw, _ = echo.segment(t)
         readings[t] = None if draw is None else draw()
     assert readings[300] == 80 * 58 and readings[601] == 120 * 58
     assert [readings[t] for t in (301, 400, 401, 600)] == [None] * 4
@@ -154,8 +153,7 @@ def test_channel_echo_empty_until_stops_at_every_segment_edge():
         surface=[{"t": 0, "value": "tiles"}, {"t": 249, "value": "concrete"}],
         weather=[{"t": 0, "value": "dry"}, {"t": 501, "value": "wet"}],
     )
-    echo = ChannelEcho(script, Channel.GROUND, DEFAULT_CALIBRATION, random.Random(1),
-                       VirtualClock())
+    echo = ChannelEcho(script, Channel.GROUND, DEFAULT_CALIBRATION, random.Random(1))
     assert [echo.segment(t) for t in (0, 248, 249, 500, 501, 699)] == [
         (None, 249), (None, 249), (None, 501), (None, 501), (None, 700), (None, 700)]
     draw, until = echo.segment(700)  # a target, from the last step on
@@ -178,13 +176,12 @@ def test_channel_echo_clamps_past_duration():
                          channels={"right": [{"t": 0, "distance_cm": None},
                                              {"t": 1000, "distance_cm": 40}]},
                          surface=[{"t": 0, "value": "tiles"}, {"t": 1000, "value": "concrete"}])
-    echo = ChannelEcho(script, Channel.RIGHT, DEFAULT_CALIBRATION, random.Random(1),
-                       VirtualClock())
+    echo = ChannelEcho(script, Channel.RIGHT, DEFAULT_CALIBRATION, random.Random(1))
     assert echo.segment(999) == (None, 1000)
     draw, until = echo.segment(1600)  # a target from 1000 ms on, to the end
     assert draw is not None and until == math.inf
-    assert script.distance_cm_at(Channel.RIGHT, 1600) == 40.0
-    assert script.surface_at(1600) is SurfaceKind.CONCRETE
+    assert script.channels[Channel.RIGHT].at(1600) == 40.0
+    assert script.surface.at(1600) is SurfaceKind.CONCRETE
 
 
 # -- scenario validation ---------------------------------------------------------
@@ -291,10 +288,10 @@ def test_utc_string_gives_every_year_four_digits():
 
 def test_script_defaults_are_usable():
     script = scenario_from_dict({"schema_version": 1, "duration_ms": 1000})
-    assert script.distance_cm_at(Channel.GROUND, 500) is None
-    assert script.surface_at(500) is SurfaceKind.TILES
-    assert script.weather_at(500) is Weather.DRY
-    assert script.position_at(500) == (0.0, 0.0)
+    assert script.channels[Channel.GROUND].at(500) is None
+    assert script.surface.at(500) is SurfaceKind.TILES
+    assert script.weather.at(500) is Weather.DRY
+    assert script.geo.at(500) == (0.0, 0.0)
     assert script.start_epoch_s == 1433116800  # 2015-06-01T00:00:00Z
     assert utc_string(script.start_epoch_s) == "2015-06-01T00:00:00Z"
 
