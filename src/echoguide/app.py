@@ -222,6 +222,8 @@ class Uploader:
         unreachable at that instant.
         """
         limit = min(now_ms, horizon_ms)
+        if self.next_due_ms > limit:
+            return []
         attempts: list[UploadAttempt] = []
         while self.next_due_ms <= limit:
             due = self.next_due_ms

@@ -127,6 +127,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_exp.set_defaults(func=cmd_experiment)
 
     args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ScenarioError, ConfigError, OSError) as exc:  # OSError: a missing or unreadable file

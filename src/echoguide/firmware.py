@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .clock import VirtualClock
 from .link import FRAME_DELIMITER
@@ -156,8 +156,11 @@ def encode_message(channel: Channel) -> bytes:
     return _CHANNEL_TOKENS[channel].encode("ascii") + FRAME_DELIMITER
 
 
-@dataclass(frozen=True)
-class ChannelRound:
+# The channels in the order a pass measures them, each with its alert frame.
+_PASS_CHANNELS = tuple((channel, encode_message(channel)) for channel in Channel)
+
+
+class ChannelRound(NamedTuple):
     """What one channel's measurement round in a firmware pass produced.
 
     distance_cm is None when the round got no usable echo.  alerting: the
@@ -190,9 +193,11 @@ def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
                   cfg: FirmwareConfig = FirmwareConfig()) -> list[ChannelRound]:
     """One pass of the firmware main loop: one round per channel, in Channel
     order (ground, then left, then right)."""
+    last_frame_ms = state.last_frame_ms
+    repeat_ms = cfg.repeat_interval_ms
     rounds = []
-    for channel in Channel:
-        last = state.last_frame_ms[channel]
+    for channel, message in _PASS_CHANNELS:
+        last = last_frame_ms[channel]
         try:
             distance: Optional[int] = acquire_distance(channel, echoes[channel], clock, cfg)
         except NoEchoError:
@@ -201,12 +206,13 @@ def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
         alerting = distance is not None and distance < cfg.alert_threshold_cm(channel)
         frame = None
         if not alerting:
-            state.last_frame_ms[channel] = None
-        elif last is None or t_ms - last >= cfg.repeat_interval_ms:
-            frame = encode_message(channel)
-            state.last_frame_ms[channel] = t_ms
-        rounds.append(ChannelRound(channel, t_ms, distance, alerting,
-                                   motor_changed=alerting != (last is not None), frame=frame))
+            if last is not None:
+                last_frame_ms[channel] = None
+        elif last is None or t_ms - last >= repeat_ms:
+            frame = message
+            last_frame_ms[channel] = t_ms
+        rounds.append(ChannelRound(channel, t_ms, distance, alerting, alerting != (last is not None),
+                                   frame))
     return rounds
 
 

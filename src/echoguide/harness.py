@@ -15,6 +15,7 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .app import (
@@ -76,8 +77,11 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     The same (script, config, seed) triple always produces a byte-identical
     trace.  When store_path is given, the in-process tracking service
     persists there and the file survives the run; otherwise a throwaway
-    store is used.
+    store is used.  A negative seed raises ValueError: random.Random would
+    seed with its absolute value and replay the positive seed's walk.
     """
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if config is None:
         config = SystemConfig.default()
     run_seed = script.seed if seed is None else seed
@@ -86,6 +90,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
 
     clock = VirtualClock()
     trace = TraceLog()
+    add = trace.add
     fw_state = FirmwareState()
     app = AssistiveApp(config.app)
     uploader = Uploader(config.app.upload_interval_ms)
@@ -128,71 +133,74 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             })
         except (FixValidationError, StorageError):
             return None
-        trace.add(ev_server_ack(due_ms, record.id, record.device_id, record.timestamp))
+        add(ev_server_ack(due_ms, record.id, record.device_id, record.timestamp))
         return record.id
 
-    def app_step(tokens) -> None:
-        """Feed the app the (t_ms, token) pairs the link just delivered and the
-        user events now due, in time order; then run the uploader up to now."""
+    def app_step(inputs: list) -> None:
+        """Feed the app `inputs`, the (t_ms, token) pairs the link just
+        delivered, and the user events now due, in time order; then run the
+        uploader up to now."""
         nonlocal next_event
         now = clock.now()
         horizon = min(now, duration)
-        # Tokens go in first, so the stable sort keeps them ahead of user
-        # events at the same time.
-        inputs: list = list(tokens)
         while next_event < len(events) and events[next_event].t_ms <= horizon:
             inputs.append((events[next_event].t_ms, events[next_event]))
             next_event += 1
-        inputs.sort(key=lambda item: item[0])
+        if len(inputs) > 1:
+            # Tokens go in first, so the stable sort keeps them ahead of
+            # user events at the same time.
+            inputs.sort(key=itemgetter(0))
         for t_ms, item in inputs:
             if isinstance(item, str):
                 try:
                     message, phrase = app.handle_token(item, t_ms)
                 except UnknownTokenError:
-                    trace.add(ev_unknown_token(t_ms, item))
+                    add(ev_unknown_token(t_ms, item))
                     continue
-                trace.add(ev_decode(t_ms, message))
+                add(ev_decode(t_ms, message))
                 if phrase is not None:
-                    trace.add(ev_speak(t_ms, message, config.app.language.value, phrase))
+                    add(ev_speak(t_ms, message, config.app.language.value, phrase))
             elif item.kind == "button":
-                trace.add(ev_button(t_ms))
+                add(ev_button(t_ms))
                 app.handle_button(t_ms)
             else:  # utterance
-                trace.add(ev_utterance(t_ms, item.text))
+                add(ev_utterance(t_ms, item.text))
                 action = app.handle_utterance(item.text, t_ms)
                 if isinstance(action, CallEmergency):
-                    trace.add(ev_call(t_ms, action.number))
+                    add(ev_call(t_ms, action.number))
                 elif isinstance(action, SetMuted):
-                    trace.add(ev_set_muted(t_ms, action.muted))
+                    add(ev_set_muted(t_ms, action.muted))
         for attempt in uploader.tick(now, duration, fix_at, deliver):
-            trace.add(ev_upload(attempt))
+            add(ev_upload(attempt))
 
-    # One step: firmware tick -> its trace events and frames -> the link ->
-    # the app.  The app also takes one step at t=0, before the first tick.
+    # One step: firmware pass -> its trace events and frames -> the link ->
+    # the app.  The app also takes one step at t=0, before the first pass.
+    fw_config = config.firmware
+    distance_at = {channel: script.channels[channel].at for channel in Channel}
+    surface_at = script.surface.at
+    weather_at = script.weather.at
     try:
-        app_step(())
+        app_step([])
         while clock.now() < duration:
-            rounds = firmware_tick(fw_state, sensors, clock, config.firmware)
-            for r in rounds:
-                if r.distance_cm is None:
-                    trace.add(ev_no_echo(r.t_ms, r.channel))
+            sent = []
+            for channel, t_ms, distance_cm, alerting, motor_changed, frame in firmware_tick(
+                    fw_state, sensors, clock, fw_config):
+                if distance_cm is None:
+                    add(ev_no_echo(t_ms, channel))
                 else:
-                    trace.add(ev_measurement(
-                        r.t_ms, r.channel, r.distance_cm,
-                        script.channels[r.channel].at(r.t_ms),
-                        script.surface.at(r.t_ms), script.weather.at(r.t_ms),
-                    ))
-                if r.alerting:
-                    trace.add(ev_alert(r.t_ms, r.channel, r.distance_cm))
-                if r.motor_changed:
-                    trace.add(ev_motor(r.t_ms, r.channel, r.alerting))
-                if r.frame is not None:
-                    trace.add(ev_frame(r.t_ms, r.frame))
-                    link.send(r.frame)
+                    add(ev_measurement(t_ms, channel, distance_cm, distance_at[channel](t_ms),
+                                       surface_at(t_ms), weather_at(t_ms)))
+                if alerting:
+                    add(ev_alert(t_ms, channel, distance_cm))
+                if motor_changed:
+                    add(ev_motor(t_ms, channel, alerting))
+                if frame is not None:
+                    add(ev_frame(t_ms, frame))
+                    link.send(frame)
+                    sent.append(t_ms)
             # The link is lossless and every frame is whole, so it delivers
-            # exactly this tick's frames.
-            app_step(zip([r.t_ms for r in rounds if r.frame is not None], link.deframe(),
-                         strict=True))
+            # exactly this pass's frames; after a pass that sent none it is empty.
+            app_step(list(zip(sent, link.deframe(), strict=True)) if sent else [])
     finally:
         store.close()
         if temp_dir is not None:
@@ -223,8 +231,11 @@ def distance_error_experiment(calibration: Optional[Calibration] = None,
 
     Each point runs the full firmware measurement round (nine gated samples,
     median) against the noise model for that condition, all on one seeded
-    stream, and is recorded as a measurement event.
+    stream, and is recorded as a measurement event.  A negative seed raises
+    ValueError, as in run_scenario.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if calibration is None:
         calibration = SystemConfig.default().calibration
     cfg = firmware_cfg if firmware_cfg is not None else FirmwareConfig()

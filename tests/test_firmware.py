@@ -466,6 +466,39 @@ def test_tick_no_echo_turns_motor_off():
     assert not any(r.alerting for r in rounds)  # all off
 
 
+def test_round_by_keyword_equals_round_by_position():
+    by_keyword = ChannelRound(channel=Channel.LEFT, t_ms=180, distance_cm=40, alerting=True,
+                              motor_changed=True, frame=b"Left\n")
+    assert by_keyword == ChannelRound(Channel.LEFT, 180, 40, True, True, b"Left\n")
+    assert by_keyword.distance_cm == 40 and by_keyword.frame == b"Left\n"
+
+
+def test_round_unpacks_in_field_order():
+    # The harness unpacks each round in this order.
+    round_ = ChannelRound(Channel.RIGHT, 270, None, alerting=False, motor_changed=True,
+                          frame=None)
+    channel, t_ms, distance_cm, alerting, motor_changed, frame = round_
+    assert (channel, t_ms, distance_cm, alerting, motor_changed, frame) == (
+        Channel.RIGHT, 270, None, False, True, None)
+    assert ChannelRound._fields == ("channel", "t_ms", "distance_cm", "alerting",
+                                    "motor_changed", "frame")
+
+
+def test_tick_gives_each_channel_its_own_threshold():
+    # Distinct thresholds in one config: 50 cm sits under the side ones only,
+    # 70 cm under the right one only.
+    cfg = FirmwareConfig(ground_alert_cm=40, left_alert_cm=60, right_alert_cm=80)
+    for cm, alerts in ((50, [False, True, True]), (70, [False, False, True]),
+                       (30, [True, True, True]), (90, [False, False, False])):
+        echoes = constant_echoes(dict.fromkeys(Channel, cm))
+        rounds = firmware_tick(FirmwareState(), echoes, VirtualClock(), cfg)
+        assert [r.channel for r in rounds] == list(Channel)
+        assert [r.distance_cm for r in rounds] == [cm] * 3
+        assert [r.alerting for r in rounds] == alerts
+        assert [r.frame for r in rounds] == [encode_message(c) if a else None
+                                             for c, a in zip(Channel, alerts)]
+
+
 def test_tick_measures_channels_in_fixed_order():
     state = FirmwareState()
     clock = VirtualClock()

@@ -175,6 +175,16 @@ def test_seed_override_changes_the_noise():
     assert base.to_jsonl() != other.to_jsonl()
 
 
+def test_a_negative_seed_is_refused():
+    # random.Random seeds with the absolute value, so -3 would replay seed 3.
+    script = load_scenario(SCENARIO_DIR / "ground_obstacle.json")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        run_scenario(script, seed=-3)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        distance_error_experiment(seed=-1)
+    assert run_scenario(script, seed=0).to_jsonl() != run_scenario(script, seed=3).to_jsonl()
+
+
 def test_trace_jsonl_roundtrips_through_files(tmp_path):
     trace = run_scenario(load_scenario(SCENARIO_DIR / "ground_obstacle.json"))
     path = tmp_path / "run.jsonl"
@@ -384,6 +394,22 @@ def test_cli_run_writes_trace_and_summary(tmp_path, capsys):
     assert "events" in out
     trace = TraceLog.read(trace_path)
     assert len(list(trace.kind("alert"))) > 0
+
+
+@pytest.mark.parametrize("command,outputs", [
+    (["run", "--scenario", str(SCENARIO_DIR / "ground_obstacle.json")], ("--trace", "--store")),
+    (["experiment"], ("--trace", "--out")),
+])
+def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys, command, outputs):
+    paths = [tmp_path / f"out{i}" for i in range(len(outputs))]
+    argv = command + ["--seed", "-3"]
+    for flag, path in zip(outputs, paths):
+        argv += [flag, str(path)]
+    assert sim_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -3\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_missing_scenario_exits_2(tmp_path, capsys):

@@ -4,8 +4,10 @@ perfbench counts polls, gate checks and rounds by wrapping program
 functions from outside (perfbench/tracing.py).  A speed-up that stops
 calling a wrapped function (harness.sample_echo per poll, firmware.gate_valid
 per sample) would zero those per-layer metrics without failing a trace
-pin, so the counts are pinned here.  perfbench is only imported, never
-changed; a change to what a walk does has to change these numbers.
+pin, and one that skipped Uploader.tick on a step would quietly turn
+harness.iterations into a count of due uploads; so every count is pinned
+here.  perfbench is only imported, never changed; a change to what a walk
+does has to change these numbers.
 """
 
 from __future__ import annotations
@@ -23,15 +25,28 @@ sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 import inputs  # noqa: E402
 import tracing  # noqa: E402
 
-COUNTED = ("polls", "echo_draws", "gate_checks", "gate_rejects", "rounds", "no_echo_rounds",
-           "events")
+# Every counter tracing.py's hooks keep; one a walk never bumps is pinned at 0.
+COUNTED = ("polls", "echo_draws", "lookups", "rounds", "no_echo_rounds", "gate_checks",
+           "gate_rejects", "frames", "link_bytes", "deframe_calls", "tokens", "speaks",
+           "voice_events", "iterations", "upload_ticks", "uploads_delivered", "uploads_queued",
+           "max.queue_depth", "events", "trace_bytes", "inserts", "records_copied")
 
-# Each walk at its scenario's own seed with the default config.
+# Each walk at its scenario's own seed with the default config.  The link is
+# drained only after a firmware pass that sent a frame, so deframe_calls
+# counts those passes; iterations counts Uploader.tick calls, one per app
+# step (each pass's, plus one at t=0).
 EXPECTED = {
-    "walk_20min": dict(polls=9991, echo_draws=9991, gate_checks=9991, gate_rejects=1,
-                       rounds=3312, no_echo_rounds=2202, events=3346),
-    "dense_course(1)": dict(polls=120020, echo_draws=120020, gate_checks=120020,
-                            gate_rejects=32, rounds=13332, no_echo_rounds=0, events=23810),
+    "walk_20min": dict(polls=9991, echo_draws=9991, lookups=3346, rounds=3312,
+                       no_echo_rounds=2202, gate_checks=9991, gate_rejects=1, frames=4,
+                       link_bytes=24, deframe_calls=4, tokens=4, speaks=4, voice_events=0,
+                       iterations=1105, upload_ticks=4, uploads_delivered=4, uploads_queued=0,
+                       events=3346, trace_bytes=241346, inserts=4),
+    "dense_course(1)": dict(polls=120020, echo_draws=120020, lookups=40012, rounds=13332,
+                            no_echo_rounds=0, gate_checks=120020, gate_rejects=32, frames=1031,
+                            link_bytes=6216, deframe_calls=927, tokens=1031, speaks=678,
+                            voice_events=37, iterations=4445, upload_ticks=4,
+                            uploads_delivered=4, uploads_queued=0, events=23810,
+                            trace_bytes=2255159, inserts=4),
 }
 
 
@@ -49,4 +64,6 @@ def test_traced_walk_counts_what_it_did(name):
     with tracing.installed(tracer):
         run_scenario(walk, config).to_jsonl()
     counters = tracer.counters()
-    assert {key: counters.get(key, 0) for key in COUNTED} == EXPECTED[name]
+    assert set(counters) <= set(COUNTED)  # a counter added to tracing.py gets a pin here
+    expected = dict.fromkeys(COUNTED, 0) | EXPECTED[name]
+    assert {key: counters.get(key, 0) for key in COUNTED} == expected
