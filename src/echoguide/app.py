@@ -130,15 +130,6 @@ class SetMuted:
     muted: bool
 
 
-@dataclass(frozen=True)
-class LocationFix:
-    device_id: str
-    latitude: float
-    longitude: float
-    timestamp: str  # ISO-8601 UTC, whole seconds, 'Z' suffix
-    provider: Provider
-
-
 # --------------------------------------------------------------------------
 # Location fixes.
 # --------------------------------------------------------------------------
@@ -156,8 +147,9 @@ def select_provider(gps_available: bool, network_available: bool) -> Optional[Pr
 
 
 def make_fix(true_lat: float, true_lon: float, provider: Provider, timestamp: str,
-             cfg: AppConfig, rng: random.Random) -> LocationFix:
-    """Build a fix: the true position plus provider-dependent isotropic error.
+             cfg: AppConfig, rng: random.Random) -> dict:
+    """Build a fix as the body a POST to the tracking server carries: the true
+    position plus provider-dependent isotropic error, and the provider's value.
 
     GPS and network accuracy are configured in metres and converted to
     degrees through a local flat-earth metric.  Coordinates are clamped to
@@ -171,13 +163,8 @@ def make_fix(true_lat: float, true_lon: float, provider: Provider, timestamp: st
     lon = true_lon + east_m / meters_per_deg_lon
     lat = min(90.0, max(-90.0, lat))
     lon = min(180.0, max(-180.0, lon))
-    return LocationFix(
-        device_id=cfg.device_id,
-        latitude=round(lat, 6),
-        longitude=round(lon, 6),
-        timestamp=timestamp,
-        provider=provider,
-    )
+    return {"device_id": cfg.device_id, "latitude": round(lat, 6),
+            "longitude": round(lon, 6), "timestamp": timestamp, "provider": provider.value}
 
 
 # --------------------------------------------------------------------------
@@ -189,9 +176,8 @@ def make_fix(true_lat: float, true_lon: float, provider: Provider, timestamp: st
 class UploadAttempt:
     """Outcome of one fix handed to the uploader at a due instant."""
 
-    fix: LocationFix
+    fix: dict
     delivered: bool
-    ack_id: Optional[int]
     due_ms: int
 
 
@@ -209,11 +195,11 @@ class Uploader:
             raise ValueError("interval_ms must be positive")
         self.interval_ms = interval_ms
         self.next_due_ms = interval_ms
-        self.pending: list[LocationFix] = []
+        self.pending: list[dict] = []
 
     def tick(self, now_ms: int, horizon_ms: int,
-             fix_at: Callable[[int], Optional[LocationFix]],
-             deliver: Callable[[LocationFix, int], Optional[int]]) -> list[UploadAttempt]:
+             fix_at: Callable[[int], Optional[dict]],
+             deliver: Callable[[dict, int], Optional[int]]) -> list[UploadAttempt]:
         """Process every due instant up to now (capped at horizon_ms).
 
         fix_at(due_ms) returns the fix as of that instant, or None when no
@@ -236,16 +222,15 @@ class Uploader:
             failed = False
             for item in batch:
                 if not failed:
-                    ack = deliver(item, due)
-                    if ack is not None:
-                        attempts.append(UploadAttempt(item, True, ack, due))
+                    if deliver(item, due) is not None:
+                        attempts.append(UploadAttempt(item, True, due))
                         continue
                     failed = True
                 self.pending.append(item)
                 # Queued backlog was already reported at its own due time;
                 # only the fix born at this instant gets a fresh record.
                 if item is fix:
-                    attempts.append(UploadAttempt(item, False, None, due))
+                    attempts.append(UploadAttempt(item, False, due))
         return attempts
 
 
@@ -327,7 +312,7 @@ class AssistiveApp:
 
 __all__ = [
     "ObstacleMessage", "Language", "Provider", "UnknownTokenError",
-    "decode_message", "DEFAULT_PHRASES", "DEFAULT_COMMANDS", "AppConfig",
-    "CallEmergency", "SetMuted", "LocationFix", "normalize_utterance",
+    "decode_message", "DEFAULT_PHRASES", "AppConfig",
+    "CallEmergency", "SetMuted", "normalize_utterance",
     "select_provider", "make_fix", "Uploader", "UploadAttempt", "AssistiveApp",
 ]

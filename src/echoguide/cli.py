@@ -24,6 +24,7 @@ from .harness import (
     load_expectations,
     run_scenario,
 )
+from .server import StorageError
 from .trace import TraceLog
 from .world import load_scenario
 
@@ -132,7 +133,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ScenarioError, ConfigError, OSError) as exc:  # OSError: a missing or unreadable file
+    # OSError: a missing or unreadable file; StorageError: a corrupt --store
+    except (ScenarioError, ConfigError, StorageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -124,13 +124,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         if not script.server.at(due_ms):
             return None
         try:
-            record = service.insert_fix({
-                "device_id": fix.device_id,
-                "latitude": fix.latitude,
-                "longitude": fix.longitude,
-                "timestamp": fix.timestamp,
-                "provider": fix.provider.value,
-            })
+            record = service.insert_fix(fix)
         except (FixValidationError, StorageError):
             return None
         add(ev_server_ack(due_ms, record.id, record.device_id, record.timestamp))

@@ -131,9 +131,10 @@ class TrackStore:
     The load reads a line as insert() writes it with one regular-expression
     match, and any other line through json.loads; both give the same record.
     Ids must be JSON integers that run 1..n, and coordinates JSON numbers
-    (not strings or booleans, as validate_fix requires).  A last line with no newline is a torn append that
-    was never acknowledged: it is truncated away with a warning on stderr.
-    Any other bad line raises StorageError naming path:lineno.
+    (not strings or booleans, as validate_fix requires).  A last line with
+    no newline is a torn append that was never acknowledged: it is truncated
+    away with a warning on stderr.  Any other bad line raises StorageError
+    naming path:lineno.
     """
 
     def __init__(self, path: str) -> None:
@@ -197,8 +198,10 @@ class TrackStore:
         os.ftruncate(self._fh.fileno(), self._size)
         os.fsync(self._fh.fileno())
 
-    def insert(self, fields: dict) -> FixRecord:
-        """Assign the next id, persist durably, then expose the record."""
+    def insert(self, body: object) -> FixRecord:
+        """validate_fix the body, then assign the next id, persist durably and
+        expose the record.  A refused body writes nothing and takes no id."""
+        fields = validate_fix(body)
         with self._lock:
             record = FixRecord(id=len(self._records) + 1, **fields)
             line = (json.dumps(record.as_dict(), sort_keys=True) + "\n").encode("utf-8")
@@ -259,13 +262,15 @@ class TrackStore:
 
 
 class TrackService:
-    """Transport-independent API core shared by HTTP and in-process callers."""
+    """Transport-independent API core shared by HTTP and in-process callers:
+    pass-throughs to the store, kept because perfbench/tracing.py wraps them
+    by name."""
 
     def __init__(self, store: TrackStore) -> None:
         self.store = store
 
     def insert_fix(self, body: object) -> FixRecord:
-        return self.store.insert(validate_fix(body))
+        return self.store.insert(body)
 
     def latest_fix(self, device_id: str) -> Optional[FixRecord]:
         """Newest fix by timestamp; ties broken by the later insert."""

@@ -185,14 +185,8 @@ def ev_utterance(t: int, text: str) -> dict:
 
 
 def ev_upload(attempt: UploadAttempt) -> dict:
-    fix = attempt.fix
-    return {
-        "t": attempt.due_ms, "kind": "upload",
-        "device_id": fix.device_id, "latitude": fix.latitude,
-        "longitude": fix.longitude, "timestamp": fix.timestamp,
-        "provider": fix.provider.value,
-        "outcome": "delivered" if attempt.delivered else "queued",
-    }
+    return {"t": attempt.due_ms, "kind": "upload", **attempt.fix,
+            "outcome": "delivered" if attempt.delivered else "queued"}
 
 
 def ev_server_ack(t: int, record_id: int, device_id: str, timestamp: str) -> dict:

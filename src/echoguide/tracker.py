@@ -228,6 +228,18 @@ def _write_geojson(doc: dict, out_path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
+def _timeout_s(text: str) -> float:
+    """--timeout: a finite number of seconds above 0.  settimeout refuses a
+    negative, nan or inf one with a traceback and takes 0 as non-blocking."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="echoguide-tracker",
@@ -236,8 +248,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--server", default=DEFAULT_SERVER,
                         help=f"tracking server host:port or URL (default {DEFAULT_SERVER})")
     parser.add_argument("--device", required=True, help="device id to look up")
-    parser.add_argument("--timeout", type=float, default=5.0,
-                        help="HTTP timeout in seconds (default 5)")
+    parser.add_argument("--timeout", type=_timeout_s, default=5.0,
+                        help="HTTP timeout in seconds, finite and above 0 (default 5)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("get-location", help="print the latest fix as one line")

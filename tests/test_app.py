@@ -14,7 +14,6 @@ from echoguide.app import (
     CallEmergency,
     DEFAULT_PHRASES,
     Language,
-    LocationFix,
     ObstacleMessage,
     Provider,
     SetMuted,
@@ -196,17 +195,17 @@ def test_make_fix_zero_sigma_is_exact():
     cfg = AppConfig(gps_sigma_m=0.0, network_sigma_m=0.0)
     fix = make_fix(22.9006, 89.5024, Provider.GPS, "2015-06-01T00:05:00Z",
                    cfg, random.Random(1))
-    assert fix == LocationFix("walker-1", 22.9006, 89.5024,
-                              "2015-06-01T00:05:00Z", Provider.GPS)
+    assert fix == {"device_id": "walker-1", "latitude": 22.9006, "longitude": 89.5024,
+                   "timestamp": "2015-06-01T00:05:00Z", "provider": "gps"}
 
 
 def test_make_fix_rounds_to_six_decimals():
     cfg = AppConfig()
     fix = make_fix(22.9006, 89.5024, Provider.NETWORK, "2015-06-01T00:05:00Z",
                    cfg, random.Random(5))
-    assert fix.latitude == round(fix.latitude, 6)
-    assert fix.longitude == round(fix.longitude, 6)
-    assert fix.provider is Provider.NETWORK
+    assert fix["latitude"] == round(fix["latitude"], 6)
+    assert fix["longitude"] == round(fix["longitude"], 6)
+    assert fix["provider"] == "network"
 
 
 def test_make_fix_noise_scales_with_provider_sigma():
@@ -218,8 +217,8 @@ def test_make_fix_noise_scales_with_provider_sigma():
     for _ in range(1000):
         g = make_fix(10.0, 10.0, Provider.GPS, "2015-01-01T00:00:00Z", cfg, rng)
         n = make_fix(10.0, 10.0, Provider.NETWORK, "2015-01-01T00:00:00Z", cfg, rng)
-        gps_err.append(g.latitude - 10.0)
-        net_err.append(n.latitude - 10.0)
+        gps_err.append(g["latitude"] - 10.0)
+        net_err.append(n["latitude"] - 10.0)
     ratio = statistics.stdev(net_err) / statistics.stdev(gps_err)
     assert 8.0 <= ratio <= 12.0
 
@@ -229,8 +228,8 @@ def test_make_fix_clamps_latitude_at_pole():
     rng = random.Random(0)
     for _ in range(200):
         fix = make_fix(89.9999, 0.0, Provider.NETWORK, "2015-01-01T00:00:00Z", cfg, rng)
-        assert -90.0 <= fix.latitude <= 90.0
-        assert -180.0 <= fix.longitude <= 180.0
+        assert -90.0 <= fix["latitude"] <= 90.0
+        assert -180.0 <= fix["longitude"] <= 180.0
 
 
 def test_make_fix_deterministic_per_seed():
@@ -243,9 +242,9 @@ def test_make_fix_deterministic_per_seed():
 # -- uploader ---------------------------------------------------------------------
 
 
-def fix_numbered(n: int) -> LocationFix:
-    return LocationFix("walker-1", 10.0 + n, 20.0, f"2015-06-01T00:{n:02d}:00Z",
-                       Provider.GPS)
+def fix_numbered(n: int) -> dict:
+    return {"device_id": "walker-1", "latitude": 10.0 + n, "longitude": 20.0,
+            "timestamp": f"2015-06-01T00:{n:02d}:00Z", "provider": "gps"}
 
 
 def test_uploader_first_due_is_one_interval_in():
@@ -281,7 +280,7 @@ def test_uploader_cadence_over_twenty_minutes():
     # The run loop polls at irregular instants; dues still fire once each.
     for now in (100, 400_000, 400_001, 900_000, 1_205_000):
         uploader.tick(now, 1_200_000, fix_at, deliver)
-    assert [f.timestamp for f in acked] == [
+    assert [f["timestamp"] for f in acked] == [
         "2015-06-01T00:05:00Z", "2015-06-01T00:10:00Z",
         "2015-06-01T00:15:00Z", "2015-06-01T00:20:00Z",
     ]
@@ -304,13 +303,13 @@ def test_uploader_queues_on_failure_and_flushes_in_order():
     first = uploader.tick(300_000, 1_200_000, fix_at, deliver)
     second = uploader.tick(600_000, 1_200_000, fix_at, deliver)
     assert [a.delivered for a in first + second] == [False, False]
-    assert [a.fix.timestamp for a in first + second] == [
+    assert [a.fix["timestamp"] for a in first + second] == [
         "2015-06-01T00:05:00Z", "2015-06-01T00:10:00Z",
     ]
     server_up = True
     third = uploader.tick(900_000, 1_200_000, fix_at, deliver)
     assert [a.delivered for a in third] == [True, True, True]
-    assert [f.timestamp for f in delivered] == [
+    assert [f["timestamp"] for f in delivered] == [
         "2015-06-01T00:05:00Z", "2015-06-01T00:10:00Z", "2015-06-01T00:15:00Z",
     ]
     assert uploader.pending == []
@@ -330,7 +329,7 @@ def test_uploader_skips_due_with_no_provider():
         return len(delivered)
 
     uploader.tick(950_000, 1_200_000, fix_at, deliver)
-    assert [f.timestamp for f in delivered] == [
+    assert [f["timestamp"] for f in delivered] == [
         "2015-06-01T00:05:00Z", "2015-06-01T00:15:00Z",
     ]
 

@@ -423,6 +423,21 @@ def test_cli_run_on_a_directory_exits_2(tmp_path, capsys):
     assert str(tmp_path) in capsys.readouterr().err
 
 
+def test_cli_run_on_a_corrupt_store_exits_2_before_writing(tmp_path, capsys):
+    store_path = tmp_path / "store.jsonl"
+    store_path.write_text("not json\n")
+    trace_path = tmp_path / "run.jsonl"
+    code = sim_main(["run", "--scenario", str(SCENARIO_DIR / "ground_obstacle.json"),
+                     "--store", str(store_path), "--trace", str(trace_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(re.escape(f"error: {store_path}:1: corrupt record (") + r".*\)\n",
+                        captured.err)
+    assert captured.out == ""
+    assert not trace_path.exists()
+    assert store_path.read_text() == "not json\n"
+
+
 def test_cli_assert_pass_and_fail(tmp_path, capsys):
     trace_path = tmp_path / "run.jsonl"
     sim_main(["run", "--scenario", str(SCENARIO_DIR / "ground_obstacle.json"),

@@ -32,6 +32,7 @@ import reference_store
 from echoguide import server
 from echoguide.server import (
     FixRecord,
+    FixValidationError,
     StorageError,
     TrackService,
     TrackStore,
@@ -498,6 +499,38 @@ def test_insert_after_close_is_a_storage_error(tmp_path):
         store.insert(fix("walker-1", "2015-06-01T00:05:00Z"))
     assert path.read_bytes() == whole
     assert [r.id for r in store.records()] == [1]
+
+
+@pytest.mark.parametrize("bad", [{"timestamp": "yesterday"}, {"latitude": 91.0}],
+                         ids=["bad timestamp", "latitude 91"])
+@pytest.mark.parametrize("queried", [True, False], ids=["queried device", "unqueried device"])
+def test_refused_insert_leaves_the_store_alone(tmp_path, bad, queried):
+    """insert checks the fix as validate_fix does before it writes: a refused
+    one is not in the file, the records or the index, and takes no id."""
+    path = tmp_path / "locations.jsonl"
+    whole = write_store(path, 2)
+    store = TrackStore(path)
+    service = TrackService(store)
+    if queried:
+        assert service.latest_fix("walker-1").id == 2  # sorts the device
+    before = store.records()
+    with pytest.raises(FixValidationError) as excinfo:
+        store.insert({**fix("walker-1", "2015-06-01T00:05:00Z"), **bad})
+    assert excinfo.value.field == next(iter(bad))
+    assert path.read_bytes() == whole
+    assert store.records() == before
+
+    assert store.insert(fix("walker-1", "2015-06-01T00:05:00Z")).id == 3
+    store.close()
+    reopened = TrackStore(path)
+    records = reopened.records()
+    assert [r.id for r in records] == [1, 2, 3]
+    service = TrackService(reopened)
+    assert service.latest_fix("walker-1") == reference_store.latest_fix(records, "walker-1")
+    for limit in LIMITS:
+        assert (service.history("walker-1", limit)
+                == reference_store.history(records, "walker-1", limit))
+    reopened.close()
 
 
 # -- concurrency ----------------------------------------------------------------

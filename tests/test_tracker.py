@@ -4,6 +4,7 @@ against a live tracking server."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -226,6 +227,20 @@ def test_unreachable_server_exits_2(capsys):
 
 
 # -- kept-alive connections ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "0"])
+def test_timeout_not_finite_and_above_0_exits_2_before_any_socket(monkeypatch, capsys, value):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--server", "127.0.0.1:8750", "--device", "walker-1", "--timeout", value,
+              "get-location"])
+    assert excinfo.value.code == 2
+    assert (f"argument --timeout: must be a finite number above 0, got '{value}'"
+            in capsys.readouterr().err)
 
 
 def test_fetches_on_one_thread_share_one_connection(tmp_path):
