@@ -39,20 +39,17 @@ class NoEchoError(RuntimeError):
 
 @dataclass(frozen=True)
 class FirmwareConfig:
-    """Tunable constants of the sensing firmware.
+    """Tunable policy of the sensing firmware.
 
-    The defaults mirror the deployed device: 58 pulses per centimetre, nine
-    samples per measurement taken 10 ms apart, echoes trusted strictly
-    between 15 and 645 cm, ground alerts under 60 cm and side alerts under
+    The defaults mirror the deployed device: nine samples per measurement
+    taken 10 ms apart, ground alerts under 60 cm and side alerts under
     100 cm, with an alert frame repeated no more often than every two
-    seconds while the condition persists.
+    seconds while the condition persists.  The rangefinder is not tunable:
+    see world.PULSES_PER_CM, GATE_LOW_CM and GATE_HIGH_CM.
     """
 
-    pulses_per_cm: int = PULSES_PER_CM
     samples_per_measurement: int = 9
     sample_period_ms: int = 10
-    gate_low_cm: int = GATE_LOW_CM
-    gate_high_cm: int = GATE_HIGH_CM
     ground_alert_cm: int = 60
     left_alert_cm: int = 100
     right_alert_cm: int = 100
@@ -60,13 +57,12 @@ class FirmwareConfig:
     repeat_interval_ms: int = 2000
 
     def __post_init__(self) -> None:
-        if not self.gate_low_cm < self.ground_alert_cm < self.gate_high_cm:
+        if not GATE_LOW_CM < self.ground_alert_cm < GATE_HIGH_CM:
             raise ValueError("ground alert threshold must sit inside the valid gate")
         if self.samples_per_measurement % 2 != 1 or self.samples_per_measurement < 1:
             raise ValueError("samples_per_measurement must be odd and positive")
-        for name in ("pulses_per_cm", "sample_period_ms",
-                     "gate_low_cm", "ground_alert_cm", "left_alert_cm",
-                     "right_alert_cm", "max_sample_attempts", "repeat_interval_ms"):
+        for name in ("sample_period_ms", "left_alert_cm", "right_alert_cm",
+                     "max_sample_attempts", "repeat_interval_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_sample_attempts < self.samples_per_measurement:
@@ -80,17 +76,16 @@ class FirmwareConfig:
         return self.right_alert_cm
 
 
-def pulses_to_cm(pulses: int, cfg: FirmwareConfig = FirmwareConfig()) -> int:
+def pulses_to_cm(pulses: int) -> int:
     """Convert a raw pulse count to whole centimetres, rounding half up."""
     if pulses < 0:
         raise ValueError("pulse count cannot be negative")
-    ppc = cfg.pulses_per_cm
-    return (2 * pulses + ppc) // (2 * ppc)
+    return (2 * pulses + PULSES_PER_CM) // (2 * PULSES_PER_CM)
 
 
-def gate_valid(distance_cm: int, cfg: FirmwareConfig = FirmwareConfig()) -> bool:
+def gate_valid(distance_cm: int) -> bool:
     """True when a reading is strictly inside the trusted range."""
-    return cfg.gate_low_cm < distance_cm < cfg.gate_high_cm
+    return GATE_LOW_CM < distance_cm < GATE_HIGH_CM
 
 
 def median9(samples: Sequence[int], cfg: FirmwareConfig = FirmwareConfig()) -> int:
@@ -136,8 +131,8 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
         for _ in range(polls):
             pulses = draw()
             advance(period)
-            distance = pulses_to_cm(pulses, cfg)
-            if gate_valid(distance, cfg):
+            distance = pulses_to_cm(pulses)
+            if gate_valid(distance):
                 valid.append(distance)
                 if len(valid) == cfg.samples_per_measurement:
                     return median9(valid, cfg)

@@ -324,8 +324,10 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if status == 405:
             self.send_header("Allow", "GET, POST")
-        if close:
-            self.send_header("Connection", "close")  # also ends this connection
+        # Say so whenever the connection ends after this reply: `close`, the
+        # request (HTTP/1.0, Connection: close) or the route may end it.
+        if close or self.close_connection:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         if self.command != "HEAD":
             self.wfile.write(body)
@@ -336,6 +338,14 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         if field is not None:
             payload["field"] = field
         self._reply(status, payload, close)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Answer what the framework refuses (a bad request line, an unknown
+        method, a URI or headers too long) as JSON, like every other error."""
+        if self.request_version == "HTTP/0.9":  # the line never parsed as HTTP/1.x:
+            self.request_version = ""  # still send a status line and headers
+        self._error(code, message or self.responses[code][0], close=True)
 
     def _body_length(self) -> Optional[int]:
         """The request's Content-Length, or None once an error is sent.
@@ -361,7 +371,7 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         """Any method but GET and POST; a body it carries stays unread."""
         self._error(405, f"method {self.command} is not allowed", close=True)
 
-    do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _not_allowed
+    do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = do_TRACE = do_CONNECT = _not_allowed
 
     def do_POST(self) -> None:
         parts = urlsplit(self.path)
@@ -393,6 +403,11 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         self._reply(201, record.as_dict())
 
     def do_GET(self) -> None:
+        # A body left unread would be parsed as the next request, so a GET
+        # that declares one is answered and its connection closed.
+        if "Transfer-Encoding" in self.headers or any(
+                value.strip() != "0" for value in self.headers.get_all("Content-Length", ())):
+            self.close_connection = True
         parts = urlsplit(self.path)
         query = parse_qs(parts.query)
         device_id = (query.get("device_id") or [None])[0]

@@ -45,8 +45,8 @@ def naive_acquire_distance(channel, segment, clock, cfg: FirmwareConfig = Firmwa
         clock.advance(cfg.sample_period_ms)
         if pulses is None:
             continue
-        distance = pulses_to_cm(pulses, cfg)
-        if gate_valid(distance, cfg):
+        distance = pulses_to_cm(pulses)
+        if gate_valid(distance):
             valid.append(distance)
     return median9(valid, cfg)
 

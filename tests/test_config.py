@@ -20,6 +20,10 @@ def test_default_config_file_spells_out_the_defaults():
 
 @pytest.mark.parametrize("section, field", [
     ("firmware", "pulses_per_inch"),  # dropped: nothing converted with it
+    # the rangefinder is the world's, not the config's (world.PULSES_PER_CM, GATE_*_CM)
+    ("firmware", "pulses_per_cm"),
+    ("firmware", "gate_low_cm"),
+    ("firmware", "gate_high_cm"),
     ("firmware", "colour"),
     ("app", "colour"),
 ])
@@ -31,7 +35,7 @@ def test_unknown_fields_are_named(section, field):
 @pytest.mark.parametrize("doc, field", [
     ({"firmware": {"samples_per_measurement": 9.0}}, "firmware.samples_per_measurement"),
     ({"firmware": {"sample_period_ms": 10.5}}, "firmware.sample_period_ms"),
-    ({"firmware": {"gate_low_cm": True}}, "firmware.gate_low_cm"),
+    ({"firmware": {"ground_alert_cm": True}}, "firmware.ground_alert_cm"),
     ({"app": {"upload_interval_ms": 1500.5}}, "app.upload_interval_ms"),
     ({"app": {"device_id": 5}}, "app.device_id"),
     ({"app": {"gps_sigma_m": math.nan}}, "app.gps_sigma_m"),

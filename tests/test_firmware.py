@@ -93,12 +93,6 @@ def test_pulses_to_cm_rejects_negative():
         pulses_to_cm(-1)
 
 
-def test_pulses_to_cm_honours_configured_ratio():
-    cfg = FirmwareConfig(pulses_per_cm=100)
-    assert pulses_to_cm(150, cfg) == 2  # 1.5 rounds half up
-    assert pulses_to_cm(149, cfg) == 1
-
-
 # -- gate ----------------------------------------------------------------------
 
 

@@ -441,7 +441,8 @@ def test_get_history_limit_takes_ascii_digits_only(live_server, limit):
     assert http_get(live_server, "/api/locations?device_id=walker-1&limit=05")[0] == 200
 
 
-@pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"])
+@pytest.mark.parametrize("method",
+                         ["PUT", "DELETE", "PATCH", "HEAD", "OPTIONS", "TRACE", "CONNECT"])
 def test_other_methods_are_405_json_and_close(live_server, method):
     connection = http.client.HTTPConnection(live_server[len("http://"):], timeout=5)
     try:
@@ -459,6 +460,57 @@ def test_other_methods_are_405_json_and_close(live_server, method):
     else:
         assert "error" in json.loads(raw)
     assert http_post(live_server, "/api/locations", good_fix())[0] == 201
+
+
+def raw_exchange(base, data: bytes) -> bytes:
+    """Send `data` on one connection and return all the server sends before
+    it closes the connection, which must happen within 2 s."""
+    port = int(base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def one_closing_reply(reply: bytes, status: int):
+    """The JSON body of `reply`, checked to be one response with `status`
+    that closes its connection."""
+    assert reply.count(b"HTTP/1.1 ") == 1, reply[:300]
+    head, _, body = reply.partition(b"\r\n\r\n")
+    head = head.decode("latin-1")
+    assert head.startswith(f"HTTP/1.1 {status} "), head
+    assert "\r\nConnection: close\r\n" in head + "\r\n"
+    assert "\r\nContent-Type: application/json" in head
+    return json.loads(body)
+
+
+@pytest.mark.parametrize("framing", ["Content-Length: 5\r\n", "Transfer-Encoding: chunked\r\n"],
+                         ids=["Content-Length", "Transfer-Encoding"])
+def test_a_get_with_a_body_is_answered_and_closed(live_server, framing):
+    http_post(live_server, "/api/locations", good_fix(device_id="w"))
+    get = "GET /api/locations/latest?device_id=w HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+    reply = raw_exchange(live_server, f"{get}{framing}\r\nhello{get}\r\n".encode())
+    assert one_closing_reply(reply, 200)["id"] == 1  # not a 501 for a 'helloGET' method
+
+
+@pytest.mark.parametrize("ending", ["HTTP/1.0\r\n", "HTTP/1.1\r\nConnection: close\r\n"],
+                         ids=["HTTP/1.0", "Connection: close"])
+def test_a_request_that_ends_its_connection_gets_a_reply_that_says_so(live_server, ending):
+    reply = raw_exchange(live_server, f"GET /api/nope {ending}\r\n".encode())
+    assert one_closing_reply(reply, 404) == {"error": "no such resource"}
+
+
+@pytest.mark.parametrize("request_line, status", [
+    (b"FOO /api/locations HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n", 501),  # unknown method
+    (b"garbage\r\n", 400),
+    (b"GET /" + b"a" * 65_532, 414),  # 65,537 bytes and no end of line
+    (b"GET /api/locations HTTP/9.9\r\n\r\n", 505),
+], ids=["unknown method", "garbage line", "URI too long", "HTTP/9.9"])
+def test_framework_errors_are_json_and_close(live_server, request_line, status):
+    body = one_closing_reply(raw_exchange(live_server, request_line), status)
+    assert isinstance(body["error"], str)
 
 
 def test_unknown_path_is_404(live_server):
@@ -740,3 +792,60 @@ def test_cli_serves_and_env_overrides_flags(tmp_path):
     assert not flag_store.exists()
     row = json.loads(env_store.read_text().splitlines()[0])
     assert row["device_id"] == "walker-1"
+
+
+def test_a_server_killed_mid_stream_keeps_every_acknowledged_fix(tmp_path, capsys):
+    """SIGKILL a server while one client POSTs over a kept-alive connection:
+    the reopened store holds every fix answered 201, with ids 1..n, and at
+    most the one POST in flight beyond them."""
+    path = tmp_path / "locations.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "echoguide.server", "--listen", "127.0.0.1:0",
+         "--store", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    acked: list[dict] = []
+    enough = threading.Event()
+
+    def post_until_the_server_dies(port: int) -> None:
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            for second in range(3600):
+                fix = good_fix(latitude=22.0 + second / 3600,
+                               timestamp=f"2015-06-01T00:{second // 60:02d}:{second % 60:02d}Z")
+                connection.request("POST", "/api/locations", body=json.dumps(fix),
+                                   headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 201
+                acked.append(json.loads(response.read()))
+                if len(acked) >= 20:
+                    enough.set()
+        except (ConnectionError, http.client.HTTPException):
+            pass  # the kill
+        finally:
+            connection.close()
+            enough.set()
+
+    try:
+        port = int(proc.stdout.readline().split("serving on http://127.0.0.1:")[1].split()[0])
+        client = threading.Thread(target=post_until_the_server_dies, args=(port,))
+        client.start()
+        assert enough.wait(timeout=10)
+        proc.kill()
+        client.join(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert len(acked) >= 20
+
+    store = TrackStore(path)
+    try:
+        records = [record.as_dict() for record in store.records()]
+    finally:
+        store.close()
+    assert records[:len(acked)] == acked  # each with its id and fields
+    assert [record["id"] for record in records] == list(range(1, len(records) + 1))
+    assert len(records) <= len(acked) + 1  # at most the POST the kill cut short
+    warning = capsys.readouterr().err
+    assert warning == "" or (warning.startswith(f"warning: {path}: truncated a torn last line")
+                             and warning.count("\n") == 1)
