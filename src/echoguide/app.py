@@ -16,14 +16,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import ConfigError
-
-
-class ObstacleMessage(Enum):
-    """Decoded one-word frames from the wearable."""
-
-    GROUND = "Ground"
-    LEFT = "Left"
-    RIGHT = "Right"
+from .link import ObstacleMessage
 
 
 class Language(Enum):
@@ -46,10 +39,10 @@ class UnknownTokenError(ValueError):
 
 def decode_message(token: str) -> ObstacleMessage:
     """Map a link token to its message; exact, case-sensitive match only."""
-    for message in ObstacleMessage:
-        if token == message.value:
-            return message
-    raise UnknownTokenError(token)
+    try:
+        return ObstacleMessage(token)
+    except ValueError:
+        raise UnknownTokenError(token) from None
 
 
 # Default spoken phrases.  Placeholder wording, replaceable via the config
@@ -311,7 +304,7 @@ class AssistiveApp:
 
 
 __all__ = [
-    "ObstacleMessage", "Language", "Provider", "UnknownTokenError",
+    "Language", "Provider", "UnknownTokenError",
     "decode_message", "DEFAULT_PHRASES", "AppConfig",
     "CallEmergency", "SetMuted", "normalize_utterance",
     "select_provider", "make_fix", "Uploader", "UploadAttempt", "AssistiveApp",

@@ -84,9 +84,7 @@ def cmd_assert(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else SystemConfig.default()
-    trace = distance_error_experiment(
-        calibration=config.calibration, firmware_cfg=config.firmware, seed=args.seed
-    )
+    trace = distance_error_experiment(config, seed=args.seed)
     _write_trace(trace, args.trace)
     _print_report([trace], args.out)
     return 0

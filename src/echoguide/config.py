@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .app import AppConfig, DEFAULT_PHRASES, Language, ObstacleMessage
+from .app import AppConfig, DEFAULT_PHRASES, Language
 from .errors import ConfigError
 from .firmware import FirmwareConfig
 from .jsonread import (
     bounded_rule, built_rule, dataclass_rule, load_json, object_rule, read_json,
 )
+from .link import ObstacleMessage
 from .world import Calibration, DEFAULT_CALIBRATION, NoiseParams, SurfaceKind, Weather
 
 

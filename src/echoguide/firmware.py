@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .clock import VirtualClock
-from .link import FRAME_DELIMITER
+from .link import FRAME_DELIMITER, ObstacleMessage
 from .world import (
     Channel,
     GATE_HIGH_CM,
@@ -139,16 +139,9 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     raise NoEchoError(channel, attempts)
 
 
-_CHANNEL_TOKENS = {
-    Channel.GROUND: "Ground",
-    Channel.LEFT: "Left",
-    Channel.RIGHT: "Right",
-}
-
-
 def encode_message(channel: Channel) -> bytes:
     """Wire frame for an alert on a channel: the channel word plus the link delimiter."""
-    return _CHANNEL_TOKENS[channel].encode("ascii") + FRAME_DELIMITER
+    return ObstacleMessage[channel.name].value.encode("ascii") + FRAME_DELIMITER
 
 
 # The channels in the order a pass measures them, each with its alert frame.

@@ -30,7 +30,7 @@ from .app import (
 from .clock import VirtualClock
 from .config import SystemConfig
 from .errors import ScenarioError
-from .firmware import FirmwareConfig, FirmwareState, NoEchoError, acquire_distance, firmware_tick
+from .firmware import FirmwareState, NoEchoError, acquire_distance, firmware_tick
 from .jsonread import bounded_rule, choice_rule, list_rule, load_json, object_rule, read_json
 from .link import LinkBuffer
 from .server import FixValidationError, StorageError, TrackService, TrackStore
@@ -52,7 +52,6 @@ from .trace import (
     ev_utterance,
 )
 from .world import (
-    Calibration,
     Channel,
     ChannelEcho,
     ScenarioScript,
@@ -218,8 +217,7 @@ def experiment_grid() -> list[int]:
     return list(range(GRID_START_CM, GRID_STOP_CM + 1, GRID_STEP_CM))
 
 
-def distance_error_experiment(calibration: Optional[Calibration] = None,
-                              firmware_cfg: Optional[FirmwareConfig] = None,
+def distance_error_experiment(config: Optional[SystemConfig] = None,
                               seed: int = EXPERIMENT_SEED) -> TraceLog:
     """Measure every grid distance once per (surface, weather) condition.
 
@@ -230,20 +228,19 @@ def distance_error_experiment(calibration: Optional[Calibration] = None,
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if calibration is None:
-        calibration = SystemConfig.default().calibration
-    cfg = firmware_cfg if firmware_cfg is not None else FirmwareConfig()
+    if config is None:
+        config = SystemConfig.default()
     rng = random.Random(seed)
     clock = VirtualClock()
     trace = TraceLog()
     for surface in (SurfaceKind.TILES, SurfaceKind.CONCRETE):
         for weather in (Weather.DRY, Weather.WET):
-            params = noise_params_for(surface, weather, calibration)
+            params = noise_params_for(surface, weather, config.calibration)
             for true_cm in experiment_grid():
                 draw = echo_sampler(true_cm, params, rng)
                 try:  # a fixed target: one segment that never ends
                     measured = acquire_distance(Channel.GROUND, lambda t_ms: (draw, math.inf),
-                                                clock, cfg)
+                                                clock, config.firmware)
                 except NoEchoError:
                     trace.add(ev_no_echo(clock.now(), Channel.GROUND))
                     continue

@@ -1,13 +1,24 @@
 """Newline-framed serial byte stream between the wearable and the handset.
 
 The link is an ordered lossless byte pipe; message boundaries exist only as
-0x0A terminators.  The receiver may drain the buffer at arbitrary byte
-positions, so deframing keeps any trailing partial frame for the next read.
+0x0A terminators, and each frame carries one obstacle word.  The receiver
+may drain the buffer at arbitrary byte positions, so deframing keeps any
+trailing partial frame for the next read.
 """
 
 from __future__ import annotations
 
+from enum import Enum
+
 FRAME_DELIMITER = b"\n"
+
+
+class ObstacleMessage(Enum):
+    """The one-word frames the wearable sends, one per channel of the same name."""
+
+    GROUND = "Ground"
+    LEFT = "Left"
+    RIGHT = "Right"
 
 
 class LinkBuffer:
@@ -36,4 +47,4 @@ class LinkBuffer:
         return [part.decode("ascii", errors="replace") for part in complete]
 
 
-__all__ = ["LinkBuffer", "FRAME_DELIMITER"]
+__all__ = ["LinkBuffer", "FRAME_DELIMITER", "ObstacleMessage"]

@@ -350,9 +350,14 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
     def _body_length(self) -> Optional[int]:
         """The request's Content-Length, or None once an error is sent.
 
-        A body that is not read leaves the connection out of step, so
-        both errors close it.
+        Transfer-Encoding overrides Content-Length (RFC 9112 section 6.3) and
+        is not supported, so it is refused.  A body that is not read leaves
+        the connection out of step, so every error closes it.
         """
+        if "Transfer-Encoding" in self.headers:
+            self._error(400, "Transfer-Encoding is not supported; send Content-Length",
+                        field="Transfer-Encoding", close=True)
+            return None
         values = self.headers.get_all("Content-Length") or []
         length = _digits(values[0].strip()) if len(set(values)) == 1 else None
         if length is None:

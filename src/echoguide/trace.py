@@ -10,19 +10,16 @@ order on ties.
 from __future__ import annotations
 
 import json
-from json.encoder import c_make_encoder, encode_basestring
 from typing import Iterator, Optional
 
-from .app import ObstacleMessage, UploadAttempt
+from .app import UploadAttempt
 from .errors import ScenarioError
+from .link import ObstacleMessage
 from .world import Channel, SurfaceKind, Weather
 
 
 # The serialization: json.dumps(event, sort_keys=True, ensure_ascii=False,
-# separators=(",", ":")).  _ENCODER.encode would build a new C encoder for
-# every event, so to_jsonl builds one per trace, with the arguments that
-# _ENCODER.iterencode passes it; a fresh markers dict keeps the circular
-# check.  Without the C accelerator, iterencode is the pure-Python encoder.
+# separators=(",", ":")).
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 # The hot kinds, written as json.dumps writes them when their event is
@@ -60,12 +57,7 @@ class TraceLog:
         return iter(self.events)
 
     def to_jsonl(self) -> str:
-        if c_make_encoder is None:
-            encode = _ENCODER.iterencode
-        else:
-            e = _ENCODER
-            encode = c_make_encoder({}, e.default, encode_basestring, e.indent, e.key_separator,
-                                    e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+        encode = _ENCODER.encode
         lines: list[str] = []
         append = lines.append
         for event in self.events:
@@ -98,7 +90,7 @@ class TraceLog:
                         and type(channel) is str and channel in _CHANNELS):
                     append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
                     continue
-            append("".join(encode(event, 0)))
+            append(encode(event))
         append("")  # the final newline; one join, with no second copy of the text
         return "\n".join(lines)
 

@@ -11,7 +11,6 @@ import json
 import random
 import time
 
-from echoguide.app import ObstacleMessage
 from echoguide.firmware import (
     FirmwareConfig,
     gate_valid,

@@ -14,7 +14,6 @@ from echoguide.app import (
     CallEmergency,
     DEFAULT_PHRASES,
     Language,
-    ObstacleMessage,
     Provider,
     SetMuted,
     UnknownTokenError,
@@ -25,6 +24,7 @@ from echoguide.app import (
     select_provider,
 )
 from echoguide.errors import ConfigError
+from echoguide.link import ObstacleMessage
 
 
 # -- decoding -----------------------------------------------------------------

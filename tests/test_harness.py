@@ -219,8 +219,7 @@ def synthetic_trace(rows):
 
 
 def test_error_report_zero_noise_is_zero():
-    trace = distance_error_experiment(
-        calibration=zero_noise_config().calibration, seed=7)
+    trace = distance_error_experiment(zero_noise_config(), seed=7)
     report = error_report([trace])
     assert report.total_count == 4 * len(experiment_grid())
     assert report.overall_mape_pct == 0.0

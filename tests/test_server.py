@@ -365,6 +365,19 @@ def test_post_body_at_the_cap_is_accepted(live_server):
     assert status == 201 and body["id"] == 1
 
 
+@pytest.mark.parametrize("with_length", [True, False], ids=["with Content-Length", "alone"])
+def test_post_with_transfer_encoding_is_400_unread_and_closes(live_server, with_length):
+    payload = json.dumps(good_fix(device_id="te")).encode()
+    if with_length:  # a body Content-Length frames, which Transfer-Encoding overrides
+        headers, body = f"Transfer-Encoding: chunked\r\nContent-Length: {len(payload)}\r\n", payload
+    else:
+        headers, body = "Transfer-Encoding: chunked\r\n", b"%x\r\n%s\r\n0\r\n\r\n" % (
+            len(payload), payload)
+    status, reply, connection = raw_post(live_server, headers, body)
+    assert (status, reply["field"], connection) == (400, "Transfer-Encoding", "close")
+    assert http_get(live_server, "/api/locations/latest?device_id=te")[0] == 404
+
+
 def test_post_to_unknown_path_is_404_and_closes(live_server):
     payload = json.dumps(good_fix()).encode()
     status, _, connection = raw_post(live_server, f"Content-Length: {len(payload)}\r\n",

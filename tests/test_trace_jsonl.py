@@ -1,19 +1,23 @@
 """TraceLog.to_jsonl against json.dumps: one line per event, byte for byte,
-with the C encoder it builds once per trace, with the pure-Python encoder
-it falls back to, and on the lines it writes directly for the hot kinds."""
+with json's C encoder, with the pure-Python encoder json falls back to, and
+on the lines it writes directly for the hot kinds."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import json.encoder
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT, SCENARIO_DIR
 from echoguide import trace
+from echoguide.harness import distance_error_experiment, run_scenario
 from echoguide.trace import TraceLog, ev_alert, ev_measurement, ev_no_echo
-from echoguide.world import Channel, SurfaceKind, Weather
+from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
 
 EVENTS = [
     {"t": 0, "kind": "speak", "message": "Ground", "language": "bn",
@@ -39,7 +43,7 @@ def expected_lines(events) -> str:
 
 
 def c_encoder_off(monkeypatch) -> None:
-    monkeypatch.setattr(trace, "c_make_encoder", None)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
 
 
 ENCODERS = pytest.mark.parametrize("switch", [lambda mp: None, c_encoder_off],
@@ -78,6 +82,17 @@ def test_shared_values_are_not_circular(monkeypatch, switch):
     shared = {"channel": "ground"}
     events = [{"t": i, "kind": "x", "a": shared, "b": [shared, shared]} for i in range(3)]
     assert TraceLog(events).to_jsonl() == expected_lines(events)
+
+
+def test_pure_python_encoder_gives_the_pinned_bytes(monkeypatch):
+    pins = json.loads((REPO_ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
+    c_encoder_off(monkeypatch)
+    walk = run_scenario(load_scenario(SCENARIO_DIR / "ground_obstacle.json"))
+    experiment = distance_error_experiment()
+    assert hashlib.sha256(walk.to_jsonl().encode("utf-8")).hexdigest() == \
+        pins["bundled"]["ground_obstacle"]
+    assert hashlib.sha256(experiment.to_jsonl().encode("utf-8")).hexdigest() == \
+        pins["experiment"]["trace"]
 
 
 def test_empty_trace_is_empty_text():
@@ -132,12 +147,10 @@ MEASUREMENT, _, _, ALERT, NO_ECHO = PRISTINE
 
 
 def test_pristine_hot_events_do_not_reach_the_encoder():
-    def no_encoder(*args):
-        def encode(event, level):
-            raise AssertionError(f"encoded {event}")
-        return encode
+    def no_encoder(event):
+        raise AssertionError(f"encoded {event}")
 
-    with mock.patch.object(trace, "c_make_encoder", no_encoder):
+    with mock.patch.object(trace._ENCODER, "encode", no_encoder):
         assert TraceLog(PRISTINE).to_jsonl() == expected_lines(PRISTINE)
 
 
@@ -203,5 +216,5 @@ def with_value(event: dict, key: str, value) -> dict:
 def test_hot_kinds_are_written_as_json_dumps_writes_them(events):
     expected = expected_lines(events)
     assert TraceLog(events).to_jsonl() == expected
-    with mock.patch.object(trace, "c_make_encoder", None):
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
         assert TraceLog(events).to_jsonl() == expected
