@@ -13,7 +13,9 @@ with 400, one over MAX_BODY_BYTES with 413 and a method other than GET or
 POST with 405, without reading the body, and gives up on a connection that
 stays silent for REQUEST_TIMEOUT_S, an idle kept-alive one among them.
 Replies leave with TCP_NODELAY, headers and body in one send, so a client
-that keeps its connection open waits for no delayed ACK.
+that keeps its connection open waits for no delayed ACK.  A GET reply is
+encoded once per change of its device's fixes and its bytes sent again until
+a POST changes them, at most two stored replies (latest, history) per device.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import json
+import operator
 import os
 import re
 import socket
@@ -29,7 +32,7 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Optional, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from .jsonread import FIX, parse_instant, read_json
@@ -56,6 +59,9 @@ class StorageError(RuntimeError):
 
 @dataclass(slots=True)
 class FixRecord:
+    """A stored fix.  Never mutated once made: the HTTP adapter reuses a
+    reply's bytes while a query returns the same record objects."""
+
     id: int
     device_id: str
     latitude: float
@@ -245,11 +251,17 @@ class TrackStore:
             if not fixes:
                 return []
             if device_id not in self._last_key:
-                fixes.sort(key=self._sort_key)  # all or nothing: a raise leaves it as it was
+                fixes.sort(key=self._checked_key)  # all or nothing: a raise leaves it as it was
                 self._last_key[device_id] = self._sort_key(fixes[-1])
             return fixes[-limit:]
 
     def _sort_key(self, record: FixRecord) -> tuple[datetime, int]:
+        """The (timestamp, id) key of a record known valid: insert ran
+        validate_fix on it, or the device's first sort checked it."""
+        return parse_instant(record.timestamp), record.id
+
+    def _checked_key(self, record: FixRecord) -> tuple[datetime, int]:
+        """_sort_key, once the record is checked as validate_fix checks a body."""
         fields = record.as_dict()
         del fields["id"]
         try:
@@ -258,7 +270,7 @@ class TrackStore:
             name = exc.field  # type: ignore[attr-defined]
             raise StorageError(f"{self.path}: record {record.id}: {name} "
                                f"{fields[name]!r} is invalid ({exc})") from None
-        return parse_instant(record.timestamp), record.id
+        return self._sort_key(record)
 
 
 class TrackService:
@@ -298,6 +310,10 @@ def _digits(text: str) -> Optional[int]:
 
 class TrackRequestHandler(BaseHTTPRequestHandler):
     service: TrackService  # injected by make_http_server
+    # Per server, also injected: (device_id, is_history) -> (records, body) of
+    # the last 200 reply with records.  Each entry is replaced whole, never
+    # changed, so racing handlers each store a consistent pair without a lock.
+    replies: dict[tuple[str, bool], tuple[Sequence[FixRecord], bytes]]
     protocol_version = "HTTP/1.1"
     timeout = REQUEST_TIMEOUT_S  # a silent connection or a short body frees its thread
     # A reply that fits wbufsize leaves in one send, at handle_one_request's
@@ -318,7 +334,9 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         return True
 
     def _reply(self, status: int, payload: object, close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send(status, json.dumps(payload).encode("utf-8"), close)
+
+    def _send(self, status: int, body: bytes, close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -433,12 +451,24 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         except StorageError as exc:
             self._error(500, str(exc))
             return
-        if history:
-            self._reply(200, [r.as_dict() for r in found])
-        elif found is None:
-            self._error(404, f"no fix recorded for device '{device_id}'")
-        else:
-            self._reply(200, found.as_dict())
+        if not found:  # no entry, so the table holds stored devices only
+            if history:
+                self._reply(200, [])
+            else:
+                self._error(404, f"no fix recorded for device '{device_id}'")
+            return
+        # A query hands out records that are never mutated, so the same
+        # objects in the same order encode to the same bytes; anything else
+        # (an insert, even one that keeps the length and the last record) is
+        # encoded afresh.
+        records = found if history else (found,)
+        entry = self.replies.get((device_id, history))
+        if (entry is None or len(entry[0]) != len(records)
+                or not all(map(operator.is_, entry[0], records))):
+            body = json.dumps([r.as_dict() for r in records] if history
+                              else found.as_dict()).encode("utf-8")
+            entry = self.replies[device_id, history] = (records, body)
+        self._send(200, entry[1])
 
 
 class _TrackHTTPServer(ThreadingHTTPServer):
@@ -487,7 +517,7 @@ def make_http_server(listen: str, service: TrackService) -> ThreadingHTTPServer:
         raise ValueError("listen address must be host:port, the port in ASCII digits")
     if port > 65535:
         raise ValueError("port must be at most 65535")
-    handler = type("BoundHandler", (TrackRequestHandler,), {"service": service})
+    handler = type("BoundHandler", (TrackRequestHandler,), {"service": service, "replies": {}})
     return _TrackHTTPServer((host, port), handler)
 
 

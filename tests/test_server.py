@@ -7,6 +7,7 @@ import dataclasses
 import http.client
 import json
 import os
+import random
 import socket
 import struct
 import subprocess
@@ -16,8 +17,11 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
 
 import pytest
+
+import reference_store
 
 from echoguide.server import (
     DEFAULT_HISTORY_LIMIT,
@@ -234,24 +238,30 @@ def test_history_rejects_nonpositive_limit(make_service):
 
 
 @contextmanager
-def serving(service, timeout_s=None):
-    """Serve `service` on a free loopback port and yield its base URL.
+def running(service, timeout_s=None):
+    """Serve `service` on a free loopback port and yield the server.
 
     timeout_s, when given, replaces the socket timeout of this server's own
     handler subclass.
     """
-    port = free_port()
-    httpd = make_http_server(f"127.0.0.1:{port}", service)
+    httpd = make_http_server(f"127.0.0.1:{free_port()}", service)
     if timeout_s is not None:
         httpd.RequestHandlerClass.timeout = timeout_s
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{port}"
+        yield httpd
     finally:
         httpd.shutdown()
         httpd.server_close()
+
+
+@contextmanager
+def serving(service, timeout_s=None):
+    """running(), yielding the server's base URL."""
+    with running(service, timeout_s) as httpd:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
 
 
 @pytest.fixture
@@ -710,6 +720,203 @@ def test_restart_preserves_history(tmp_path):
 
     assert after_latest == before_latest
     assert after_history == before_history
+
+
+# -- reply reuse -------------------------------------------------------------------
+
+
+def fresh_reply(records, device_id, limit):
+    """(status, body) of a GET as a server that encodes every reply sends it:
+    the reference store's answer through json.dumps.  limit None asks for
+    the latest fix."""
+    if limit is None:
+        latest = reference_store.latest_fix(records, device_id)
+        if latest is None:
+            return 404, json.dumps({"error": f"no fix recorded for device '{device_id}'"}).encode()
+        return 200, json.dumps(latest.as_dict()).encode()
+    found = reference_store.history(records, device_id, limit)
+    return 200, json.dumps([r.as_dict() for r in found]).encode()
+
+
+def get_reply(conn, device_id, limit):
+    """(status, body) of a latest (limit None) or history GET on conn."""
+    conn.request("GET", f"/api/locations/latest?device_id={device_id}" if limit is None
+                 else f"/api/locations?device_id={device_id}&limit={limit}")
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+def post_record(conn, fix) -> FixRecord:
+    conn.request("POST", "/api/locations", json.dumps(fix), {"Content-Type": "application/json"})
+    response = conn.getresponse()
+    assert response.status == 201
+    return FixRecord(**json.loads(response.read()))
+
+
+def at_second(second: int) -> str:
+    instant = datetime(2015, 6, 1, tzinfo=timezone.utc) + timedelta(seconds=second)
+    return instant.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_get_replies_are_the_bytes_of_a_fresh_encode(tmp_path, seed):
+    """A seeded mix of POSTs (in order, tied with a device's newest, out of
+    order) and latest/history GETs on one kept-alive connection: each GET
+    body is the one an encode of the reference answer gives."""
+    rng = random.Random(seed)
+    devices = ("walker-1", "walker-2", "walker-3")
+    newest = dict.fromkeys(devices, 600)
+    records, kinds = [], set()
+    store = TrackStore(tmp_path / "locations.jsonl")
+    with serving(TrackService(store)) as base:
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
+        conn.connect()
+        sock = conn.sock
+        for _ in range(400):
+            device = rng.choice(devices)
+            if rng.random() < 0.3:
+                kind = rng.choice(("in order", "tied", "out of order"))
+                if kind == "in order":
+                    newest[device] += rng.randint(1, 90)
+                second = newest[device] - (rng.randint(1, 120) if kind == "out of order" else 0)
+                kinds.add(kind)
+                records.append(post_record(conn, good_fix(
+                    device_id=device, timestamp=at_second(second),
+                    latitude=round(rng.uniform(-89, 89), 6))))
+            else:
+                device = rng.choice(devices + ("nobody",))
+                limit = rng.choice((None, 1, 3, 50))
+                assert get_reply(conn, device, limit) == fresh_reply(records, device, limit)
+        assert conn.sock is sock  # every exchange rode the one connection
+        conn.close()
+    store.close()
+    assert kinds == {"in order", "tied", "out of order"}
+
+
+def test_an_out_of_order_post_into_a_capped_history_changes_its_reply(live_server):
+    """The POST leaves the length and the last record of the limit-3 answer
+    as they were; its content still changes, and so do the bytes sent."""
+    conn = http.client.HTTPConnection(live_server.removeprefix("http://"), timeout=5)
+    records = [post_record(conn, good_fix(timestamp=at_second(second), latitude=latitude))
+               for second, latitude in ((600, 1.0), (1200, 2.0), (1800, 3.0))]
+    before = get_reply(conn, "walker-1", 3)
+    assert before == fresh_reply(records, "walker-1", 3)
+    latest = get_reply(conn, "walker-1", None)
+    records.append(post_record(conn, good_fix(timestamp=at_second(900), latitude=4.0)))
+    after = get_reply(conn, "walker-1", 3)
+    assert after == fresh_reply(records, "walker-1", 3) != before
+    assert get_reply(conn, "walker-1", None) == latest  # the newest fix is still the newest
+    records.append(post_record(conn, good_fix(timestamp=at_second(2400), latitude=5.0)))
+    for limit in (None, 3):
+        assert get_reply(conn, "walker-1", limit) == fresh_reply(records, "walker-1", limit)
+    conn.close()
+
+
+def test_every_get_asks_the_service(tmp_path):
+    """A reused reply still comes from a query: the service is asked on each GET."""
+    store = TrackStore(tmp_path / "locations.jsonl")
+    service = TrackService(store)
+    records = [service.insert_fix(good_fix(timestamp=at_second(s))) for s in (60, 120)]
+    asked = []
+    for name in ("latest_fix", "history"):
+        query = getattr(service, name)
+        setattr(service, name, lambda *args, query=query, name=name: asked.append(name)
+                or query(*args))
+    with serving(service) as base:
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
+        for _ in range(3):
+            for limit in (None, 50):
+                assert get_reply(conn, "walker-1", limit) == fresh_reply(records, "walker-1", limit)
+        conn.close()
+    store.close()
+    assert sorted(asked) == ["history"] * 3 + ["latest_fix"] * 3
+
+
+def test_racing_handlers_leave_only_fresh_replies(tmp_path):
+    """Four kept-alive clients POST and GET the same two devices at once,
+    with the interpreter switching threads often.  Once they are done,
+    every reply is the fresh encode of the store's records, so no racing
+    pair of stores left bytes that belong to other records."""
+    store = TrackStore(tmp_path / "locations.jsonl")
+    acked, failures = [], []
+    devices = ("walker-1", "walker-2")
+
+    def client(n: int, base: str) -> None:
+        rng = random.Random(n)
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
+        try:
+            for step in range(60):
+                device = rng.choice(devices)
+                if step % 3 == 0:
+                    second = rng.randrange(3600)
+                    acked.append(post_record(conn, good_fix(device_id=device,
+                                                            timestamp=at_second(second))))
+                else:
+                    status, _ = get_reply(conn, device, rng.choice((None, 3)))
+                    assert status in (200, 404)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+        finally:
+            conn.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serving(TrackService(store)) as base:
+            threads = [threading.Thread(target=client, args=(n, base)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            records = sorted(acked, key=lambda r: r.id)
+            conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
+            for device in devices:
+                for limit in (None, 3):
+                    assert get_reply(conn, device, limit) == fresh_reply(records, device, limit)
+            conn.close()
+    finally:
+        sys.setswitchinterval(interval)
+        store.close()
+
+
+def test_the_reply_table_holds_at_most_two_replies_per_stored_device(tmp_path):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    service = TrackService(store)
+    for second in range(70):
+        service.insert_fix(good_fix(timestamp=at_second(second)))
+    service.insert_fix(good_fix(device_id="walker-2"))
+    with running(service) as httpd:
+        conn = http.client.HTTPConnection(f"127.0.0.1:{httpd.server_address[1]}", timeout=5)
+        for n in range(200):
+            assert get_reply(conn, f"ghost-{n}", None)[0] == 404
+            assert get_reply(conn, f"ghost-{n}", 50) == (200, b"[]")
+        for limit in range(1, 61):
+            status, body = get_reply(conn, "walker-1", limit)
+            assert status == 200 and len(json.loads(body)) == limit
+        for device in ("walker-1", "walker-2"):
+            assert get_reply(conn, device, None)[0] == 200
+        conn.close()
+        replies = httpd.RequestHandlerClass.replies
+        assert {device for device, _ in replies} == {"walker-1", "walker-2"}
+        assert len(replies) <= 2 * 2
+    store.close()
+
+
+def test_a_failing_query_answers_500_each_time_and_keeps_no_reply(tmp_path):
+    path = tmp_path / "locations.jsonl"
+    write_rows(path, [good_fix(timestamp="yesterday"), good_fix(device_id="walker-2")])
+    store = TrackStore(path)
+    with running(TrackService(store)) as httpd:
+        conn = http.client.HTTPConnection(f"127.0.0.1:{httpd.server_address[1]}", timeout=5)
+        for _ in range(3):
+            for limit in (None, 50):
+                status, body = get_reply(conn, "walker-1", limit)
+                assert status == 500 and "record 1" in json.loads(body)["error"]
+        conn.close()
+        assert [key for key in httpd.RequestHandlerClass.replies if key[0] == "walker-1"] == []
+    store.close()
 
 
 # -- subprocess entry point ---------------------------------------------------------

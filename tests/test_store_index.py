@@ -426,6 +426,27 @@ def test_insert_into_a_sorted_device_parses_one_timestamp(tmp_path, monkeypatch)
     store.close()
 
 
+def test_insert_into_a_sorted_device_reads_the_fix_once(tmp_path, monkeypatch):
+    """validate_fix reads the posted fix; neither its sort key nor the bisect
+    among the device's records reads it, or any stored record, again."""
+    store = TrackStore(tmp_path / "locations.jsonl")
+    service = TrackService(store)
+    for n in range(20):
+        store.insert(fix("walker-1", f"2015-06-01T00:{n:02d}:30Z"))
+    assert service.latest_fix("walker-1").id == 20  # sorts the device
+    calls = []
+    real = server.read_json
+    monkeypatch.setattr(server, "read_json", lambda *args: calls.append(args) or real(*args))
+    store.insert(fix("walker-1", "2015-06-01T01:00:00Z"))  # in order
+    assert len(calls) == 1
+    store.insert(fix("walker-1", "2015-06-01T00:10:00Z"))  # out of order, among 21
+    assert len(calls) == 2
+    monkeypatch.undo()
+    records = store.records()
+    assert service.history("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
+    store.close()
+
+
 # -- failed appends -------------------------------------------------------------
 
 
