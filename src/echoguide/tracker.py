@@ -5,6 +5,17 @@ Subcommands: get-location (print the newest fix), show-map (GeoJSON Point
 plus a maps URL), track (GeoJSON trail).  Exit codes: 0 success, 2 server
 unreachable or its reply malformed, 3 no fix recorded for the device.
 
+A 200 reply is checked before it is used: every fix must have the fields
+of a stored fix and belong to the device asked for, and a trail may hold
+no more fixes than its limit; a reply that fails names the field at
+fault.  Reading is a function of the reply's bytes, the device and the
+limit alone, so its result is kept for the _MEMO_CAP most recently read
+replies of at most _MEMO_BODY_MAX bytes (16 KiB, about 110 fixes): about
+14 MB at worst with their decoded fixes.  A reply that repeats one of them
+is not decoded or checked again; each caller gets its own copy of the kept
+result.  This pays only in a process that fetches again and again, as a
+guardian's polling loop does: the CLI fetches once and exits.
+
 Queries go over HTTP/1.1 persistent connections: each one the server
 leaves open goes back to an idle list for the next query to the same
 server, from any thread.
@@ -13,6 +24,7 @@ server, from any thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import http.client
 import json
 import math
@@ -71,10 +83,9 @@ def _exchange(conn: http.client.HTTPConnection, target: str) -> http.client.HTTP
     return conn.getresponse()
 
 
-def _get_json(url: str, timeout: float) -> tuple[int, object]:
-    """Status and decoded body of a GET, over an idle connection to the same
-    server when there is one.  A 200 body that is not UTF-8 JSON raises
-    BadReply; any other body that is not becomes {"error": reason}.
+def _get_reply(url: str, timeout: float) -> tuple[int, str, bytes]:
+    """Status, reason phrase and body of a GET, over an idle connection to
+    the same server when there is one.
 
     Only a connection taken from the idle list is tried again, on a new
     connection and once, and only when it fails before a status line
@@ -115,13 +126,17 @@ def _get_json(url: str, timeout: float) -> tuple[int, object]:
     else:
         with _idle_lock:
             _idle.setdefault(key, []).append(conn)
+    return response.status, response.reason, body
+
+
+def _unexpected(status: int, reason: str, body: bytes) -> ServerUnreachable:
+    """The error for a reply whose status the query does not expect: its
+    JSON body, or its reason phrase when the body is not JSON."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError is one too
-        if response.status == 200:
-            raise BadReply(f"reply: not valid JSON ({exc})") from None
-        payload = {"error": response.reason}
-    return response.status, payload
+    except ValueError:  # UnicodeDecodeError is one too
+        payload = {"error": reason}
+    return ServerUnreachable(f"unexpected response {status}: {payload}")
 
 
 def _close_idle() -> None:
@@ -133,25 +148,58 @@ def _close_idle() -> None:
         conn.close()
 
 
+_MEMO_CAP = 256
+_MEMO_BODY_MAX = 16 * 1024
+
+
+@functools.lru_cache(maxsize=_MEMO_CAP)
+def _check(body: bytes, device_id: str, limit: Optional[int]) -> dict | list[dict]:
+    """The fix (limit None) or the trail of at most `limit` fixes in a 200
+    reply body, every fix `device_id`'s; anything else raises BadReply.
+    The result is kept and shared: callers copy it before handing it out."""
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise BadReply(f"reply: not valid JSON ({exc})") from None
+    if limit is None:
+        fix = read_json(doc, _REPLY_FIX, BadReply, "reply")
+        if fix["device_id"] != device_id:
+            raise BadReply(f"device_id: must be {device_id!r}, the device asked for")
+        return fix
+    trail = read_json(doc, _REPLY_TRAIL, BadReply, "reply")
+    if len(trail) > limit:
+        raise BadReply(f"reply: {len(trail)} fixes, more than the limit of {limit}")
+    for i, fix in enumerate(trail):
+        if fix["device_id"] != device_id:
+            raise BadReply(f"[{i}].device_id: must be {device_id!r}, the device asked for")
+    return trail
+
+
+def _read(body: bytes, device_id: str, limit: Optional[int]) -> dict | list[dict]:
+    """_check's result, kept only for a body of at most _MEMO_BODY_MAX bytes."""
+    check = _check if len(body) <= _MEMO_BODY_MAX else _check.__wrapped__
+    return check(body, device_id, limit)
+
+
 def fetch_latest(server: str, device_id: str, timeout: float = 5.0) -> dict:
     """Latest fix for a device; raises NoFix (404), ServerUnreachable or BadReply."""
     url = f"{_base_url(server)}/api/locations/latest?{urlencode({'device_id': device_id})}"
-    status, payload = _get_json(url, timeout)
+    status, reason, body = _get_reply(url, timeout)
     if status == 404:
         raise NoFix(device_id)
     if status != 200:
-        raise ServerUnreachable(f"unexpected response {status}: {payload}")
-    return read_json(payload, _REPLY_FIX, BadReply, "reply")
+        raise _unexpected(status, reason, body)
+    return dict(_read(body, device_id, None))
 
 
 def fetch_history(server: str, device_id: str, limit: int, timeout: float = 5.0) -> list[dict]:
     """Fix trail for a device, ascending by time; may be empty."""
     query = urlencode({"device_id": device_id, "limit": limit})
     url = f"{_base_url(server)}/api/locations?{query}"
-    status, payload = _get_json(url, timeout)
+    status, reason, body = _get_reply(url, timeout)
     if status != 200:
-        raise ServerUnreachable(f"unexpected response {status}: {payload}")
-    return read_json(payload, _REPLY_TRAIL, BadReply, "reply")
+        raise _unexpected(status, reason, body)
+    return list(map(dict, _read(body, device_id, limit)))
 
 
 def format_coord(value: float) -> str:

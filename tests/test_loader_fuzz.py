@@ -250,25 +250,34 @@ def test_mutated_fixes_are_refused_by_field_or_stored_and_served(fix_service, bo
 @st.composite
 def mutated_reply(draw) -> tuple[str, object]:
     """A tracker command and the 200 reply it gets: the stored record of a
-    fix mutated as above, alone for get-location and show-map or among
-    well-formed ones for track, or a reply of another shape."""
+    fix mutated as above, alone for get-location and show-map or after a
+    well-formed one of the same device for track, or a reply of another
+    shape."""
     command = draw(st.sampled_from(["get-location", "show-map", "track"]))
     fix = draw(mutated_fix())
     record = {"id": draw(st.just(1) | st.sampled_from([0, -3, True, 2.0, "1"])), **fix} \
         if isinstance(fix, dict) else fix
     if command != "track":
         return command, record
-    return command, [{"id": 1, **draw(FIXES)}, record][draw(st.integers(0, 1)):]
+    before = {"id": 1, **draw(FIXES)}
+    if isinstance(record, dict) and isinstance(record.get("device_id"), str):
+        before["device_id"] = record["device_id"]
+    return command, [before, record][draw(st.integers(0, 1)):]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(reply=mutated_reply())
 def test_mutated_tracker_replies_exit_0_or_2_naming_a_field(reply):
     command, payload = reply
+    # Ask for the mutated fix's device, so that a well-formed reply is accepted.
+    fix = payload[-1] if command == "track" and isinstance(payload, list) and payload else payload
+    device = fix.get("device_id") if isinstance(fix, dict) else None
     err = io.StringIO()
-    with mock.patch.object(tracker, "_get_json", return_value=(200, payload)), \
+    body = json.dumps(payload).encode()
+    with mock.patch.object(tracker, "_get_reply", return_value=(200, "OK", body)), \
             redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = tracker.main(["--device", "walker-1", command])
+        code = tracker.main(["--device", device if isinstance(device, str) else "walker-1",
+                             command])
     err = err.getvalue()
     if code == tracker.EXIT_OK:
         event("accepted")

@@ -3,21 +3,32 @@ against a live tracking server."""
 
 from __future__ import annotations
 
+import copy
+import http.client
 import json
+import random
 import socket
+import sys
 import threading
 import time
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import reference_store
+
 from echoguide import tracker
-from echoguide.server import TrackService, TrackStore, make_http_server
+from echoguide.jsonread import read_json
+from echoguide.server import FixRecord, TrackService, TrackStore, make_http_server
 from echoguide.tracker import (
     EXIT_NO_FIX,
     EXIT_OK,
     EXIT_UNREACHABLE,
+    BadReply,
+    NoFix,
     ServerUnreachable,
+    fetch_history,
     fetch_latest,
     fix_line,
     format_coord,
@@ -297,8 +308,8 @@ def test_idle_connection_to_a_stopped_server_is_still_exit_2(tmp_path, capsys):
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Answers every GET with 200 and the server's `reply`: JSON, or bytes as
-    they are.  With the server's `close` set, each reply says Connection:
+    """Answers every GET with the server's `status` (200) and `reply`: JSON,
+    or bytes as they are.  With the server's `close` set, each reply says Connection:
     close.  A second GET on one connection gets no reply: it waits for the
     server's `release` and is dropped."""
 
@@ -313,7 +324,7 @@ class StubHandler(BaseHTTPRequestHandler):
             return
         reply = self.server.reply
         body = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
-        self.send_response(200)
+        self.send_response(*self.server.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if self.server.close:
@@ -329,6 +340,7 @@ class StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
     httpd.close = False
+    httpd.status = (200,)
     httpd.release = threading.Event()
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
@@ -368,9 +380,15 @@ def test_stub_serves_a_well_formed_reply(stub_server, capsys):
     (["track"], [reply_fix(), reply_fix(latitude=True)], "[1].latitude: must be a finite number"),
     (["track"], [reply_fix(), {**reply_fix(), "lat": 1.0}], "[1].lat: unknown field"),
     (["track"], reply_fix(), "reply: must be a list"),
+    (["get-location"], reply_fix(device_id="walker-2"), "device_id: must be 'walker-1'"),
+    (["track"], [reply_fix(), reply_fix(device_id="walker-2")],
+     "[1].device_id: must be 'walker-1'"),
+    (["track", "--limit", "2"], [reply_fix(id=i) for i in range(1, 6)],
+     "reply: 5 fixes, more than the limit of 2"),
 ], ids=["latitude a string", "provider missing", "id missing", "latest a list",
         "longitude out of range", "timestamp not an instant", "device_id a number",
-        "latitude a bool", "unknown field", "history an object"])
+        "latitude a bool", "unknown field", "history an object", "latest another device's",
+        "trail entry another device's", "trail longer than the limit"])
 def test_malformed_reply_exits_2_naming_the_field(stub_server, capsys, command, reply, named):
     assert run_against(stub_server, reply, *command) == EXIT_UNREACHABLE
     captured = capsys.readouterr()
@@ -408,3 +426,231 @@ def test_timeout_bounds_a_kept_alive_connection_and_is_not_retried(stub_server):
         fetch_latest(f"{host}:{port}", "walker-1", timeout=0.3)  # the stub stalls
     assert time.monotonic() - started < 2.0
     assert len(accepted) == 1
+
+
+def test_an_unexpected_status_with_a_body_not_json_names_its_reason(stub_server):
+    host, port = stub_server.server_address[:2]
+    stub_server.status, stub_server.reply = (503, "Warming Up"), b"<html>later</html>"
+    with pytest.raises(ServerUnreachable, match=r"^unexpected response 503: .*'Warming Up'"):
+        fetch_latest(f"{host}:{port}", "walker-1")
+
+
+def test_a_malformed_reply_after_a_good_one_to_the_same_url_is_refused(stub_server):
+    stub_server.close = True  # a connection per fetch: the stub answers one GET on each
+    host, port = stub_server.server_address[:2]
+    server = f"{host}:{port}"
+    stub_server.reply = reply_fix()
+    assert fetch_latest(server, "walker-1") == reply_fix()
+    for reply, named in ((reply_fix(latitude="22.9"), "latitude"), (b"not json", "reply"),
+                         (reply_fix(device_id="walker-2"), "device_id")):
+        stub_server.reply = reply
+        with pytest.raises(BadReply, match=f"^{named}: "):
+            fetch_latest(server, "walker-1")
+    stub_server.reply = [reply_fix()]
+    assert fetch_history(server, "walker-1", 3) == [reply_fix()]
+    stub_server.reply = [reply_fix(id=i) for i in range(1, 5)]
+    with pytest.raises(BadReply, match="^reply: 4 fixes"):
+        fetch_history(server, "walker-1", 3)
+    stub_server.reply = reply_fix(latitude=23.0)
+    assert fetch_latest(server, "walker-1")["latitude"] == 23.0
+
+
+# -- the memo of checked replies -------------------------------------------------------
+
+
+def post(server, fix) -> dict:
+    """POST a fix to the live server; the stored record as it answers."""
+    conn = http.client.HTTPConnection(server, timeout=5)
+    try:
+        conn.request("POST", "/api/locations", json.dumps(fix),
+                     {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 201
+        return json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def test_a_changed_result_does_not_change_the_next_fetch(live_tracking):
+    service, server = live_tracking
+    service.insert_fix(fix_dict(minute=5))
+    service.insert_fix(fix_dict(minute=10, lat=23.0))
+    fix, trail = fetch_latest(server, "walker-1"), fetch_history(server, "walker-1", 5)
+    expected = copy.deepcopy((fix, trail))
+    fix["latitude"] = 0.0
+    trail[0]["latitude"] = 0.0
+    trail.append(fix)
+    again = fetch_latest(server, "walker-1"), fetch_history(server, "walker-1", 5)
+    assert again == expected
+    assert again[0] is not fix and again[1] is not trail and again[1][1] is not trail[1]
+
+
+def test_a_post_between_two_fetches_gives_the_new_fix(live_tracking):
+    service, server = live_tracking
+    first = post(server, fix_dict(minute=5))
+    assert fetch_latest(server, "walker-1") == first
+    assert fetch_history(server, "walker-1", 3) == [first]
+    second = post(server, fix_dict(minute=10, lat=23.0))
+    assert fetch_latest(server, "walker-1") == second
+    assert fetch_history(server, "walker-1", 3) == [first, second]
+
+
+def test_the_memo_keeps_at_most_its_cap_least_recently_read_dropped_first():
+    tracker._check.cache_clear()
+    assert tracker._check.cache_info().maxsize == tracker._MEMO_CAP == 256
+    bodies = [json.dumps(reply_fix(id=i)).encode() for i in range(1, tracker._MEMO_CAP + 2)]
+    for body in bodies:
+        assert tracker._read(body, "walker-1", None)["id"] == json.loads(body)["id"]
+        assert tracker._check.cache_info().currsize <= tracker._MEMO_CAP
+    tracker._read(bodies[-1], "walker-1", None)
+    assert tracker._check.cache_info()[:2] == (1, len(bodies))  # (hits, misses)
+    tracker._read(bodies[0], "walker-1", None)  # dropped when the last one came in
+    assert tracker._check.cache_info()[:2] == (1, len(bodies) + 1)
+
+
+def test_the_memo_keeps_no_refused_reply_and_no_long_one():
+    tracker._check.cache_clear()
+    for body, device_id in ((b"not json", "walker-1"),
+                            (json.dumps(reply_fix()).encode(), "walker-2")):
+        for _ in range(2):
+            with pytest.raises(BadReply):
+                tracker._read(body, device_id, None)
+    trail = [reply_fix(id=i) for i in range(1, 200)]
+    body = json.dumps(trail).encode()
+    assert len(body) > tracker._MEMO_BODY_MAX
+    assert tracker._read(body, "walker-1", 200) == trail
+    assert tracker._read(body, "walker-1", 200) == trail
+    assert tracker._check.cache_info()[:4] == (0, 4, 256, 0)  # (hits, misses, maxsize, currsize)
+
+
+def at_second(second: int) -> str:
+    instant = datetime(2015, 6, 1, tzinfo=timezone.utc) + timedelta(seconds=second)
+    return instant.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def test_threads_fetching_while_posts_land_each_get_a_correct_answer(live_tracking):
+    """4 threads fetch the latest fix and a 3-fix trail while fixes are posted
+    in time order.  Each answer is made of stored records and is no older
+    than the newest acknowledged before the fetch began; scribbling on it
+    changes no other thread's answer."""
+    _, server = live_tracking
+    count = 60
+    acked: list[dict] = []
+    finished = threading.Event()
+    errors: list[str] = []
+
+    def posted(k: int) -> dict:
+        return {**fix_dict(lat=k / 1000), "timestamp": at_second(k)}
+
+    def record(k: int) -> dict:  # as stored: ids run from 1
+        return {**posted(k), "id": k + 1}
+
+    def poster():
+        try:
+            for k in range(count):
+                acked.append(post(server, posted(k)))
+        finally:
+            finished.set()
+
+    def fetcher():
+        try:
+            while True:
+                done = finished.is_set()
+                before = len(acked)
+                if before:
+                    fix = fetch_latest(server, "walker-1")
+                    trail = fetch_history(server, "walker-1", 3)
+                    newest = fix["id"] - 1  # at most one POST is in flight
+                    if not (before - 1 <= newest <= len(acked) and fix == record(newest)):
+                        errors.append(f"latest {fix} after {before} acknowledged")
+                    last = trail[-1]["id"] - 1
+                    if not (before - 1 <= last <= len(acked) and
+                            trail == [record(k) for k in range(max(0, last - 2), last + 1)]):
+                        errors.append(f"trail {trail} after {before} acknowledged")
+                    fix["latitude"] = -1.0
+                    trail[-1]["latitude"] = -1.0
+                    trail.clear()
+                if done:
+                    return
+        except Exception as exc:  # surfaces in the errors assertion below
+            errors.append(repr(exc))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=poster)] + \
+            [threading.Thread(target=fetcher) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert acked == [record(k) for k in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fetches_are_the_reference_answer_and_a_fresh_read_of_their_bytes(tmp_path, monkeypatch,
+                                                                          seed):
+    """A seeded mix of POSTs (in order, tied with a device's newest, out of
+    order) and latest/history fetches over kept-alive connections: each
+    fetch gives the reference store's answer, equal to what a fresh read of
+    the reply's bytes gives, whether or not it came from the memo."""
+    bodies = []
+    get_reply = tracker._get_reply
+
+    def spy_get_reply(url, timeout):
+        reply = get_reply(url, timeout)
+        bodies.append(reply[2])
+        return reply
+
+    monkeypatch.setattr(tracker, "_get_reply", spy_get_reply)
+    tracker._check.cache_clear()
+    rng = random.Random(seed)
+    devices = ("walker-1", "walker-2", "walker-3")
+    newest = dict.fromkeys(devices, 600)
+    records, kinds, reads = [], set(), 0
+    port = free_port()
+    serving = Serving(tmp_path / "locations.jsonl", port)
+    server = f"127.0.0.1:{port}"
+    conn = http.client.HTTPConnection(server, timeout=5)
+    try:
+        for _ in range(400):
+            device = rng.choice(devices)
+            if rng.random() < 0.3:
+                kind = rng.choice(("in order", "tied", "out of order"))
+                if kind == "in order":
+                    newest[device] += rng.randint(1, 90)
+                second = newest[device] - (rng.randint(1, 120) if kind == "out of order" else 0)
+                kinds.add(kind)
+                fix = {**fix_dict(device=device, lat=round(rng.uniform(-89, 89), 6)),
+                       "timestamp": at_second(second)}
+                conn.request("POST", "/api/locations", json.dumps(fix),
+                             {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 201
+                records.append(FixRecord(**json.loads(response.read())))
+                continue
+            device = rng.choice(devices + ("nobody",))
+            limit = rng.choice((None, 1, 3, 50))
+            if limit is None:
+                expected = reference_store.latest_fix(records, device)
+                if expected is None:
+                    with pytest.raises(NoFix):
+                        fetch_latest(server, device)
+                    continue
+                got, rule, expected = fetch_latest(server, device), tracker._REPLY_FIX, \
+                    expected.as_dict()
+            else:
+                got, rule = fetch_history(server, device, limit), tracker._REPLY_TRAIL
+                expected = [r.as_dict() for r in reference_store.history(records, device, limit)]
+            reads += 1
+            assert got == expected == read_json(json.loads(bodies[-1]), rule, BadReply, "reply")
+        assert len(serving.accepted) == 2  # one connection for the POSTs, one for the fetches
+    finally:
+        conn.close()
+        serving.stop()
+    assert kinds == {"in order", "tied", "out of order"}
+    assert 0 < tracker._check.cache_info().hits < reads  # some replies came from the memo
