@@ -2,20 +2,20 @@
 append-only JSON-lines file, and answers latest/history queries.
 
 The service core is transport-free so the simulation harness can call it
-in-process; ``main()`` wraps the same core in a threaded HTTP server for
-real clients.  Every accepted fix is written and fsynced before the caller
-sees a response, so a restart answers queries identically.
+in-process; ``main()`` serves the same core over HTTP for real clients,
+from httploop's one selectors loop on one thread.  Every accepted fix is
+written and fsynced before the caller sees a response, so a restart
+answers queries identically.
 
 The store indexes fixes by device, each device's list sorted by
 (timestamp, id) on its first query and kept sorted after, so latest is
-O(1) and history O(limit).  The HTTP handler answers a bad Content-Length
-with 400, one over MAX_BODY_BYTES with 413 and a method other than GET or
-POST with 405, without reading the body, and gives up on a connection that
-stays silent for REQUEST_TIMEOUT_S, an idle kept-alive one among them.
-Replies leave with TCP_NODELAY, headers and body in one send, so a client
-that keeps its connection open waits for no delayed ACK.  A GET reply is
-encoded once per change of its device's fixes and its bytes sent again until
-a POST changes them, at most two stored replies (latest, history) per device.
+O(1) and history O(limit).  The routes answer a bad Content-Length with
+400, one over MAX_BODY_BYTES with 413 and a method other than GET or POST
+with 405, without reading the body; the loop gives up on a connection that
+stays silent for REQUEST_TIMEOUT_S, and answers one past MAX_CONNECTIONS
+503.  A GET reply is encoded once per change of its device's fixes and its
+bytes sent again until a POST changes them, at most two stored replies
+(latest, history) per device.
 """
 
 from __future__ import annotations
@@ -26,21 +26,20 @@ import json
 import operator
 import os
 import re
-import socket
+import signal
 import sys
 import threading
 from dataclasses import dataclass
 from datetime import datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
 from urllib.parse import parse_qs, urlsplit
 
+from .httploop import MAX_BODY_BYTES, MAX_CONNECTIONS, Connection, LoopServer, digits
 from .jsonread import FIX, parse_instant, read_json
 
 DEFAULT_LISTEN = "127.0.0.1:8750"
 DEFAULT_STORE = "locations.jsonl"
 DEFAULT_HISTORY_LIMIT = 1000
-MAX_BODY_BYTES = 64 * 1024
 REQUEST_TIMEOUT_S = 10.0
 
 ENV_LISTEN = "ECHOGUIDE_LISTEN"
@@ -295,100 +294,13 @@ class TrackService:
 
 
 # --------------------------------------------------------------------------
-# HTTP adapter.
+# HTTP adapter: the routes, served by httploop's selectors loop.
 # --------------------------------------------------------------------------
 
 
-def _digits(text: str) -> Optional[int]:
-    """The value of ASCII digits, at most sys.maxsize, or None for any other
-    text, such as '+5', '1_0', ' 5' or other scripts' digits, which int() takes."""
-    if not (text.isascii() and text.isdigit()):
-        return None
-    digits = text.lstrip("0")
-    return int(digits or "0") if len(digits) < 19 else sys.maxsize
-
-
-class TrackRequestHandler(BaseHTTPRequestHandler):
-    service: TrackService  # injected by make_http_server
-    # Per server, also injected: (device_id, is_history) -> (records, body) of
-    # the last 200 reply with records.  Each entry is replaced whole, never
-    # changed, so racing handlers each store a consistent pair without a lock.
-    replies: dict[tuple[str, bool], tuple[Sequence[FixRecord], bytes]]
-    protocol_version = "HTTP/1.1"
-    timeout = REQUEST_TIMEOUT_S  # a silent connection or a short body frees its thread
-    # A reply that fits wbufsize leaves in one send, at handle_one_request's
-    # flush.  TCP_NODELAY keeps one that takes more sends from waiting for
-    # the client's delayed ACK (tens of ms) on a kept-alive connection.
-    disable_nagle_algorithm = True
-    wbufsize = 64 * 1024
-
-    # -- plumbing -----------------------------------------------------------
-
-    def log_message(self, fmt: str, *args: object) -> None:
-        pass  # keep stdio clean; errors surface through status codes
-
-    def handle_expect_100(self) -> bool:
-        """Send "100 Continue" now: the client holds the body back until it arrives."""
-        super().handle_expect_100()
-        self.wfile.flush()
-        return True
-
-    def _reply(self, status: int, payload: object, close: bool = False) -> None:
-        self._send(status, json.dumps(payload).encode("utf-8"), close)
-
-    def _send(self, status: int, body: bytes, close: bool = False) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if status == 405:
-            self.send_header("Allow", "GET, POST")
-        # Say so whenever the connection ends after this reply: `close`, the
-        # request (HTTP/1.0, Connection: close) or the route may end it.
-        if close or self.close_connection:
-            self.send_header("Connection", "close")  # sets close_connection
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
-
-    def _error(self, status: int, message: str, field: Optional[str] = None,
-               close: bool = False) -> None:
-        payload: dict = {"error": message}
-        if field is not None:
-            payload["field"] = field
-        self._reply(status, payload, close)
-
-    def send_error(self, code: int, message: Optional[str] = None,
-                   explain: Optional[str] = None) -> None:
-        """Answer what the framework refuses (a bad request line, an unknown
-        method, a URI or headers too long) as JSON, like every other error."""
-        if self.request_version == "HTTP/0.9":  # the line never parsed as HTTP/1.x:
-            self.request_version = ""  # still send a status line and headers
-        self._error(code, message or self.responses[code][0], close=True)
-
-    def _body_length(self) -> Optional[int]:
-        """The request's Content-Length, or None once an error is sent.
-
-        Transfer-Encoding overrides Content-Length (RFC 9112 section 6.3) and
-        is not supported, so it is refused.  A body that is not read leaves
-        the connection out of step, so every error closes it.
-        """
-        if "Transfer-Encoding" in self.headers:
-            self._error(400, "Transfer-Encoding is not supported; send Content-Length",
-                        field="Transfer-Encoding", close=True)
-            return None
-        values = self.headers.get_all("Content-Length") or []
-        length = _digits(values[0].strip()) if len(set(values)) == 1 else None
-        if length is None:
-            self._error(400, "Content-Length must be one non-negative integer",
-                        field="Content-Length", close=True)
-            return None
-        if length > MAX_BODY_BYTES:
-            self._error(413, f"request body exceeds {MAX_BODY_BYTES} bytes",
-                        field="Content-Length", close=True)
-            return None
-        return length
-
-    # -- routes ---------------------------------------------------------------
+class TrackRequestHandler(Connection):
+    """The tracking API's routes on one connection of the loop, which calls
+    do_GET or do_POST once per GET or POST."""
 
     def _not_allowed(self) -> None:
         """Any method but GET and POST; a body it carries stays unread."""
@@ -399,24 +311,18 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         parts = urlsplit(self.path)
         if parts.path != "/api/locations":
-            self._error(404, "no such resource", close=True)  # the body stays unread
+            self._error(404, "no such resource", close=True)
             return
-        length = self._body_length()
-        if length is None:
-            return
-        try:
-            raw = self.rfile.read(length)
-        except TimeoutError:
-            self._error(408, f"request body did not arrive within {self.timeout} s",
-                        field="body", close=True)
+        if self.body is None:  # the framing was refused, so the body stays unread
+            self._error(*self.refusal, close=True)
             return
         try:
-            body = json.loads(raw.decode("utf-8"))
+            body = json.loads(self.body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             self._error(400, "request body is not valid JSON", field="body")
             return
         try:
-            record = self.service.insert_fix(body)
+            record = self.server.service.insert_fix(body)
         except FixValidationError as exc:
             self._error(400, str(exc), field=exc.field)
             return
@@ -428,8 +334,8 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         # A body left unread would be parsed as the next request, so a GET
         # that declares one is answered and its connection closed.
-        if "Transfer-Encoding" in self.headers or any(
-                value.strip() != "0" for value in self.headers.get_all("Content-Length", ())):
+        if "transfer-encoding" in self.headers or any(
+                value != "0" for value in self.headers.get("content-length", ())):
             self.close_connection = True
         parts = urlsplit(self.path)
         query = parse_qs(parts.query)
@@ -441,13 +347,13 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         if not device_id:
             self._error(400, "query parameter 'device_id' is required", field="device_id")
             return
-        limit = _digits((query.get("limit") or [str(DEFAULT_HISTORY_LIMIT)])[0])
+        limit = digits((query.get("limit") or [str(DEFAULT_HISTORY_LIMIT)])[0])
         if history and not limit:  # None or 0
             self._error(400, "limit must be a positive integer", field="limit")
             return
+        service = self.server.service
         try:
-            found = (self.service.history(device_id, limit) if history
-                     else self.service.latest_fix(device_id))
+            found = service.history(device_id, limit) if history else service.latest_fix(device_id)
         except StorageError as exc:
             self._error(500, str(exc))
             return
@@ -462,63 +368,37 @@ class TrackRequestHandler(BaseHTTPRequestHandler):
         # (an insert, even one that keeps the length and the last record) is
         # encoded afresh.
         records = found if history else (found,)
-        entry = self.replies.get((device_id, history))
+        replies = self.server.replies
+        entry = replies.get((device_id, history))
         if (entry is None or len(entry[0]) != len(records)
                 or not all(map(operator.is_, entry[0], records))):
             body = json.dumps([r.as_dict() for r in records] if history
                               else found.as_dict()).encode("utf-8")
-            entry = self.replies[device_id, history] = (records, body)
+            entry = replies[device_id, history] = (records, body)
         self._send(200, entry[1])
 
 
-class _TrackHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer whose server_close() also ends the connections it
-    still serves and waits for their handlers to return, so no kept-alive
-    client is answered by a stopped server."""
+class _TrackHTTPServer(LoopServer):
+    """The loop serving one TrackService.  `replies` maps (device_id,
+    is_history) to the (records, body) of the last 200 reply with records."""
 
-    daemon_threads = False  # so that ThreadingMixIn.server_close() joins them
-
-    def __init__(self, *args, **kwargs) -> None:
-        self._open: set[socket.socket] = set()  # connections being served
-        self._open_lock = threading.Lock()
-        super().__init__(*args, **kwargs)
-
-    def process_request(self, request, client_address) -> None:
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request) -> None:
-        with self._open_lock:
-            self._open.discard(request)
-        super().shutdown_request(request)
-
-    def handle_error(self, request, client_address) -> None:
-        """Say nothing of a client that reset or dropped its connection;
-        report any other failure as socketserver does."""
-        if not isinstance(sys.exc_info()[1], ConnectionError):
-            super().handle_error(request, client_address)
-
-    def server_close(self) -> None:
-        with self._open_lock:
-            for sock in self._open:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)  # its handler reads EOF and returns
-                except OSError:  # the peer is gone already
-                    pass
-        super().server_close()
+    def __init__(self, address: tuple[str, int], service: TrackService, timeout: float,
+                 max_connections: int) -> None:
+        super().__init__(address, TrackRequestHandler, timeout, max_connections)
+        self.service = service
+        self.replies: dict[tuple[str, bool], tuple[Sequence[FixRecord], bytes]] = {}
 
 
-def make_http_server(listen: str, service: TrackService) -> ThreadingHTTPServer:
-    """Bind a threaded HTTP server exposing the service; caller runs it."""
+def make_http_server(listen: str, service: TrackService, *, timeout: float = REQUEST_TIMEOUT_S,
+                     max_connections: int = MAX_CONNECTIONS) -> _TrackHTTPServer:
+    """Bind an HTTP server exposing the service; the caller runs it."""
     host, _, port_text = listen.rpartition(":")
-    port = _digits(port_text)
+    port = digits(port_text)
     if not host or port is None:
         raise ValueError("listen address must be host:port, the port in ASCII digits")
     if port > 65535:
         raise ValueError("port must be at most 65535")
-    handler = type("BoundHandler", (TrackRequestHandler,), {"service": service, "replies": {}})
-    return _TrackHTTPServer((host, port), handler)
+    return _TrackHTTPServer((host, port), service, timeout, max_connections)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -556,6 +436,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     host, port = httpd.server_address[:2]
     print(f"serving on http://{host}:{port} (store: {store_path})", flush=True)
+    # SIGINT stops the server, even one a shell started in the background
+    # with SIGINT ignored.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         httpd.serve_forever()
     except KeyboardInterrupt:

@@ -178,6 +178,19 @@ def test_command_table_is_configurable_and_normalized():
         AppConfig(commands={"fine": "explode"})
 
 
+@pytest.mark.parametrize("field", ["upload_interval_ms", "announce_repeat_ms", "listen_window_ms"])
+def test_app_intervals_of_zero_are_refused_and_of_one_accepted(field):
+    with pytest.raises(ConfigError, match="must be positive"):
+        AppConfig(**{field: 0})
+    assert getattr(AppConfig(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("interval_ms", [0, -1])
+def test_uploader_refuses_an_interval_that_never_advances(interval_ms):
+    with pytest.raises(ValueError, match="interval_ms must be positive"):
+        Uploader(interval_ms)
+
+
 # -- provider selection and fixes ------------------------------------------------------
 
 

@@ -357,6 +357,18 @@ def test_firmware_config_rejects_bad_shapes():
         FirmwareConfig(sample_period_ms=0)
 
 
+@pytest.mark.parametrize("ground_alert_cm, accepted", [(15, False), (16, True), (644, True),
+                                                       (645, False)])
+def test_ground_alert_must_sit_strictly_inside_the_gate(ground_alert_cm, accepted):
+    """The gate's own 15 and 645 cm are refused: a reading there is at the
+    edge of what the sensor reports, never past the threshold."""
+    if accepted:
+        assert FirmwareConfig(ground_alert_cm=ground_alert_cm).ground_alert_cm == ground_alert_cm
+    else:
+        with pytest.raises(ValueError, match="inside the valid gate"):
+            FirmwareConfig(ground_alert_cm=ground_alert_cm)
+
+
 # -- firmware tick -----------------------------------------------------------------
 
 

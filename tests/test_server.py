@@ -18,6 +18,7 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
+from http import HTTPStatus
 
 import pytest
 
@@ -32,7 +33,6 @@ from echoguide.server import (
     FixRecord,
     FixValidationError,
     StorageError,
-    TrackRequestHandler,
     TrackService,
     TrackStore,
     main as server_main,
@@ -238,15 +238,10 @@ def test_history_rejects_nonpositive_limit(make_service):
 
 
 @contextmanager
-def running(service, timeout_s=None):
-    """Serve `service` on a free loopback port and yield the server.
-
-    timeout_s, when given, replaces the socket timeout of this server's own
-    handler subclass.
-    """
-    httpd = make_http_server(f"127.0.0.1:{free_port()}", service)
-    if timeout_s is not None:
-        httpd.RequestHandlerClass.timeout = timeout_s
+def running(service, timeout_s=REQUEST_TIMEOUT_S, **options):
+    """Serve `service` on a free loopback port and yield the server, which
+    gives up on a silent connection after timeout_s."""
+    httpd = make_http_server(f"127.0.0.1:{free_port()}", service, timeout=timeout_s, **options)
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()
@@ -258,7 +253,7 @@ def running(service, timeout_s=None):
 
 
 @contextmanager
-def serving(service, timeout_s=None):
+def serving(service, timeout_s=REQUEST_TIMEOUT_S):
     """running(), yielding the server's base URL."""
     with running(service, timeout_s) as httpd:
         yield f"http://127.0.0.1:{httpd.server_address[1]}"
@@ -274,7 +269,7 @@ def live_server(tmp_path):
 
 @pytest.fixture
 def impatient_server(tmp_path):
-    """live_server whose handler gives up on a silent socket after 0.3 s."""
+    """live_server that gives up on a silent connection after 0.3 s."""
     store = TrackStore(tmp_path / "locations.jsonl")
     with serving(TrackService(store), timeout_s=0.3) as base:
         yield base
@@ -395,8 +390,12 @@ def test_post_to_unknown_path_is_404_and_closes(live_server):
     assert (status, connection) == (404, "close")
 
 
-def test_handler_sets_a_socket_timeout():
-    assert TrackRequestHandler.timeout == REQUEST_TIMEOUT_S
+def test_handler_sets_a_socket_timeout(tmp_path):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    httpd = make_http_server("127.0.0.1:0", TrackService(store))
+    httpd.server_close()
+    store.close()
+    assert httpd.timeout == REQUEST_TIMEOUT_S
     assert 0 < REQUEST_TIMEOUT_S < float("inf")
 
 
@@ -541,6 +540,163 @@ def test_unknown_path_is_404(live_server):
     assert status == 404
 
 
+# -- the answer table ---------------------------------------------------------------
+#
+# Every request shape above, as raw bytes on one connection to a server that
+# holds one fix of walker-1 (id 1).  A row lists the replies in order, each as
+# (status, Connection, Content-Length, Allow, JSON body), and how the
+# connection stands after them: "closed", or "open" and still in step.
+
+
+_FIX_BODY = json.dumps(good_fix(timestamp="2015-06-01T00:10:00Z")).encode()
+
+
+def _post(headers: str = "", body: bytes = _FIX_BODY, path: str = "/api/locations",
+          length: bool = True) -> bytes:
+    framing = f"Content-Length: {len(body)}\r\n" if length else ""
+    return f"POST {path} HTTP/1.1\r\nHost: t\r\n{framing}{headers}\r\n".encode() + body
+
+
+def _get(target: str = "/api/locations/latest?device_id=walker-1", headers: str = "",
+         version: str = "HTTP/1.1") -> bytes:
+    return f"GET {target} {version}\r\nHost: t\r\n{headers}\r\n".encode()
+
+
+_FIX_1 = dict(good_fix(), id=1)
+_FIX_2 = dict(good_fix(timestamp="2015-06-01T00:10:00Z"), id=2)
+_CL = {"error": "Content-Length must be one non-negative integer", "field": "Content-Length"}
+_TE = {"error": "Transfer-Encoding is not supported; send Content-Length",
+       "field": "Transfer-Encoding"}
+_TOO_BIG = {"error": f"request body exceeds {MAX_BODY_BYTES} bytes", "field": "Content-Length"}
+_URI_TOO_LONG = {"error": HTTPStatus.REQUEST_URI_TOO_LONG.phrase}  # as this Python names 414
+
+
+def _fields(n: int) -> str:
+    """n header fields, to which _get adds its Host field."""
+    return "".join(f"X-{i}: {i}\r\n" for i in range(n))
+
+
+ANSWERS = [
+    ("POST", _post(), [(201, None, 133, None, _FIX_2)], "open"),
+    ("POST without Content-Length", _post(length=False), [(400, "close", 87, None, _CL)], "closed"),
+    ("Content-Length -1", _post("Content-Length: -1\r\n", b"", length=False),
+     [(400, "close", 87, None, _CL)], "closed"),
+    ("Content-Length abc", _post("Content-Length: abc\r\n", b"", length=False),
+     [(400, "close", 87, None, _CL)], "closed"),
+    ("Content-Length empty", _post("Content-Length: \r\n", b"", length=False),
+     [(400, "close", 87, None, _CL)], "closed"),
+    ("Content-Length 5 and 6", _post("Content-Length: 5\r\nContent-Length: 6\r\n", b"x" * 6,
+                                     length=False), [(400, "close", 87, None, _CL)], "closed"),
+    ("Content-Length twice alike", _post(f"Content-Length: {len(_FIX_BODY)}\r\n"),
+     [(201, None, 133, None, _FIX_2)], "open"),
+    ("Content-Length over the cap", _post(f"Content-Length: {MAX_BODY_BYTES + 1}\r\n", b"",
+                                          length=False), [(413, "close", 72, None, _TOO_BIG)], "closed"),
+    ("Content-Length of 5000 digits", _post(f"Content-Length: {'9' * 5000}\r\n", b"", length=False),
+     [(413, "close", 72, None, _TOO_BIG)], "closed"),
+    ("Transfer-Encoding alone", _post("Transfer-Encoding: chunked\r\n", b"2\r\n{}\r\n0\r\n\r\n",
+                                      length=False), [(400, "close", 98, None, _TE)], "closed"),
+    ("Transfer-Encoding with Content-Length", _post("Transfer-Encoding: chunked\r\n"),
+     [(400, "close", 98, None, _TE)], "closed"),
+    ("GET with a Content-Length body", _get(headers="Content-Length: 5\r\n") + b"hello" + _get(),
+     [(200, "close", 133, None, _FIX_1)], "closed"),
+    ("GET with Transfer-Encoding", _get(headers="Transfer-Encoding: chunked\r\n") + b"0\r\n\r\n",
+     [(200, "close", 133, None, _FIX_1)], "closed"),
+    ("GET with Content-Length 0", _get(headers="Content-Length: 0\r\n"),
+     [(200, None, 133, None, _FIX_1)], "open"),
+    ("HTTP/1.0", _get(version="HTTP/1.0"), [(200, "close", 133, None, _FIX_1)], "closed"),
+    ("HTTP/1.0 keep-alive", _get(version="HTTP/1.0", headers="Connection: keep-alive\r\n"),
+     [(200, None, 133, None, _FIX_1)], "open"),
+    ("Connection: close", _get(headers="Connection: close\r\n"),
+     [(200, "close", 133, None, _FIX_1)], "closed"),
+    ("garbage", b"garbage\r\n",
+     [(400, "close", 43, None, {"error": "Bad request syntax ('garbage')"})], "closed"),
+    ("65,537-byte URI", b"GET /" + b"a" * 65_532,
+     [(414, "close", len(json.dumps(_URI_TOO_LONG)), None, _URI_TOO_LONG)], "closed"),
+    ("HTTP/9.9", b"GET /api/locations HTTP/9.9\r\n\r\n",
+     [(505, "close", 39, None, {"error": "Invalid HTTP version (9.9)"})], "closed"),
+    ("HTTP/1", _get(version="HTTP/1"),
+     [(400, "close", 43, None, {"error": "Bad request version ('HTTP/1')"})], "closed"),
+    ("FOO", b"FOO /api/locations HTTP/1.1\r\nHost: t\r\n\r\n",
+     [(501, "close", 39, None, {"error": "Unsupported method ('FOO')"})], "closed"),
+    *[(method, _post().replace(b"POST", method.encode(), 1),
+       [(405, "close", 35 + len(method), "GET, POST",
+         b"" if method == "HEAD" else {"error": f"method {method} is not allowed"})], "closed")
+      for method in ("PUT", "DELETE", "PATCH", "HEAD", "OPTIONS", "TRACE", "CONNECT")],
+    ("Expect: 100-continue", _post("Expect: 100-continue\r\n"),
+     [(100, None, None, None, b""), (201, None, 133, None, _FIX_2)], "open"),
+    ("short body", _post("Content-Length: 10\r\n", b"{}", length=False),
+     [(408, "close", 70, None, {"error": "request body did not arrive within 0.3 s",
+                                "field": "body"})], "closed"),
+    ("pipelined GET, POST, GET", _get() + _post() + _get(),
+     [(200, None, 133, None, _FIX_1), (201, None, 133, None, _FIX_2),
+      (200, None, 133, None, _FIX_2)], "open"),
+    ("99 header fields", _get(headers=_fields(98)), [(200, None, 133, None, _FIX_1)], "open"),
+    ("100 header fields", _get(headers=_fields(99)),
+     [(431, "close", 29, None, {"error": "Too many headers"})], "closed"),
+    ("65,537-byte header line", _get(headers="X: " + "a" * 65_532 + "\r\n"),
+     [(431, "close", 26, None, {"error": "Line too long"})], "closed"),
+    ("body not JSON", _post(body=b"{nope"),
+     [(400, None, 60, None, {"error": "request body is not valid JSON", "field": "body"})], "open"),
+    ("POST to an unknown path", _post(path="/api/nope"),
+     [(404, "close", 29, None, {"error": "no such resource"})], "closed"),
+    ("GET an unknown path", _get("/api/nope"),
+     [(404, None, 29, None, {"error": "no such resource"})], "open"),
+    ("GET without device_id", _get("/api/locations/latest"),
+     [(400, None, 74, None, {"error": "query parameter 'device_id' is required",
+                             "field": "device_id"})], "open"),
+    ("GET an unknown device", _get("/api/locations/latest?device_id=ghost"),
+     [(404, None, 47, None, {"error": "no fix recorded for device 'ghost'"})], "open"),
+    ("GET history", _get("/api/locations?device_id=walker-1&limit=5"),
+     [(200, None, 135, None, [_FIX_1])], "open"),
+    ("blank line", b"\r\n", [], "closed"),
+]
+
+
+def read_replies(sock, count: int, head: bool = False) -> list:
+    """The next `count` replies on sock, each as (status, Connection,
+    Content-Length, Allow, body).  The body is decoded JSON, or b"" when
+    the reply has none (a 100 Continue, or the reply to a HEAD)."""
+    buf, replies = b"", []
+    while len(replies) < count:
+        while b"\r\n\r\n" not in buf:
+            chunk = sock.recv(65536)
+            assert chunk, (replies, buf)
+            buf += chunk
+        top, _, buf = buf.partition(b"\r\n\r\n")
+        status_line, *lines = top.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers.get("Content-Length", 0))
+        size = 0 if head or int(status_line.split()[1]) == 100 else length
+        while len(buf) < size:
+            buf += sock.recv(65536)
+        body, buf = buf[:size], buf[size:]
+        replies.append((int(status_line.split()[1]), headers.get("Connection"),
+                        headers.get("Content-Length") and length, headers.get("Allow"),
+                        json.loads(body) if body else body))
+    assert buf == b""
+    return replies
+
+
+@pytest.mark.parametrize("request_bytes, replies, then",
+                         [row[1:] for row in ANSWERS], ids=[row[0] for row in ANSWERS])
+def test_the_answer_table(tmp_path, request_bytes, replies, then):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    service = TrackService(store)
+    service.insert_fix(good_fix())
+    with running(service, timeout_s=0.3) as httpd:
+        with socket.create_connection(("127.0.0.1", httpd.server_address[1]), timeout=2.0) as sock:
+            sock.sendall(request_bytes)
+            head = request_bytes.startswith(b"HEAD ")
+            assert read_replies(sock, len(replies), head) == replies
+            if then == "closed":
+                assert sock.recv(65536) == b""
+            else:  # the next request is read from where the last one ended
+                sock.sendall(_get("/api/nope"))
+                assert read_replies(sock, 1) == [(404, None, 29, None,
+                                                  {"error": "no such resource"})]
+    store.close()
+
+
 # -- kept-alive connections ----------------------------------------------------------
 
 
@@ -574,7 +730,7 @@ def test_server_close_ends_kept_alive_connections(tmp_path):
     finally:
         connection.close()
     started = [thread for thread in threading.enumerate() if thread not in before]
-    for thread in started:  # the serving thread and the connection's handler
+    for thread in started:  # the serving thread
         thread.join(timeout=1.0)
     assert [thread for thread in started if thread.is_alive()] == []
     assert closing_s < 1.0
@@ -589,22 +745,102 @@ def test_a_client_reset_mid_request_prints_nothing(tmp_path, capsys):
             # Closing with a zero linger time resets the connection.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         assert http_get(base, "/api/locations/latest?device_id=walker-1")[0] == 404
-    store.close()  # server_close() waited for every handler, the reset one's too
+    store.close()
     assert capsys.readouterr().err == ""
 
 
 def test_other_handler_failures_are_still_reported(tmp_path, capsys):
+    """A route that raises is answered 500 and its connection closed; the
+    traceback goes to stderr, and the server serves on."""
     store = TrackStore(tmp_path / "locations.jsonl")
-    httpd = make_http_server("127.0.0.1:0", TrackService(store))
+    service = TrackService(store)
+    service.insert_fix(good_fix())
+
+    def broken(device_id):
+        raise ValueError("a handler bug")
+
+    service.latest_fix = broken
+    with serving(service) as base:
+        reply = raw_exchange(base, _get())
+        assert one_closing_reply(reply, 500) == {"error": "internal server error"}
+        assert http_get(base, "/api/locations?device_id=walker-1")[0] == 200
+    store.close()
+    err = capsys.readouterr().err
+    assert "Exception occurred during processing of request from ('127.0.0.1', " in err
+    assert "ValueError: a handler bug" in err
+
+
+def test_connections_over_the_cap_are_answered_503_and_closed(tmp_path):
+    store = TrackStore(tmp_path / "locations.jsonl")
+    store.insert(good_fix())
+    with running(TrackService(store), max_connections=2) as httpd:
+        address = ("127.0.0.1", httpd.server_address[1])
+        first, second = (socket.create_connection(address, timeout=2.0) for _ in range(2))
+        with first, second:
+            for sock in (first, second):  # each registered and kept alive
+                sock.sendall(_get())
+                assert read_replies(sock, 1)[0][0] == 200
+            with socket.create_connection(address, timeout=2.0) as third:
+                third.sendall(_get())
+                reply = b"".join(iter(lambda: third.recv(65536), b""))
+            body = one_closing_reply(reply, 503)
+            assert body == {"error": "the server is at its limit of 2 connections"}
+            assert b"\r\nRetry-After: 1\r\n" in reply
+            first.sendall(_get(headers="Connection: close\r\n"))
+            assert read_replies(first, 1)[0][:2] == (200, "close")
+            assert first.recv(1) == b""  # unregistered: a place is free again
+            with socket.create_connection(address, timeout=2.0) as fourth:
+                fourth.sendall(_get())
+                assert read_replies(fourth, 1)[0][0] == 200
+            second.sendall(_get())  # the kept-alive one is still served
+            assert read_replies(second, 1)[0][0] == 200
+    store.close()
+
+
+def test_a_client_that_never_reads_its_replies_holds_up_no_other(tmp_path):
+    path = tmp_path / "locations.jsonl"
+    write_rows(path, [good_fix(timestamp=at_second(s)) for s in range(DEFAULT_HISTORY_LIMIT)])
+    store = TrackStore(path)
+    with running(TrackService(store)) as httpd:
+        address = ("127.0.0.1", httpd.server_address[1])
+        with socket.create_connection(address, timeout=2.0) as hog, \
+                socket.create_connection(address, timeout=2.0) as other:
+            # 200 replies of about 130 kB each: far more than the socket buffers hold.
+            hog.sendall(_get("/api/locations?device_id=walker-1") * 200)
+            time.sleep(0.2)  # the server fills the hog's buffers and stops reading it
+            started = time.monotonic()
+            other.sendall(_get())
+            assert read_replies(other, 1)[0][0] == 200
+            assert time.monotonic() - started < 1.0
+    store.close()
+
+
+def test_kept_alive_connections_start_no_threads(live_server):
+    address = ("127.0.0.1", int(live_server.rsplit(":", 1)[1]))
+    sockets, started = [], []
     try:
-        try:
-            raise ValueError("a handler bug")
-        except ValueError:
-            httpd.handle_error(None, ("127.0.0.1", 1))
+        for _ in range(4):
+            sockets.append(socket.create_connection(address, timeout=2.0))
+            sockets[-1].sendall(_get())
+            assert read_replies(sockets[-1], 1)[0][0] == 404
+            if len(sockets) == 1:
+                with_one = set(threading.enumerate())
+        started = set(threading.enumerate()) - with_one
     finally:
-        httpd.server_close()
-        store.close()
-    assert "ValueError: a handler bug" in capsys.readouterr().err
+        for sock in sockets:
+            sock.close()
+    assert started == set()  # the 3 more kept-alive connections run no thread of their own
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /api/locations/latest?device_id=walker-1\r\n\r\n",  # HTTP/0.9: no version
+    _get(headers="no colon here\r\n"),
+    _get(headers="X-Folded: a\r\n b\r\n"),  # obs-fold (RFC 9112 section 5.2)
+    _get(headers="X-Space : a\r\n"),  # whitespace before the colon (RFC 9112 section 5.1)
+], ids=["HTTP/0.9", "no colon", "obs-fold", "space before colon"])
+def test_a_request_line_or_header_line_that_does_not_parse_is_400(live_server, request_bytes):
+    body = one_closing_reply(raw_exchange(live_server, request_bytes), 400)
+    assert isinstance(body["error"], str)
 
 
 def test_expect_100_continue_is_answered_before_the_body(live_server):
@@ -898,7 +1134,7 @@ def test_the_reply_table_holds_at_most_two_replies_per_stored_device(tmp_path):
         for device in ("walker-1", "walker-2"):
             assert get_reply(conn, device, None)[0] == 200
         conn.close()
-        replies = httpd.RequestHandlerClass.replies
+        replies = httpd.replies
         assert {device for device, _ in replies} == {"walker-1", "walker-2"}
         assert len(replies) <= 2 * 2
     store.close()
@@ -915,7 +1151,7 @@ def test_a_failing_query_answers_500_each_time_and_keeps_no_reply(tmp_path):
                 status, body = get_reply(conn, "walker-1", limit)
                 assert status == 500 and "record 1" in json.loads(body)["error"]
         conn.close()
-        assert [key for key in httpd.RequestHandlerClass.replies if key[0] == "walker-1"] == []
+        assert [key for key in httpd.replies if key[0] == "walker-1"] == []
     store.close()
 
 

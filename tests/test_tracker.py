@@ -20,7 +20,8 @@ import reference_store
 
 from echoguide import tracker
 from echoguide.jsonread import read_json
-from echoguide.server import FixRecord, TrackService, TrackStore, make_http_server
+from echoguide.server import (REQUEST_TIMEOUT_S, FixRecord, TrackService, TrackStore,
+                              make_http_server)
 from echoguide.tracker import (
     EXIT_NO_FIX,
     EXIT_OK,
@@ -129,12 +130,10 @@ def count_connections(httpd) -> list:
 class Serving:
     """A tracking server on `port` over the store at `path`, in a thread."""
 
-    def __init__(self, path, port, handler_timeout=None):
+    def __init__(self, path, port, handler_timeout=REQUEST_TIMEOUT_S):
         self.store = TrackStore(path)
         self.service = TrackService(self.store)
-        self.httpd = make_http_server(f"127.0.0.1:{port}", self.service)
-        if handler_timeout is not None:
-            self.httpd.RequestHandlerClass.timeout = handler_timeout
+        self.httpd = make_http_server(f"127.0.0.1:{port}", self.service, timeout=handler_timeout)
         self.accepted = count_connections(self.httpd)
         self.thread = threading.Thread(target=self.httpd.serve_forever,
                                        kwargs={"poll_interval": 0.05}, daemon=True)
