@@ -3,13 +3,16 @@ selectors loop, after D. Kegel's "The C10K problem" and the event-driven
 Flash server (Pai, Druschel & Zwaenepoel, USENIX ATC 1999).
 
 The loop keeps a read buffer, a write buffer and a deadline per connection
-and never waits on a peer.  It reads the request line and header fields
-itself (RFC 9112 sections 2 to 6), a line at most MAX_LINE_BYTES and a head
-at most MAX_HEADER_LINES lines, as http.server allows, and reads a body
-only for a POST that Content-Length frames.  A connection's requests are
+and never waits on a peer.  It alone frames requests, answers methods with
+no route and holds the limits; a route only answers.  It reads the request
+line and header fields itself (RFC 9112 sections 2 to 6), a head at most
+MAX_HEAD_BYTES and MAX_HEADER_LINES lines, and a body only for a POST that
+Content-Length frames: a POST framed otherwise is answered 400 or 413, and
+any other request that declares a body is answered and closed.  A method
+with no route is 405 if RFC 9110 or PATCH names it, else 501.  Requests are
 answered in turn, each reply sent before the next request is read, so a
 client that stops reading stops only itself.  A connection silent, or
-leaving a reply unread, for the server's timeout is closed; one past
+leaving a reply unread, for REQUEST_TIMEOUT_S is closed; one past
 MAX_CONNECTIONS is answered 503 and closed.  Every reply the loop makes
 itself is an {"error": ...} JSON body.
 """
@@ -27,10 +30,14 @@ from email.utils import formatdate
 from http import HTTPStatus
 from typing import Optional
 
-MAX_LINE_BYTES = 65536  # a request or header line with its line end, as http.server reads
+REQUEST_TIMEOUT_S = 10.0  # a connection silent, or leaving a reply unread, this long is closed
+MAX_HEAD_BYTES = 65536  # the request line and header lines with their line ends
 MAX_HEADER_LINES = 100  # with the blank line that ends them, as http.client counts
 MAX_BODY_BYTES = 64 * 1024
 MAX_CONNECTIONS = 256  # registered client sockets; one more is answered 503 and closed
+# RFC 9110 section 9 and PATCH (RFC 5789): one of these without a route is 405, not 501.
+_KNOWN_METHODS = frozenset({"GET", "HEAD", "POST", "PUT", "DELETE", "CONNECT", "OPTIONS",
+                            "TRACE", "PATCH"})
 _STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n".encode() for s in HTTPStatus}
 
 
@@ -43,31 +50,32 @@ def digits(text: str) -> Optional[int]:
     return int(stripped or "0") if len(stripped) < 19 else sys.maxsize
 
 
-def _body_length(headers: dict[str, list[str]]):
-    """A POST's Content-Length, or the (status, message, field) refusing it.
+def _body_length(headers: dict[str, list[str]]) -> int:
+    """A POST's Content-Length, or a _Refusal that leaves its body unread.
     Transfer-Encoding overrides Content-Length (RFC 9112 section 6.3) and is
     not supported, so it is refused."""
     if "transfer-encoding" in headers:
-        return 400, "Transfer-Encoding is not supported; send Content-Length", "Transfer-Encoding"
+        raise _Refusal(400, "Transfer-Encoding is not supported; send Content-Length",
+                       "Transfer-Encoding")
     values = headers.get("content-length", [])
     length = digits(values[0]) if len(set(values)) == 1 else None
     if length is None:
-        return 400, "Content-Length must be one non-negative integer", "Content-Length"
+        raise _Refusal(400, "Content-Length must be one non-negative integer", "Content-Length")
     if length > MAX_BODY_BYTES:
-        return 413, f"request body exceeds {MAX_BODY_BYTES} bytes", "Content-Length"
+        raise _Refusal(413, f"request body exceeds {MAX_BODY_BYTES} bytes", "Content-Length")
     return length
 
 
 class _Refusal(Exception):
-    """A request answered with (status, message) and a close; with no
-    arguments, one whose connection closes without a reply."""
+    """A request answered with (status, message[, field]) and a close; with
+    no arguments, one whose connection closes without a reply."""
 
 
 class Connection:
     """One client connection: its buffers, its deadline and the request being
     read.  The loop calls the do_<METHOD> route that a subclass defines,
-    looked up when called, once per request; a route queues its reply with
-    _send, _reply or _error.  A method with no route is answered 501."""
+    looked up when called, once per framed request; a route queues its
+    reply with _send, _reply or _error."""
 
     def __init__(self, server: LoopServer, sock: socket.socket, address) -> None:
         self.server, self.sock, self.address = server, sock, address
@@ -102,22 +110,23 @@ class Connection:
                 pass
         if bool(self.wbuf) != self.writing:  # wait for room to write, or for a request
             self.writing = not self.writing
-            self.server.watch(self, selectors.EVENT_WRITE if self.writing else selectors.EVENT_READ)
+            self.server._selector.modify(
+                self.sock, selectors.EVENT_WRITE if self.writing else selectors.EVENT_READ, self)
         return not self.writing
 
     def _next_request(self) -> bool:
-        """Read on in rbuf, a line at a time, and answer the request once it
-        is whole; True once there is a reply or a 100 Continue to send, or
-        the connection is to close."""
+        """Read on in rbuf, whose first byte is the head's, a line at a time,
+        and answer the request once it is whole; True once there is a reply
+        or a 100 Continue to send, or the connection is to close."""
         try:
             while self.want is None:
                 start = self.read
-                end = self.rbuf.find(b"\n", start, start + MAX_LINE_BYTES)
+                end = self.rbuf.find(b"\n", start, MAX_HEAD_BYTES)
                 if end < 0:
-                    if len(self.rbuf) - start < MAX_LINE_BYTES:
+                    if len(self.rbuf) < MAX_HEAD_BYTES:
                         return False
                     raise (_Refusal(414, HTTPStatus(414).phrase) if self.command is None
-                           else _Refusal(431, "Line too long"))
+                           else _Refusal(431, "Request header fields too large"))
                 line = self.rbuf[start:end].decode("latin-1").rstrip("\r")
                 self.read = end + 1
                 if self.command is None:
@@ -153,7 +162,7 @@ class Connection:
         words = line.split()
         if not words:
             raise _Refusal()
-        self.command, self.headers, self.lines, self.body = "", {}, 0, None
+        self.command, self.headers, self.lines = "", {}, 0
         if len(words) >= 3:
             version = words[-1]
             major, dot, minor = version[5:].partition(".")
@@ -175,12 +184,15 @@ class Connection:
                   for token in value.split(",")}
         self.close_connection = "close" in tokens or (
             self.version < (1, 1) and "keep-alive" not in tokens)
-        framing = _body_length(self.headers) if self.command == "POST" else None
-        if not isinstance(framing, int):
-            self.refusal = framing  # a POST's (status, message, field) leaves its body unread
+        if self.command != "POST":
+            # A body left unread would be parsed as the next request, so a
+            # request that declares one is answered and its connection closed.
+            if "transfer-encoding" in self.headers or any(
+                    value != "0" for value in self.headers.get("content-length", ())):
+                self.close_connection = True
             self._dispatch()
             return True
-        self.want = framing
+        self.want = _body_length(self.headers)
         if self.version >= (1, 1) and self.headers.get("expect", [""])[0].lower() == "100-continue":
             self.wbuf += b"HTTP/1.1 100 Continue\r\n\r\n"  # the client holds the body back for it
             return True
@@ -188,7 +200,9 @@ class Connection:
 
     def _dispatch(self) -> None:
         route = getattr(self, "do_" + self.command, None)
-        if route is None:
+        if route is None:  # its body, if any, stays unread
+            if self.command in _KNOWN_METHODS:
+                raise _Refusal(405, f"method {self.command} is not allowed")
             raise _Refusal(501, f"Unsupported method ({self.command!r})")
         sent = len(self.wbuf)
         try:
@@ -207,7 +221,7 @@ class Connection:
         self.wbuf += b"%s%sContent-Type: application/json; charset=utf-8\r\nContent-Length: %d\r\n" % (
             _STATUS_LINES[status], self.server.date_header(), len(body))
         if status == 405:
-            self.wbuf += b"Allow: GET, POST\r\n"
+            self.wbuf += self.server.allow
         elif status == 503:
             self.wbuf += b"Retry-After: 1\r\n"
         # Say so whenever the connection ends after this reply: `close`, the
@@ -230,9 +244,10 @@ class LoopServer:
     on a peer; a route's own calls, such as a store's fsync, are the only
     ones that block."""
 
-    def __init__(self, address: tuple[str, int], handler: type[Connection], timeout: float,
-                 max_connections: int) -> None:
-        self.handler, self.timeout, self.max_connections = handler, timeout, max_connections
+    def __init__(self, address: tuple[str, int], handler: type[Connection]) -> None:
+        self.handler, self.timeout = handler, REQUEST_TIMEOUT_S
+        routes = sorted(name[3:] for name in dir(handler) if name.startswith("do_"))
+        self.allow = f"Allow: {', '.join(routes)}\r\n".encode()  # the field of a 405
         self.socket = socket.create_server(address, backlog=128)
         self.socket.setblocking(False)
         self.server_address = self.socket.getsockname()
@@ -287,11 +302,11 @@ class LoopServer:
         except OSError:  # the peer gave up before its turn
             return
         sock.setblocking(False)
-        if len(self._selector.get_map()) <= self.max_connections:  # the listener is one
+        if len(self._selector.get_map()) <= MAX_CONNECTIONS:  # the listener is one
             self.process_request(sock, address)
             return
         refused = self.handler(self, sock, address)
-        refused._error(503, f"the server is at its limit of {self.max_connections} connections",
+        refused._error(503, f"the server is at its limit of {MAX_CONNECTIONS} connections",
                        close=True)
         _end(sock, refused.wbuf)
 
@@ -301,9 +316,6 @@ class LoopServer:
         # or one behind a 100 Continue, from waiting for a delayed ACK.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._selector.register(sock, selectors.EVENT_READ, self.handler(self, sock, address))
-
-    def watch(self, connection: Connection, events: int) -> None:
-        self._selector.modify(connection.sock, events, connection)
 
     def close_request(self, connection: Connection) -> None:
         self._selector.unregister(connection.sock)

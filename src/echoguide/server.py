@@ -9,13 +9,11 @@ answers queries identically.
 
 The store indexes fixes by device, each device's list sorted by
 (timestamp, id) on its first query and kept sorted after, so latest is
-O(1) and history O(limit).  The routes answer a bad Content-Length with
-400, one over MAX_BODY_BYTES with 413 and a method other than GET or POST
-with 405, without reading the body; the loop gives up on a connection that
-stays silent for REQUEST_TIMEOUT_S, and answers one past MAX_CONNECTIONS
-503.  A GET reply is encoded once per change of its device's fixes and its
-bytes sent again until a POST changes them, at most two stored replies
-(latest, history) per device.
+O(1) and history O(limit).  The routes only answer: httploop frames each
+request, answers every other method and holds the limits.  A GET reply is
+encoded once per change of its device's fixes and its bytes sent again
+until a POST changes them, at most two stored replies (latest, history)
+per device.
 """
 
 from __future__ import annotations
@@ -34,13 +32,12 @@ from datetime import datetime
 from typing import Optional, Sequence
 from urllib.parse import parse_qs, urlsplit
 
-from .httploop import MAX_BODY_BYTES, MAX_CONNECTIONS, Connection, LoopServer, digits
+from .httploop import Connection, LoopServer, digits
 from .jsonread import FIX, parse_instant, read_json
 
 DEFAULT_LISTEN = "127.0.0.1:8750"
 DEFAULT_STORE = "locations.jsonl"
 DEFAULT_HISTORY_LIMIT = 1000
-REQUEST_TIMEOUT_S = 10.0
 
 ENV_LISTEN = "ECHOGUIDE_LISTEN"
 ENV_STORE = "ECHOGUIDE_STORE"
@@ -300,21 +297,12 @@ class TrackService:
 
 class TrackRequestHandler(Connection):
     """The tracking API's routes on one connection of the loop, which calls
-    do_GET or do_POST once per GET or POST."""
-
-    def _not_allowed(self) -> None:
-        """Any method but GET and POST; a body it carries stays unread."""
-        self._error(405, f"method {self.command} is not allowed", close=True)
-
-    do_PUT = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = do_TRACE = do_CONNECT = _not_allowed
+    do_GET or do_POST once per framed GET or POST."""
 
     def do_POST(self) -> None:
         parts = urlsplit(self.path)
         if parts.path != "/api/locations":
             self._error(404, "no such resource", close=True)
-            return
-        if self.body is None:  # the framing was refused, so the body stays unread
-            self._error(*self.refusal, close=True)
             return
         try:
             body = json.loads(self.body.decode("utf-8"))
@@ -332,11 +320,6 @@ class TrackRequestHandler(Connection):
         self._reply(201, record.as_dict())
 
     def do_GET(self) -> None:
-        # A body left unread would be parsed as the next request, so a GET
-        # that declares one is answered and its connection closed.
-        if "transfer-encoding" in self.headers or any(
-                value != "0" for value in self.headers.get("content-length", ())):
-            self.close_connection = True
         parts = urlsplit(self.path)
         query = parse_qs(parts.query)
         device_id = (query.get("device_id") or [None])[0]
@@ -382,15 +365,13 @@ class _TrackHTTPServer(LoopServer):
     """The loop serving one TrackService.  `replies` maps (device_id,
     is_history) to the (records, body) of the last 200 reply with records."""
 
-    def __init__(self, address: tuple[str, int], service: TrackService, timeout: float,
-                 max_connections: int) -> None:
-        super().__init__(address, TrackRequestHandler, timeout, max_connections)
+    def __init__(self, address: tuple[str, int], service: TrackService) -> None:
+        super().__init__(address, TrackRequestHandler)
         self.service = service
         self.replies: dict[tuple[str, bool], tuple[Sequence[FixRecord], bytes]] = {}
 
 
-def make_http_server(listen: str, service: TrackService, *, timeout: float = REQUEST_TIMEOUT_S,
-                     max_connections: int = MAX_CONNECTIONS) -> _TrackHTTPServer:
+def make_http_server(listen: str, service: TrackService) -> _TrackHTTPServer:
     """Bind an HTTP server exposing the service; the caller runs it."""
     host, _, port_text = listen.rpartition(":")
     port = digits(port_text)
@@ -398,7 +379,7 @@ def make_http_server(listen: str, service: TrackService, *, timeout: float = REQ
         raise ValueError("listen address must be host:port, the port in ASCII digits")
     if port > 65535:
         raise ValueError("port must be at most 65535")
-    return _TrackHTTPServer((host, port), service, timeout, max_connections)
+    return _TrackHTTPServer((host, port), service)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -24,6 +24,7 @@ server, from any thread.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import http.client
 import json
@@ -146,6 +147,9 @@ def _close_idle() -> None:
         _idle.clear()
     for conn in conns:
         conn.close()
+
+
+atexit.register(_close_idle)  # for callers of fetch_latest/fetch_history other than main()
 
 
 _MEMO_CAP = 256

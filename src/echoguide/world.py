@@ -90,36 +90,6 @@ DEFAULT_CALIBRATION: Calibration = {
 }
 
 
-def check_calibration_ordering(calibration: Calibration) -> None:
-    """Validate the physical ordering a realistic table must satisfy.
-
-    Tiles scatter less than concrete under the same weather, and wet
-    conditions are strictly noisier and more biased than dry ones.  Applied
-    to the default table; hand-written tables (e.g. zero-noise test
-    profiles) are free to violate it.
-    """
-    for weather in Weather:
-        tiles = calibration[(SurfaceKind.TILES, weather)]
-        concrete = calibration[(SurfaceKind.CONCRETE, weather)]
-        if not tiles.rel_sigma < concrete.rel_sigma:
-            raise ConfigError(f"tiles must scatter less than concrete when {weather.value}")
-    for surface in SurfaceKind:
-        dry = calibration[(surface, Weather.DRY)]
-        wet = calibration[(surface, Weather.WET)]
-        if not wet.rel_sigma > dry.rel_sigma:
-            raise ConfigError(f"wet rel_sigma must exceed dry for {surface.value}")
-        if not abs(wet.rel_bias) > abs(dry.rel_bias):
-            raise ConfigError(f"wet |rel_bias| must exceed dry for {surface.value}")
-    # Dry readings on any surface are cleaner than wet readings on every surface.
-    worst_dry = calibration[(SurfaceKind.CONCRETE, Weather.DRY)].rel_sigma
-    for surface in SurfaceKind:
-        if not calibration[(surface, Weather.WET)].rel_sigma >= worst_dry:
-            raise ConfigError("every wet entry must scatter at least as much as dry concrete")
-
-
-check_calibration_ordering(DEFAULT_CALIBRATION)
-
-
 def noise_params_for(surface: SurfaceKind, weather: Weather,
                      calibration: Calibration) -> NoiseParams:
     """Look up the noise model for a condition; missing entries are config errors."""
@@ -421,7 +391,7 @@ def utc_string(epoch_s: int) -> str:
 __all__ = [
     "PULSES_PER_CM", "GATE_LOW_CM", "GATE_HIGH_CM",
     "Channel", "SurfaceKind", "Weather", "NoiseParams", "Calibration",
-    "DEFAULT_CALIBRATION", "check_calibration_ordering", "noise_params_for",
+    "DEFAULT_CALIBRATION", "noise_params_for",
     "echo_sampler", "sample_echo", "StepTimeline", "GeoPath", "ScenarioScript", "ChannelEcho",
     "scenario_from_dict", "load_scenario", "utc_string",
 ]

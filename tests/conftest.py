@@ -8,14 +8,18 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from echoguide import httploop
 from echoguide.config import SystemConfig, config_from_dict
+from echoguide.server import make_http_server
 from echoguide.world import ScenarioScript, scenario_from_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +70,27 @@ def wait_for_server(port: int, timeout_s: float = 10.0) -> None:
         except (urllib.error.URLError, ConnectionError, OSError):
             time.sleep(0.05)
     raise RuntimeError(f"server on port {port} did not come up")
+
+
+@contextmanager
+def in_process_server(service, port: int = 0, timeout_s: float = httploop.REQUEST_TIMEOUT_S,
+                      max_connections: int = httploop.MAX_CONNECTIONS):
+    """Serve `service` on 127.0.0.1:port (a free port for 0) from a thread,
+    and yield the server.  While it runs, the loop gives up on a silent
+    connection after timeout_s and holds at most max_connections."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(httploop, "REQUEST_TIMEOUT_S", timeout_s)
+        patch.setattr(httploop, "MAX_CONNECTIONS", max_connections)
+        httpd = make_http_server(f"127.0.0.1:{port}", service)
+        thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        try:
+            yield httpd
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=5.0)
 
 
 class ServerProcess:

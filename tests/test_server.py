@@ -16,7 +16,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from http import HTTPStatus
 
@@ -24,12 +23,11 @@ import pytest
 
 import reference_store
 
+from echoguide.httploop import MAX_BODY_BYTES, REQUEST_TIMEOUT_S, Connection, LoopServer
 from echoguide.server import (
     DEFAULT_HISTORY_LIMIT,
     ENV_LISTEN,
     ENV_STORE,
-    MAX_BODY_BYTES,
-    REQUEST_TIMEOUT_S,
     FixRecord,
     FixValidationError,
     StorageError,
@@ -40,7 +38,7 @@ from echoguide.server import (
     validate_fix,
 )
 
-from conftest import free_port, wait_for_server
+from conftest import free_port, in_process_server, wait_for_server
 
 
 def good_fix(**overrides):
@@ -237,33 +235,15 @@ def test_history_rejects_nonpositive_limit(make_service):
 # -- HTTP endpoints (in-process server) -------------------------------------------
 
 
-@contextmanager
-def running(service, timeout_s=REQUEST_TIMEOUT_S, **options):
-    """Serve `service` on a free loopback port and yield the server, which
-    gives up on a silent connection after timeout_s."""
-    httpd = make_http_server(f"127.0.0.1:{free_port()}", service, timeout=timeout_s, **options)
-    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
-                              daemon=True)
-    thread.start()
-    try:
-        yield httpd
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-
-
-@contextmanager
-def serving(service, timeout_s=REQUEST_TIMEOUT_S):
-    """running(), yielding the server's base URL."""
-    with running(service, timeout_s) as httpd:
-        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+def base_url(httpd) -> str:
+    return f"http://127.0.0.1:{httpd.server_address[1]}"
 
 
 @pytest.fixture
 def live_server(tmp_path):
     store = TrackStore(tmp_path / "locations.jsonl")
-    with serving(TrackService(store)) as base:
-        yield base
+    with in_process_server(TrackService(store)) as httpd:
+        yield base_url(httpd)
     store.close()
 
 
@@ -271,8 +251,8 @@ def live_server(tmp_path):
 def impatient_server(tmp_path):
     """live_server that gives up on a silent connection after 0.3 s."""
     store = TrackStore(tmp_path / "locations.jsonl")
-    with serving(TrackService(store), timeout_s=0.3) as base:
-        yield base
+    with in_process_server(TrackService(store), timeout_s=0.3) as httpd:
+        yield base_url(httpd)
     store.close()
 
 
@@ -316,12 +296,6 @@ def test_post_date_only_timestamp_is_400(live_server):
     assert http_get(live_server, "/api/locations/latest?device_id=walker-1")[0] == 404
 
 
-def test_post_malformed_json_is_400(live_server):
-    status, body = http_post(live_server, "/api/locations", b"{nope")
-    assert status == 400
-    assert "error" in body
-
-
 def raw_post(base, headers: str, body: bytes = b"", path: str = "/api/locations"):
     """POST over a bare socket; the status line must come within 2 s."""
     port = int(base.rsplit(":", 1)[1])
@@ -358,11 +332,6 @@ def test_post_oversized_content_length_is_413_unread(live_server, length):
     assert connection == "close"
 
 
-def test_post_content_length_of_5000_digits_is_413(live_server):
-    status, body, connection = raw_post(live_server, f"Content-Length: {'9' * 5000}\r\n")
-    assert (status, body["field"], connection) == (413, "Content-Length", "close")
-
-
 def test_post_body_at_the_cap_is_accepted(live_server):
     payload = json.dumps(good_fix()).encode()
     payload += b" " * (MAX_BODY_BYTES - len(payload))
@@ -381,13 +350,6 @@ def test_post_with_transfer_encoding_is_400_unread_and_closes(live_server, with_
     status, reply, connection = raw_post(live_server, headers, body)
     assert (status, reply["field"], connection) == (400, "Transfer-Encoding", "close")
     assert http_get(live_server, "/api/locations/latest?device_id=te")[0] == 404
-
-
-def test_post_to_unknown_path_is_404_and_closes(live_server):
-    payload = json.dumps(good_fix()).encode()
-    status, _, connection = raw_post(live_server, f"Content-Length: {len(payload)}\r\n",
-                                     payload, path="/api/nope")
-    assert (status, connection) == (404, "close")
 
 
 def test_handler_sets_a_socket_timeout(tmp_path):
@@ -425,17 +387,6 @@ def test_get_latest_roundtrip(live_server):
     assert status == 200
     assert body["timestamp"] == "2015-06-01T00:10:00Z"
     assert body["latitude"] == 23.0
-
-
-def test_get_latest_unknown_device_is_404(live_server):
-    status, body = http_get(live_server, "/api/locations/latest?device_id=ghost")
-    assert status == 404
-    assert "error" in body
-
-
-def test_get_latest_requires_device_id(live_server):
-    status, body = http_get(live_server, "/api/locations/latest")
-    assert status == 400
 
 
 def test_get_history_ascending_with_limit(live_server):
@@ -535,11 +486,6 @@ def test_framework_errors_are_json_and_close(live_server, request_line, status):
     assert isinstance(body["error"], str)
 
 
-def test_unknown_path_is_404(live_server):
-    status, _ = http_get(live_server, "/api/nope")
-    assert status == 404
-
-
 # -- the answer table ---------------------------------------------------------------
 #
 # Every request shape above, as raw bytes on one connection to a server that
@@ -569,6 +515,7 @@ _TE = {"error": "Transfer-Encoding is not supported; send Content-Length",
        "field": "Transfer-Encoding"}
 _TOO_BIG = {"error": f"request body exceeds {MAX_BODY_BYTES} bytes", "field": "Content-Length"}
 _URI_TOO_LONG = {"error": HTTPStatus.REQUEST_URI_TOO_LONG.phrase}  # as this Python names 414
+_HEAD_TOO_LARGE = {"error": "Request header fields too large"}
 
 
 def _fields(n: int) -> str:
@@ -585,12 +532,18 @@ ANSWERS = [
      [(400, "close", 87, None, _CL)], "closed"),
     ("Content-Length empty", _post("Content-Length: \r\n", b"", length=False),
      [(400, "close", 87, None, _CL)], "closed"),
+    ("Content-Length 1.5", _post("Content-Length: 1.5\r\n", b"", length=False),
+     [(400, "close", 87, None, _CL)], "closed"),
+    ("Content-Length +5", _post("Content-Length: +5\r\n", b"{}{}{", length=False),
+     [(400, "close", 87, None, _CL)], "closed"),
     ("Content-Length 5 and 6", _post("Content-Length: 5\r\nContent-Length: 6\r\n", b"x" * 6,
                                      length=False), [(400, "close", 87, None, _CL)], "closed"),
     ("Content-Length twice alike", _post(f"Content-Length: {len(_FIX_BODY)}\r\n"),
      [(201, None, 133, None, _FIX_2)], "open"),
     ("Content-Length over the cap", _post(f"Content-Length: {MAX_BODY_BYTES + 1}\r\n", b"",
                                           length=False), [(413, "close", 72, None, _TOO_BIG)], "closed"),
+    ("Content-Length 10**12", _post(f"Content-Length: {10**12}\r\n", b"", length=False),
+     [(413, "close", 72, None, _TOO_BIG)], "closed"),
     ("Content-Length of 5000 digits", _post(f"Content-Length: {'9' * 5000}\r\n", b"", length=False),
      [(413, "close", 72, None, _TOO_BIG)], "closed"),
     ("Transfer-Encoding alone", _post("Transfer-Encoding: chunked\r\n", b"2\r\n{}\r\n0\r\n\r\n",
@@ -616,6 +569,16 @@ ANSWERS = [
      [(505, "close", 39, None, {"error": "Invalid HTTP version (9.9)"})], "closed"),
     ("HTTP/1", _get(version="HTTP/1"),
      [(400, "close", 43, None, {"error": "Bad request version ('HTTP/1')"})], "closed"),
+    ("HTTP/0.9", b"GET /api/locations/latest?device_id=walker-1\r\n\r\n",
+     [(400, "close", 80, None,
+       {"error": "Bad request syntax ('GET /api/locations/latest?device_id=walker-1')"})],
+     "closed"),
+    ("header line without a colon", _get(headers="no colon here\r\n"),
+     [(400, "close", 46, None, {"error": "Bad header line ('no colon here')"})], "closed"),
+    ("obs-fold", _get(headers="X-Folded: a\r\n b\r\n"),  # RFC 9112 section 5.2
+     [(400, "close", 35, None, {"error": "Bad header line (' b')"})], "closed"),
+    ("space before the colon", _get(headers="X-Space : a\r\n"),  # RFC 9112 section 5.1
+     [(400, "close", 44, None, {"error": "Bad header line ('X-Space : a')"})], "closed"),
     ("FOO", b"FOO /api/locations HTTP/1.1\r\nHost: t\r\n\r\n",
      [(501, "close", 39, None, {"error": "Unsupported method ('FOO')"})], "closed"),
     *[(method, _post().replace(b"POST", method.encode(), 1),
@@ -634,11 +597,16 @@ ANSWERS = [
     ("100 header fields", _get(headers=_fields(99)),
      [(431, "close", 29, None, {"error": "Too many headers"})], "closed"),
     ("65,537-byte header line", _get(headers="X: " + "a" * 65_532 + "\r\n"),
-     [(431, "close", 26, None, {"error": "Line too long"})], "closed"),
+     [(431, "close", 44, None, _HEAD_TOO_LARGE)], "closed"),
+    ("seven 10,000-byte header fields",
+     _get(headers="".join(f"X-{i}: {'a' * 10_000}\r\n" for i in range(7))),
+     [(431, "close", 44, None, _HEAD_TOO_LARGE)], "closed"),
     ("body not JSON", _post(body=b"{nope"),
      [(400, None, 60, None, {"error": "request body is not valid JSON", "field": "body"})], "open"),
     ("POST to an unknown path", _post(path="/api/nope"),
      [(404, "close", 29, None, {"error": "no such resource"})], "closed"),
+    ("POST without Content-Length to an unknown path", _post(path="/api/nope", length=False),
+     [(400, "close", 87, None, _CL)], "closed"),
     ("GET an unknown path", _get("/api/nope"),
      [(404, None, 29, None, {"error": "no such resource"})], "open"),
     ("GET without device_id", _get("/api/locations/latest"),
@@ -655,7 +623,8 @@ ANSWERS = [
 def read_replies(sock, count: int, head: bool = False) -> list:
     """The next `count` replies on sock, each as (status, Connection,
     Content-Length, Allow, body).  The body is decoded JSON, or b"" when
-    the reply has none (a 100 Continue, or the reply to a HEAD)."""
+    the reply has none (a 100 Continue, or the reply to a HEAD); every reply
+    but a 100 Continue says it is JSON."""
     buf, replies = b"", []
     while len(replies) < count:
         while b"\r\n\r\n" not in buf:
@@ -666,11 +635,14 @@ def read_replies(sock, count: int, head: bool = False) -> list:
         status_line, *lines = top.decode("latin-1").split("\r\n")
         headers = dict(line.split(": ", 1) for line in lines)
         length = int(headers.get("Content-Length", 0))
-        size = 0 if head or int(status_line.split()[1]) == 100 else length
+        status = int(status_line.split()[1])
+        if status != 100:
+            assert headers["Content-Type"] == "application/json; charset=utf-8", headers
+        size = 0 if head or status == 100 else length
         while len(buf) < size:
             buf += sock.recv(65536)
         body, buf = buf[:size], buf[size:]
-        replies.append((int(status_line.split()[1]), headers.get("Connection"),
+        replies.append((status, headers.get("Connection"),
                         headers.get("Content-Length") and length, headers.get("Allow"),
                         json.loads(body) if body else body))
     assert buf == b""
@@ -683,7 +655,7 @@ def test_the_answer_table(tmp_path, request_bytes, replies, then):
     store = TrackStore(tmp_path / "locations.jsonl")
     service = TrackService(store)
     service.insert_fix(good_fix())
-    with running(service, timeout_s=0.3) as httpd:
+    with in_process_server(service, timeout_s=0.3) as httpd:
         with socket.create_connection(("127.0.0.1", httpd.server_address[1]), timeout=2.0) as sock:
             sock.sendall(request_bytes)
             head = request_bytes.startswith(b"HEAD ")
@@ -695,6 +667,16 @@ def test_the_answer_table(tmp_path, request_bytes, replies, then):
                 assert read_replies(sock, 1) == [(404, None, 29, None,
                                                   {"error": "no such resource"})]
     store.close()
+
+
+def test_allow_names_the_routes_the_handler_defines():
+    class OnlyGet(Connection):
+        def do_GET(self) -> None:
+            self._reply(200, {})
+
+    server = LoopServer(("127.0.0.1", 0), OnlyGet)
+    server.server_close()
+    assert server.allow == b"Allow: GET\r\n"
 
 
 # -- kept-alive connections ----------------------------------------------------------
@@ -718,7 +700,8 @@ def test_kept_alive_gets_do_not_wait_for_delayed_acks(live_server):
 def test_server_close_ends_kept_alive_connections(tmp_path):
     store = TrackStore(tmp_path / "locations.jsonl")
     before = set(threading.enumerate())
-    with serving(TrackService(store)) as base:
+    with in_process_server(TrackService(store)) as httpd:
+        base = base_url(httpd)
         connection = http.client.HTTPConnection(base[len("http://"):], timeout=5)
         connection.request("GET", "/api/locations/latest?device_id=walker-1")
         assert connection.getresponse().read()  # the 404, on a connection kept open
@@ -738,7 +721,8 @@ def test_server_close_ends_kept_alive_connections(tmp_path):
 
 def test_a_client_reset_mid_request_prints_nothing(tmp_path, capsys):
     store = TrackStore(tmp_path / "locations.jsonl")
-    with serving(TrackService(store)) as base:
+    with in_process_server(TrackService(store)) as httpd:
+        base = base_url(httpd)
         port = int(base.rsplit(":", 1)[1])
         with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
             sock.sendall(b"GET /api/locations/latest?device_id=walker-1 HTTP/1.1\r\nHost: 12")
@@ -760,7 +744,8 @@ def test_other_handler_failures_are_still_reported(tmp_path, capsys):
         raise ValueError("a handler bug")
 
     service.latest_fix = broken
-    with serving(service) as base:
+    with in_process_server(service) as httpd:
+        base = base_url(httpd)
         reply = raw_exchange(base, _get())
         assert one_closing_reply(reply, 500) == {"error": "internal server error"}
         assert http_get(base, "/api/locations?device_id=walker-1")[0] == 200
@@ -773,7 +758,7 @@ def test_other_handler_failures_are_still_reported(tmp_path, capsys):
 def test_connections_over_the_cap_are_answered_503_and_closed(tmp_path):
     store = TrackStore(tmp_path / "locations.jsonl")
     store.insert(good_fix())
-    with running(TrackService(store), max_connections=2) as httpd:
+    with in_process_server(TrackService(store), max_connections=2) as httpd:
         address = ("127.0.0.1", httpd.server_address[1])
         first, second = (socket.create_connection(address, timeout=2.0) for _ in range(2))
         with first, second:
@@ -801,7 +786,7 @@ def test_a_client_that_never_reads_its_replies_holds_up_no_other(tmp_path):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(timestamp=at_second(s)) for s in range(DEFAULT_HISTORY_LIMIT)])
     store = TrackStore(path)
-    with running(TrackService(store)) as httpd:
+    with in_process_server(TrackService(store)) as httpd:
         address = ("127.0.0.1", httpd.server_address[1])
         with socket.create_connection(address, timeout=2.0) as hog, \
                 socket.create_connection(address, timeout=2.0) as other:
@@ -880,7 +865,8 @@ def test_get_with_an_unparseable_stored_timestamp_is_500(tmp_path):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(timestamp="yesterday"), good_fix(device_id="walker-2")])
     store = TrackStore(path)
-    with serving(TrackService(store)) as base:
+    with in_process_server(TrackService(store)) as httpd:
+        base = base_url(httpd)
         for query in ("/api/locations/latest?device_id=walker-1",
                       "/api/locations?device_id=walker-1"):
             status, body = http_get(base, query)
@@ -896,7 +882,8 @@ def test_get_with_a_date_only_stored_timestamp_is_500(tmp_path):
     write_rows(path, [good_fix(), good_fix(timestamp="2015-06-01Z"),
                       good_fix(device_id="walker-2")])
     store = TrackStore(path)
-    with serving(TrackService(store)) as base:
+    with in_process_server(TrackService(store)) as httpd:
+        base = base_url(httpd)
         for query in ("/api/locations/latest?device_id=walker-1",
                       "/api/locations?device_id=walker-1"):
             status, body = http_get(base, query)
@@ -929,7 +916,8 @@ def test_get_with_an_out_of_range_stored_fix_is_500(tmp_path, field, value):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(**{field: value}), good_fix(device_id="walker-2")])
     store = TrackStore(path)
-    with serving(TrackService(store)) as base:
+    with in_process_server(TrackService(store)) as httpd:
+        base = base_url(httpd)
         for query in ("/api/locations/latest?device_id=walker-1",
                       "/api/locations?device_id=walker-1"):
             status, body = http_get(base, query)
@@ -1004,7 +992,8 @@ def test_get_replies_are_the_bytes_of_a_fresh_encode(tmp_path, seed):
     newest = dict.fromkeys(devices, 600)
     records, kinds = [], set()
     store = TrackStore(tmp_path / "locations.jsonl")
-    with serving(TrackService(store)) as base:
+    with in_process_server(TrackService(store)) as httpd:
+        base = base_url(httpd)
         conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
         conn.connect()
         sock = conn.sock
@@ -1058,7 +1047,8 @@ def test_every_get_asks_the_service(tmp_path):
         query = getattr(service, name)
         setattr(service, name, lambda *args, query=query, name=name: asked.append(name)
                 or query(*args))
-    with serving(service) as base:
+    with in_process_server(service) as httpd:
+        base = base_url(httpd)
         conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
         for _ in range(3):
             for limit in (None, 50):
@@ -1098,7 +1088,8 @@ def test_racing_handlers_leave_only_fresh_replies(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with serving(TrackService(store)) as base:
+        with in_process_server(TrackService(store)) as httpd:
+            base = base_url(httpd)
             threads = [threading.Thread(target=client, args=(n, base)) for n in range(4)]
             for thread in threads:
                 thread.start()
@@ -1123,7 +1114,7 @@ def test_the_reply_table_holds_at_most_two_replies_per_stored_device(tmp_path):
     for second in range(70):
         service.insert_fix(good_fix(timestamp=at_second(second)))
     service.insert_fix(good_fix(device_id="walker-2"))
-    with running(service) as httpd:
+    with in_process_server(service) as httpd:
         conn = http.client.HTTPConnection(f"127.0.0.1:{httpd.server_address[1]}", timeout=5)
         for n in range(200):
             assert get_reply(conn, f"ghost-{n}", None)[0] == 404
@@ -1144,7 +1135,7 @@ def test_a_failing_query_answers_500_each_time_and_keeps_no_reply(tmp_path):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(timestamp="yesterday"), good_fix(device_id="walker-2")])
     store = TrackStore(path)
-    with running(TrackService(store)) as httpd:
+    with in_process_server(TrackService(store)) as httpd:
         conn = http.client.HTTPConnection(f"127.0.0.1:{httpd.server_address[1]}", timeout=5)
         for _ in range(3):
             for limit in (None, 50):

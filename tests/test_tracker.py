@@ -8,9 +8,11 @@ import http.client
 import json
 import random
 import socket
+import subprocess
 import sys
 import threading
 import time
+from contextlib import ExitStack
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -20,8 +22,8 @@ import reference_store
 
 from echoguide import tracker
 from echoguide.jsonread import read_json
-from echoguide.server import (REQUEST_TIMEOUT_S, FixRecord, TrackService, TrackStore,
-                              make_http_server)
+from echoguide.httploop import REQUEST_TIMEOUT_S
+from echoguide.server import FixRecord, TrackService, TrackStore
 from echoguide.tracker import (
     EXIT_NO_FIX,
     EXIT_OK,
@@ -39,7 +41,7 @@ from echoguide.tracker import (
     track_feature,
 )
 
-from conftest import free_port
+from conftest import free_port, in_process_server
 
 
 def fix_dict(minute=5, lat=22.9006, lon=89.5024, provider="gps", device="walker-1"):
@@ -133,17 +135,14 @@ class Serving:
     def __init__(self, path, port, handler_timeout=REQUEST_TIMEOUT_S):
         self.store = TrackStore(path)
         self.service = TrackService(self.store)
-        self.httpd = make_http_server(f"127.0.0.1:{port}", self.service, timeout=handler_timeout)
+        self._open = ExitStack()
+        self._open.callback(self.store.close)
+        self.httpd = self._open.enter_context(
+            in_process_server(self.service, port, timeout_s=handler_timeout))
         self.accepted = count_connections(self.httpd)
-        self.thread = threading.Thread(target=self.httpd.serve_forever,
-                                       kwargs={"poll_interval": 0.05}, daemon=True)
-        self.thread.start()
 
     def stop(self):
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        self.thread.join(timeout=5.0)
-        self.store.close()
+        self._open.close()
 
 
 @pytest.fixture
@@ -301,6 +300,30 @@ def test_idle_connection_to_a_stopped_server_is_still_exit_2(tmp_path, capsys):
     code = main(["--server", f"127.0.0.1:{port}", "--device", "walker-1", "get-location"])
     assert code == EXIT_UNREACHABLE
     assert capsys.readouterr().err.startswith("server unreachable: ")
+
+
+def test_a_process_that_fetched_exits_with_no_unclosed_socket(tmp_path):
+    """fetch_latest keeps its connection idle for the next fetch; the
+    process closes it at exit, so -X dev reports no unclosed socket."""
+    code = f"""
+import threading
+from echoguide.server import TrackService, TrackStore, make_http_server
+from echoguide.tracker import fetch_latest
+store = TrackStore({str(tmp_path / "locations.jsonl")!r})
+store.insert({fix_dict()!r})
+httpd = make_http_server("127.0.0.1:0", TrackService(store))
+thread = threading.Thread(target=httpd.serve_forever)
+thread.start()
+fetch_latest(f"127.0.0.1:{{httpd.server_address[1]}}", "walker-1")
+httpd.shutdown()
+httpd.server_close()
+thread.join()
+store.close()
+"""
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                             "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr
 
 
 # -- CLI against a stub server whose replies are malformed ------------------------------
