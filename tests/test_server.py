@@ -296,6 +296,12 @@ def test_post_date_only_timestamp_is_400(live_server):
     assert http_get(live_server, "/api/locations/latest?device_id=walker-1")[0] == 404
 
 
+def test_post_malformed_json_is_400(live_server):
+    status, body = http_post(live_server, "/api/locations", b"{nope")
+    assert status == 400
+    assert "error" in body
+
+
 def raw_post(base, headers: str, body: bytes = b"", path: str = "/api/locations"):
     """POST over a bare socket; the status line must come within 2 s."""
     port = int(base.rsplit(":", 1)[1])
@@ -332,6 +338,11 @@ def test_post_oversized_content_length_is_413_unread(live_server, length):
     assert connection == "close"
 
 
+def test_post_content_length_of_5000_digits_is_413(live_server):
+    status, body, connection = raw_post(live_server, f"Content-Length: {'9' * 5000}\r\n")
+    assert (status, body["field"], connection) == (413, "Content-Length", "close")
+
+
 def test_post_body_at_the_cap_is_accepted(live_server):
     payload = json.dumps(good_fix()).encode()
     payload += b" " * (MAX_BODY_BYTES - len(payload))
@@ -350,6 +361,13 @@ def test_post_with_transfer_encoding_is_400_unread_and_closes(live_server, with_
     status, reply, connection = raw_post(live_server, headers, body)
     assert (status, reply["field"], connection) == (400, "Transfer-Encoding", "close")
     assert http_get(live_server, "/api/locations/latest?device_id=te")[0] == 404
+
+
+def test_post_to_unknown_path_is_404_and_closes(live_server):
+    payload = json.dumps(good_fix()).encode()
+    status, _, connection = raw_post(live_server, f"Content-Length: {len(payload)}\r\n",
+                                     payload, path="/api/nope")
+    assert (status, connection) == (404, "close")
 
 
 def test_handler_sets_a_socket_timeout(tmp_path):
@@ -387,6 +405,17 @@ def test_get_latest_roundtrip(live_server):
     assert status == 200
     assert body["timestamp"] == "2015-06-01T00:10:00Z"
     assert body["latitude"] == 23.0
+
+
+def test_get_latest_unknown_device_is_404(live_server):
+    status, body = http_get(live_server, "/api/locations/latest?device_id=ghost")
+    assert status == 404
+    assert "error" in body
+
+
+def test_get_latest_requires_device_id(live_server):
+    status, body = http_get(live_server, "/api/locations/latest")
+    assert status == 400
 
 
 def test_get_history_ascending_with_limit(live_server):
@@ -484,6 +513,11 @@ def test_a_request_that_ends_its_connection_gets_a_reply_that_says_so(live_serve
 def test_framework_errors_are_json_and_close(live_server, request_line, status):
     body = one_closing_reply(raw_exchange(live_server, request_line), status)
     assert isinstance(body["error"], str)
+
+
+def test_unknown_path_is_404(live_server):
+    status, _ = http_get(live_server, "/api/nope")
+    assert status == 404
 
 
 # -- the answer table ---------------------------------------------------------------
