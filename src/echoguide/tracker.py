@@ -3,7 +3,8 @@ latest fix or trail and emit map-ready output.
 
 Subcommands: get-location (print the newest fix), show-map (GeoJSON Point
 plus a maps URL), track (GeoJSON trail).  Exit codes: 0 success, 2 server
-unreachable or its reply malformed, 3 no fix recorded for the device.
+unreachable or its reply malformed (or an --out file that cannot be
+written), 3 no fix recorded for the device.
 
 A 200 reply is checked before it is used: every fix must have the fields
 of a stored fix and belong to the device asked for, and a trail may hold
@@ -16,9 +17,20 @@ is not decoded or checked again; each caller gets its own copy of the kept
 result.  This pays only in a process that fetches again and again, as a
 guardian's polling loop does: the CLI fetches once and exits.
 
-Queries go over HTTP/1.1 persistent connections: each one the server
-leaves open goes back to an idle list for the next query to the same
-server, from any thread.
+Queries go over HTTP/1.1 persistent connections, spoken here over plain
+sockets rather than http.client: each GET goes out in one write, with the
+Host field as http.client writes it.  A reply is read as HTTP/1.0 or 1.1:
+1xx interim replies are skipped, and the body is framed by chunked
+transfer coding, by Content-Length or by the connection closing.  A reply
+that cannot be read is refused as the server being unreachable (exit 2):
+a bad status line, a head over 65,536 bytes or of 100 header lines or
+more, a header line with no name or colon, a bad chunk size, a short body
+or a bad Content-Length.  A connection goes back to an idle list for the next
+query to the same server, from any thread, only after a whole reply that
+leaves it open: not after Connection: close, nor after an HTTP/1.0 reply
+without keep-alive.  An https:// server is reached over TLS with the
+ssl module's default context: its certificate must chain to a trusted CA
+(the system's, or SSL_CERT_FILE's) and name the host.
 """
 
 from __future__ import annotations
@@ -26,9 +38,9 @@ from __future__ import annotations
 import argparse
 import atexit
 import functools
-import http.client
 import json
 import math
+import socket
 import sys
 import threading
 from typing import Optional
@@ -70,18 +82,155 @@ def _base_url(server: str) -> str:
 
 
 # Idle kept-alive connections by (scheme, host, port), most recently used last.
-_idle: dict[tuple[str, str, int], list[http.client.HTTPConnection]] = {}
+_idle: dict[tuple[str, str, int], list[socket.socket]] = {}
 _idle_lock = threading.Lock()
 
 # How a connection that sat idle fails once the server has closed it: the GET
-# is sent (or refused) and no status line comes back.
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# is sent (or refused) and the connection ends before any byte of a reply.
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+# The server's limits (httploop), not imported from it: it loads email.utils.
+_MAX_HEAD_BYTES = 65536  # a reply's status line and header lines with their line ends
+_MAX_HEAD_LINES = 100  # header lines with the blank line that ends them, as http.client counts
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-def _exchange(conn: http.client.HTTPConnection, target: str) -> http.client.HTTPResponse:
-    """Send the GET and read the reply's status line and headers."""
-    conn.request("GET", target)
-    return conn.getresponse()
+class _Reply:
+    """One reply to a GET, read off its socket through one buffer: the
+    status line and header fields (1xx interim replies skipped), then a
+    body framed by chunked, by Content-Length or by the connection closing
+    (RFC 9112 sections 4 to 7).  A reply it cannot read raises
+    ServerUnreachable; a connection that ends before any byte of a reply
+    raises ConnectionResetError, as a stale one does."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock, self.buf, self.pos = sock, bytearray(), 0
+
+    def read(self, request: bytes) -> None:
+        """Send the request in one write and read its reply."""
+        self.sock.sendall(request)
+        while True:
+            lines = self._head()
+            version, _, rest = lines[0].partition(" ")
+            code, _, reason = rest.partition(" ")
+            if not (len(version) == 8 and version.startswith("HTTP/1.") and
+                    version[7] in "0123456789" and len(code) == 3 and
+                    code.isascii() and code.isdigit() and code[0] != "0"):
+                raise ServerUnreachable(f"bad status line {lines[0]!r}")
+            if code[0] != "1":  # 1xx: an interim reply, the final one follows
+                break
+        self.status, self.reason = int(code), reason.strip()
+        self.fields: dict[str, list[str]] = {}
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon or not name or name != name.strip(" \t"):  # obs-fold too
+                raise ServerUnreachable(f"bad header line {line!r}")
+            self.fields.setdefault(name.lower(), []).append(value.strip(" \t"))
+        tokens = {token.strip().lower() for value in self.fields.get("connection", ())
+                  for token in value.split(",")}
+        self.close = "close" in tokens or (version == "HTTP/1.0" and "keep-alive" not in tokens)
+        self.body = self._body()
+        self.close = self.close or self.pos != len(self.buf)  # bytes past the reply
+
+    def _recv(self) -> None:
+        """Read what has arrived into buf; the connection must not have ended."""
+        data = self.sock.recv(65536)
+        if not data:
+            if not self.buf:
+                raise ConnectionResetError("the server closed the connection with no reply")
+            raise ServerUnreachable("the server closed the connection mid-reply")
+        self.buf += data
+
+    def _head(self) -> list[str]:
+        """The lines of the next head, without their line ends, up to the
+        blank line that ends it."""
+        start, end_by = self.pos, self.pos + _MAX_HEAD_BYTES
+        while True:  # find the first blank line, whether its line ends are CRLF or LF
+            crlf = self.buf.find(b"\n\r\n", start, end_by)
+            lf = self.buf.find(b"\n\n", start, end_by if crlf < 0 else crlf + 1)
+            if crlf >= 0 or lf >= 0:
+                break
+            if len(self.buf) >= end_by:
+                raise ServerUnreachable(f"reply head over {_MAX_HEAD_BYTES} bytes")
+            self._recv()
+        end, self.pos = (lf, lf + 2) if lf >= 0 else (crlf, crlf + 3)
+        text = self.buf[start:end].decode("latin-1")  # the last line end left out
+        lines = text.replace("\r\n", "\n").rstrip("\r").split("\n")
+        if len(lines) > _MAX_HEAD_LINES:
+            raise ServerUnreachable(f"reply head over {_MAX_HEAD_LINES} header lines")
+        return lines
+
+    def _line(self, end_by: int, too_long: str) -> str:
+        """The next line of a chunked body, ending before buf index end_by."""
+        while (end := self.buf.find(b"\n", self.pos, end_by)) < 0:
+            if len(self.buf) >= end_by:
+                raise ServerUnreachable(too_long)
+            self._recv()
+        line, self.pos = self.buf[self.pos:end].decode("latin-1").rstrip("\r"), end + 1
+        return line
+
+    def _body(self) -> bytes:
+        if self.status in (204, 304):
+            return b""
+        codings = self.fields.get("transfer-encoding")
+        if codings:
+            if ",".join(codings).rsplit(",", 1)[-1].strip().lower() == "chunked":
+                return self._chunked()
+        elif "content-length" in self.fields:
+            lengths = {v.strip() for value in self.fields["content-length"]
+                       for v in value.split(",")}
+            (length,) = lengths if len(lengths) == 1 else ("",)
+            if not (length.isascii() and length.isdigit() and len(length) <= 18):
+                raise ServerUnreachable(
+                    f"bad Content-Length {', '.join(self.fields['content-length'])!r}")
+            return self._take(int(length))
+        self.close = True  # RFC 9112 section 6.3: the body ends when the connection does
+        while data := self.sock.recv(65536):
+            self.buf += data
+        body, self.pos = bytes(self.buf[self.pos:]), len(self.buf)
+        return body
+
+    def _take(self, length: int) -> bytes:
+        end = self.pos + length
+        while len(self.buf) < end:
+            data = self.sock.recv(65536)
+            if not data:
+                raise ServerUnreachable(
+                    f"short body: {len(self.buf) - self.pos} of {length} bytes")
+            self.buf += data
+        body, self.pos = bytes(self.buf[self.pos:end]), end
+        return body
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            line = self._line(self.pos + _MAX_HEAD_BYTES,
+                              f"chunk size line over {_MAX_HEAD_BYTES} bytes")
+            size = line.partition(";")[0].strip(" \t")  # chunk extensions are ignored
+            if not (0 < len(size) <= 16 and _HEX_DIGITS.issuperset(size)):
+                raise ServerUnreachable(f"bad chunk size line {line!r}")
+            if not size.strip("0"):
+                break
+            chunks.append(self._take(int(size, 16)))
+            if self._line(self.pos + 2, "chunk data longer than its size"):
+                raise ServerUnreachable("chunk data longer than its size")
+        end_by = self.pos + _MAX_HEAD_BYTES
+        while self._line(end_by, f"trailer section over {_MAX_HEAD_BYTES} bytes"):
+            pass  # trailer fields are read, not used
+        return b"".join(chunks)
+
+
+def _connect(host: str, port: int, https: bool, timeout: float) -> socket.socket:
+    sock = socket.create_connection((host, port), timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as http.client does
+        if not https:
+            return sock
+        import ssl  # only for an https:// URL: loading it costs every run start-up time
+        return ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+    except BaseException:
+        sock.close()
+        raise
 
 
 def _get_reply(url: str, timeout: float) -> tuple[int, str, bytes]:
@@ -89,8 +238,9 @@ def _get_reply(url: str, timeout: float) -> tuple[int, str, bytes]:
     the same server when there is one.
 
     Only a connection taken from the idle list is tried again, on a new
-    connection and once, and only when it fails before a status line
-    arrives: the server may have closed it while it sat idle.
+    connection and once, and only when it ends before any byte of a reply
+    arrives: the server may have closed it while it sat idle.  A connection
+    goes back to the idle list only after a whole reply that leaves it open.
     """
     parts = urlsplit(url)
     https = parts.scheme == "https"
@@ -98,36 +248,60 @@ def _get_reply(url: str, timeout: float) -> tuple[int, str, bytes]:
         port = parts.port or (443 if https else 80)
     except ValueError as exc:  # a port that is not a number in 0..65535
         raise ServerUnreachable(str(exc)) from None
-    if not parts.hostname:
+    host = parts.hostname
+    if not host:
         raise ServerUnreachable("no host given")
-    key = (parts.scheme, parts.hostname, port)
-    target = f"{parts.path}?{parts.query}"
+    key = (parts.scheme, host, port)
+    request = _request(host, port, https, f"{parts.path}?{parts.query}")
     with _idle_lock:
         idle = _idle.get(key)
-        conn = idle.pop() if idle else None
+        sock = idle.pop() if idle else None
     try:
-        response = None
-        if conn is not None:
-            conn.sock.settimeout(timeout)
+        if sock is not None:
+            sock.settimeout(timeout)
+            reply = _Reply(sock)
             try:
-                response = _exchange(conn, target)
+                reply.read(request)
             except _STALE:
-                conn.close()
-        if response is None:
-            connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
-            conn = connection(parts.hostname, port, timeout=timeout)
-            response = _exchange(conn, target)
-        body = response.read()
-    except (http.client.HTTPException, OSError) as exc:  # OSError: refused, reset, timed out
-        if conn is not None:
-            conn.close()
+                if reply.buf:  # part of a reply came: the connection was not stale
+                    raise
+                sock.close()
+                sock = None
+        if sock is None:
+            sock = _connect(host, port, https, timeout)
+            reply = _Reply(sock)
+            reply.read(request)
+    except ServerUnreachable:
+        sock.close()
+        raise
+    except OSError as exc:  # refused, reset, timed out, or TLS refused
+        if sock is not None:
+            sock.close()
         raise ServerUnreachable(str(exc) or type(exc).__name__) from None
-    if response.will_close:
-        conn.close()
+    if reply.close:
+        sock.close()
     else:
         with _idle_lock:
-            _idle.setdefault(key, []).append(conn)
-    return response.status, response.reason, body
+            _idle.setdefault(key, []).append(sock)
+    return reply.status, reply.reason, reply.body
+
+
+def _request(host: str, port: int, https: bool, target: str) -> bytes:
+    """The GET's head, its Host field as http.client writes it: an IPv6
+    literal in brackets, the scheme's default port left out."""
+    if not host.isascii():
+        try:
+            host = host.encode("idna").decode("ascii")
+        except UnicodeError:
+            raise ServerUnreachable(f"bad host name {host!r}") from None
+    if not (target.isascii() and target.isprintable() and " " not in target):
+        raise ServerUnreachable(f"URL can't contain control characters: {target!r}")
+    if ":" in host:
+        host = f"[{host}]"
+    if port != (443 if https else 80):
+        host = f"{host}:{port}"
+    return (f"GET {target} HTTP/1.1\r\nHost: {host}\r\n"
+            "Accept-Encoding: identity\r\n\r\n").encode("ascii")
 
 
 def _unexpected(status: int, reason: str, body: bytes) -> ServerUnreachable:
@@ -271,13 +445,20 @@ def track_feature(fixes: list[dict]) -> dict:
     }
 
 
+class _Unwritable(RuntimeError):
+    """The --out file cannot be written; the message names it and why."""
+
+
 def _write_geojson(doc: dict, out_path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path is None or out_path == "-":
         print(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:  # a missing directory, a directory, no permission, a full disk
+        raise _Unwritable(f"--out {out_path}: {exc.strerror or exc}") from None
 
 
 def _timeout_s(text: str) -> float:
@@ -344,6 +525,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoFix:
         print(f"no fix recorded for device '{args.device}'", file=sys.stderr)
         return EXIT_NO_FIX
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2  # as for a bad argument
     finally:
         _close_idle()
     return EXIT_OK

@@ -6,8 +6,13 @@ from __future__ import annotations
 import copy
 import http.client
 import json
+import os
 import random
+import re
+import shutil
 import socket
+import ssl
+import struct
 import subprocess
 import sys
 import threading
@@ -225,6 +230,19 @@ def test_track_empty_history_exits_3(live_tracking, capsys):
     code = main(["--server", server, "--device", "walker-1", "track"])
     assert code == EXIT_NO_FIX
     assert "no fixes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["show-map"], ["track"]])
+def test_an_out_path_that_cannot_be_written_exits_2_naming_it(live_tracking, capsys, tmp_path,
+                                                             command):
+    service, server = live_tracking
+    service.insert_fix(fix_dict())
+    out_path = tmp_path / "no" / "such" / "dir" / "x.geojson"
+    code = main(["--server", server, "--device", "walker-1", *command, "--out", str(out_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out_path}: No such file or directory\n"
 
 
 def test_unreachable_server_exits_2(capsys):
@@ -475,6 +493,296 @@ def test_a_malformed_reply_after_a_good_one_to_the_same_url_is_refused(stub_serv
         fetch_history(server, "walker-1", 3)
     stub_server.reply = reply_fix(latitude=23.0)
     assert fetch_latest(server, "walker-1")["latitude"] == 23.0
+
+
+# -- replies as HTTP frames them, over raw sockets -------------------------------------
+
+
+class RawStub:
+    """A server that answers the requests on each connection with `replies`
+    in turn, bytes as they are.  After the last one it closes the connection
+    if `close` is set (with a reset if `reset` is) and else holds it open
+    until stopped.  `heads` collects the request heads it reads."""
+
+    def __init__(self, replies, close=False, host="127.0.0.1", reset=False):
+        self.replies, self.close, self.reset = replies, close or reset, reset
+        self.heads, self.held = [], []
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self.listener = socket.create_server((host, 0), family=family)
+        self.listener.settimeout(0.05)
+        self.port = self.listener.getsockname()[1]
+        self.key = ("http", host, self.port)
+        self.server = f"[{host}]:{self.port}" if ":" in host else f"{host}:{self.port}"
+        self.stopping = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while not self.stopping.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            conn.settimeout(5.0)
+            try:
+                for reply in self.replies:
+                    head = b""
+                    while b"\r\n\r\n" not in head and (data := conn.recv(65536)):
+                        head += data
+                    self.heads.append(head)
+                    conn.sendall(reply)
+            except OSError:  # the client gave up on a reply it refused
+                pass
+            if self.reset:
+                time.sleep(0.2)  # the client reads what was sent before the reset
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            if self.close:
+                conn.close()
+            else:
+                self.held.append(conn)
+
+    def held_connections_closed_by_the_client(self) -> bool:
+        for conn in self.held:
+            conn.settimeout(2.0)
+            try:
+                if conn.recv(1) != b"":
+                    return False
+            except ConnectionResetError:
+                pass
+        return True
+
+    def stop(self):
+        self.stopping.set()
+        self.thread.join()
+        self.listener.close()
+        for conn in self.held:
+            conn.close()
+
+
+@pytest.fixture
+def raw_stub():
+    stubs = []
+
+    def start(*replies: bytes, **options) -> RawStub:
+        stubs.append(RawStub(replies, **options))
+        return stubs[-1]
+
+    yield start
+    tracker._close_idle()
+    for stub in stubs:
+        stub.stop()
+
+
+FIX_BODY = json.dumps(reply_fix()).encode()
+FIX_LINE = "walker-1 22.900600 89.502400 2015-06-01T00:05:00Z gps\n"
+
+
+def fixed_length(*fields: str, status: str = "HTTP/1.1 200 OK", body: bytes = FIX_BODY,
+                 length: object = None) -> bytes:
+    """A reply whose body Content-Length frames, `length` if given."""
+    head = [status, f"Content-Length: {len(body) if length is None else length}", *fields]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+@pytest.mark.parametrize("reply, close, kept", [
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+     + b"a;name=value\r\n" + FIX_BODY[:10] + b"\r\n"
+     + b"%X\r\n" % (len(FIX_BODY) - 10) + FIX_BODY[10:] + b"\r\n"
+     + b"000\r\nX-Trailer: ignored\r\n\r\n", False, True),
+    (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + FIX_BODY, True, False),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: identity\r\n\r\n" + FIX_BODY, True, False),
+    (fixed_length("Connection: close"), False, False),
+    (fixed_length(status="HTTP/1.0 200 OK"), False, False),
+    (fixed_length("Connection: keep-alive", status="HTTP/1.0 200 OK"), False, True),
+    (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n"
+     + fixed_length(), False, True),
+    (fixed_length().replace(b"\r\n", b"\n", 2), False, True),
+    (fixed_length(body=b"\r\n" + FIX_BODY).replace(b"\r\n", b"\n", 3), False, True),
+    (fixed_length() + b"HTTP/1.1 200 OK\r\n", False, False),
+], ids=["chunked", "HTTP/1.0 ended by close", "last coding not chunked, ended by close",
+        "Connection: close", "HTTP/1.0 with Content-Length", "HTTP/1.0 keep-alive",
+        "1xx before the 200", "bare LF line ends", "bare LF line ends, a body starting CRLF",
+        "bytes past the reply"])
+def test_a_reply_framed_as_http_allows_is_read_and_kept_only_if_left_open(
+        raw_stub, capsys, reply, close, kept):
+    stub = raw_stub(reply, close=close)
+    assert main(["--server", stub.server, "--device", "walker-1", "get-location"]) == EXIT_OK
+    assert capsys.readouterr().out == FIX_LINE
+    assert fetch_latest(stub.server, "walker-1") == reply_fix()
+    assert len(tracker._idle.get(stub.key, [])) == kept
+    assert len(stub.heads) == 2
+
+
+@pytest.mark.parametrize("reply, close, named", [
+    (b"HTTP/1.1 2000 OK\r\n\r\n", False, "bad status line 'HTTP/1.1 2000 OK'"),
+    (b"ICY 200 OK\r\n\r\n", False, "bad status line 'ICY 200 OK'"),
+    (b"HTTP/2 200\r\n\r\n", False, "bad status line 'HTTP/2 200'"),
+    (b"HTTP/1.1 099 Low\r\n\r\n", False, "bad status line"),
+    (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", False,
+     "reply head over 65536 bytes"),
+    (fixed_length(*(f"X-{i}: {i}" for i in range(99))), False,
+     "reply head over 100 header lines"),
+    (fixed_length(" folded: value"), False, "bad header line ' folded: value'"),
+    (fixed_length("no colon"), False, "bad header line 'no colon'"),
+    (fixed_length(length=len(FIX_BODY) + 5), True, f"short body: {len(FIX_BODY)} of"),
+    (fixed_length(length="abc"), False, "bad Content-Length 'abc'"),
+    (fixed_length(length="-1"), False, "bad Content-Length '-1'"),
+    (fixed_length(length="+5"), False, "bad Content-Length '+5'"),
+    (fixed_length(f"Content-Length: {len(FIX_BODY) + 1}"), False, "bad Content-Length"),
+    (fixed_length(length="9" * 40), False, "bad Content-Length"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", False,
+     "bad chunk size line 'zz'"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1%s\r\n" % (b"0" * 16), False,
+     "bad chunk size line '1%s'" % ("0" * 16)),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabc\r\n", False,
+     "chunk data longer than its size"),
+    (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", True,
+     "short body: 2 of 5 bytes"),
+    (b"HTTP/1.1 200 OK\r\nContent-Len", True, "the server closed the connection mid-reply"),
+    (b"", True, "the server closed the connection with no reply"),
+], ids=["status of 4 digits", "not HTTP", "HTTP/2", "status below 100", "head over 64 KiB",
+        "100 field lines", "obs-fold", "field line without a colon", "short body",
+        "Content-Length not digits", "Content-Length negative", "Content-Length signed",
+        "two Content-Lengths that differ", "Content-Length of 40 digits", "bad chunk size", "chunk size of 17 digits",
+        "chunk longer than its size", "short chunk", "head cut short", "no reply at all"])
+def test_a_reply_that_cannot_be_read_exits_2_and_its_connection_is_closed(
+        raw_stub, capsys, reply, close, named):
+    stub = raw_stub(reply, close=close)
+    with pytest.raises(ServerUnreachable, match=re.escape(named)):
+        fetch_latest(stub.server, "walker-1")
+    assert not tracker._idle.get(stub.key)
+    assert stub.held_connections_closed_by_the_client()
+    assert main(["--server", stub.server, "--device", "walker-1", "get-location"]) == \
+        EXIT_UNREACHABLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"server unreachable: {named}")
+
+
+def test_an_idle_connection_reset_after_part_of_a_reply_is_not_retried(raw_stub):
+    stub = raw_stub(fixed_length(), b"HTTP/1.1 200 OK\r\nContent-", reset=True)
+    assert fetch_latest(stub.server, "walker-1") == reply_fix()
+    with pytest.raises(ServerUnreachable, match="reset"):
+        fetch_latest(stub.server, "walker-1")
+    assert len(stub.heads) == 2  # both on the one connection: no retry
+    assert not tracker._idle.get(stub.key)
+
+
+def test_a_204_has_no_body_and_keeps_its_connection(raw_stub):
+    stub = raw_stub(b"HTTP/1.1 204 No Content\r\n\r\n")
+    with pytest.raises(ServerUnreachable, match="^unexpected response 204: {'error': 'No Content'}"):
+        fetch_latest(stub.server, "walker-1", timeout=2.0)
+    assert len(tracker._idle[stub.key]) == 1
+
+
+def test_a_99_field_head_of_64_kib_is_read(raw_stub):
+    pad = "a" * (65536 - fixed_length(*["X: "] * 98).index(b"\r\n\r\n") - 4)
+    reply = fixed_length(*["X: "] * 97, f"X: {pad}")  # and Content-Length: 99 field lines
+    assert reply.index(b"\r\n\r\n") + 4 == 65536
+    stub = raw_stub(reply)
+    assert fetch_latest(stub.server, "walker-1") == reply_fix()
+
+
+@pytest.mark.parametrize("host, port, scheme", [
+    ("example.org", 80, "http"), ("example.org", 8750, "http"), ("example.org", 443, "https"),
+    ("example.org", 443, "http"), ("::1", 80, "http"), ("::1", 8750, "http"),
+    ("2001:db8::1", 443, "https"), ("bücher.example", 80, "http"),
+])
+def test_the_get_is_the_request_http_client_writes(host, port, scheme):
+    sent = []
+    conn_type = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+    conn = conn_type(host, port)
+    conn.sock = type("Capture", (), {"sendall": lambda self, data: sent.append(data)})()
+    conn.request("GET", "/api/locations?device_id=walker-1&limit=3")
+    assert tracker._request(host, port, scheme == "https",
+                            "/api/locations?device_id=walker-1&limit=3") == b"".join(sent)
+
+
+def test_the_host_field_brackets_an_ipv6_literal(raw_stub):
+    try:
+        stub = raw_stub(fixed_length(), host="::1")
+    except OSError:
+        pytest.skip("no IPv6 loopback")
+    assert fetch_latest(stub.server, "walker-1") == reply_fix()
+    assert stub.heads == [b"GET /api/locations/latest?device_id=walker-1 HTTP/1.1\r\n"
+                          b"Host: [::1]:%d\r\nAccept-Encoding: identity\r\n\r\n" % stub.port]
+
+
+@pytest.mark.parametrize("server", ["127.0.0.1:1/a b", "127.0.0.1:1/a\x7fb"])
+def test_a_url_with_a_space_or_control_character_is_not_sent(server):
+    with pytest.raises(ServerUnreachable, match="control characters"):
+        fetch_latest(server, "walker-1")
+
+
+# -- HTTPS ------------------------------------------------------------------------------
+
+
+@pytest.fixture
+def tls_stub(tmp_path):
+    """A server on localhost that answers one fix to each connection over
+    TLS, with a self-signed certificate for localhost at tmp_path/cert.pem."""
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("openssl is not installed")
+    subprocess.run([openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "2",
+                    "-keyout", str(tmp_path / "key.pem"), "-out", str(tmp_path / "cert.pem"),
+                    "-subj", "/CN=localhost", "-addext", "subjectAltName=DNS:localhost"],
+                   check=True, capture_output=True, timeout=60)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(tmp_path / "cert.pem", tmp_path / "key.pem")
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stopping = threading.Event()
+
+    def serve():
+        while not stopping.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            conn.settimeout(5.0)
+            try:
+                with context.wrap_socket(conn, server_side=True) as tls:
+                    head = b""
+                    while b"\r\n\r\n" not in head and (data := tls.recv(65536)):
+                        head += data
+                    tls.sendall(fixed_length("Connection: close"))
+            except OSError:  # the client refused the certificate
+                conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield f"https://localhost:{listener.getsockname()[1]}", tmp_path / "cert.pem"
+    stopping.set()
+    thread.join()
+    listener.close()
+
+
+def test_https_verifies_the_certificate_against_the_trusted_cas(tls_stub):
+    server, cert = tls_stub
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("SSL_CERT_FILE", "SSL_CERT_DIR")}
+    command = [sys.executable, "-m", "echoguide.tracker", "--server", server,
+               "--device", "walker-1", "get-location"]
+    untrusted = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert untrusted.returncode == EXIT_UNREACHABLE
+    assert untrusted.stdout == ""
+    assert untrusted.stderr.startswith("server unreachable: ")
+    assert "CERTIFICATE_VERIFY_FAILED" in untrusted.stderr
+    trusted = subprocess.run(command, env={**env, "SSL_CERT_FILE": str(cert)},
+                             capture_output=True, text=True, timeout=60)
+    assert (trusted.returncode, trusted.stdout, trusted.stderr) == (EXIT_OK, FIX_LINE, "")
+
+
+# -- start-up ---------------------------------------------------------------------------
+
+
+def test_importing_the_tracker_loads_no_http_client_email_parser_or_ssl():
+    code = ("import sys, echoguide.tracker; "
+            "print([m for m in ('http.client', 'email.parser', 'ssl') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 # -- the memo of checked replies -------------------------------------------------------
