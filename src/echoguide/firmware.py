@@ -27,11 +27,17 @@ EchoSource = Callable[[int], tuple[Optional[Callable[[], int]], float]]
 
 
 class NoEchoError(RuntimeError):
-    """A measurement round ran out of poll attempts before nine valid samples."""
+    """A measurement round ran out of poll attempts before nine valid samples.
 
-    def __init__(self, channel: Channel, attempts: int) -> None:
+    quiet_until: when the round's last poll fell in an empty segment, that
+    segment's end (math.inf for the last one), before which the channel has
+    nothing in range; 0 otherwise.
+    """
+
+    def __init__(self, channel: Channel, attempts: int, quiet_until: float = 0) -> None:
         self.channel = channel
         self.attempts = attempts
+        self.quiet_until = quiet_until
 
     def __str__(self) -> str:  # built only when read: most empty rounds are never printed
         return f"no usable echo on {self.channel.value} after {self.attempts} polls"
@@ -104,7 +110,8 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     readings outside the gate, until samples_per_measurement valid readings
     are banked; returns their median.  Every poll costs one sample period of
     virtual time whether or not it produced a usable reading.  Raises
-    NoEchoError when max_sample_attempts polls yield too few valid samples.
+    NoEchoError when max_sample_attempts polls yield too few valid samples;
+    the error carries the end of the empty segment the last poll fell in.
 
     segment(t_ms) gives (draw, until_ms) for the segment holding t_ms (see
     world.ChannelEcho): each poll from t_ms before until_ms calls draw(),
@@ -136,7 +143,7 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
                 valid.append(distance)
                 if len(valid) == cfg.samples_per_measurement:
                     return median9(valid, cfg)
-    raise NoEchoError(channel, attempts)
+    raise NoEchoError(channel, attempts, until if draw is None else 0)
 
 
 def encode_message(channel: Channel) -> bytes:
@@ -169,27 +176,37 @@ class ChannelRound(NamedTuple):
 @dataclass
 class FirmwareState:
     """Carry-over between firmware passes: when each channel's alert last
-    sent a frame, or None while the channel is not alerting."""
+    sent a frame, or None while the channel is not alerting; and, set by each
+    round that got no echo, its NoEchoError's quiet_until."""
 
     last_frame_ms: dict[Channel, Optional[int]] = field(
         default_factory=lambda: dict.fromkeys(Channel)
     )
+    quiet_until: dict[Channel, float] = field(default_factory=lambda: dict.fromkeys(Channel, 0))
 
 
 def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
                   clock: VirtualClock,
                   cfg: FirmwareConfig = FirmwareConfig()) -> list[ChannelRound]:
     """One pass of the firmware main loop: one round per channel, in Channel
-    order (ground, then left, then right)."""
+    order (ground, then left, then right).
+
+    A round with nothing in range spends all max_sample_attempts polls, so a
+    pass of three such rounds lasts 3 * max_sample_attempts * sample_period_ms;
+    the run loop books the quiet passes after one in a single step (see
+    harness.run_scenario), from the quiet_until each round leaves in state.
+    """
     last_frame_ms = state.last_frame_ms
+    quiet_until = state.quiet_until
     repeat_ms = cfg.repeat_interval_ms
     rounds = []
     for channel, message in _PASS_CHANNELS:
         last = last_frame_ms[channel]
         try:
             distance: Optional[int] = acquire_distance(channel, echoes[channel], clock, cfg)
-        except NoEchoError:
+        except NoEchoError as exc:
             distance = None
+            quiet_until[channel] = exc.quiet_until
         t_ms = clock.now()
         alerting = distance is not None and distance < cfg.alert_threshold_cm(channel)
         frame = None

@@ -78,6 +78,13 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     persists there and the file survives the run; otherwise a throwaway
     store is used.  A negative seed raises ValueError: random.Random would
     seed with its absolute value and replay the positive seed's walk.
+
+    The loop steps one firmware pass at a time, except that after a pass
+    with no echo on any channel it books the quiet passes that follow in
+    one step: their no_echo events at the times polling would give, and one
+    clock advance.  It stops short of the next segment with a target or a
+    new surface or weather, user event, upload and duration_ms, so the
+    trace, every lookup and any ConfigError are those of pass-by-pass polling.
     """
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -166,9 +173,39 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         for attempt in uploader.tick(now, duration, fix_at, deliver):
             add(ev_upload(attempt))
 
-    # One step: firmware pass -> its trace events and frames -> the link ->
-    # the app.  The app also takes one step at t=0, before the first pass.
+    # A pass with nothing in range: each round spends every poll, so round i
+    # (in Channel order) ends round_ms * (i + 1) after the pass starts, and its
+    # last poll comes one sample period before that.
     fw_config = config.firmware
+    round_ms = fw_config.max_sample_attempts * fw_config.sample_period_ms
+    pass_ms = len(Channel) * round_ms
+    round_ends = [(channel, round_ms * (i + 1)) for i, channel in enumerate(Channel)]
+    quiet_until = fw_state.quiet_until
+
+    def book_quiet_passes() -> None:
+        """After a pass whose three rounds got no echo: book the whole passes
+        that follow in which every poll falls in a channel's empty segment,
+        each ending before the next user event and upload and starting
+        before duration_ms.  Polled one by one, they would add only these
+        no_echo events: the app steps after them would have nothing to do."""
+        start = clock.now()
+        latest = [duration]  # every booked pass starts before each of these
+        latest += [quiet_until[channel] - end + fw_config.sample_period_ms
+                   for channel, end in round_ends]
+        if next_event < len(events):
+            latest.append(events[next_event].t_ms - pass_ms)
+        if uploader.next_due_ms <= duration:  # a later due instant never fires
+            latest.append(uploader.next_due_ms - pass_ms)
+        passes = -((start - min(latest)) // pass_ms)  # starts start, start + pass_ms, ...
+        if passes > 0:
+            for pass_start in range(start, start + passes * pass_ms, pass_ms):
+                for channel, end in round_ends:
+                    add(ev_no_echo(pass_start + end, channel))
+            clock.advance(passes * pass_ms)
+
+    # One step: firmware pass -> its trace events and frames -> the link ->
+    # the app, then the quiet passes after it, if it had nothing in range.
+    # The app also takes one step at t=0, before the first pass.
     distance_at = {channel: script.channels[channel].at for channel in Channel}
     surface_at = script.surface.at
     weather_at = script.weather.at
@@ -176,10 +213,12 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         app_step([])
         while clock.now() < duration:
             sent = []
+            no_echo = 0
             for channel, t_ms, distance_cm, alerting, motor_changed, frame in firmware_tick(
                     fw_state, sensors, clock, fw_config):
                 if distance_cm is None:
                     add(ev_no_echo(t_ms, channel))
+                    no_echo += 1
                 else:
                     add(ev_measurement(t_ms, channel, distance_cm, distance_at[channel](t_ms),
                                        surface_at(t_ms), weather_at(t_ms)))
@@ -194,6 +233,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             # The link is lossless and every frame is whole, so it delivers
             # exactly this pass's frames; after a pass that sent none it is empty.
             app_step(list(zip(sent, link.deframe(), strict=True)) if sent else [])
+            if no_echo == len(round_ends):
+                book_quiet_passes()
     finally:
         store.close()
         if temp_dir is not None:

@@ -2,9 +2,10 @@
 
 Every poll looks up a segment of one poll: it reads the channel, surface
 and weather timelines and the calibration at the clock's time, and the
-acquisition loop draws from it once, empty channel or not.  The
-simulator's skip-ahead loop must give the same traces, clocks and errors;
-see test_differential.py.
+acquisition loop draws from it once, empty channel or not.  Its rounds
+never report an empty segment's end, so the run loop never books quiet
+passes in one step either.  The simulator's skip-ahead loop must give the
+same traces, clocks and errors; see test_differential.py.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
+from typing import Optional
 from unittest import mock
 
 from echoguide import firmware, harness
+from echoguide.clock import VirtualClock
 from echoguide.firmware import FirmwareConfig, NoEchoError, gate_valid, median9, pulses_to_cm
 from echoguide.world import noise_params_for, sample_echo
 
@@ -59,12 +62,22 @@ def naive_loop():
         yield
 
 
-def outcome(run, *args) -> tuple[str, str]:
-    """("trace", jsonl) for a finished run, or (error type, message) for one that raised."""
-    try:
-        return "trace", run(*args).to_jsonl()
-    except Exception as exc:  # compared, not handled: both sides must fail alike
-        return type(exc).__name__, str(exc)
+def outcome(run, *args) -> tuple[str, str, Optional[int]]:
+    """("trace", jsonl, end) for a finished run, or (error type, message,
+    end) for one that raised.  end is the run's virtual time when it
+    finished or raised (None if it raised before starting its clock)."""
+    clocks = []
+
+    def recorded(*clock_args):
+        clocks.append(VirtualClock(*clock_args))
+        return clocks[-1]
+
+    with mock.patch.object(harness, "VirtualClock", recorded):
+        try:
+            result = "trace", run(*args).to_jsonl()
+        except Exception as exc:  # compared, not handled: both sides must fail alike
+            result = type(exc).__name__, str(exc)
+    return (*result, clocks[-1].now() if clocks else None)
 
 
 def both_outcomes(script, config=None, seed=None):

@@ -1,12 +1,14 @@
 """Differential test: the skip-ahead sensing loop against the naive
 per-poll reference (reference_loop.py) on generated scenarios and configs.
 
-Both must give the same trace bytes, or the same error.  The generators
-favour the places where skipping can go wrong: step times off the poll
-grid, targets that appear inside a round, steps at duration_ms, rounds
-that run past duration_ms, surface and weather changes inside an empty
-stretch, channels left out, very short durations, other poll periods and
-attempt limits, and calibration tables with entries missing.
+Both must give the same trace bytes, or the same error, at the same
+virtual time.  The generators favour the places where skipping can go
+wrong: step times off the poll grid, targets that appear inside a round,
+steps at duration_ms, rounds that run past duration_ms, surface and weather
+changes inside an empty stretch, channels left out, very short durations,
+other poll periods and attempt limits, and calibration tables with entries
+missing.  The examples add stretches of whole quiet passes, which the run
+loop books in one step, ended by each thing that must end them.
 
 A second side runs the same scenarios, and the bundled ones, with the
 sample function behind a wrapper, which makes ChannelEcho call it once per
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 
 import reference_loop
 from conftest import CONFIG_DIR, SCENARIO_DIR
-from echoguide import harness, world
+from echoguide import app, firmware, harness, world
 from echoguide.config import SystemConfig, config_from_dict, load_config
+from echoguide.firmware import FirmwareConfig, NoEchoError, acquire_distance
 from echoguide.world import SurfaceKind, Weather, load_scenario, scenario_from_dict
 
 from reference_loop import both_outcomes
@@ -122,6 +125,34 @@ missing_entry = st.none() | st.tuples(st.sampled_from(["tiles", "concrete"]),
                                       st.sampled_from(["dry", "wet"]))
 DEFAULT_CONFIG = {"schema_version": 1}
 
+# Stretches of quiet passes.  With the default config a pass is three rounds
+# of 50 polls 10 ms apart: 1500 ms.
+#
+# Three quiet passes after the first, then a ground target that appears in
+# the middle of the pass from 6000 ms.
+QUIET_THEN_TARGET = {"schema_version": 1, "duration_ms": 9000, "seed": 34,
+                     "channels": {"ground": [{"t": 0, "distance_cm": None},
+                                             {"t": 6200, "distance_cm": 45}]}}
+# Passes of 3 rounds of 3 polls 7 ms apart (63 ms), with a button press at
+# the end of the pass from 945 ms, an utterance and upload due instants every
+# 777 ms inside the stretch.
+SHORT_PASSES = {"schema_version": 1, "firmware": {"samples_per_measurement": 3,
+                                                  "sample_period_ms": 7,
+                                                  "max_sample_attempts": 3},
+                "app": {"upload_interval_ms": 777}}
+QUIET_WITH_APP_WORK = {"schema_version": 1, "duration_ms": 3000, "seed": 55,
+                       "user_events": [{"t": 1008, "kind": "button"},
+                                       {"t": 1100, "kind": "utterance", "text": "i need help"}]}
+# A weather step at 7777 ms, inside the stretch, into a condition the table
+# lacks: the ground round of the pass from 7500 ms fails at its poll at 7780.
+QUIET_INTO_MISSING_ENTRY = {"schema_version": 1, "duration_ms": 9000, "seed": 89,
+                            "weather": [{"t": 0, "value": "dry"}, {"t": 7777, "value": "wet"}]}
+# Quiet up to duration_ms, where the left channel steps: the last booked pass
+# starts at 9000 ms and ends past the end of the walk.
+QUIET_TO_THE_END = {"schema_version": 1, "duration_ms": 10000, "seed": 144,
+                    "channels": {"left": [{"t": 0, "distance_cm": None},
+                                          {"t": 10000, "distance_cm": 50}]}}
+
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -154,6 +185,14 @@ DEFAULT_CONFIG = {"schema_version": 1}
               "surface": [{"t": 0, "value": "tiles"}, {"t": 1490, "value": "concrete"}],
               "weather": [{"t": 0, "value": "dry"}, {"t": 1500, "value": "wet"}]},
          config_doc=DEFAULT_CONFIG, missing=("concrete", "wet"))
+# Several quiet passes, then a target that appears mid-pass.
+@example(doc=QUIET_THEN_TARGET, config_doc=DEFAULT_CONFIG, missing=None)
+# A button press, an utterance and upload due instants inside a quiet stretch.
+@example(doc=QUIET_WITH_APP_WORK, config_doc=SHORT_PASSES, missing=None)
+# A weather step inside a quiet stretch into a missing calibration entry.
+@example(doc=QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
+# A quiet stretch that reaches duration_ms.
+@example(doc=QUIET_TO_THE_END, config_doc=DEFAULT_CONFIG, missing=None)
 def test_skip_ahead_matches_naive_loop_byte_for_byte(doc, config_doc, missing):
     script = scenario_from_dict(doc)
     config = build_config(config_doc, missing)
@@ -173,6 +212,96 @@ def test_reference_polls_every_time_and_skip_ahead_does_not():
         traces = both_outcomes(script)
     assert traces[0] == traces[1]
     assert (fast.call_count, slow.call_count) == (3, 150)
+
+
+# -- quiet passes booked in one step -----------------------------------------------
+#
+# After a pass with no echo on any channel, run_scenario books the quiet
+# passes that follow in one step.  Besides the trace (above), it must look
+# up what the loop that polls every pass looks up, and step the app when it
+# does.
+
+
+def test_quiet_passes_are_booked_without_polling():
+    # Guards the quiet-stretch examples of the byte-for-byte test against a
+    # loop that never books a pass:
+    # QUIET_THEN_TARGET polls the pass from 0 ms, books the passes from 1500,
+    # 3000 and 4500 ms in one step, and polls the three passes from 6000 ms
+    # on (the target shortens their ground rounds).  Polling pass by pass
+    # runs the three booked passes' nine rounds too.
+    script = scenario_from_dict(QUIET_THEN_TARGET)
+    rounds = []
+    for acquire in (acquire_distance, pass_by_pass_acquire):
+        with mock.patch.object(firmware, "acquire_distance", wraps=acquire) as spy:
+            harness.run_scenario(script)
+        rounds.append(spy.call_count)
+    assert rounds == [12, 21]
+
+
+def pass_by_pass_acquire(channel, segment, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:
+    """firmware.acquire_distance with the empty segment's end left off its
+    NoEchoError, so the run loop polls every pass."""
+    try:
+        return acquire_distance(channel, segment, clock, cfg)
+    except NoEchoError as exc:
+        raise NoEchoError(exc.channel, exc.attempts) from None
+
+
+def run_record(script, config, acquire=acquire_distance) -> tuple[list, list, tuple]:
+    """What a run did, in order: every timeline lookup as (timeline, t_ms);
+    every app step that handled a token or user event or made an upload
+    attempt, as (clock, items handled, attempts); and the run's outcome."""
+    looked_up, app_steps = [], []
+    handled = 0
+    step_at = world.StepTimeline.step_at
+    tick = app.Uploader.tick
+
+    def spy_lookup(timeline, t_ms):
+        looked_up.append((id(timeline), t_ms))
+        return step_at(timeline, t_ms)
+
+    def spy_handler(name):
+        handler = getattr(app.AssistiveApp, name)
+
+        def spy(*args):
+            nonlocal handled
+            handled += 1
+            return handler(*args)
+        return mock.patch.object(app.AssistiveApp, name, spy)
+
+    def spy_tick(uploader, now_ms, *args):  # the last call of every app step
+        nonlocal handled
+        attempts = tick(uploader, now_ms, *args)
+        if handled or attempts:
+            app_steps.append((now_ms, handled, len(attempts)))
+        handled = 0
+        return attempts
+
+    with mock.patch.object(world.StepTimeline, "step_at", spy_lookup), \
+            mock.patch.object(app.Uploader, "tick", spy_tick), \
+            spy_handler("handle_token"), spy_handler("handle_button"), \
+            spy_handler("handle_utterance"), \
+            mock.patch.object(firmware, "acquire_distance", acquire):
+        result = reference_loop.outcome(harness.run_scenario, script, config, None)
+    return looked_up, app_steps, result
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(doc=scenario_docs(), config_doc=config_docs(), missing=missing_entry)
+@example(doc=QUIET_THEN_TARGET, config_doc=DEFAULT_CONFIG, missing=None)
+@example(doc=QUIET_WITH_APP_WORK, config_doc=SHORT_PASSES, missing=None)
+@example(doc=QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
+@example(doc=QUIET_TO_THE_END, config_doc=DEFAULT_CONFIG, missing=None)
+def test_booking_quiet_passes_does_what_polling_pass_by_pass_does(doc, config_doc, missing):
+    # The segment lookups (each reads the channel, surface and weather
+    # timelines, then the calibration), their order and times, and so any
+    # ConfigError and the clock when it is raised, are those of the loop
+    # that polls every pass; and so is the clock of every app step that
+    # has work to do: the booked passes' app steps would have had none.
+    script = scenario_from_dict(doc)
+    config = build_config(config_doc, missing)
+    assert run_record(script, config) == run_record(script, config, pass_by_pass_acquire)
 
 
 # -- the per-poll sample path ------------------------------------------------------

@@ -204,7 +204,7 @@ def test_missing_calibration_entry_fails_the_run_even_with_every_channel_empty()
         run_scenario(script, config)
     fast, slow = both_outcomes(script, config)
     assert fast == slow == ("ConfigError",
-                            "calibration has no entry for surface=tiles weather=dry")
+                            "calibration has no entry for surface=tiles weather=dry", 0)
 
 
 # -- error report ----------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""The benchmark's traced counters for one sparse and one dense walk.
+"""The benchmark's traced counters for a sparse, a quiet and a dense walk.
 
 perfbench counts polls, gate checks and rounds by wrapping program
 functions from outside (perfbench/tracing.py).  A speed-up that stops
 calling a wrapped function (harness.sample_echo per poll, firmware.gate_valid
-per sample) would zero those per-layer metrics without failing a trace
-pin, and one that skipped Uploader.tick on a step would quietly turn
-harness.iterations into a count of due uploads; so every count is pinned
-here.  perfbench is only imported, never changed; a change to what a walk
-does has to change these numbers.
+per sample) would change those per-layer metrics without failing a trace
+pin, so every count is pinned here.  Booking quiet passes in one step is
+such a change: on gps_outage it leaves rounds, no_echo_rounds and
+iterations at what the polled passes give, while the events, trace bytes
+and uploads stay those of polling every pass.  perfbench is only imported,
+never changed; a change to what a walk does has to change these numbers.
 """
 
 from __future__ import annotations
@@ -34,8 +35,12 @@ COUNTED = ("polls", "echo_draws", "lookups", "rounds", "no_echo_rounds", "gate_c
 # Each walk at its scenario's own seed with the default config.  The link is
 # drained only after a firmware pass that sent a frame, so deframe_calls
 # counts those passes; iterations counts Uploader.tick calls, one per app
-# step (each pass's, plus one at t=0).
+# step (each polled pass's, plus one at t=0).  gps_outage has nothing in
+# range: it polls the pass from 0 ms and the one that ends on each
+# 5-minute upload, and books the other 795 passes without polling.
 EXPECTED = {
+    "gps_outage": dict(lookups=16, rounds=15, no_echo_rounds=15, iterations=6, upload_ticks=4,
+                       uploads_delivered=4, events=2408, trace_bytes=116455, inserts=4),
     "walk_20min": dict(polls=9991, echo_draws=9991, lookups=3346, rounds=3312,
                        no_echo_rounds=2202, gate_checks=9991, gate_rejects=1, frames=4,
                        link_bytes=24, deframe_calls=4, tokens=4, speaks=4, voice_events=0,

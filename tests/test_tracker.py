@@ -675,6 +675,19 @@ def test_a_204_has_no_body_and_keeps_its_connection(raw_stub):
     assert len(tracker._idle[stub.key]) == 1
 
 
+def test_a_head_that_fills_64_kib_without_ending_fails_at_once(raw_stub, capsys):
+    # Exactly 65,536 head bytes and no blank line, then the server waits:
+    # the client must give up on the budget, not wait out its timeout.
+    prefix = b"HTTP/1.1 200 OK\r\nX-Long: "
+    stub = raw_stub(prefix + b"a" * (65536 - len(prefix)))
+    started = time.monotonic()
+    code = main(["--server", stub.server, "--device", "walker-1", "--timeout", "5",
+                 "get-location"])
+    assert time.monotonic() - started < 2.5
+    assert code == EXIT_UNREACHABLE
+    assert capsys.readouterr().err == "server unreachable: reply head over 65536 bytes\n"
+
+
 def test_a_99_field_head_of_64_kib_is_read(raw_stub):
     pad = "a" * (65536 - fixed_length(*["X: "] * 98).index(b"\r\n\r\n") - 4)
     reply = fixed_length(*["X: "] * 97, f"X: {pad}")  # and Content-Length: 99 field lines
