@@ -74,13 +74,6 @@ class FirmwareConfig:
         if self.max_sample_attempts < self.samples_per_measurement:
             raise ValueError("max_sample_attempts must allow a full measurement")
 
-    def alert_threshold_cm(self, channel: Channel) -> int:
-        if channel is Channel.GROUND:
-            return self.ground_alert_cm
-        if channel is Channel.LEFT:
-            return self.left_alert_cm
-        return self.right_alert_cm
-
 
 def pulses_to_cm(pulses: int) -> int:
     """Convert a raw pulse count to whole centimetres, rounding half up."""
@@ -112,6 +105,8 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     virtual time whether or not it produced a usable reading.  Raises
     NoEchoError when max_sample_attempts polls yield too few valid samples;
     the error carries the end of the empty segment the last poll fell in.
+    Each drawn reading is converted and the median taken as pulses_to_cm
+    and median9 do, inline; a draw never gives a negative count.
 
     segment(t_ms) gives (draw, until_ms) for the segment holding t_ms (see
     world.ChannelEcho): each poll from t_ms before until_ms calls draw(),
@@ -122,6 +117,7 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     """
     period = cfg.sample_period_ms
     limit = cfg.max_sample_attempts
+    needed = cfg.samples_per_measurement
     advance = clock.advance
     valid: list[int] = []
     attempts = 0
@@ -138,11 +134,12 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
         for _ in range(polls):
             pulses = draw()
             advance(period)
-            distance = pulses_to_cm(pulses)
+            distance = (2 * pulses + PULSES_PER_CM) // (2 * PULSES_PER_CM)  # pulses_to_cm
             if gate_valid(distance):
                 valid.append(distance)
-                if len(valid) == cfg.samples_per_measurement:
-                    return median9(valid, cfg)
+                if len(valid) == needed:  # median9
+                    valid.sort()
+                    return valid[needed // 2]
     raise NoEchoError(channel, attempts, until if draw is None else 0)
 
 
@@ -177,7 +174,9 @@ class ChannelRound(NamedTuple):
 class FirmwareState:
     """Carry-over between firmware passes: when each channel's alert last
     sent a frame, or None while the channel is not alerting; and, set by each
-    round that got no echo, its NoEchoError's quiet_until."""
+    polled round that got no echo, its NoEchoError's quiet_until.  A channel's
+    quiet_until is stale once a round has polled past it, and then it is at
+    most the clock, so it books nothing."""
 
     last_frame_ms: dict[Channel, Optional[int]] = field(
         default_factory=lambda: dict.fromkeys(Channel)
@@ -191,24 +190,35 @@ def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
     """One pass of the firmware main loop: one round per channel, in Channel
     order (ground, then left, then right).
 
-    A round with nothing in range spends all max_sample_attempts polls, so a
-    pass of three such rounds lasts 3 * max_sample_attempts * sample_period_ms;
-    the run loop books the quiet passes after one in a single step (see
-    harness.run_scenario), from the quiet_until each round leaves in state.
+    A round with nothing in range spends all max_sample_attempts polls.
+    When every poll of a channel's round falls before its quiet_until, all
+    of them fall in the empty segment the channel's echo source already
+    holds: the round is booked without calling acquire_distance (no echo,
+    and the clock moved by the round's length), which is what polling
+    gives, with no segment looked up early.  A pass of three such rounds
+    lasts 3 * max_sample_attempts * sample_period_ms; the run loop books the
+    quiet passes after one in a single step (see harness.run_scenario).
     """
     last_frame_ms = state.last_frame_ms
     quiet_until = state.quiet_until
     repeat_ms = cfg.repeat_interval_ms
+    round_ms = cfg.max_sample_attempts * cfg.sample_period_ms
+    last_poll_ms = round_ms - cfg.sample_period_ms  # from the round's start
+    thresholds = (cfg.ground_alert_cm, cfg.left_alert_cm, cfg.right_alert_cm)  # Channel order
     rounds = []
-    for channel, message in _PASS_CHANNELS:
+    for (channel, message), threshold in zip(_PASS_CHANNELS, thresholds):
         last = last_frame_ms[channel]
-        try:
-            distance: Optional[int] = acquire_distance(channel, echoes[channel], clock, cfg)
-        except NoEchoError as exc:
-            distance = None
-            quiet_until[channel] = exc.quiet_until
+        if clock.now() + last_poll_ms < quiet_until[channel]:
+            clock.advance(round_ms)
+            distance: Optional[int] = None
+        else:
+            try:
+                distance = acquire_distance(channel, echoes[channel], clock, cfg)
+            except NoEchoError as exc:
+                distance = None
+                quiet_until[channel] = exc.quiet_until
         t_ms = clock.now()
-        alerting = distance is not None and distance < cfg.alert_threshold_cm(channel)
+        alerting = distance is not None and distance < threshold
         frame = None
         if not alerting:
             if last is not None:

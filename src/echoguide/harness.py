@@ -85,6 +85,10 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     clock advance.  It stops short of the next segment with a target or a
     new surface or weather, user event, upload and duration_ms, so the
     trace, every lookup and any ConfigError are those of pass-by-pass polling.
+    Within a pass, firmware_tick books each quiet channel's round alike.  A
+    measurement takes its true distance, surface and weather from the
+    segment its round drew from, and looks them up only when the round
+    ended at or past that segment's end.
     """
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -106,10 +110,11 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     next_event = 0
 
     # sample_echo is passed by this module's name, where perfbench's traced
-    # run wraps it to count draws.
-    sensors = {channel: ChannelEcho(script, channel, config.calibration, echo_rng,
-                                    sample=sample_echo).segment
-               for channel in Channel}
+    # run wraps it to count draws.  Listed in Channel order, the order of a
+    # firmware pass's rounds.
+    echoes = [ChannelEcho(script, channel, config.calibration, echo_rng, sample=sample_echo)
+              for channel in Channel]
+    sensors = {channel: echo.segment for channel, echo in zip(Channel, echoes)}
 
     temp_dir: Optional[tempfile.TemporaryDirectory] = None
     if store_path is None:
@@ -206,22 +211,22 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     # One step: firmware pass -> its trace events and frames -> the link ->
     # the app, then the quiet passes after it, if it had nothing in range.
     # The app also takes one step at t=0, before the first pass.
-    distance_at = {channel: script.channels[channel].at for channel in Channel}
-    surface_at = script.surface.at
-    weather_at = script.weather.at
     try:
         app_step([])
         while clock.now() < duration:
             sent = []
             no_echo = 0
-            for channel, t_ms, distance_cm, alerting, motor_changed, frame in firmware_tick(
-                    fw_state, sensors, clock, fw_config):
+            for echo, (channel, t_ms, distance_cm, alerting, motor_changed, frame) in zip(
+                    echoes, firmware_tick(fw_state, sensors, clock, fw_config)):
                 if distance_cm is None:
                     add(ev_no_echo(t_ms, channel))
                     no_echo += 1
+                elif t_ms < echo.until:  # the round ended in the segment it drew from
+                    add(ev_measurement(t_ms, channel, distance_cm, *echo.truth))
                 else:
-                    add(ev_measurement(t_ms, channel, distance_cm, distance_at[channel](t_ms),
-                                       surface_at(t_ms), weather_at(t_ms)))
+                    add(ev_measurement(t_ms, channel, distance_cm,
+                                       script.channels[channel].at(t_ms),
+                                       script.surface.at(t_ms), script.weather.at(t_ms)))
                 if alerting:
                     add(ev_alert(t_ms, channel, distance_cm))
                 if motor_changed:

@@ -119,28 +119,31 @@ class TraceLog:
 
 
 # -- event constructors ------------------------------------------------------
+#
+# Enum values are read as the plain `_value_` attribute: `.value` is a
+# Python-level property, and these run once or more per firmware round.
 
 
 def ev_measurement(t: int, channel: Channel, measured_cm: int,
                    true_cm: Optional[float], surface: SurfaceKind,
                    weather: Weather) -> dict:
     return {
-        "t": t, "kind": "measurement", "channel": channel.value,
+        "t": t, "kind": "measurement", "channel": channel._value_,
         "measured_cm": measured_cm, "true_cm": true_cm,
-        "surface": surface.value, "weather": weather.value,
+        "surface": surface._value_, "weather": weather._value_,
     }
 
 
 def ev_no_echo(t: int, channel: Channel) -> dict:
-    return {"t": t, "kind": "no_echo", "channel": channel.value}
+    return {"t": t, "kind": "no_echo", "channel": channel._value_}
 
 
 def ev_alert(t: int, channel: Channel, distance_cm: int) -> dict:
-    return {"t": t, "kind": "alert", "channel": channel.value, "distance_cm": distance_cm}
+    return {"t": t, "kind": "alert", "channel": channel._value_, "distance_cm": distance_cm}
 
 
 def ev_motor(t: int, channel: Channel, vibrating: bool) -> dict:
-    return {"t": t, "kind": "motor", "channel": channel.value, "vibrating": vibrating}
+    return {"t": t, "kind": "motor", "channel": channel._value_, "vibrating": vibrating}
 
 
 def ev_frame(t: int, data: bytes) -> dict:
@@ -148,7 +151,7 @@ def ev_frame(t: int, data: bytes) -> dict:
 
 
 def ev_decode(t: int, message: ObstacleMessage) -> dict:
-    return {"t": t, "kind": "decode", "message": message.value}
+    return {"t": t, "kind": "decode", "message": message._value_}
 
 
 def ev_unknown_token(t: int, token: str) -> dict:
@@ -156,7 +159,7 @@ def ev_unknown_token(t: int, token: str) -> dict:
 
 
 def ev_speak(t: int, message: ObstacleMessage, language: str, text: str) -> dict:
-    return {"t": t, "kind": "speak", "message": message.value,
+    return {"t": t, "kind": "speak", "message": message._value_,
             "language": language, "text": text}
 
 

@@ -3,9 +3,11 @@
 Every poll looks up a segment of one poll: it reads the channel, surface
 and weather timelines and the calibration at the clock's time, and the
 acquisition loop draws from it once, empty channel or not.  Its rounds
-never report an empty segment's end, so the run loop never books quiet
-passes in one step either.  The simulator's skip-ahead loop must give the
-same traces, clocks and errors; see test_differential.py.
+never report an empty segment's end, so neither the firmware nor the run
+loop ever books a quiet round or pass; and its truth always expires, so
+the run loop looks up every measurement's truth.  The simulator's
+skip-ahead loop must give the same traces, clocks and errors; see
+test_differential.py.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ def naive_sensor(script, channel, calibration, rng, sample=sample_echo):
     """Drop-in for world.ChannelEcho: looks everything up on every poll.
 
     segment(t) is the one poll at t.  Its draw calls sample, which gives
-    None for an empty channel.
+    None for an empty channel.  Its truth has expired before any round
+    ends (until stays 0), so the run loop looks up every measurement's true
+    distance, surface and weather at the round's end.
     """
     def segment(t):
         params = noise_params_for(script.surface.at(t), script.weather.at(t), calibration)
         return partial(sample, script.channels[channel].at(t), params, rng), t + 1
-    return SimpleNamespace(segment=segment)
+    return SimpleNamespace(segment=segment, until=0, truth=None)
 
 
 def naive_acquire_distance(channel, segment, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:

@@ -8,7 +8,10 @@ steps at duration_ms, rounds that run past duration_ms, surface and weather
 changes inside an empty stretch, channels left out, very short durations,
 other poll periods and attempt limits, and calibration tables with entries
 missing.  The examples add stretches of whole quiet passes, which the run
-loop books in one step, ended by each thing that must end them.
+loop books in one step, ended by each thing that must end them; quiet
+rounds of one channel, which the firmware books while other channels
+measure; and measurement rounds that end on or past the end of the segment
+they drew from, whose truth the run loop looks up.
 
 A second side runs the same scenarios, and the bundled ones, with the
 sample function behind a wrapper, which makes ChannelEcho call it once per
@@ -153,6 +156,35 @@ QUIET_TO_THE_END = {"schema_version": 1, "duration_ms": 10000, "seed": 144,
                     "channels": {"left": [{"t": 0, "distance_cm": None},
                                           {"t": 10000, "distance_cm": 50}]}}
 
+# Quiet rounds of one channel.  A ground round with a target takes 90 ms.
+#
+# The left channel is empty throughout and the right one until 3260 ms, while
+# the ground one has a target: the firmware books the side rounds pass after
+# pass.  The right round from 2770 ms has its last poll at 3260 ms, where the
+# target appears, so it is polled and draws once.
+ONE_QUIET_CHANNEL = {"schema_version": 1, "duration_ms": 6000, "seed": 233,
+                     "channels": {"ground": [{"t": 0, "distance_cm": 80}],
+                                  "right": [{"t": 0, "distance_cm": None},
+                                            {"t": 3260, "distance_cm": 200}]}}
+# Only the left channel is quiet.  The weather turns to a condition the table
+# lacks at 1940 ms, the last poll of the left round from 1450 ms: that round
+# is polled and fails there (the one from 770 ms is booked).
+ONE_QUIET_INTO_MISSING_ENTRY = {"schema_version": 1, "duration_ms": 4000, "seed": 377,
+                                "channels": {"ground": [{"t": 0, "distance_cm": 50}],
+                                             "right": [{"t": 0, "distance_cm": 200}]},
+                                "weather": [{"t": 0, "value": "dry"},
+                                            {"t": 1940, "value": "wet"}]}
+# Every channel has a target.  The first ground round ends at 90 ms, exactly
+# where the ground distance steps, and the first left round at 180 ms, past
+# the surface step at 175 ms: both measurements look their truth up at the
+# round's end.  Every later round ends inside the segment it drew from.
+ROUNDS_END_ON_AND_PAST_A_STEP = {
+    "schema_version": 1, "duration_ms": 1000, "seed": 610,
+    "channels": {"ground": [{"t": 0, "distance_cm": 50}, {"t": 90, "distance_cm": 300}],
+                 "left": [{"t": 0, "distance_cm": 100}],
+                 "right": [{"t": 0, "distance_cm": 200}]},
+    "surface": [{"t": 0, "value": "tiles"}, {"t": 175, "value": "concrete"}]}
+
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -193,6 +225,12 @@ QUIET_TO_THE_END = {"schema_version": 1, "duration_ms": 10000, "seed": 144,
 @example(doc=QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
 # A quiet stretch that reaches duration_ms.
 @example(doc=QUIET_TO_THE_END, config_doc=DEFAULT_CONFIG, missing=None)
+# One channel quiet over several passes while another has a target.
+@example(doc=ONE_QUIET_CHANNEL, config_doc=DEFAULT_CONFIG, missing=None)
+# A weather step into a missing entry while only one channel is quiet.
+@example(doc=ONE_QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
+# Measurement rounds that end on and past the end of their segment.
+@example(doc=ROUNDS_END_ON_AND_PAST_A_STEP, config_doc=DEFAULT_CONFIG, missing=None)
 def test_skip_ahead_matches_naive_loop_byte_for_byte(doc, config_doc, missing):
     script = scenario_from_dict(doc)
     config = build_config(config_doc, missing)
@@ -214,33 +252,80 @@ def test_reference_polls_every_time_and_skip_ahead_does_not():
     assert (fast.call_count, slow.call_count) == (3, 150)
 
 
-# -- quiet passes booked in one step -----------------------------------------------
+# -- quiet rounds and passes booked in one step -------------------------------------
 #
 # After a pass with no echo on any channel, run_scenario books the quiet
-# passes that follow in one step.  Besides the trace (above), it must look
-# up what the loop that polls every pass looks up, and step the app when it
-# does.
+# passes that follow in one step, and firmware_tick books each round whose
+# polls all fall in the channel's empty segment.  Besides the trace (above),
+# they must look up what the loop that polls every round looks up, and step
+# the app when it does.  A measurement's truth comes from its segment unless
+# the round ended at or past that segment's end.
 
 
 def test_quiet_passes_are_booked_without_polling():
     # Guards the quiet-stretch examples of the byte-for-byte test against a
-    # loop that never books a pass:
-    # QUIET_THEN_TARGET polls the pass from 0 ms, books the passes from 1500,
-    # 3000 and 4500 ms in one step, and polls the three passes from 6000 ms
-    # on (the target shortens their ground rounds).  Polling pass by pass
-    # runs the three booked passes' nine rounds too.
+    # loop that never books a pass or a round:
+    # QUIET_THEN_TARGET polls the three rounds of the pass from 0 ms and books
+    # the passes from 1500, 3000 and 4500 ms in one step.  Of the three passes
+    # from 6000 ms on it polls only the ground rounds (the target shortens
+    # them): the firmware books the side rounds, whose every poll falls in
+    # the empty segment their first round ended in.  So 3 + 3 rounds are
+    # polled.  Polling pass by pass runs all 21 rounds of the seven passes.
     script = scenario_from_dict(QUIET_THEN_TARGET)
     rounds = []
     for acquire in (acquire_distance, pass_by_pass_acquire):
         with mock.patch.object(firmware, "acquire_distance", wraps=acquire) as spy:
             harness.run_scenario(script)
         rounds.append(spy.call_count)
-    assert rounds == [12, 21]
+    assert rounds == [6, 21]
+
+
+def test_quiet_rounds_of_one_channel_are_booked_without_polling():
+    # Guards ONE_QUIET_CHANNEL against a firmware that never books a round.
+    # Of the six side rounds in the three passes before the right target
+    # appears, it polls three: the first on each side, and the right round
+    # whose last poll falls on the target's step.  After its first round the
+    # left channel is never polled.
+    polled = []
+
+    def spy(channel, segment, clock, cfg):
+        polled.append((channel.value, clock.now()))
+        return acquire_distance(channel, segment, clock, cfg)
+
+    with mock.patch.object(firmware, "acquire_distance", spy):
+        harness.run_scenario(scenario_from_dict(ONE_QUIET_CHANNEL))
+    assert polled[:6] == [("ground", 0), ("left", 90), ("right", 590), ("ground", 1090),
+                          ("ground", 2180), ("right", 2770)]
+    assert [channel for channel, _ in polled].count("left") == 1
+
+
+def test_measurements_read_their_truth_from_the_segment_or_look_it_up():
+    # Guards ROUNDS_END_ON_AND_PAST_A_STEP against a run loop that takes one
+    # path only: the rounds that end at 90 ms (on the ground step) and 180 ms
+    # (past the surface step) look up the channel's distance; the other ten
+    # take their truth from the segment they drew from.
+    script = scenario_from_dict(ROUNDS_END_ON_AND_PAST_A_STEP)
+    channel_timelines = [id(timeline) for timeline in script.channels.values()]
+    at = world.StepTimeline.at
+    looked_up = []
+
+    def spy_at(timeline, t_ms):
+        if id(timeline) in channel_timelines:
+            looked_up.append(t_ms)
+        return at(timeline, t_ms)
+
+    with mock.patch.object(world.StepTimeline, "at", spy_at):
+        trace = harness.run_scenario(script)
+    measurements = trace.kind("measurement")
+    assert looked_up == [90, 180]
+    assert len(measurements) == 12
+    assert [(e["t"], e["true_cm"], e["surface"]) for e in measurements[:3]] == [
+        (90, 300, "tiles"), (180, 100, "concrete"), (270, 200, "concrete")]
 
 
 def pass_by_pass_acquire(channel, segment, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:
     """firmware.acquire_distance with the empty segment's end left off its
-    NoEchoError, so the run loop polls every pass."""
+    NoEchoError, so the firmware and the run loop poll every round."""
     try:
         return acquire_distance(channel, segment, clock, cfg)
     except NoEchoError as exc:
@@ -293,6 +378,8 @@ def run_record(script, config, acquire=acquire_distance) -> tuple[list, list, tu
 @example(doc=QUIET_WITH_APP_WORK, config_doc=SHORT_PASSES, missing=None)
 @example(doc=QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
 @example(doc=QUIET_TO_THE_END, config_doc=DEFAULT_CONFIG, missing=None)
+@example(doc=ONE_QUIET_CHANNEL, config_doc=DEFAULT_CONFIG, missing=None)
+@example(doc=ONE_QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
 def test_booking_quiet_passes_does_what_polling_pass_by_pass_does(doc, config_doc, missing):
     # The segment lookups (each reads the channel, surface and weather
     # timelines, then the calibration), their order and times, and so any

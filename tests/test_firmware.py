@@ -3,6 +3,7 @@ acquisition loop, and the edge-triggered tick with its alert thresholds."""
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from fractions import Fraction
@@ -27,6 +28,9 @@ from echoguide.firmware import (
 )
 from echoguide.world import (
     DEFAULT_CALIBRATION,
+    GATE_HIGH_CM,
+    GATE_LOW_CM,
+    PULSES_PER_CM,
     Channel,
     ChannelEcho,
     SurfaceKind,
@@ -472,6 +476,22 @@ def test_tick_no_echo_turns_motor_off():
     assert not any(r.alerting for r in rounds)  # all off
 
 
+@pytest.mark.parametrize("quiet_until, polls", [(490, 50), (491, 0), (500, 0), (math.inf, 0)])
+def test_tick_books_a_round_whose_every_poll_falls_before_quiet_until(quiet_until, polls):
+    # The ground round from 0 ms polls at 0, 10, ..., 490 ms.  Only when its
+    # last poll falls before the channel's quiet_until is the round booked:
+    # no poll, no echo, and the clock moved by the round's 500 ms.
+    state = FirmwareState()
+    state.quiet_until[Channel.GROUND] = quiet_until
+    echoes = constant_echoes({Channel.LEFT: 200, Channel.RIGHT: 200})
+    clock = VirtualClock()
+    ground = firmware_tick(state, echoes, clock)[0]
+    assert echoes[Channel.GROUND].polls == polls
+    assert ground == ChannelRound(Channel.GROUND, 500, None, alerting=False,
+                                  motor_changed=False, frame=None)
+    assert state.quiet_until[Channel.GROUND] == (quiet_until if polls == 0 else 491)
+
+
 def test_round_by_keyword_equals_round_by_position():
     by_keyword = ChannelRound(channel=Channel.LEFT, t_ms=180, distance_cm=40, alerting=True,
                               motor_changed=True, frame=b"Left\n")
@@ -535,6 +555,26 @@ def test_classify_thresholds_are_strict(channel, distance, alerts):
     assert measured.alerting is alerts
     assert measured.motor_changed is alerts  # from off
     assert measured.frame == (encode_message(channel) if alerts else None)
+
+
+@pytest.mark.parametrize("edge_cm", [GATE_LOW_CM, FirmwareConfig().ground_alert_cm,
+                                     FirmwareConfig().left_alert_cm, GATE_HIGH_CM])
+def test_inline_conversion_and_median_agree_with_their_public_names(edge_cm):
+    # acquire_distance converts pulses and takes the median inline, and
+    # firmware_tick holds the thresholds in a tuple: at every pulse count
+    # within 1 cm of each gate end and alert threshold, each channel's round
+    # gives what pulses_to_cm, gate_valid and median9 give, and alerts
+    # strictly below its threshold.
+    cfg = FirmwareConfig()
+    thresholds = {Channel.GROUND: cfg.ground_alert_cm, Channel.LEFT: cfg.left_alert_cm,
+                  Channel.RIGHT: cfg.right_alert_cm}
+    for pulses in range((edge_cm - 1) * PULSES_PER_CM, (edge_cm + 1) * PULSES_PER_CM + 1):
+        cm = pulses_to_cm(pulses)
+        expected = median9([cm] * cfg.samples_per_measurement) if gate_valid(cm) else None
+        echoes = {channel: ScriptedSensor([pulses], repeat_last=True) for channel in Channel}
+        for r in firmware_tick(FirmwareState(), echoes, VirtualClock(), cfg):
+            assert (r.distance_cm, r.alerting) == (
+                expected, expected is not None and expected < thresholds[r.channel]), pulses
 
 
 def test_classify_monotone_in_distance():

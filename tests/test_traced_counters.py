@@ -7,8 +7,13 @@ per sample) would change those per-layer metrics without failing a trace
 pin, so every count is pinned here.  Booking quiet passes in one step is
 such a change: on gps_outage it leaves rounds, no_echo_rounds and
 iterations at what the polled passes give, while the events, trace bytes
-and uploads stay those of polling every pass.  perfbench is only imported,
-never changed; a change to what a walk does has to change these numbers.
+and uploads stay those of polling every pass.  So is booking a quiet
+channel's round inside a pass: rounds and no_echo_rounds count only the
+rounds that call acquire_distance.  And so is taking a measurement's truth
+from the segment its round drew from: lookups counts only the measurements
+whose round ended at or past that segment's end (three StepTimeline.at
+calls each) and the fixes' lookups.  perfbench is only imported, never
+changed; a change to what a walk does has to change these numbers.
 """
 
 from __future__ import annotations
@@ -35,18 +40,25 @@ COUNTED = ("polls", "echo_draws", "lookups", "rounds", "no_echo_rounds", "gate_c
 # Each walk at its scenario's own seed with the default config.  The link is
 # drained only after a firmware pass that sent a frame, so deframe_calls
 # counts those passes; iterations counts Uploader.tick calls, one per app
-# step (each polled pass's, plus one at t=0).  gps_outage has nothing in
-# range: it polls the pass from 0 ms and the one that ends on each
-# 5-minute upload, and books the other 795 passes without polling.
+# step (each polled pass's, plus one at t=0).  Each upload looks up four
+# timeline values (gps, network, geo path, server): 16 lookups for four.
+# gps_outage has nothing in range: it polls the three rounds of the pass
+# from 0 ms; the run loop books the other passes without polling, but for
+# the pass that ends on each 5-minute upload, whose rounds the firmware
+# books.  walk_20min polls 1,115 of its 3,312 rounds (1,110 measurements
+# and 5 rounds with no echo, one on entering each of the left and right
+# channels' five empty segments) and takes every measurement's truth from
+# its segment.  dense_course(1)
+# looks up the truth of 19 of its 13,332 measurements.
 EXPECTED = {
-    "gps_outage": dict(lookups=16, rounds=15, no_echo_rounds=15, iterations=6, upload_ticks=4,
+    "gps_outage": dict(lookups=16, rounds=3, no_echo_rounds=3, iterations=6, upload_ticks=4,
                        uploads_delivered=4, events=2408, trace_bytes=116455, inserts=4),
-    "walk_20min": dict(polls=9991, echo_draws=9991, lookups=3346, rounds=3312,
-                       no_echo_rounds=2202, gate_checks=9991, gate_rejects=1, frames=4,
+    "walk_20min": dict(polls=9991, echo_draws=9991, lookups=16, rounds=1115,
+                       no_echo_rounds=5, gate_checks=9991, gate_rejects=1, frames=4,
                        link_bytes=24, deframe_calls=4, tokens=4, speaks=4, voice_events=0,
                        iterations=1105, upload_ticks=4, uploads_delivered=4, uploads_queued=0,
                        events=3346, trace_bytes=241346, inserts=4),
-    "dense_course(1)": dict(polls=120020, echo_draws=120020, lookups=40012, rounds=13332,
+    "dense_course(1)": dict(polls=120020, echo_draws=120020, lookups=73, rounds=13332,
                             no_echo_rounds=0, gate_checks=120020, gate_rejects=32, frames=1031,
                             link_bytes=6216, deframe_calls=927, tokens=1031, speaks=678,
                             voice_events=37, iterations=4445, upload_ticks=4,
