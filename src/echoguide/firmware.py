@@ -172,23 +172,23 @@ class ChannelRound(NamedTuple):
 
 @dataclass
 class FirmwareState:
-    """Carry-over between firmware passes: when each channel's alert last
-    sent a frame, or None while the channel is not alerting; and, set by each
-    polled round that got no echo, its NoEchoError's quiet_until.  A channel's
-    quiet_until is stale once a round has polled past it, and then it is at
-    most the clock, so it books nothing."""
+    """Carry-over between firmware passes, one entry per channel in Channel
+    order: when its alert last sent a frame, or None while the channel is
+    not alerting; and, set by each polled round that got no echo, its
+    NoEchoError's quiet_until.  A channel's quiet_until is stale once a
+    round has polled past it, and then it is at most the clock, so it books
+    nothing."""
 
-    last_frame_ms: dict[Channel, Optional[int]] = field(
-        default_factory=lambda: dict.fromkeys(Channel)
-    )
-    quiet_until: dict[Channel, float] = field(default_factory=lambda: dict.fromkeys(Channel, 0))
+    last_frame_ms: list[Optional[int]] = field(default_factory=lambda: [None] * len(Channel))
+    quiet_until: list[float] = field(default_factory=lambda: [0] * len(Channel))
 
 
-def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
+def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
                   clock: VirtualClock,
                   cfg: FirmwareConfig = FirmwareConfig()) -> list[ChannelRound]:
     """One pass of the firmware main loop: one round per channel, in Channel
-    order (ground, then left, then right).
+    order (ground, then left, then right), each polling the echo source at
+    its position in echoes.
 
     A round with nothing in range spends all max_sample_attempts polls.
     When every poll of a channel's round falls before its quiet_until, all
@@ -206,26 +206,26 @@ def firmware_tick(state: FirmwareState, echoes: dict[Channel, EchoSource],
     last_poll_ms = round_ms - cfg.sample_period_ms  # from the round's start
     thresholds = (cfg.ground_alert_cm, cfg.left_alert_cm, cfg.right_alert_cm)  # Channel order
     rounds = []
-    for (channel, message), threshold in zip(_PASS_CHANNELS, thresholds):
-        last = last_frame_ms[channel]
-        if clock.now() + last_poll_ms < quiet_until[channel]:
+    for i, (channel, message) in enumerate(_PASS_CHANNELS):
+        last = last_frame_ms[i]
+        if clock.now() + last_poll_ms < quiet_until[i]:
             clock.advance(round_ms)
             distance: Optional[int] = None
         else:
             try:
-                distance = acquire_distance(channel, echoes[channel], clock, cfg)
+                distance = acquire_distance(channel, echoes[i], clock, cfg)
             except NoEchoError as exc:
                 distance = None
-                quiet_until[channel] = exc.quiet_until
+                quiet_until[i] = exc.quiet_until
         t_ms = clock.now()
-        alerting = distance is not None and distance < threshold
+        alerting = distance is not None and distance < thresholds[i]
         frame = None
         if not alerting:
             if last is not None:
-                last_frame_ms[channel] = None
+                last_frame_ms[i] = None
         elif last is None or t_ms - last >= repeat_ms:
             frame = message
-            last_frame_ms[channel] = t_ms
+            last_frame_ms[i] = t_ms
         rounds.append(ChannelRound(channel, t_ms, distance, alerting, alerting != (last is not None),
                                    frame))
     return rounds

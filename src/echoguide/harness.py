@@ -11,9 +11,7 @@ trace.
 from __future__ import annotations
 
 import math
-import os
 import random
-import tempfile
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -75,9 +73,10 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
 
     The same (script, config, seed) triple always produces a byte-identical
     trace.  When store_path is given, the in-process tracking service
-    persists there and the file survives the run; otherwise a throwaway
-    store is used.  A negative seed raises ValueError: random.Random would
-    seed with its absolute value and replay the positive seed's walk.
+    persists there, fsyncing each upload, and the file survives the run;
+    otherwise the store lives in memory and nothing is written.  A negative
+    seed raises ValueError: random.Random would seed with its absolute value
+    and replay the positive seed's walk.
 
     The loop steps one firmware pass at a time, except that after a pass
     with no echo on any channel it books the quiet passes that follow in
@@ -114,12 +113,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     # firmware pass's rounds.
     echoes = [ChannelEcho(script, channel, config.calibration, echo_rng, sample=sample_echo)
               for channel in Channel]
-    sensors = {channel: echo.segment for channel, echo in zip(Channel, echoes)}
+    sensors = [echo.segment for echo in echoes]
 
-    temp_dir: Optional[tempfile.TemporaryDirectory] = None
-    if store_path is None:
-        temp_dir = tempfile.TemporaryDirectory(prefix="echoguide-run-")
-        store_path = os.path.join(temp_dir.name, "locations.jsonl")
     store = TrackStore(store_path)
     service = TrackService(store)
 
@@ -185,7 +180,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     round_ms = fw_config.max_sample_attempts * fw_config.sample_period_ms
     pass_ms = len(Channel) * round_ms
     round_ends = [(channel, round_ms * (i + 1)) for i, channel in enumerate(Channel)]
-    quiet_until = fw_state.quiet_until
+    quiet_until = fw_state.quiet_until  # in Channel order
 
     def book_quiet_passes() -> None:
         """After a pass whose three rounds got no echo: book the whole passes
@@ -195,8 +190,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         no_echo events: the app steps after them would have nothing to do."""
         start = clock.now()
         latest = [duration]  # every booked pass starts before each of these
-        latest += [quiet_until[channel] - end + fw_config.sample_period_ms
-                   for channel, end in round_ends]
+        latest += [until - end + fw_config.sample_period_ms
+                   for until, (_, end) in zip(quiet_until, round_ends)]
         if next_event < len(events):
             latest.append(events[next_event].t_ms - pass_ms)
         if uploader.next_due_ms <= duration:  # a later due instant never fires
@@ -242,8 +237,6 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
                 book_quiet_passes()
     finally:
         store.close()
-        if temp_dir is not None:
-            temp_dir.cleanup()
 
     trace.sort_by_time()
     return trace

@@ -3,9 +3,9 @@ append-only JSON-lines file, and answers latest/history queries.
 
 The service core is transport-free so the simulation harness can call it
 in-process; ``main()`` serves the same core over HTTP for real clients,
-from httploop's one selectors loop on one thread.  Every accepted fix is
-written and fsynced before the caller sees a response, so a restart
-answers queries identically.
+from httploop's one selectors loop on one thread.  With a store path, as
+the server always has, every accepted fix is written and fsynced before
+the caller sees a response, so a restart answers queries identically.
 
 The store indexes fixes by device, each device's list sorted by
 (timestamp, id) on its first query and kept sorted after, so latest is
@@ -121,6 +121,8 @@ class TrackStore:
     write, then fsync) before insert() returns, so reloading the same path
     reconstructs an identical store.  An append that fails is truncated
     back out of the file, and neither the records nor the index see it.
+    A store with no path has no file and does no I/O; it validates, numbers,
+    indexes and answers as one with a path does.
 
     Besides the records in id order, the store indexes them by device.  A
     device's list starts in id order and is sorted by (timestamp, id) the
@@ -139,13 +141,16 @@ class TrackStore:
     naming path:lineno.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
         self._lock = threading.Lock()
         self._records: list[FixRecord] = []
         self._by_device: dict[str, list[FixRecord]] = {}
         self._last_key: dict[str, tuple[datetime, int]] = {}  # of each sorted device
         self._size = 0  # bytes of whole lines in the file
+        self._fh = None
+        if path is None:
+            return
         records, by_device = self._records, self._by_device
         torn_bytes = 0
         names = _Names()
@@ -193,7 +198,8 @@ class TrackStore:
 
     def close(self) -> None:
         with self._lock:
-            self._fh.close()
+            if self._fh is not None:
+                self._fh.close()
 
     def _truncate(self) -> None:
         """Cut the file back to its last whole line and make that durable."""
@@ -201,25 +207,26 @@ class TrackStore:
         os.fsync(self._fh.fileno())
 
     def insert(self, body: object) -> FixRecord:
-        """validate_fix the body, then assign the next id, persist durably and
-        expose the record.  A refused body writes nothing and takes no id."""
+        """validate_fix the body, then assign the next id, persist durably (given
+        a path) and expose the record.  A refused body writes nothing, takes no id."""
         fields = validate_fix(body)
         with self._lock:
             record = FixRecord(id=len(self._records) + 1, **fields)
-            line = (json.dumps(record.as_dict(), sort_keys=True) + "\n").encode("utf-8")
-            try:
-                view = memoryview(line)
-                while view:
-                    view = view[self._fh.write(view):]
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError) as exc:
-                message = f"failed to persist fix: {exc}"
+            if self._fh is not None:
+                line = (json.dumps(record.as_dict(), sort_keys=True) + "\n").encode("utf-8")
                 try:
-                    self._truncate()
-                except (OSError, ValueError) as cut:
-                    message += f"; truncating back to byte {self._size} failed: {cut}"
-                raise StorageError(message) from None
-            self._size += len(line)
+                    view = memoryview(line)
+                    while view:
+                        view = view[self._fh.write(view):]
+                    os.fsync(self._fh.fileno())
+                except (OSError, ValueError) as exc:
+                    message = f"failed to persist fix: {exc}"
+                    try:
+                        self._truncate()
+                    except (OSError, ValueError) as cut:
+                        message += f"; truncating back to byte {self._size} failed: {cut}"
+                    raise StorageError(message) from None
+                self._size += len(line)
             self._records.append(record)
             fixes = self._by_device.setdefault(record.device_id, [])
             last = self._last_key.get(record.device_id)

@@ -376,14 +376,15 @@ def test_ground_alert_must_sit_strictly_inside_the_gate(ground_alert_cm, accepte
 # -- firmware tick -----------------------------------------------------------------
 
 
-def constant_echoes(cm_by_channel: dict):
-    echoes = {}
+def constant_echoes(cm_by_channel: dict) -> list:
+    """One echo source per channel, in Channel order, as firmware_tick takes them."""
+    echoes = []
     for channel in Channel:
         cm = cm_by_channel.get(channel)
         if cm is None:
-            echoes[channel] = ScriptedSensor([])
+            echoes.append(ScriptedSensor([]))
         else:
-            echoes[channel] = ScriptedSensor([cm * 58], repeat_last=True)
+            echoes.append(ScriptedSensor([cm * 58], repeat_last=True))
     return echoes
 
 
@@ -448,11 +449,8 @@ def test_tick_cleared_alert_rearms_edge_trigger():
             return (lambda: pulses), t_ms + 1
 
     ground = Phased()
-    echoes = {
-        Channel.GROUND: ground,
-        Channel.LEFT: ScriptedSensor([200 * 58], repeat_last=True),
-        Channel.RIGHT: ScriptedSensor([200 * 58], repeat_last=True),
-    }
+    echoes = [ground, ScriptedSensor([200 * 58], repeat_last=True),
+              ScriptedSensor([200 * 58], repeat_last=True)]  # ground, left, right
     first = firmware_tick(state, echoes, clock)[0]
     assert first.frame == b"Ground\n" and first.alerting and first.motor_changed
     ground.phase = 1  # obstacle gone
@@ -481,15 +479,16 @@ def test_tick_books_a_round_whose_every_poll_falls_before_quiet_until(quiet_unti
     # The ground round from 0 ms polls at 0, 10, ..., 490 ms.  Only when its
     # last poll falls before the channel's quiet_until is the round booked:
     # no poll, no echo, and the clock moved by the round's 500 ms.
+    # The state and the echo sources are kept in Channel order: ground first.
     state = FirmwareState()
-    state.quiet_until[Channel.GROUND] = quiet_until
+    state.quiet_until[0] = quiet_until
     echoes = constant_echoes({Channel.LEFT: 200, Channel.RIGHT: 200})
     clock = VirtualClock()
     ground = firmware_tick(state, echoes, clock)[0]
-    assert echoes[Channel.GROUND].polls == polls
+    assert echoes[0].polls == polls
     assert ground == ChannelRound(Channel.GROUND, 500, None, alerting=False,
                                   motor_changed=False, frame=None)
-    assert state.quiet_until[Channel.GROUND] == (quiet_until if polls == 0 else 491)
+    assert state.quiet_until[0] == (quiet_until if polls == 0 else 491)
 
 
 def test_round_by_keyword_equals_round_by_position():
@@ -571,7 +570,7 @@ def test_inline_conversion_and_median_agree_with_their_public_names(edge_cm):
     for pulses in range((edge_cm - 1) * PULSES_PER_CM, (edge_cm + 1) * PULSES_PER_CM + 1):
         cm = pulses_to_cm(pulses)
         expected = median9([cm] * cfg.samples_per_measurement) if gate_valid(cm) else None
-        echoes = {channel: ScriptedSensor([pulses], repeat_last=True) for channel in Channel}
+        echoes = [ScriptedSensor([pulses], repeat_last=True) for _ in Channel]
         for r in firmware_tick(FirmwareState(), echoes, VirtualClock(), cfg):
             assert (r.distance_cm, r.alerting) == (
                 expected, expected is not None and expected < thresholds[r.channel]), pulses

@@ -4,7 +4,9 @@ trace serialization, and the echoguide-sim command line."""
 from __future__ import annotations
 
 import json
+import os
 import re
+import tempfile
 
 import pytest
 
@@ -19,6 +21,7 @@ from echoguide.harness import (
     load_expectations,
     run_scenario,
 )
+from echoguide.server import TrackStore
 from echoguide.trace import TraceLog, ev_measurement
 from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
 
@@ -145,6 +148,47 @@ def test_offline_window_queues_then_flushes_in_order(tmp_path):
         "2015-06-01T00:05:00Z", "2015-06-01T00:10:00Z",
         "2015-06-01T00:15:00Z", "2015-06-01T00:20:00Z",
     ]
+
+
+def count_fsyncs(monkeypatch) -> list[int]:
+    """Record the descriptor of every os.fsync call from now on, and make it."""
+    fsyncs: list[int] = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd: int) -> None:
+        fsyncs.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return fsyncs
+
+
+def test_walk_without_a_store_writes_nothing(tmp_path, monkeypatch):
+    # The store lives in memory: no fsync, and no file or directory left or
+    # made under the temporary directory.
+    fsyncs = count_fsyncs(monkeypatch)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    trace = run_scenario(load_scenario(SCENARIO_DIR / "offline_queue.json"))
+    assert [a["id"] for a in trace.kind("server_ack")] == [1, 2, 3, 4]
+    assert fsyncs == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_walk_with_a_store_fsyncs_each_delivered_fix(tmp_path, monkeypatch):
+    fsyncs = count_fsyncs(monkeypatch)
+    store_path = tmp_path / "locations.jsonl"
+    trace = run_scenario(load_scenario(SCENARIO_DIR / "offline_queue.json"),
+                         store_path=str(store_path))
+    delivered = [u for u in trace.kind("upload") if u["outcome"] == "delivered"]
+    acks = list(trace.kind("server_ack"))
+    assert len(fsyncs) == len(delivered) == len(acks) == 4
+    # Reopened, the file holds the delivered fixes in delivery order, with the acked ids.
+    store = TrackStore(str(store_path))
+    records = [r.as_dict() for r in store.records()]
+    store.close()
+    fields = ("device_id", "latitude", "longitude", "timestamp", "provider")
+    assert records == [{"id": a["id"], **{name: u[name] for name in fields}}
+                       for a, u in zip(acks, delivered, strict=True)]
 
 
 def test_no_provider_due_is_skipped_entirely():

@@ -122,6 +122,72 @@ def test_index_answers_like_the_scan(ops):
             store.close()
 
 
+# -- a store with no path, against one with a file -------------------------------
+
+# What validate_fix refuses, merged into a valid fix, or a body that is no fix.
+REFUSALS = ({"timestamp": "yesterday"}, {"latitude": 91.0}, {"longitude": True},
+            {"provider": "wifi"}, {"device_id": 7}, {"speed": 1.5})
+valid_bodies = st.builds(fix, devices, st.sampled_from(TIMESTAMPS),
+                         st.floats(-90, 90, allow_nan=False))
+bodies = st.one_of(
+    valid_bodies,
+    st.builds(lambda body, bad: {**body, **bad}, valid_bodies, st.sampled_from(REFUSALS)),
+    st.builds(lambda body, name: {k: v for k, v in body.items() if k != name},
+              valid_bodies, st.sampled_from(FIX_FIELDS)),
+    st.sampled_from([None, [], "fix", 3]),
+)
+memory_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), bodies),
+        st.tuples(st.just("insert"), bodies),
+        st.tuples(st.just("recent"), queried, st.sampled_from(LIMITS)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def insert_outcome(store: TrackStore, body: object) -> tuple:
+    try:
+        return ("stored", store.insert(body))
+    except FixValidationError as exc:
+        return ("refused", str(exc), exc.field)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(ops=memory_ops)
+@example(ops=[("insert", fix("walker-1", "2015-06-01T00:00:01Z")),
+              ("insert", {**fix("walker-1", "2015-06-01T00:00:00Z"), "latitude": 91.0}),
+              ("recent", "walker-1", 2), ("insert", fix("walker-1", "2015-06-01T00:00:00Z")),
+              ("insert", None), ("recent", "walker-1", 2)])
+def test_store_without_a_path_answers_like_one_with_a_file(ops):
+    """The same inserts, refused ones among them, give the same ids, records,
+    refusals and recent() answers in memory as on file; the file, reopened,
+    holds the memory store's records."""
+    memory = TrackStore()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "locations.jsonl")
+        on_file = TrackStore(path)
+        try:
+            for op in ops:
+                if op[0] == "insert":
+                    outcome = insert_outcome(memory, op[1])
+                    assert outcome == insert_outcome(on_file, op[1])
+                    event(outcome[0])
+                else:
+                    assert memory.recent(*op[1:]) == on_file.recent(*op[1:])
+            assert memory.records() == on_file.records()
+            for device in DEVICES:
+                for limit in LIMITS:
+                    assert memory.recent(device, limit) == on_file.recent(device, limit)
+        finally:
+            on_file.close()
+            memory.close()
+        reopened = TrackStore(path)
+        assert reopened.records() == memory.records()
+        reopened.close()
+
+
 # -- load: the line insert writes, against the json.loads pass -------------------
 
 
