@@ -22,7 +22,9 @@ from .world import (
 )
 
 # The rangefinder of one channel, one segment at a time: segment(t_ms) gives
-# (draw, until_ms), draw being None while there is no echo; see acquire_distance.
+# (draw, until_ms), draw being None while there is no echo.  draw() takes one
+# reading; a draw may also carry a take that draws many (world.echo_sampler's
+# does).  See acquire_distance.
 EchoSource = Callable[[int], tuple[Optional[Callable[[], int]], float]]
 
 
@@ -105,21 +107,25 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     virtual time whether or not it produced a usable reading.  Raises
     NoEchoError when max_sample_attempts polls yield too few valid samples;
     the error carries the end of the empty segment the last poll fell in.
-    Each drawn reading is converted and the median taken as pulses_to_cm
-    and median9 do, inline; a draw never gives a negative count.
+    Readings are banked as pulse counts and only their median goes through
+    pulses_to_cm: the conversion is monotone, so this gives median9 of the
+    converted readings.
 
     segment(t_ms) gives (draw, until_ms) for the segment holding t_ms (see
-    world.ChannelEcho): each poll from t_ms before until_ms calls draw(),
-    or, while draw is None, the round counts its attempts and moves the
-    clock in one step.  Segments are looked up only at poll times with
-    attempts left, so the result, clock and any error are those of polling
-    one by one.
+    world.ChannelEcho): the polls from t_ms before until_ms draw from it.
+    While draw is None, the round counts its attempts and moves the clock
+    in one step.  A draw with a take (see world.echo_sampler) draws the
+    segment's polls in one call, and the clock moves once by the polls it
+    spent; any other draw is called once per poll, each reading checked
+    by gate_valid and followed by one sample period.  Segments are looked
+    up only at poll times with attempts left, so the result, clock and any
+    error are those of polling one by one.
     """
     period = cfg.sample_period_ms
     limit = cfg.max_sample_attempts
     needed = cfg.samples_per_measurement
     advance = clock.advance
-    valid: list[int] = []
+    bank: list[int] = []  # valid readings, in pulses
     attempts = 0
     while attempts < limit:
         t_ms = clock.now()
@@ -131,15 +137,20 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
         if draw is None:
             advance(polls * period)
             continue
-        for _ in range(polls):
-            pulses = draw()
-            advance(period)
-            distance = (2 * pulses + PULSES_PER_CM) // (2 * PULSES_PER_CM)  # pulses_to_cm
-            if gate_valid(distance):
-                valid.append(distance)
-                if len(valid) == needed:  # median9
-                    valid.sort()
-                    return valid[needed // 2]
+        take = getattr(draw, "take", None)
+        if take is not None:
+            advance(take(polls, bank, needed) * period)
+        else:
+            for _ in range(polls):
+                pulses = draw()
+                advance(period)
+                if gate_valid(pulses_to_cm(pulses)):
+                    bank.append(pulses)
+                    if len(bank) == needed:
+                        break
+        if len(bank) == needed:  # median9 in pulses
+            bank.sort()
+            return pulses_to_cm(bank[needed // 2])
     raise NoEchoError(channel, attempts, until if draw is None else 0)
 
 

@@ -101,6 +101,13 @@ def noise_params_for(surface: SurfaceKind, weather: Weather,
         ) from None
 
 
+# The gate in raw pulses: the counts p with gate_valid(pulses_to_cm(p)),
+# 899 <= p <= 37,380, found by solving the round-half-up conversion at
+# GATE_LOW_CM + 1 and GATE_HIGH_CM - 1.
+_GATE_PULSES = (((2 * GATE_LOW_CM + 1) * PULSES_PER_CM + 1) // 2,
+                ((2 * GATE_HIGH_CM - 1) * PULSES_PER_CM - 1) // 2)
+
+
 def echo_sampler(true_cm: float, params: NoiseParams,
                  rng: random.Random) -> Callable[[], int]:
     """Polls of a target at true_cm: draw() is the raw pulse count the sensor
@@ -111,12 +118,18 @@ def echo_sampler(true_cm: float, params: NoiseParams,
     relative bias and gaussian scatter applied, converted to pulses.  The
     terms that hold for the target are worked out once, in the same float
     operations, so the readings do not depend on how they are drawn.
+
+    draw.take(polls, bank, needed) draws up to polls readings in one call,
+    as that many draw() calls would, and appends to bank each one the
+    firmware's gate passes, until bank holds needed; it returns the polls
+    it spent.  A measurement round draws a segment's polls this way.
     """
     random_ = rng.random
     outlier_prob = params.outlier_prob
     biased_cm = true_cm * (1.0 + params.rel_bias)
     sigma_cm = params.rel_sigma * true_cm
     gate_cm = GATE_HIGH_CM - GATE_LOW_CM
+    low, high = _GATE_PULSES
 
     def draw() -> int:
         if random_() < outlier_prob:
@@ -134,6 +147,35 @@ def echo_sampler(true_cm: float, params: NoiseParams,
                 rng.gauss_next = sin(x2pi) * g2rad
             pulses = round((biased_cm + (0.0 + z * sigma_cm)) * PULSES_PER_CM)
         return pulses if pulses > 1 else 1  # max(1, pulses) without the call
+
+    def take(polls: int, bank: list[int], needed: int) -> int:
+        # draw()'s operations, with gauss's second value in a local that is
+        # written back to rng.gauss_next on return.  The gate rejects every
+        # count below 899, so the clamp to 1 pulse is left out.
+        spare = rng.gauss_next
+        banked = len(bank)
+        for spent in range(1, polls + 1):
+            if random_() < outlier_prob:
+                pulses = round((GATE_LOW_CM + gate_cm * random_()) * PULSES_PER_CM)
+            else:
+                z = spare
+                spare = None
+                if z is None:
+                    x2pi = random_() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - random_()))
+                    z = cos(x2pi) * g2rad
+                    spare = sin(x2pi) * g2rad
+                pulses = round((biased_cm + (0.0 + z * sigma_cm)) * PULSES_PER_CM)
+            if low <= pulses <= high:
+                bank.append(pulses)
+                banked += 1
+                if banked == needed:
+                    rng.gauss_next = spare
+                    return spent
+        rng.gauss_next = spare
+        return polls
+
+    draw.take = take  # type: ignore[attr-defined]
     return draw
 
 
@@ -260,7 +302,9 @@ class ChannelEcho:
 
     `sample` draws one reading from (true distance, params, rng), as
     sample_echo does.  For sample_echo itself a segment draws through one
-    echo_sampler closure; any other `sample` is called once per poll.
+    echo_sampler closure, whose take draws a round's polls in the segment
+    in one call; any other `sample` is called once per poll, through a
+    draw with no take.
     """
 
     def __init__(self, script: ScenarioScript, channel: Channel, calibration: Calibration,
@@ -286,9 +330,9 @@ class ChannelEcho:
             elif self._sample is sample_echo:
                 draw = echo_sampler(true_cm, params, self._rng)
             else:
-                # Called per poll: perfbench's traced run counts polls by
-                # wrapping harness.sample_echo.  This path goes once runs
-                # count their own polls (ROADMAP items 1 and 6).
+                # Called per poll, with no take: perfbench's traced run
+                # counts polls by wrapping harness.sample_echo.  This path
+                # goes once runs count their own polls (ROADMAP items 1 and 6).
                 draw = partial(self._sample, true_cm, params, self._rng)
             self.until = min((nxt for _, nxt in steps if nxt is not None), default=math.inf)
             self.truth = (true_cm, surface, weather)

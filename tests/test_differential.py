@@ -15,11 +15,13 @@ they drew from, whose truth the run loop looks up.
 
 A second side runs the same scenarios, and the bundled ones, with the
 sample function behind a wrapper, which makes ChannelEcho call it once per
-poll, and compares the bytes with the plain run's.
+poll, and compares the bytes with the plain run's.  A spy on one bundled
+walk checks which path each run takes.
 """
 
 from __future__ import annotations
 
+import sys
 from unittest import mock
 
 import pytest
@@ -27,13 +29,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_loop
-from conftest import CONFIG_DIR, SCENARIO_DIR
+from conftest import CONFIG_DIR, REPO_ROOT, SCENARIO_DIR
 from echoguide import app, firmware, harness, world
 from echoguide.config import SystemConfig, config_from_dict, load_config
 from echoguide.firmware import FirmwareConfig, NoEchoError, acquire_distance
 from echoguide.world import SurfaceKind, Weather, load_scenario, scenario_from_dict
 
 from reference_loop import both_outcomes
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import tracing  # noqa: E402
 
 OFF_GRID_MS = (1, 9, 11, 499, 501)
 SHORT_DURATIONS_MS = (1, 499, 500, 501)
@@ -437,3 +442,52 @@ def test_wrapped_sample_matches_segment_sampler_byte_for_byte(doc, config_doc, m
     plain = reference_loop.outcome(harness.run_scenario, script, config, None)
     wrapped, _ = wrapped_sample_outcome(script, config)
     assert wrapped == plain
+
+
+def test_a_plain_walk_takes_each_segment_in_one_call_and_a_traced_walk_polls():
+    # Untraced, a round calls take once per segment it draws from, and no
+    # reading goes through firmware.gate_valid.  Under perfbench's wrappers
+    # (imported, never changed) the walk polls one by one, with one
+    # gate_valid call per drawn sample, and spends the polls the takes did.
+    script = load_scenario(SCENARIO_DIR / "walk_20min.json")
+    config = load_config(CONFIG_DIR / "default.json")
+    echo_sampler, segment = world.echo_sampler, world.ChannelEcho.segment
+    takes: list[int] = []
+    drawing_lookups = 0
+
+    def spied_sampler(*args):
+        draw = echo_sampler(*args)
+        take = draw.take
+
+        def counted_take(polls, bank, needed):
+            takes.append(take(polls, bank, needed))
+            return takes[-1]
+
+        draw.take = counted_take
+        return draw
+
+    def spied_segment(echo, t_ms):
+        nonlocal drawing_lookups
+        found = segment(echo, t_ms)
+        drawing_lookups += found[0] is not None
+        return found
+
+    def walk():
+        with mock.patch.object(world, "echo_sampler", spied_sampler), \
+                mock.patch.object(world.ChannelEcho, "segment", spied_segment), \
+                mock.patch.object(firmware, "gate_valid", wraps=firmware.gate_valid) as gate:
+            trace = harness.run_scenario(script, config).to_jsonl()
+        return trace, gate.call_count
+
+    plain, gate_calls = walk()
+    assert gate_calls == 0 and drawing_lookups == len(takes) > 0
+    assert all(spent >= 1 for spent in takes)
+
+    polls, rounds_drawn = sum(takes), len(takes)
+    takes.clear()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        traced, gate_calls = walk()
+    counters = tracer.counters()
+    assert traced == plain and takes == []
+    assert gate_calls == counters["gate_checks"] == counters["echo_draws"] == polls > rounds_drawn

@@ -559,7 +559,7 @@ def test_classify_thresholds_are_strict(channel, distance, alerts):
 @pytest.mark.parametrize("edge_cm", [GATE_LOW_CM, FirmwareConfig().ground_alert_cm,
                                      FirmwareConfig().left_alert_cm, GATE_HIGH_CM])
 def test_inline_conversion_and_median_agree_with_their_public_names(edge_cm):
-    # acquire_distance converts pulses and takes the median inline, and
+    # acquire_distance banks pulse counts and converts only their median, and
     # firmware_tick holds the thresholds in a tuple: at every pulse count
     # within 1 cm of each gate end and alert threshold, each channel's round
     # gives what pulses_to_cm, gate_valid and median9 give, and alerts

@@ -397,6 +397,18 @@ def test_silent_connection_is_closed(impatient_server):
     assert time.monotonic() - started < 1.5
 
 
+@pytest.mark.parametrize("empty_line", [b"\r\n", b"\n"])
+def test_an_empty_line_before_the_request_line_closes_with_no_reply(live_server, empty_line):
+    # RFC 9112 2.2 lets a server skip it; this one closes at once, as
+    # http.server does, well within its 10 s timeout rather than waiting.
+    port = int(live_server.rsplit(":", 1)[1])
+    started = time.monotonic()
+    with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+        sock.sendall(empty_line)
+        assert sock.recv(1024) == b""
+    assert time.monotonic() - started < 1.5
+
+
 def test_get_latest_roundtrip(live_server):
     http_post(live_server, "/api/locations", good_fix())
     http_post(live_server, "/api/locations",

@@ -225,6 +225,30 @@ def test_track_limit_truncates_to_most_recent(live_tracking, tmp_path):
     assert doc["properties"]["start_timestamp"] == "2015-06-01T00:15:00Z"
 
 
+def test_track_limit_1_passes_the_bound_and_asks_for_one_fix(live_tracking, tmp_path,
+                                                             monkeypatch):
+    # Only a limit below 1 is refused: 1 itself reaches the server as limit=1.
+    service, server = live_tracking
+    for minute in (5, 10, 15):
+        service.insert_fix(fix_dict(minute=minute, lat=20.0 + minute))
+    asked = []
+    history = service.history
+
+    def recorded(device_id, limit):
+        asked.append((device_id, limit))
+        return history(device_id, limit)
+
+    monkeypatch.setattr(service, "history", recorded)
+    out_path = tmp_path / "trail.geojson"
+    code = main(["--server", server, "--device", "walker-1",
+                 "track", "--limit", "1", "--out", str(out_path)])
+    assert code == EXIT_OK
+    assert asked == [("walker-1", 1)]
+    doc = json.loads(out_path.read_text())  # one fix: a Point at the newest
+    assert doc["geometry"] == {"type": "Point", "coordinates": [89.5024, 35.0]}
+    assert doc["properties"]["timestamp"] == "2015-06-01T00:15:00Z"
+
+
 def test_track_empty_history_exits_3(live_tracking, capsys):
     _, server = live_tracking
     code = main(["--server", server, "--device", "walker-1", "track"])

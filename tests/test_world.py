@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import make_script
 from echoguide.clock import VirtualClock
 from echoguide.errors import ConfigError, ScenarioError
-from echoguide.firmware import pulses_to_cm
+from echoguide.firmware import gate_valid, median9, pulses_to_cm
 from echoguide.world import (
     Channel,
     ChannelEcho,
@@ -35,6 +35,7 @@ from echoguide.world import (
     sample_echo,
     scenario_from_dict,
     utc_string,
+    _GATE_PULSES,
 )
 
 
@@ -434,6 +435,69 @@ def test_echo_sampler_shares_the_generator_with_other_draws():
             written_out_sample(300.0, params, b), written_out_sample(300.0, params, b),
             b.gauss(0.0, 1.0)]
     assert got == want and a.getstate() == b.getstate()
+
+
+def test_pulse_gate_is_the_firmware_gate_on_converted_counts():
+    low, high = _GATE_PULSES
+    assert (low, high) == (899, 37_380)
+    assert all((low <= p <= high) == gate_valid(pulses_to_cm(p)) for p in range(40_001))
+
+
+def take_one_by_one(draw, polls, bank, needed):
+    """draw.take as draw() per poll, then pulses_to_cm and gate_valid; the
+    polls spent."""
+    for spent in range(1, polls + 1):
+        pulses = draw()
+        if gate_valid(pulses_to_cm(pulses)):
+            bank.append(pulses)
+            if len(bank) == needed:
+                return spent
+    return polls
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(true_cm=st.sampled_from([1, 15.4, 100, 644, 1000]) | st.floats(0.5, 1000.0),
+       params=st.builds(NoiseParams,
+                        rel_sigma=st.sampled_from([0.0, 0.19, 3.0]) | st.floats(0.0, 4.0),
+                        rel_bias=st.sampled_from([0.0, -0.9, 0.9]) | st.floats(-0.999, 0.999),
+                        outlier_prob=st.sampled_from([0.0, 1.0]) | unit),
+       seed=st.integers(0, 2**64), gauss_next=st.none() | st.floats(-5.0, 5.0),
+       bank=st.lists(st.integers(_GATE_PULSES[0], _GATE_PULSES[1]), max_size=8),
+       polls=st.integers(1, 50))
+def test_take_is_drawing_one_poll_at_a_time(true_cm, params, seed, gauss_next, bank, polls):
+    # A round's take spends the polls, banks the pulse counts and leaves the
+    # generator (gauss's cached value included) as draw() per poll does, and
+    # the converted median of its bank is median9 of the converted readings.
+    rngs = [random.Random(seed) for _ in range(2)]
+    banks = [list(bank), list(bank)]
+    for rng in rngs:
+        rng.gauss_next = gauss_next
+    spent = echo_sampler(true_cm, params, rngs[0]).take(polls, banks[0], 9)
+    assert spent == take_one_by_one(echo_sampler(true_cm, params, rngs[1]), polls, banks[1], 9)
+    assert banks[0] == banks[1]
+    assert rngs[0].getstate() == rngs[1].getstate()
+    if len(banks[0]) == 9:
+        assert pulses_to_cm(sorted(banks[0])[4]) == median9([pulses_to_cm(p) for p in banks[0]])
+
+
+@pytest.mark.parametrize("pulses,banked", [(898, False), (899, True), (37_380, True),
+                                            (37_381, False)])
+def test_take_gates_exactly_at_both_ends(pulses, banked):
+    exact = NoiseParams(0.0, 0.0, 0.0)
+    assert echo_sampler(pulses / PULSES_PER_CM, exact, random.Random(1))() == pulses
+    bank: list[int] = []
+    take = echo_sampler(pulses / PULSES_PER_CM, exact, random.Random(1)).take
+    assert take(3, bank, 2) == (2 if banked else 3)
+    assert bank == ([pulses] * 2 if banked else [])
+
+
+def test_take_covers_both_gate_ends_and_the_one_pulse_clamp():
+    # The draws the property test above compares reach past both gate ends
+    # and down to the clamp: a wide scatter around a near target.
+    draw = echo_sampler(400.0, NoiseParams(3.0, 0.0, 0.0), random.Random(11))
+    readings = {draw() for _ in range(2000)}
+    assert min(readings) == 1 and max(readings) > _GATE_PULSES[1]
+    assert any(1 < p < _GATE_PULSES[0] for p in readings)
 
 
 def test_channel_enum_values_are_wire_words():
