@@ -2,6 +2,10 @@
 selectors loop, after D. Kegel's "The C10K problem" and the event-driven
 Flash server (Pai, Druschel & Zwaenepoel, USENIX ATC 1999).
 
+Both ends of the tracking API read messages by the rules defined here: the
+head limits, digits, add_field, closes and content_length.  The guardian
+imports them, so email and traceback are imported only where they are used.
+
 The loop keeps a read buffer, a write buffer and a deadline per connection
 and never waits on a peer.  It alone frames requests, answers methods with
 no route and holds the limits; a route only answers.  It reads the request
@@ -11,10 +15,12 @@ Content-Length frames: a POST framed otherwise is answered 400 or 413, and
 any other request that declares a body is answered and closed.  A method
 with no route is 405 if RFC 9110 or PATCH names it, else 501.  Requests are
 answered in turn, each reply sent before the next request is read, so a
-client that stops reading stops only itself.  A connection silent, or
-leaving a reply unread, for REQUEST_TIMEOUT_S is closed; one past
-MAX_CONNECTIONS is answered 503 and closed.  Every reply the loop makes
-itself is an {"error": ...} JSON body.
+client that stops reading stops only itself.  A request has one deadline,
+REQUEST_TIMEOUT_S after its first byte or the last reply's leaving, the
+later: a head or POST body not whole by then is answered 408 and closed.  A
+connection idle that long, or whose reply waits that long for its peer, is
+closed; one past MAX_CONNECTIONS is answered 503 and closed.  Every reply
+the loop makes itself is an {"error": ...} JSON body.
 """
 
 from __future__ import annotations
@@ -25,14 +31,12 @@ import socket
 import sys
 import threading
 import time
-import traceback
-from email.utils import formatdate
 from http import HTTPStatus
 from typing import Optional
 
-REQUEST_TIMEOUT_S = 10.0  # a connection silent, or leaving a reply unread, this long is closed
-MAX_HEAD_BYTES = 65536  # the request line and header lines with their line ends
-MAX_HEADER_LINES = 100  # with the blank line that ends them, as http.client counts
+REQUEST_TIMEOUT_S = 10.0  # a request's time to arrive, an idle connection's, a reply's to leave
+MAX_HEAD_BYTES = 65536  # the start line and header lines with their line ends
+MAX_HEADER_LINES = 100  # header lines with the blank line that ends them, as http.client counts
 MAX_BODY_BYTES = 64 * 1024
 MAX_CONNECTIONS = 256  # registered client sockets; one more is answered 503 and closed
 # RFC 9110 section 9 and PATCH (RFC 5789): one of these without a route is 405, not 501.
@@ -50,6 +54,30 @@ def digits(text: str) -> Optional[int]:
     return int(stripped or "0") if len(stripped) < 19 else sys.maxsize
 
 
+def add_field(fields: dict[str, list[str]], line: str) -> bool:
+    """Add a field line under its lower-cased name; False for one with no name,
+    no colon or blanks around the name, obs-fold too (RFC 9112 5.1, 5.2)."""
+    name, colon, value = line.partition(":")
+    if not colon or not name or name != name.strip(" \t"):
+        return False
+    fields.setdefault(name.lower(), []).append(value.strip(" \t"))
+    return True
+
+
+def closes(fields: dict[str, list[str]], before_1_1: bool) -> bool:
+    """Whether the connection ends after this message (RFC 9112 section 9.3)."""
+    tokens = {token.strip().lower() for value in fields.get("connection", ())
+              for token in value.split(",")}
+    return "close" in tokens or (before_1_1 and "keep-alive" not in tokens)
+
+
+def content_length(values: list[str]) -> Optional[int]:
+    """Content-Length's value, its lines one list (RFC 9110 5.3) of the same
+    ASCII digits (8.6): '5, 5' reads as 5; '5, 6', '' or no line as None."""
+    members = {member.strip(" \t") for value in values for member in value.split(",")}
+    return digits(members.pop()) if len(members) == 1 else None
+
+
 def _body_length(headers: dict[str, list[str]]) -> int:
     """A POST's Content-Length, or a _Refusal that leaves its body unread.
     Transfer-Encoding overrides Content-Length (RFC 9112 section 6.3) and is
@@ -57,8 +85,7 @@ def _body_length(headers: dict[str, list[str]]) -> int:
     if "transfer-encoding" in headers:
         raise _Refusal(400, "Transfer-Encoding is not supported; send Content-Length",
                        "Transfer-Encoding")
-    values = headers.get("content-length", [])
-    length = digits(values[0]) if len(set(values)) == 1 else None
+    length = content_length(headers.get("content-length", []))
     if length is None:
         raise _Refusal(400, "Content-Length must be one non-negative integer", "Content-Length")
     if length > MAX_BODY_BYTES:
@@ -90,9 +117,10 @@ class Connection:
         """Read (unless a reply waits for the peer to read it), then answer."""
         if not self.writing:
             data = self.sock.recv(65536)
+            if data and not self.rbuf and self.command is None:  # a request's first byte
+                self.deadline = time.monotonic() + self.server.timeout
             self.rbuf += data
             self.eof = not data
-        self.deadline = time.monotonic() + self.server.timeout
         while self._flush():  # each reply leaves before the next request is read
             ending = self.close_connection and self.want is None  # the last reply is out
             if not ending and self._next_request():
@@ -102,12 +130,15 @@ class Connection:
             return
 
     def _flush(self) -> bool:
-        """Send what wbuf holds; False while part of it waits for the peer."""
+        """Send what wbuf holds; False while part of it waits for the peer.
+        The deadline restarts when a reply has left or starts to wait."""
         if self.wbuf:
             try:
                 del self.wbuf[:self.sock.send(self.wbuf)]
             except BlockingIOError:
                 pass
+            if not (self.wbuf and self.writing):
+                self.deadline = time.monotonic() + self.server.timeout
         if bool(self.wbuf) != self.writing:  # wait for room to write, or for a request
             self.writing = not self.writing
             self.server._selector.modify(
@@ -135,16 +166,13 @@ class Connection:
                 self.lines += 1
                 if self.lines > MAX_HEADER_LINES:
                     raise _Refusal(431, "Too many headers")
-                if line:
-                    name, colon, value = line.partition(":")
-                    if not colon or not name or name != name.strip(" \t"):  # RFC 9112 5.1, 5.2
-                        raise _Refusal(400, f"Bad header line ({line!r})")
-                    self.headers.setdefault(name.lower(), []).append(value.strip(" \t"))
-                else:
+                if not line:
                     del self.rbuf[:self.read]  # the head; the body, if any, starts rbuf
                     self.read = 0
                     if self._head_read():
                         return True
+                elif not add_field(self.headers, line):
+                    raise _Refusal(400, f"Bad header line ({line!r})")
             if len(self.rbuf) < self.want:
                 return False
             self.body = bytes(self.rbuf[:self.want])
@@ -180,15 +208,12 @@ class Connection:
     def _head_read(self) -> bool:
         """Settle the connection's fate and the body's framing; True once
         there is something to send."""
-        tokens = {token.strip().lower() for value in self.headers.get("connection", ())
-                  for token in value.split(",")}
-        self.close_connection = "close" in tokens or (
-            self.version < (1, 1) and "keep-alive" not in tokens)
+        self.close_connection = closes(self.headers, self.version < (1, 1))
         if self.command != "POST":
             # A body left unread would be parsed as the next request, so a
             # request that declares one is answered and its connection closed.
-            if "transfer-encoding" in self.headers or any(
-                    value != "0" for value in self.headers.get("content-length", ())):
+            if "transfer-encoding" in self.headers or content_length(
+                    self.headers.get("content-length", ["0"])) != 0:
                 self.close_connection = True
             self._dispatch()
             return True
@@ -323,25 +348,29 @@ class LoopServer:
 
     def _expire(self, now: float) -> None:
         """Close each connection past its deadline, answering 408 first to a
-        POST whose body stopped short."""
+        request whose head or POST body is not whole."""
         for key in list(self._selector.get_map().values()):
             connection = key.data
             if connection is not None and connection.deadline <= now:
-                if connection.want is not None and not connection.wbuf:
-                    connection._error(408, f"request body did not arrive within {self.timeout} s",
-                                      field="body", close=True)
+                part = "head" if connection.want is None else "body"
+                if (connection.rbuf or part == "body") and not connection.wbuf:  # a request begun
+                    connection._error(408, f"request {part} did not arrive within "
+                                      f"{self.timeout} s", field=part, close=True)
                 self.close_request(connection)
 
     def date_header(self) -> bytes:
         """The Date field of a reply sent now (RFC 9110 section 6.6.1)."""
         now = int(time.time())
         if now != self._date[0]:
+            from email.utils import formatdate  # here, so the tracker's import loads no email
             self._date = (now, f"Date: {formatdate(now, usegmt=True)}\r\n".encode())
         return self._date[1]
 
     @staticmethod
     def report_error(address) -> None:
         """Print the exception being handled to stderr, as socketserver does."""
+        import traceback
+
         print("-" * 40, file=sys.stderr)
         print("Exception occurred during processing of request from", address, file=sys.stderr)
         traceback.print_exc()

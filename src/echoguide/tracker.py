@@ -19,18 +19,18 @@ guardian's polling loop does: the CLI fetches once and exits.
 
 Queries go over HTTP/1.1 persistent connections, spoken here over plain
 sockets rather than http.client: each GET goes out in one write, with the
-Host field as http.client writes it.  A reply is read as HTTP/1.0 or 1.1:
-1xx interim replies are skipped, and the body is framed by chunked
-transfer coding, by Content-Length or by the connection closing.  A reply
-that cannot be read is refused as the server being unreachable (exit 2):
-a bad status line, a head over 65,536 bytes or of 100 header lines or
-more, a header line with no name or colon, a bad chunk size, a short body
-or a bad Content-Length.  A connection goes back to an idle list for the next
-query to the same server, from any thread, only after a whole reply that
-leaves it open: not after Connection: close, nor after an HTTP/1.0 reply
-without keep-alive.  An https:// server is reached over TLS with the
-ssl module's default context: its certificate must chain to a trusted CA
-(the system's, or SSL_CERT_FILE's) and name the host.
+Host field as http.client writes it.  A reply is read as HTTP/1.0 or 1.1 by
+the rules the server reads requests by, imported from httploop: 1xx interim
+replies are skipped, and the body is framed by chunked transfer coding, by
+Content-Length (a list of one value, such as '5, 5') or by the connection
+closing.  A reply that cannot be read is refused as the server being
+unreachable (exit 2): a bad status line, a head over 65,536 bytes or of 100
+header lines or more, a bad header line or chunk size, a short body or a bad
+Content-Length.  A connection goes back to an idle list for the next query
+to the same server, from any thread, only after a whole reply that leaves
+it open.  An https:// server is reached over TLS with the ssl module's
+default context: its certificate must chain to a trusted CA (the system's,
+or SSL_CERT_FILE's) and name the host.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import threading
 from typing import Optional
 from urllib.parse import urlencode, urlsplit
 
+from .httploop import MAX_HEAD_BYTES, MAX_HEADER_LINES, add_field, closes, content_length
 from .jsonread import FIX_FIELDS, bounded_rule, list_rule, object_rule, read_json
 
 DEFAULT_SERVER = "127.0.0.1:8750"
@@ -88,10 +89,6 @@ _idle_lock = threading.Lock()
 # How a connection that sat idle fails once the server has closed it: the GET
 # is sent (or refused) and the connection ends before any byte of a reply.
 _STALE = (ConnectionResetError, BrokenPipeError)
-
-# The server's limits (httploop), not imported from it: it loads email.utils.
-_MAX_HEAD_BYTES = 65536  # a reply's status line and header lines with their line ends
-_MAX_HEAD_LINES = 100  # header lines with the blank line that ends them, as http.client counts
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -109,26 +106,26 @@ class _Reply:
     def read(self, request: bytes) -> None:
         """Send the request in one write and read its reply."""
         self.sock.sendall(request)
-        while True:
-            lines = self._head()
-            version, _, rest = lines[0].partition(" ")
+        code = "1"
+        while code[0] == "1":  # 1xx: an interim reply, the final one follows
+            end_by, too_long = self.pos + MAX_HEAD_BYTES, f"reply head over {MAX_HEAD_BYTES} bytes"
+            line = self._line(end_by, too_long)
+            version, _, rest = line.partition(" ")
             code, _, reason = rest.partition(" ")
             if not (len(version) == 8 and version.startswith("HTTP/1.") and
                     version[7] in "0123456789" and len(code) == 3 and
                     code.isascii() and code.isdigit() and code[0] != "0"):
-                raise ServerUnreachable(f"bad status line {lines[0]!r}")
-            if code[0] != "1":  # 1xx: an interim reply, the final one follows
-                break
+                raise ServerUnreachable(f"bad status line {line!r}")
+            self.fields: dict[str, list[str]] = {}
+            for _ in range(MAX_HEADER_LINES):  # the blank line that ends the head is one
+                if not (line := self._line(end_by, too_long)):
+                    break
+                if not add_field(self.fields, line):
+                    raise ServerUnreachable(f"bad header line {line!r}")
+            else:
+                raise ServerUnreachable(f"reply head over {MAX_HEADER_LINES} header lines")
         self.status, self.reason = int(code), reason.strip()
-        self.fields: dict[str, list[str]] = {}
-        for line in lines[1:]:
-            name, colon, value = line.partition(":")
-            if not colon or not name or name != name.strip(" \t"):  # obs-fold too
-                raise ServerUnreachable(f"bad header line {line!r}")
-            self.fields.setdefault(name.lower(), []).append(value.strip(" \t"))
-        tokens = {token.strip().lower() for value in self.fields.get("connection", ())
-                  for token in value.split(",")}
-        self.close = "close" in tokens or (version == "HTTP/1.0" and "keep-alive" not in tokens)
+        self.close = closes(self.fields, version == "HTTP/1.0")
         self.body = self._body()
         self.close = self.close or self.pos != len(self.buf)  # bytes past the reply
 
@@ -141,27 +138,9 @@ class _Reply:
             raise ServerUnreachable("the server closed the connection mid-reply")
         self.buf += data
 
-    def _head(self) -> list[str]:
-        """The lines of the next head, without their line ends, up to the
-        blank line that ends it."""
-        start, end_by = self.pos, self.pos + _MAX_HEAD_BYTES
-        while True:  # find the first blank line, whether its line ends are CRLF or LF
-            crlf = self.buf.find(b"\n\r\n", start, end_by)
-            lf = self.buf.find(b"\n\n", start, end_by if crlf < 0 else crlf + 1)
-            if crlf >= 0 or lf >= 0:
-                break
-            if len(self.buf) >= end_by:
-                raise ServerUnreachable(f"reply head over {_MAX_HEAD_BYTES} bytes")
-            self._recv()
-        end, self.pos = (lf, lf + 2) if lf >= 0 else (crlf, crlf + 3)
-        text = self.buf[start:end].decode("latin-1")  # the last line end left out
-        lines = text.replace("\r\n", "\n").rstrip("\r").split("\n")
-        if len(lines) > _MAX_HEAD_LINES:
-            raise ServerUnreachable(f"reply head over {_MAX_HEAD_LINES} header lines")
-        return lines
-
     def _line(self, end_by: int, too_long: str) -> str:
-        """The next line of a chunked body, ending before buf index end_by."""
+        """The next line of a head or a chunked body, without its line end,
+        which must come before buf index end_by."""
         while (end := self.buf.find(b"\n", self.pos, end_by)) < 0:
             if len(self.buf) >= end_by:
                 raise ServerUnreachable(too_long)
@@ -177,13 +156,11 @@ class _Reply:
             if ",".join(codings).rsplit(",", 1)[-1].strip().lower() == "chunked":
                 return self._chunked()
         elif "content-length" in self.fields:
-            lengths = {v.strip() for value in self.fields["content-length"]
-                       for v in value.split(",")}
-            (length,) = lengths if len(lengths) == 1 else ("",)
-            if not (length.isascii() and length.isdigit() and len(length) <= 18):
+            length = content_length(self.fields["content-length"])
+            if length is None or length == sys.maxsize:  # digits() caps 19 digits or more
                 raise ServerUnreachable(
                     f"bad Content-Length {', '.join(self.fields['content-length'])!r}")
-            return self._take(int(length))
+            return self._take(length)
         self.close = True  # RFC 9112 section 6.3: the body ends when the connection does
         while data := self.sock.recv(65536):
             self.buf += data
@@ -204,8 +181,8 @@ class _Reply:
     def _chunked(self) -> bytes:
         chunks = []
         while True:
-            line = self._line(self.pos + _MAX_HEAD_BYTES,
-                              f"chunk size line over {_MAX_HEAD_BYTES} bytes")
+            line = self._line(self.pos + MAX_HEAD_BYTES,
+                              f"chunk size line over {MAX_HEAD_BYTES} bytes")
             size = line.partition(";")[0].strip(" \t")  # chunk extensions are ignored
             if not (0 < len(size) <= 16 and _HEX_DIGITS.issuperset(size)):
                 raise ServerUnreachable(f"bad chunk size line {line!r}")
@@ -214,8 +191,8 @@ class _Reply:
             chunks.append(self._take(int(size, 16)))
             if self._line(self.pos + 2, "chunk data longer than its size"):
                 raise ServerUnreachable("chunk data longer than its size")
-        end_by = self.pos + _MAX_HEAD_BYTES
-        while self._line(end_by, f"trailer section over {_MAX_HEAD_BYTES} bytes"):
+        end_by = self.pos + MAX_HEAD_BYTES
+        while self._line(end_by, f"trailer section over {MAX_HEAD_BYTES} bytes"):
             pass  # trailer fields are read, not used
         return b"".join(chunks)
 

@@ -8,6 +8,7 @@ import http.client
 import json
 import os
 import random
+import select
 import socket
 import struct
 import subprocess
@@ -20,10 +21,19 @@ from datetime import datetime, timedelta, timezone
 from http import HTTPStatus
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import reference_store
 
-from echoguide.httploop import MAX_BODY_BYTES, REQUEST_TIMEOUT_S, Connection, LoopServer
+from echoguide import httploop
+from echoguide.httploop import (
+    MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
+    REQUEST_TIMEOUT_S,
+    Connection,
+    LoopServer,
+)
 from echoguide.server import (
     DEFAULT_HISTORY_LIMIT,
     ENV_LISTEN,
@@ -397,6 +407,79 @@ def test_silent_connection_is_closed(impatient_server):
     assert time.monotonic() - started < 1.5
 
 
+def trickle(socks, request: bytes, period_s: float = 0.3) -> list:
+    """Send `request` on each socket a byte at a time, one byte every
+    `period_s`, to each until the server has sent on it or closed it, and
+    return all each one got before the server closed it."""
+    waiting = {sock: 0 for sock in socks}
+    while waiting:
+        for sock, sent in waiting.items():
+            sock.sendall(request[sent:sent + 1])
+            waiting[sock] = sent + 1
+            assert sent < len(request)
+        answered, _, _ = select.select(list(waiting), [], [], period_s)
+        for sock in answered:
+            del waiting[sock]
+    return [b"".join(iter(lambda: sock.recv(65536), b"")) for sock in socks]
+
+
+def test_tricklers_are_answered_408_and_closed_within_the_timeout_freeing_the_cap(tmp_path):
+    """Three clients at a cap of 3, each sending a head a byte every 0.3 s,
+    under a 1 s timeout: while they hold the cap a fourth is refused; each
+    gets its 408 and a close within 2 s, and then a fifth is served."""
+    store = TrackStore(tmp_path / "locations.jsonl")
+    store.insert(good_fix())
+    with in_process_server(TrackService(store), timeout_s=1.0, max_connections=3) as httpd:
+        address = ("127.0.0.1", httpd.server_address[1])
+        socks = [socket.create_connection(address, timeout=2.0) for _ in range(3)]
+        try:
+            with socket.create_connection(address, timeout=2.0) as fourth:
+                fourth.sendall(_get())
+                reply = b"".join(iter(lambda: fourth.recv(65536), b""))
+            assert one_closing_reply(reply, 503)["error"].endswith("limit of 3 connections")
+            started = time.monotonic()
+            replies = trickle(socks, _get())
+            elapsed = time.monotonic() - started
+        finally:
+            for sock in socks:
+                sock.close()
+        for reply in replies:
+            assert one_closing_reply(reply, 408) == {
+                "error": "request head did not arrive within 1.0 s", "field": "head"}
+        assert 0.9 < elapsed < 2.0
+        with socket.create_connection(address, timeout=2.0) as fifth:
+            fifth.sendall(_get())
+            assert read_replies(fifth, 1)[0][0] == 200
+    store.close()
+
+
+def test_a_reply_that_leaves_a_byte_at_a_time_keeps_the_deadline_its_wait_began_with(
+        monkeypatch):
+    """The deadline is set when a reply starts to wait for its peer and
+    when it has left; the sends in between do not move it."""
+    now = [100.0]
+    monkeypatch.setattr(httploop, "time", type("Clock", (), {
+        "monotonic": staticmethod(lambda: now[0]), "time": staticmethod(time.time)}))
+
+    class ByteAtATime:
+        def send(self, data):
+            return 1
+
+    server = LoopServer(("127.0.0.1", 0), Connection)
+    server.server_close()
+    server._selector = type("Selector", (), {"modify": lambda *args: None})()
+    connection = Connection(server, ByteAtATime(), ("127.0.0.1", 0))
+    connection.wbuf += b"abc"
+    assert connection._flush() is False  # 1 byte out, 2 wait for the peer
+    assert connection.deadline == 100.0 + server.timeout
+    now[0] = 105.0
+    connection.on_event()  # the peer has made room: 1 byte more
+    assert (connection.wbuf, connection.deadline) == (b"c", 100.0 + server.timeout)
+    now[0] = 107.0
+    connection.on_event()  # the reply has left: the next request's time begins
+    assert (connection.wbuf, connection.deadline) == (b"", 107.0 + server.timeout)
+
+
 @pytest.mark.parametrize("empty_line", [b"\r\n", b"\n"])
 def test_an_empty_line_before_the_request_line_closes_with_no_reply(live_server, empty_line):
     # RFC 9112 2.2 lets a server skip it; this one closes at once, as
@@ -562,6 +645,7 @@ _TE = {"error": "Transfer-Encoding is not supported; send Content-Length",
 _TOO_BIG = {"error": f"request body exceeds {MAX_BODY_BYTES} bytes", "field": "Content-Length"}
 _URI_TOO_LONG = {"error": HTTPStatus.REQUEST_URI_TOO_LONG.phrase}  # as this Python names 414
 _HEAD_TOO_LARGE = {"error": "Request header fields too large"}
+_HEAD_LATE = {"error": "request head did not arrive within 0.3 s", "field": "head"}
 
 
 def _fields(n: int) -> str:
@@ -586,6 +670,10 @@ ANSWERS = [
                                      length=False), [(400, "close", 87, None, _CL)], "closed"),
     ("Content-Length twice alike", _post(f"Content-Length: {len(_FIX_BODY)}\r\n"),
      [(201, None, 133, None, _FIX_2)], "open"),
+    ("Content-Length N, N", _post(f"Content-Length: {len(_FIX_BODY)}, {len(_FIX_BODY)}\r\n",
+                                  length=False), [(201, None, 133, None, _FIX_2)], "open"),
+    ("Content-Length N, M", _post(f"Content-Length: {len(_FIX_BODY)}, {len(_FIX_BODY) + 1}\r\n",
+                                  length=False), [(400, "close", 87, None, _CL)], "closed"),
     ("Content-Length over the cap", _post(f"Content-Length: {MAX_BODY_BYTES + 1}\r\n", b"",
                                           length=False), [(413, "close", 72, None, _TOO_BIG)], "closed"),
     ("Content-Length 10**12", _post(f"Content-Length: {10**12}\r\n", b"", length=False),
@@ -602,6 +690,8 @@ ANSWERS = [
      [(200, "close", 133, None, _FIX_1)], "closed"),
     ("GET with Content-Length 0", _get(headers="Content-Length: 0\r\n"),
      [(200, None, 133, None, _FIX_1)], "open"),
+    ("GET with Content-Length 0, 0", _get(headers="Content-Length: 0, 0\r\n"),
+     [(200, None, 133, None, _FIX_1)], "open"),
     ("HTTP/1.0", _get(version="HTTP/1.0"), [(200, "close", 133, None, _FIX_1)], "closed"),
     ("HTTP/1.0 keep-alive", _get(version="HTTP/1.0", headers="Connection: keep-alive\r\n"),
      [(200, None, 133, None, _FIX_1)], "open"),
@@ -611,8 +701,17 @@ ANSWERS = [
      [(400, "close", 43, None, {"error": "Bad request syntax ('garbage')"})], "closed"),
     ("65,537-byte URI", b"GET /" + b"a" * 65_532,
      [(414, "close", len(json.dumps(_URI_TOO_LONG)), None, _URI_TOO_LONG)], "closed"),
+    ("65,536-byte head without a line end", b"GET /" + b"a" * (MAX_HEAD_BYTES - 5),
+     [(414, "close", len(json.dumps(_URI_TOO_LONG)), None, _URI_TOO_LONG)], "closed"),
     ("HTTP/9.9", b"GET /api/locations HTTP/9.9\r\n\r\n",
      [(505, "close", 39, None, {"error": "Invalid HTTP version (9.9)"})], "closed"),
+    ("HTTP/2.0", _get(version="HTTP/2.0"),
+     [(505, "close", 39, None, {"error": "Invalid HTTP version (2.0)"})], "closed"),
+    ("10-digit version part", _get(version="HTTP/1.0000000001"),
+     [(200, None, 133, None, _FIX_1)], "open"),
+    ("11-digit version part", _get(version="HTTP/1.00000000001"),
+     [(400, "close", 55, None, {"error": "Bad request version ('HTTP/1.00000000001')"})],
+     "closed"),
     ("HTTP/1", _get(version="HTTP/1"),
      [(400, "close", 43, None, {"error": "Bad request version ('HTTP/1')"})], "closed"),
     ("HTTP/0.9", b"GET /api/locations/latest?device_id=walker-1\r\n\r\n",
@@ -636,6 +735,10 @@ ANSWERS = [
     ("short body", _post("Content-Length: 10\r\n", b"{}", length=False),
      [(408, "close", 70, None, {"error": "request body did not arrive within 0.3 s",
                                 "field": "body"})], "closed"),
+    ("request line cut short", _get()[:20], [(408, "close", 70, None, _HEAD_LATE)], "closed"),
+    ("head cut short", _get()[:-2], [(408, "close", 70, None, _HEAD_LATE)], "closed"),
+    ("POST head cut short", _post()[:-len(_FIX_BODY) - 2],
+     [(408, "close", 70, None, _HEAD_LATE)], "closed"),
     ("pipelined GET, POST, GET", _get() + _post() + _get(),
      [(200, None, 133, None, _FIX_1), (201, None, 133, None, _FIX_2),
       (200, None, 133, None, _FIX_2)], "open"),
@@ -666,15 +769,18 @@ ANSWERS = [
 ]
 
 
-def read_replies(sock, count: int, head: bool = False) -> list:
-    """The next `count` replies on sock, each as (status, Connection,
-    Content-Length, Allow, body).  The body is decoded JSON, or b"" when
-    the reply has none (a 100 Continue, or the reply to a HEAD); every reply
-    but a 100 Continue says it is JSON."""
+def read_replies(sock, count=None, head: bool = False) -> list:
+    """The next `count` replies on sock, or (count None) every reply until
+    the server closes it, each as (status, Connection, Content-Length,
+    Allow, body).  The body is decoded JSON, or b"" when the reply has none
+    (a 100 Continue, or the reply to a HEAD); every reply but a 100 Continue
+    says it is JSON."""
     buf, replies = b"", []
-    while len(replies) < count:
+    while count is None or len(replies) < count:
         while b"\r\n\r\n" not in buf:
             chunk = sock.recv(65536)
+            if not (chunk or buf or count):
+                return replies
             assert chunk, (replies, buf)
             buf += chunk
         top, _, buf = buf.partition(b"\r\n\r\n")
@@ -695,24 +801,114 @@ def read_replies(sock, count: int, head: bool = False) -> list:
     return replies
 
 
+@pytest.fixture(scope="module")
+def answer_server():
+    """One server for every answer-table exchange, which gives up on a
+    request after 0.3 s; each exchange sets its own store."""
+    with in_process_server(TrackService(TrackStore()), timeout_s=0.3) as httpd:
+        yield httpd
+
+
+def fresh_store(httpd) -> None:
+    """Serve a new store holding one fix of walker-1 (id 1) from now on."""
+    service = TrackService(TrackStore())
+    service.insert_fix(good_fix())
+    httpd.service = service
+    httpd.replies.clear()
+
+
+def answer(httpd, pieces: list, replies, then) -> None:
+    """Send `pieces` on one connection to a fresh store, a moment apart so
+    that each arrives in a read of its own, and check the replies and how
+    the connection stands after them."""
+    fresh_store(httpd)
+    with socket.create_connection(("127.0.0.1", httpd.server_address[1]), timeout=2.0) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i, piece in enumerate(pieces):
+            if i:
+                time.sleep(0.002)
+            try:
+                sock.sendall(piece)
+            except (BrokenPipeError, ConnectionResetError):  # refused before the rest came
+                break
+        head = b"".join(pieces).startswith(b"HEAD ")
+        assert read_replies(sock, len(replies), head) == replies
+        if then == "closed":
+            assert sock.recv(65536) == b""
+        else:  # the next request is read from where the last one ended
+            sock.sendall(_get("/api/nope"))
+            assert read_replies(sock, 1) == [(404, None, 29, None,
+                                              {"error": "no such resource"})]
+
+
 @pytest.mark.parametrize("request_bytes, replies, then",
                          [row[1:] for row in ANSWERS], ids=[row[0] for row in ANSWERS])
-def test_the_answer_table(tmp_path, request_bytes, replies, then):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
-    service.insert_fix(good_fix())
-    with in_process_server(service, timeout_s=0.3) as httpd:
-        with socket.create_connection(("127.0.0.1", httpd.server_address[1]), timeout=2.0) as sock:
-            sock.sendall(request_bytes)
-            head = request_bytes.startswith(b"HEAD ")
-            assert read_replies(sock, len(replies), head) == replies
-            if then == "closed":
-                assert sock.recv(65536) == b""
-            else:  # the next request is read from where the last one ended
-                sock.sendall(_get("/api/nope"))
-                assert read_replies(sock, 1) == [(404, None, 29, None,
-                                                  {"error": "no such resource"})]
-    store.close()
+def test_the_answer_table(answer_server, request_bytes, replies, then):
+    answer(answer_server, [request_bytes], replies, then)
+
+
+@pytest.mark.parametrize("request_bytes, replies, then",
+                         [row[1:] for row in ANSWERS], ids=[row[0] for row in ANSWERS])
+@settings(max_examples=2, derandomize=True, deadline=None, database=None)
+@given(cuts=st.data())
+def test_an_answer_is_the_same_when_its_request_comes_in_pieces(answer_server, request_bytes,
+                                                                replies, then, cuts):
+    ends = cuts.draw(st.lists(st.integers(1, max(1, len(request_bytes) - 1)), min_size=1,
+                              max_size=3, unique=True).map(sorted), label="cuts")
+    bounds = [0, *ends, len(request_bytes)]
+    pieces = [request_bytes[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    answer(answer_server, pieces, replies, then)
+
+
+# Bytes that make a head go wrong in many ways, and a few that keep it whole.
+_HOSTILE = st.sampled_from([b"\r", b"\n", b"\r\n", b"\r\n\r\n", b":", b" ", b"\t", b",",
+                            b"\x00", b"\xff", b"0", b"9" * 20, b"-", b"/", b"HTTP/", b"HTTP/1.1",
+                            b"Content-Length: ", b"Content-Length: 2, 3\r\n",
+                            b"Transfer-Encoding: chunked\r\n", b"Connection: close\r\n",
+                            b"Expect: 100-continue\r\n", b"a" * 70_000]) | st.binary(max_size=4)
+_EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                            st.integers(0, 1000), st.integers(1, 8), _HOSTILE),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(request=st.sampled_from([_get(), _post(), _post("Expect: 100-continue\r\n"),
+                                _get("/api/locations?device_id=walker-1&limit=5",
+                                     headers="Connection: keep-alive\r\n", version="HTTP/1.0")]),
+       edits=_EDITS)
+def test_a_mutated_head_gets_json_replies_but_no_500_and_the_server_serves_on(
+        answer_server, request, edits):
+    head_end = request.index(b"\r\n\r\n") + 4
+    head, body = bytearray(request[:head_end]), request[head_end:]
+    for kind, at, width, data in edits:
+        at %= len(head) + 1
+        if kind == "insert":
+            head[at:at] = data
+        elif kind == "delete":
+            del head[at:at + width]
+        else:
+            head[at:at + len(data)] = data
+    fresh_store(answer_server)
+    failures = []
+    answer_server.report_error = failures.append
+    try:
+        address = ("127.0.0.1", answer_server.server_address[1])
+        with socket.create_connection(address, timeout=2.0) as sock:
+            try:
+                sock.sendall(bytes(head) + body)
+                sock.shutdown(socket.SHUT_WR)  # so a request left unfinished is not waited for
+            except (BrokenPipeError, ConnectionResetError):  # refused before it was all sent
+                pass
+            replies = read_replies(sock, head=head.startswith(b"HEAD "))  # a hang times out
+        event(f"replies {[reply[0] for reply in replies]}")
+        for status, _, _, _, reply in replies:
+            assert status != 500 and (status < 400 or isinstance(reply["error"], str)), reply
+        with socket.create_connection(address, timeout=2.0) as sock:
+            sock.sendall(_get())
+            assert read_replies(sock, 1)[0][0] == 200
+    finally:
+        del answer_server.report_error
+    assert failures == []
 
 
 def test_allow_names_the_routes_the_handler_defines():
