@@ -206,9 +206,8 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
     of them fall in the empty segment the channel's echo source already
     holds: the round is booked without calling acquire_distance (no echo,
     and the clock moved by the round's length), which is what polling
-    gives, with no segment looked up early.  A pass of three such rounds
-    lasts 3 * max_sample_attempts * sample_period_ms; the run loop books the
-    quiet passes after one in a single step (see harness.run_scenario).
+    gives, with no segment looked up early.  Whole passes of such rounds
+    are booked in one step by book_quiet_passes.
     """
     last_frame_ms = state.last_frame_ms
     quiet_until = state.quiet_until
@@ -242,7 +241,34 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
     return rounds
 
 
+def book_quiet_passes(state: FirmwareState, clock: VirtualClock, starts_before: int,
+                      ends_before: float,
+                      cfg: FirmwareConfig = FirmwareConfig()) -> list[tuple[int, Channel]]:
+    """Book the whole passes from the clock's time on in which firmware_tick
+    would book every round, each starting before starts_before and ending
+    before ends_before: move the clock past them and return each round's
+    (end time, channel) in time order; polled, each would get no echo.  An
+    alerting channel's quiet_until is stale and books nothing."""
+    period = cfg.sample_period_ms
+    round_ms = cfg.max_sample_attempts * period
+    pass_ms = len(Channel) * round_ms
+    # Round i of a pass ends round_ms * (i + 1) after the pass starts, and its
+    # last poll comes one period before that; it must fall before quiet_until.
+    ends = [(round_ms * (i + 1), channel) for i, channel in enumerate(Channel)]
+    latest = min(starts_before, ends_before - pass_ms,
+                 *(until - end + period for until, (end, _) in zip(state.quiet_until, ends)))
+    start = clock.now()
+    passes = -((start - latest) // pass_ms)  # starts start, start + pass_ms, ... before latest
+    if passes <= 0:
+        return []
+    clock.advance(passes * pass_ms)
+    return [(pass_start + end, channel)
+            for pass_start in range(start, start + passes * pass_ms, pass_ms)
+            for end, channel in ends]
+
+
 __all__ = [
     "NoEchoError", "FirmwareConfig", "ChannelRound", "FirmwareState", "pulses_to_cm",
     "gate_valid", "median9", "acquire_distance", "encode_message", "firmware_tick",
+    "book_quiet_passes",
 ]

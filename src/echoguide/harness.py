@@ -28,7 +28,7 @@ from .app import (
 from .clock import VirtualClock
 from .config import SystemConfig
 from .errors import ScenarioError
-from .firmware import FirmwareState, NoEchoError, acquire_distance, firmware_tick
+from .firmware import FirmwareState, NoEchoError, acquire_distance, book_quiet_passes, firmware_tick
 from .jsonread import bounded_rule, choice_rule, list_rule, load_json, object_rule, read_json
 from .link import LinkBuffer
 from .server import FixValidationError, StorageError, TrackService, TrackStore
@@ -78,16 +78,9 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     seed raises ValueError: random.Random would seed with its absolute value
     and replay the positive seed's walk.
 
-    The loop steps one firmware pass at a time, except that after a pass
-    with no echo on any channel it books the quiet passes that follow in
-    one step: their no_echo events at the times polling would give, and one
-    clock advance.  It stops short of the next segment with a target or a
-    new surface or weather, user event, upload and duration_ms, so the
-    trace, every lookup and any ConfigError are those of pass-by-pass polling.
-    Within a pass, firmware_tick books each quiet channel's round alike.  A
-    measurement takes its true distance, surface and weather from the
-    segment its round drew from, and looks them up only when the round
-    ended at or past that segment's end.
+    Each step runs one firmware pass; after one with no echo on any channel,
+    firmware.book_quiet_passes books the quiet passes that follow.  A
+    measurement's truth is its echo source's (world.ChannelEcho.truth_at).
     """
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -101,6 +94,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     trace = TraceLog()
     add = trace.add
     fw_state = FirmwareState()
+    fw_config = config.firmware
     app = AssistiveApp(config.app)
     uploader = Uploader(config.app.upload_interval_ms)
     link = LinkBuffer()
@@ -173,36 +167,6 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         for attempt in uploader.tick(now, duration, fix_at, deliver):
             add(ev_upload(attempt))
 
-    # A pass with nothing in range: each round spends every poll, so round i
-    # (in Channel order) ends round_ms * (i + 1) after the pass starts, and its
-    # last poll comes one sample period before that.
-    fw_config = config.firmware
-    round_ms = fw_config.max_sample_attempts * fw_config.sample_period_ms
-    pass_ms = len(Channel) * round_ms
-    round_ends = [(channel, round_ms * (i + 1)) for i, channel in enumerate(Channel)]
-    quiet_until = fw_state.quiet_until  # in Channel order
-
-    def book_quiet_passes() -> None:
-        """After a pass whose three rounds got no echo: book the whole passes
-        that follow in which every poll falls in a channel's empty segment,
-        each ending before the next user event and upload and starting
-        before duration_ms.  Polled one by one, they would add only these
-        no_echo events: the app steps after them would have nothing to do."""
-        start = clock.now()
-        latest = [duration]  # every booked pass starts before each of these
-        latest += [until - end + fw_config.sample_period_ms
-                   for until, (_, end) in zip(quiet_until, round_ends)]
-        if next_event < len(events):
-            latest.append(events[next_event].t_ms - pass_ms)
-        if uploader.next_due_ms <= duration:  # a later due instant never fires
-            latest.append(uploader.next_due_ms - pass_ms)
-        passes = -((start - min(latest)) // pass_ms)  # starts start, start + pass_ms, ...
-        if passes > 0:
-            for pass_start in range(start, start + passes * pass_ms, pass_ms):
-                for channel, end in round_ends:
-                    add(ev_no_echo(pass_start + end, channel))
-            clock.advance(passes * pass_ms)
-
     # One step: firmware pass -> its trace events and frames -> the link ->
     # the app, then the quiet passes after it, if it had nothing in range.
     # The app also takes one step at t=0, before the first pass.
@@ -216,12 +180,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
                 if distance_cm is None:
                     add(ev_no_echo(t_ms, channel))
                     no_echo += 1
-                elif t_ms < echo.until:  # the round ended in the segment it drew from
-                    add(ev_measurement(t_ms, channel, distance_cm, *echo.truth))
                 else:
-                    add(ev_measurement(t_ms, channel, distance_cm,
-                                       script.channels[channel].at(t_ms),
-                                       script.surface.at(t_ms), script.weather.at(t_ms)))
+                    add(ev_measurement(t_ms, channel, distance_cm, *echo.truth_at(t_ms)))
                 if alerting:
                     add(ev_alert(t_ms, channel, distance_cm))
                 if motor_changed:
@@ -233,8 +193,15 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             # The link is lossless and every frame is whole, so it delivers
             # exactly this pass's frames; after a pass that sent none it is empty.
             app_step(list(zip(sent, link.deframe(), strict=True)) if sent else [])
-            if no_echo == len(round_ends):
-                book_quiet_passes()
+            if no_echo == len(echoes):
+                # Polled one by one, the quiet passes that end before the next user
+                # event and upload (none fires after duration_ms) would add only these.
+                ends_before = events[next_event].t_ms if next_event < len(events) else math.inf
+                if uploader.next_due_ms <= duration:
+                    ends_before = min(ends_before, uploader.next_due_ms)
+                for t_ms, channel in book_quiet_passes(fw_state, clock, duration, ends_before,
+                                                       fw_config):
+                    add(ev_no_echo(t_ms, channel))
     finally:
         store.close()
 

@@ -40,6 +40,7 @@ import atexit
 import functools
 import json
 import math
+import select
 import socket
 import sys
 import threading
@@ -214,10 +215,10 @@ def _get_reply(url: str, timeout: float) -> tuple[int, str, bytes]:
     """Status, reason phrase and body of a GET, over an idle connection to
     the same server when there is one.
 
-    Only a connection taken from the idle list is tried again, on a new
-    connection and once, and only when it ends before any byte of a reply
-    arrives: the server may have closed it while it sat idle.  A connection
-    goes back to the idle list only after a whole reply that leaves it open.
+    A readable idle connection is closed unused.  An idle one that ends
+    before any byte of a reply (the server may have closed it while idle)
+    is tried again once, on a new connection.  A connection goes back to
+    the idle list only after a whole reply that leaves it open.
     """
     parts = urlsplit(url)
     https = parts.scheme == "https"
@@ -233,6 +234,9 @@ def _get_reply(url: str, timeout: float) -> tuple[int, str, bytes]:
     with _idle_lock:
         idle = _idle.get(key)
         sock = idle.pop() if idle else None
+    if sock is not None and select.select([sock], [], [], 0)[0]:
+        sock.close()  # bytes or an EOF that came while it sat idle answer no request of ours
+        sock = None
     try:
         if sock is not None:
             sock.settimeout(timeout)

@@ -295,11 +295,6 @@ class ChannelEcho:
     reused until a later poll leaves it.  Past duration_ms the world holds its
     final state, so the last segment never ends.
 
-    `until` is the current segment's end and `truth` its (true_cm, surface,
-    weather), the timelines' values at every instant before `until`: a
-    measurement round that ends before `until` reads its truth here, with no
-    lookup.
-
     `sample` draws one reading from (true distance, params, rng), as
     sample_echo does.  For sample_echo itself a segment draws through one
     echo_sampler closure, whose take draws a round's polls in the segment
@@ -313,15 +308,15 @@ class ChannelEcho:
         self._calibration = calibration
         self._rng = rng
         self._sample = sample
-        self.until: float = 0  # time never goes back
-        self.truth: tuple = (None, None, None)
+        self._until: float = 0  # the current segment's end; time never goes back
+        self._truth: tuple = (None, None, None)  # its (true_cm, surface, weather)
         self._segment: tuple = (None, 0)  # cached (draw, until)
 
     def segment(self, t_ms: int) -> tuple[Optional[Callable[[], int]], float]:
         """(draw, until_ms) for the segment holding t_ms.  draw() takes one
         reading, or is None while the channel is empty; until_ms is the
         segment's end, math.inf for the last one."""
-        if t_ms >= self.until:
+        if t_ms >= self._until:
             steps = [timeline.step_at(t_ms) for timeline in self._timelines]
             (true_cm, _), (surface, _), (weather, _) = steps
             params = noise_params_for(surface, weather, self._calibration)
@@ -334,10 +329,18 @@ class ChannelEcho:
                 # counts polls by wrapping harness.sample_echo.  This path
                 # goes once runs count their own polls (ROADMAP items 1 and 6).
                 draw = partial(self._sample, true_cm, params, self._rng)
-            self.until = min((nxt for _, nxt in steps if nxt is not None), default=math.inf)
-            self.truth = (true_cm, surface, weather)
-            self._segment = (draw, self.until)
+            self._until = min((nxt for _, nxt in steps if nxt is not None), default=math.inf)
+            self._truth = (true_cm, surface, weather)
+            self._segment = (draw, self._until)
         return self._segment
+
+    def truth_at(self, t_ms: int) -> tuple:
+        """(true_cm, surface, weather) at t_ms, the end of a round that drew from
+        the current segment: the segment's own before its end, else looked up."""
+        if t_ms < self._until:
+            return self._truth
+        channel, surface, weather = self._timelines
+        return channel.at(t_ms), surface.at(t_ms), weather.at(t_ms)
 
 
 # ---------------------------------------------------------------------------

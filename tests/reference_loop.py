@@ -3,11 +3,10 @@
 Every poll looks up a segment of one poll: it reads the channel, surface
 and weather timelines and the calibration at the clock's time, and the
 acquisition loop draws from it once, empty channel or not.  Its rounds
-never report an empty segment's end, so neither the firmware nor the run
-loop ever books a quiet round or pass; and its truth always expires, so
-the run loop looks up every measurement's truth.  The simulator's
-skip-ahead loop must give the same traces, clocks and errors; see
-test_differential.py.
+never report an empty segment's end, so the firmware never books a quiet
+round or pass; and every measurement's truth is looked up on the
+timelines.  The simulator's skip-ahead loop must give the same traces,
+clocks and errors; see test_differential.py.
 """
 
 from __future__ import annotations
@@ -28,14 +27,16 @@ def naive_sensor(script, channel, calibration, rng, sample=sample_echo):
     """Drop-in for world.ChannelEcho: looks everything up on every poll.
 
     segment(t) is the one poll at t.  Its draw calls sample, which gives
-    None for an empty channel.  Its truth has expired before any round
-    ends (until stays 0), so the run loop looks up every measurement's true
-    distance, surface and weather at the round's end.
+    None for an empty channel.  truth_at(t) looks up the true distance,
+    surface and weather at every measurement's end.
     """
     def segment(t):
         params = noise_params_for(script.surface.at(t), script.weather.at(t), calibration)
         return partial(sample, script.channels[channel].at(t), params, rng), t + 1
-    return SimpleNamespace(segment=segment, until=0, truth=None)
+
+    def truth_at(t):
+        return script.channels[channel].at(t), script.surface.at(t), script.weather.at(t)
+    return SimpleNamespace(segment=segment, truth_at=truth_at)
 
 
 def naive_acquire_distance(channel, segment, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:

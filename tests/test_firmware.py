@@ -20,6 +20,7 @@ from echoguide.firmware import (
     FirmwareState,
     NoEchoError,
     acquire_distance,
+    book_quiet_passes,
     encode_message,
     firmware_tick,
     gate_valid,
@@ -489,6 +490,26 @@ def test_tick_books_a_round_whose_every_poll_falls_before_quiet_until(quiet_unti
     assert ground == ChannelRound(Channel.GROUND, 500, None, alerting=False,
                                   motor_changed=False, frame=None)
     assert state.quiet_until[0] == (quiet_until if polls == 0 else 491)
+
+
+@pytest.mark.parametrize("starts_before, ends_before, right_quiet_until, passes", [
+    (9000, 4500, math.inf, 0), (9000, 4501, math.inf, 1),  # the pass would end on the next event
+    (3000, math.inf, math.inf, 0), (3001, math.inf, math.inf, 1),  # it would start on duration_ms
+    (9000, math.inf, 4490, 0), (9000, math.inf, 4491, 1),  # its last poll falls on quiet_until
+    (9000, math.inf, 0, 0),  # a stale quiet_until
+    (6001, math.inf, math.inf, 3),
+])
+def test_a_quiet_pass_is_booked_only_when_it_keeps_every_bound(starts_before, ends_before,
+                                                                right_quiet_until, passes):
+    # A pass from 3000 ms has rounds ending at 3500, 4000 and 4500 ms; the
+    # right round's last poll falls at 4490 ms.  The passes after it start
+    # 1500 ms apart.
+    state = FirmwareState(quiet_until=[math.inf, math.inf, right_quiet_until])
+    clock = VirtualClock(3000)
+    booked = book_quiet_passes(state, clock, starts_before, ends_before)
+    assert booked == [(3000 + 1500 * p + end, channel) for p in range(passes)
+                      for end, channel in zip((500, 1000, 1500), Channel)]
+    assert clock.now() == 3000 + 1500 * passes
 
 
 def test_round_by_keyword_equals_round_by_position():

@@ -10,6 +10,7 @@ import tempfile
 
 import pytest
 
+from echoguide import harness
 from echoguide.cli import main as sim_main
 from echoguide.config import SystemConfig
 from echoguide.errors import ConfigError, ScenarioError
@@ -124,6 +125,21 @@ def test_upload_count_follows_duration_and_interval():
         "2015-06-01T00:05:00Z", "2015-06-01T00:10:00Z",
         "2015-06-01T00:15:00Z", "2015-06-01T00:20:00Z",
     ]
+
+
+@pytest.mark.parametrize("duration_ms, polled_passes, uploads", [(299_000, 1, 0), (300_000, 2, 1)])
+def test_an_upload_due_after_the_walk_does_not_bound_the_quiet_passes_booked(
+        monkeypatch, duration_ms, polled_passes, uploads):
+    # Nothing is in range, so after the first pass the firmware books the
+    # passes that follow.  The upload due at 300 s fires only in a walk that
+    # lasts that long: there the pass that ends on it is polled, and its app
+    # step sends the fix.  In the shorter walk it bounds nothing.
+    passes = []
+    tick = harness.firmware_tick
+    monkeypatch.setattr(harness, "firmware_tick", lambda *args: passes.append(1) or tick(*args))
+    trace = run_scenario(make_script(duration_ms=duration_ms))
+    assert len(passes) == polled_passes
+    assert [upload["t"] for upload in trace.kind("upload")] == [300_000] * uploads
 
 
 def test_offline_window_queues_then_flushes_in_order(tmp_path):

@@ -758,6 +758,10 @@ ANSWERS = [
      [(400, "close", 87, None, _CL)], "closed"),
     ("GET an unknown path", _get("/api/nope"),
      [(404, None, 29, None, {"error": "no such resource"})], "open"),
+    ("GET an unknown path over HTTP/1.0", _get("/api/nope", version="HTTP/1.0"),
+     [(404, "close", 29, None, {"error": "no such resource"})], "closed"),
+    ("GET an unknown path with Connection: close", _get("/api/nope", headers="Connection: close\r\n"),
+     [(404, "close", 29, None, {"error": "no such resource"})], "closed"),
     ("GET without device_id", _get("/api/locations/latest"),
      [(400, None, 74, None, {"error": "query parameter 'device_id' is required",
                              "field": "device_id"})], "open"),
@@ -817,12 +821,20 @@ def fresh_store(httpd) -> None:
     httpd.replies.clear()
 
 
+def serves_on(sock) -> None:
+    """A request on sock is read and answered."""
+    sock.sendall(_get("/api/nope"))
+    assert read_replies(sock, 1) == [(404, None, 29, None, {"error": "no such resource"})]
+
+
 def answer(httpd, pieces: list, replies, then) -> None:
     """Send `pieces` on one connection to a fresh store, a moment apart so
     that each arrives in a read of its own, and check the replies and how
-    the connection stands after them."""
+    the connection stands after them; after one that closed, the server
+    still answers on a new connection."""
     fresh_store(httpd)
-    with socket.create_connection(("127.0.0.1", httpd.server_address[1]), timeout=2.0) as sock:
+    address = ("127.0.0.1", httpd.server_address[1])
+    with socket.create_connection(address, timeout=2.0) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         for i, piece in enumerate(pieces):
             if i:
@@ -833,12 +845,12 @@ def answer(httpd, pieces: list, replies, then) -> None:
                 break
         head = b"".join(pieces).startswith(b"HEAD ")
         assert read_replies(sock, len(replies), head) == replies
-        if then == "closed":
-            assert sock.recv(65536) == b""
-        else:  # the next request is read from where the last one ended
-            sock.sendall(_get("/api/nope"))
-            assert read_replies(sock, 1) == [(404, None, 29, None,
-                                              {"error": "no such resource"})]
+        if then == "open":  # the next request is read from where the last one ended
+            serves_on(sock)
+            return
+        assert sock.recv(65536) == b""
+    with socket.create_connection(address, timeout=2.0) as sock:
+        serves_on(sock)
 
 
 @pytest.mark.parametrize("request_bytes, replies, then",

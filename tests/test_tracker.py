@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import select
 import shutil
 import socket
 import ssl
@@ -531,12 +532,13 @@ def test_a_malformed_reply_after_a_good_one_to_the_same_url_is_refused(stub_serv
 
 class RawStub:
     """A server that answers the requests on each connection with `replies`
-    in turn, bytes as they are.  After the last one it closes the connection
-    if `close` is set (with a reset if `reset` is) and else holds it open
-    until stopped.  `heads` collects the request heads it reads."""
+    in turn, bytes as they are, and then sends `stray` unasked, 0.1 s later.
+    After that it closes the connection if `close` is set (with a reset if
+    `reset` is) and else holds it open until stopped.  `heads` collects the
+    request heads it reads."""
 
-    def __init__(self, replies, close=False, host="127.0.0.1", reset=False):
-        self.replies, self.close, self.reset = replies, close or reset, reset
+    def __init__(self, replies, close=False, host="127.0.0.1", reset=False, stray=b""):
+        self.replies, self.close, self.reset, self.stray = replies, close or reset, reset, stray
         self.heads, self.held = [], []
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self.listener = socket.create_server((host, 0), family=family)
@@ -562,6 +564,9 @@ class RawStub:
                         head += data
                     self.heads.append(head)
                     conn.sendall(reply)
+                if self.stray:
+                    time.sleep(0.1)
+                    conn.sendall(self.stray)
             except OSError:  # the client gave up on a reply it refused
                 pass
             if self.reset:
@@ -841,6 +846,20 @@ def test_an_idle_connection_reset_after_part_of_a_reply_is_not_retried(raw_stub)
         fetch_latest(stub.server, "walker-1")
     assert len(stub.heads) == 2  # both on the one connection: no retry
     assert not tracker._idle.get(stub.key)
+
+
+def test_an_idle_connection_that_got_stray_bytes_is_not_reused(raw_stub):
+    # An unasked 404 arrives on the idle connection after the first fetch;
+    # reading it as the reply to the next GET would report no fix.
+    stub = raw_stub(fixed_length(), stray=fixed_length(status="HTTP/1.1 404 Not Found",
+                                                        body=b'{"error": "no fix"}'))
+    assert fetch_latest(stub.server, "walker-1") == reply_fix()
+    [first] = tracker._idle[stub.key]
+    assert select.select([first], [], [], 5.0)[0]  # the stray reply has come
+    assert fetch_latest(stub.server, "walker-1") == reply_fix()
+    [second] = tracker._idle[stub.key]
+    assert first.fileno() == -1 and second is not first  # the fix came over a new connection
+    assert len(stub.heads) == 2
 
 
 def test_a_204_has_no_body_and_keeps_its_connection(raw_stub):

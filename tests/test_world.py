@@ -184,6 +184,26 @@ def test_channel_echo_clamps_past_duration():
     assert script.surface.at(1600) is SurfaceKind.CONCRETE
 
 
+@pytest.mark.parametrize("t_ms, truth, lookups", [
+    (300, (80, SurfaceKind.TILES, Weather.DRY), []),
+    (301, (None, SurfaceKind.CONCRETE, Weather.DRY), [301] * 3),
+], ids=["before the segment's end", "at its end"])
+def test_truth_at_is_the_segments_before_its_end_and_looked_up_from_it(monkeypatch, t_ms, truth,
+                                                                       lookups):
+    script = make_script(
+        duration_ms=1000,
+        channels={"left": [{"t": 0, "distance_cm": 80}, {"t": 301, "distance_cm": None}]},
+        surface=[{"t": 0, "value": "tiles"}, {"t": 301, "value": "concrete"}],
+    )
+    echo = ChannelEcho(script, Channel.LEFT, DEFAULT_CALIBRATION, random.Random(1))
+    assert echo.segment(0)[1] == 301
+    at, looked_up = StepTimeline.at, []
+    monkeypatch.setattr(StepTimeline, "at",
+                        lambda timeline, t: looked_up.append(t) or at(timeline, t))
+    assert echo.truth_at(t_ms) == truth
+    assert looked_up == lookups  # channel, surface and weather
+
+
 # -- scenario validation ---------------------------------------------------------
 
 
