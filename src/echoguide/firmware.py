@@ -215,19 +215,21 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
     round_ms = cfg.max_sample_attempts * cfg.sample_period_ms
     last_poll_ms = round_ms - cfg.sample_period_ms  # from the round's start
     thresholds = (cfg.ground_alert_cm, cfg.left_alert_cm, cfg.right_alert_cm)  # Channel order
+    new_round = tuple.__new__  # what ChannelRound._make calls, without its generated __new__
     rounds = []
+    t_ms = clock.now()  # when the previous round ended: the next one starts then
     for i, (channel, message) in enumerate(_PASS_CHANNELS):
         last = last_frame_ms[i]
-        if clock.now() + last_poll_ms < quiet_until[i]:
-            clock.advance(round_ms)
+        if t_ms + last_poll_ms < quiet_until[i]:
+            t_ms = clock.advance(round_ms)
             distance: Optional[int] = None
         else:
-            try:
+            try:  # looked up on this module at each call, where it may be replaced
                 distance = acquire_distance(channel, echoes[i], clock, cfg)
             except NoEchoError as exc:
                 distance = None
                 quiet_until[i] = exc.quiet_until
-        t_ms = clock.now()
+            t_ms = clock.now()
         alerting = distance is not None and distance < thresholds[i]
         frame = None
         if not alerting:
@@ -236,8 +238,8 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
         elif last is None or t_ms - last >= repeat_ms:
             frame = message
             last_frame_ms[i] = t_ms
-        rounds.append(ChannelRound(channel, t_ms, distance, alerting, alerting != (last is not None),
-                                   frame))
+        rounds.append(new_round(ChannelRound, (channel, t_ms, distance, alerting,
+                                               alerting != (last is not None), frame)))
     return rounds
 
 

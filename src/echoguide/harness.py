@@ -78,9 +78,11 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     seed raises ValueError: random.Random would seed with its absolute value
     and replay the positive seed's walk.
 
-    Each step runs one firmware pass; after one with no echo on any channel,
-    firmware.book_quiet_passes books the quiet passes that follow.  A
-    measurement's truth is its echo source's (world.ChannelEcho.truth_at).
+    Each step runs one firmware pass, and steps the app only after a pass
+    that sent frames or once the app's next event is due; after a pass with
+    no echo on any channel, firmware.book_quiet_passes books the quiet
+    passes that follow.  A measurement's truth is its echo source's
+    (world.ChannelEcho.truth_at).
     """
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -130,11 +132,20 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         add(ev_server_ack(due_ms, record.id, record.device_id, record.timestamp))
         return record.id
 
+    def next_app_ms() -> float:
+        """When the app next has something to do without a token: the next
+        user event, or the next upload that fires (none fires after
+        duration_ms)."""
+        due = events[next_event].t_ms if next_event < len(events) else math.inf
+        if uploader.next_due_ms <= duration:
+            due = min(due, uploader.next_due_ms)
+        return due
+
     def app_step(inputs: list) -> None:
         """Feed the app `inputs`, the (t_ms, token) pairs the link just
         delivered, and the user events now due, in time order; then run the
-        uploader up to now."""
-        nonlocal next_event
+        uploader up to now, and work out when the app next has work."""
+        nonlocal next_event, next_app
         now = clock.now()
         horizon = min(now, duration)
         while next_event < len(events) and events[next_event].t_ms <= horizon:
@@ -166,12 +177,17 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
                     add(ev_set_muted(t_ms, action.muted))
         for attempt in uploader.tick(now, duration, fix_at, deliver):
             add(ev_upload(attempt))
+        next_app = next_app_ms()
 
     # One step: firmware pass -> its trace events and frames -> the link ->
     # the app, then the quiet passes after it, if it had nothing in range.
-    # The app also takes one step at t=0, before the first pass.
+    # The app steps only when it has work: after a pass that sent frames, or
+    # once its next event is due (also at t=0, before the first pass).  Any
+    # other step would find no token, no user event and no upload.
     try:
-        app_step([])
+        next_app = next_app_ms()
+        if next_app <= min(clock.now(), duration):
+            app_step([])
         while clock.now() < duration:
             sent = []
             no_echo = 0
@@ -192,14 +208,12 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
                     sent.append(t_ms)
             # The link is lossless and every frame is whole, so it delivers
             # exactly this pass's frames; after a pass that sent none it is empty.
-            app_step(list(zip(sent, link.deframe(), strict=True)) if sent else [])
+            if sent or next_app <= min(clock.now(), duration):
+                app_step(list(zip(sent, link.deframe(), strict=True)) if sent else [])
             if no_echo == len(echoes):
-                # Polled one by one, the quiet passes that end before the next user
-                # event and upload (none fires after duration_ms) would add only these.
-                ends_before = events[next_event].t_ms if next_event < len(events) else math.inf
-                if uploader.next_due_ms <= duration:
-                    ends_before = min(ends_before, uploader.next_due_ms)
-                for t_ms, channel in book_quiet_passes(fw_state, clock, duration, ends_before,
+                # Polled one by one, the quiet passes that end before the app's
+                # next event would add only these.
+                for t_ms, channel in book_quiet_passes(fw_state, clock, duration, next_app,
                                                        fw_config):
                     add(ev_no_echo(t_ms, channel))
     finally:

@@ -10,7 +10,9 @@ order on ties.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Optional
+import json.encoder
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
 from .app import UploadAttempt
 from .errors import ScenarioError
@@ -22,13 +24,26 @@ from .world import Channel, SurfaceKind, Weather
 # separators=(",", ":")).
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
-# The hot kinds, written as json.dumps writes them when their event is
-# exactly what its ev_* function builds: these keys in this order, exact
-# ints (true_cm: None, an int or a finite float) and strings that are enum
-# values, which need no escaping.  Any other event goes through the encoder.
-_MEASUREMENT_KEYS = ("t", "kind", "channel", "measured_cm", "true_cm", "surface", "weather")
-_ALERT_KEYS = ("t", "kind", "channel", "distance_cm")
-_NO_ECHO_KEYS = ("t", "kind", "channel")
+
+def _encoder() -> Callable[[object], str]:
+    """_ENCODER.encode for the events of one to_jsonl call.  With json's C
+    encoder, it is built once, as encode builds it for every call, with its
+    own markers for the circular-reference check; without it, this is
+    _ENCODER.encode, on the pure-Python encoder."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _ENCODER.encode
+    e = _ENCODER
+    encode = make({}, e.default, json.encoder.encode_basestring, e.indent, e.key_separator,
+                  e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda event: "".join(encode(event, 0))
+
+
+# The hot kinds (no_echo, measurement and alert) are written as json.dumps
+# writes them when their event has exactly the keys its ev_* function gives
+# it, exact ints (true_cm: None, an int or a finite float) and strings that
+# are enum values, which need no escaping.  Any other event goes through the
+# encoder.
 _CHANNELS = frozenset(c.value for c in Channel)
 _SURFACES = frozenset(s.value for s in SurfaceKind)
 _WEATHERS = frozenset(w.value for w in Weather)
@@ -45,7 +60,7 @@ class TraceLog:
 
     def sort_by_time(self) -> None:
         """Stable sort by virtual time; same-time events keep insertion order."""
-        self.events.sort(key=lambda e: e["t"])
+        self.events.sort(key=itemgetter("t"))
 
     def kind(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["kind"] == kind]
@@ -57,39 +72,52 @@ class TraceLog:
         return iter(self.events)
 
     def to_jsonl(self) -> str:
-        encode = _ENCODER.encode
+        encode = _encoder()
         lines: list[str] = []
         append = lines.append
         for event in self.events:
-            keys = tuple(event)
-            if keys == _MEASUREMENT_KEYS:
-                t, kind, channel, measured, true_cm, surface, weather = event.values()
-                if (type(t) is int and type(measured) is int
-                        and (true_cm is None or type(true_cm) is int
-                             # finite: inf - inf and nan - nan are nan
-                             or type(true_cm) is float and true_cm - true_cm == 0.0)
-                        and type(kind) is str and kind == "measurement"
-                        and type(channel) is str and channel in _CHANNELS
-                        and type(surface) is str and surface in _SURFACES
-                        and type(weather) is str and weather in _WEATHERS):
-                    append(f'{{"channel":"{channel}","kind":"measurement",'
-                           f'"measured_cm":{measured},"surface":"{surface}","t":{t},'
-                           f'"true_cm":{"null" if true_cm is None else true_cm},'
-                           f'"weather":"{weather}"}}')
-                    continue
-            elif keys == _ALERT_KEYS:
-                t, kind, channel, distance = event.values()
-                if (type(t) is int and type(distance) is int and type(kind) is str
-                        and kind == "alert" and type(channel) is str and channel in _CHANNELS):
-                    append(f'{{"channel":"{channel}","distance_cm":{distance},'
-                           f'"kind":"alert","t":{t}}}')
-                    continue
-            elif keys == _NO_ECHO_KEYS:
-                t, kind, channel = event.values()
-                if (type(t) is int and type(kind) is str and kind == "no_echo"
-                        and type(channel) is str and channel in _CHANNELS):
-                    append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
-                    continue
+            # The key set is checked by its size and each key's presence: a
+            # value of the right type shows its key is there, and true_cm,
+            # which may be None, is looked for.  Values are read by key, as
+            # the line is sorted whatever the event's key order.
+            kind = event.get("kind")
+            if kind == "no_echo":
+                if len(event) == 3 and type(kind) is str:
+                    t = event.get("t")
+                    channel = event.get("channel")
+                    if type(t) is int and type(channel) is str and channel in _CHANNELS:
+                        append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
+                        continue
+            elif kind == "measurement":
+                if len(event) == 7 and type(kind) is str and "true_cm" in event:
+                    t = event.get("t")
+                    channel = event.get("channel")
+                    measured = event.get("measured_cm")
+                    true_cm = event["true_cm"]
+                    surface = event.get("surface")
+                    weather = event.get("weather")
+                    if (type(t) is int and type(measured) is int
+                            and (true_cm is None or type(true_cm) is int
+                                 # finite: inf - inf and nan - nan are nan
+                                 or type(true_cm) is float and true_cm - true_cm == 0.0)
+                            and type(channel) is str and channel in _CHANNELS
+                            and type(surface) is str and surface in _SURFACES
+                            and type(weather) is str and weather in _WEATHERS):
+                        append(f'{{"channel":"{channel}","kind":"measurement",'
+                               f'"measured_cm":{measured},"surface":"{surface}","t":{t},'
+                               f'"true_cm":{"null" if true_cm is None else true_cm},'
+                               f'"weather":"{weather}"}}')
+                        continue
+            elif kind == "alert":
+                if len(event) == 4 and type(kind) is str:
+                    t = event.get("t")
+                    channel = event.get("channel")
+                    distance = event.get("distance_cm")
+                    if (type(t) is int and type(distance) is int
+                            and type(channel) is str and channel in _CHANNELS):
+                        append(f'{{"channel":"{channel}","distance_cm":{distance},'
+                               f'"kind":"alert","t":{t}}}')
+                        continue
             append(encode(event))
         append("")  # the final newline; one join, with no second copy of the text
         return "\n".join(lines)

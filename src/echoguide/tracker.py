@@ -45,7 +45,7 @@ import socket
 import sys
 import threading
 from typing import Optional
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import quote_plus, urlsplit
 
 from .httploop import MAX_HEAD_BYTES, MAX_HEADER_LINES, add_field, closes, content_length
 from .jsonread import FIX_FIELDS, bounded_rule, list_rule, object_rule, read_json
@@ -77,10 +77,27 @@ _REPLY_FIX = object_rule({**FIX_FIELDS, "id": bounded_rule(int, 1, math.inf, "mu
 _REPLY_TRAIL = list_rule(_REPLY_FIX)
 
 
-def _base_url(server: str) -> str:
-    if server.startswith(("http://", "https://")):
-        return server.rstrip("/")
-    return "http://" + server.rstrip("/")
+@functools.lru_cache(maxsize=16)
+def _server(server: str) -> tuple[str, str, int, str]:
+    """What a --server string names, parsed once per string: the scheme, the
+    host (lower-cased, an IPv6 literal without its brackets), the port (by
+    default the scheme's) and the path the API's paths follow.  No scheme
+    means http://.  A string with no host, a bad or out-of-range port, or a
+    query or fragment (which would swallow the API's path) raises
+    ServerUnreachable."""
+    url = server.rstrip("/")
+    if not url.startswith(("http://", "https://")):
+        url = "http://" + url
+    if "?" in url or "#" in url:
+        raise ServerUnreachable(f"a server URL takes no query or fragment: {server!r}")
+    parts = urlsplit(url)
+    try:
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+    except ValueError as exc:  # a port that is not a number in 0..65535
+        raise ServerUnreachable(str(exc)) from None
+    if not parts.hostname:
+        raise ServerUnreachable("no host given")
+    return parts.scheme, parts.hostname, port, parts.path
 
 
 # Idle kept-alive connections by (scheme, host, port), most recently used last.
@@ -211,26 +228,20 @@ def _connect(host: str, port: int, https: bool, timeout: float) -> socket.socket
         raise
 
 
-def _get_reply(url: str, timeout: float) -> tuple[int, str, bytes]:
-    """Status, reason phrase and body of a GET, over an idle connection to
-    the same server when there is one.
+def _get_reply(server: str, target: str, timeout: float) -> tuple[int, str, bytes]:
+    """Status, reason phrase and body of a GET of `target` below the path
+    of `server` (see _server), over an idle connection to the same server
+    when there is one.
 
     A readable idle connection is closed unused.  An idle one that ends
     before any byte of a reply (the server may have closed it while idle)
     is tried again once, on a new connection.  A connection goes back to
     the idle list only after a whole reply that leaves it open.
     """
-    parts = urlsplit(url)
-    https = parts.scheme == "https"
-    try:
-        port = parts.port or (443 if https else 80)
-    except ValueError as exc:  # a port that is not a number in 0..65535
-        raise ServerUnreachable(str(exc)) from None
-    host = parts.hostname
-    if not host:
-        raise ServerUnreachable("no host given")
-    key = (parts.scheme, host, port)
-    request = _request(host, port, https, f"{parts.path}?{parts.query}")
+    scheme, host, port, path = _server(server)
+    key = (scheme, host, port)
+    https = scheme == "https"
+    request = _request(host, port, https, path + target)
     with _idle_lock:
         idle = _idle.get(key)
         sock = idle.pop() if idle else None
@@ -342,8 +353,8 @@ def _read(body: bytes, device_id: str, limit: Optional[int]) -> dict | list[dict
 
 def fetch_latest(server: str, device_id: str, timeout: float = 5.0) -> dict:
     """Latest fix for a device; raises NoFix (404), ServerUnreachable or BadReply."""
-    url = f"{_base_url(server)}/api/locations/latest?{urlencode({'device_id': device_id})}"
-    status, reason, body = _get_reply(url, timeout)
+    target = f"/api/locations/latest?device_id={quote_plus(device_id)}"
+    status, reason, body = _get_reply(server, target, timeout)
     if status == 404:
         raise NoFix(device_id)
     if status != 200:
@@ -353,9 +364,8 @@ def fetch_latest(server: str, device_id: str, timeout: float = 5.0) -> dict:
 
 def fetch_history(server: str, device_id: str, limit: int, timeout: float = 5.0) -> list[dict]:
     """Fix trail for a device, ascending by time; may be empty."""
-    query = urlencode({"device_id": device_id, "limit": limit})
-    url = f"{_base_url(server)}/api/locations?{query}"
-    status, reason, body = _get_reply(url, timeout)
+    target = f"/api/locations?device_id={quote_plus(device_id)}&limit={limit}"
+    status, reason, body = _get_reply(server, target, timeout)
     if status != 200:
         raise _unexpected(status, reason, body)
     return list(map(dict, _read(body, device_id, limit)))

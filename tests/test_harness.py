@@ -3,6 +3,7 @@ trace serialization, and the echoguide-sim command line."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import tempfile
 import pytest
 
 from echoguide import harness
+from echoguide.app import Uploader
 from echoguide.cli import main as sim_main
 from echoguide.config import SystemConfig
 from echoguide.errors import ConfigError, ScenarioError
@@ -22,6 +24,7 @@ from echoguide.harness import (
     load_expectations,
     run_scenario,
 )
+from echoguide.link import LinkBuffer
 from echoguide.server import TrackStore
 from echoguide.trace import TraceLog, ev_measurement
 from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
@@ -140,6 +143,71 @@ def test_an_upload_due_after_the_walk_does_not_bound_the_quiet_passes_booked(
     trace = run_scenario(make_script(duration_ms=duration_ms))
     assert len(passes) == polled_passes
     assert [upload["t"] for upload in trace.kind("upload")] == [300_000] * uploads
+
+
+def spy_app_steps(monkeypatch) -> list[tuple]:
+    """Log, in call order, each link drain as ("deframe", tokens) and each app
+    step as ("tick", now_ms, the upload due before the step), from now on."""
+    log: list[tuple] = []
+    deframe, tick = LinkBuffer.deframe, Uploader.tick
+
+    def spied_deframe(self):
+        tokens = deframe(self)
+        log.append(("deframe", len(tokens)))
+        return tokens
+
+    def spied_tick(self, now_ms, *args):
+        log.append(("tick", now_ms, self.next_due_ms))
+        return tick(self, now_ms, *args)
+
+    monkeypatch.setattr(LinkBuffer, "deframe", spied_deframe)
+    monkeypatch.setattr(Uploader, "tick", spied_tick)
+    return log
+
+
+@pytest.mark.parametrize("name", ["ground_obstacle", "offline_queue", "voice_call", "walk_20min"])
+def test_the_app_steps_only_for_tokens_a_due_user_event_or_a_due_upload(monkeypatch, name):
+    script = load_scenario(SCENARIO_DIR / f"{name}.json")
+    log = spy_app_steps(monkeypatch)
+    run_scenario(script)
+    event_times = [event.t_ms for event in script.user_events]
+    handled = -1  # the previous step handled the user events up to here
+    tokens = steps = 0
+    for entry in log:
+        if entry[0] == "deframe":  # drained for the step that follows it
+            tokens = entry[1]
+            continue
+        _, now_ms, upload_due = entry
+        horizon = min(now_ms, script.duration_ms)
+        user_event_due = any(handled < t <= horizon for t in event_times)
+        assert tokens or user_event_due or upload_due <= horizon, (steps, entry)
+        handled, tokens = horizon, 0
+        steps += 1
+    assert steps > 0
+
+
+def test_a_user_event_between_two_frameless_passes_is_handled_as_before(monkeypatch):
+    # Zero noise, a ground target at 200 cm (no alert) and then at 40 cm: a
+    # pass takes 1090 ms (a 90 ms ground round and two empty 500 ms side
+    # rounds), and only the passes that end at 4360 and 6540 ms send a
+    # frame.  The button press and the utterance fall between the frameless
+    # passes that end at 1090 and 2180 ms.
+    script = make_script(duration_ms=6000,
+                         channels={"ground": [{"t": 0, "distance_cm": 200},
+                                              {"t": 3000, "distance_cm": 40}]},
+                         user_events=[{"t": 1500, "kind": "button"},
+                                      {"t": 1600, "kind": "utterance", "text": "stop speaking"}])
+    log = spy_app_steps(monkeypatch)
+    trace = run_scenario(script, config=zero_noise_config())
+    # The app steps after the pass that ends first at or after the user events.
+    assert [entry[1] for entry in log if entry[0] == "tick"] == [2180, 4360, 6540]
+    assert [(e["t"], e["kind"]) for e in trace if e["kind"] not in ("no_echo", "measurement")] == [
+        (1500, "button"), (1600, "utterance"), (1600, "set_muted"), (3360, "alert"),
+        (3360, "motor"), (3360, "frame"), (3360, "decode"), (4450, "alert"), (5540, "alert"),
+        (5540, "frame"), (5540, "decode")]
+    # The bytes of the loop that stepped the app after every pass.
+    assert hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest() == \
+        "f6f3f3d1733a3ed1fb623e061503d603f3d228a1a1432749d7643c3ffd16dc2a"
 
 
 def test_offline_window_queues_then_flushes_in_order(tmp_path):

@@ -87,10 +87,11 @@ def test_shared_values_are_not_circular(monkeypatch, switch):
 def test_pure_python_encoder_gives_the_pinned_bytes(monkeypatch):
     pins = json.loads((REPO_ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
     c_encoder_off(monkeypatch)
-    walk = run_scenario(load_scenario(SCENARIO_DIR / "ground_obstacle.json"))
+    assert sorted(pins["bundled"]) == sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
+    for name, digest in pins["bundled"].items():
+        walk = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        assert hashlib.sha256(walk.to_jsonl().encode("utf-8")).hexdigest() == digest, name
     experiment = distance_error_experiment()
-    assert hashlib.sha256(walk.to_jsonl().encode("utf-8")).hexdigest() == \
-        pins["bundled"]["ground_obstacle"]
     assert hashlib.sha256(experiment.to_jsonl().encode("utf-8")).hexdigest() == \
         pins["experiment"]["trace"]
 
@@ -150,7 +151,7 @@ def test_pristine_hot_events_do_not_reach_the_encoder():
     def no_encoder(event):
         raise AssertionError(f"encoded {event}")
 
-    with mock.patch.object(trace._ENCODER, "encode", no_encoder):
+    with mock.patch.object(trace, "_encoder", lambda: no_encoder):
         assert TraceLog(PRISTINE).to_jsonl() == expected_lines(PRISTINE)
 
 
@@ -199,6 +200,10 @@ def with_value(event: dict, key: str, value) -> dict:
     return {k: (value if k == key else v) for k, v in event.items()}
 
 
+def renamed(event: dict, key: str, new_key: str) -> dict:
+    return {(new_key if k == key else k): v for k, v in event.items()}
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(events=st.lists(mutated_hot_events(), min_size=1, max_size=4))
 @example(events=[with_value(MEASUREMENT, "t", True), with_value(ALERT, "t", 3.0),
@@ -213,6 +218,12 @@ def with_value(event: dict, key: str, value) -> dict:
                  with_value(MEASUREMENT, "measured_cm", OddInt(50))])
 @example(events=[dict(reversed(list(MEASUREMENT.items()))), {**ALERT, "extra": 1},
                  {k: v for k, v in MEASUREMENT.items() if k != "true_cm"}])
+# The exact key set: seven keys but no true_cm (whose value may be None, as a
+# missing key reads), three keys but no channel, and the right keys in
+# another order.
+@example(events=[renamed(with_value(MEASUREMENT, "true_cm", None), "true_cm", "true_mm"),
+                 renamed(NO_ECHO, "channel", "chanel"),
+                 {key: ALERT[key] for key in ("distance_cm", "channel", "t", "kind")}])
 def test_hot_kinds_are_written_as_json_dumps_writes_them(events):
     expected = expected_lines(events)
     assert TraceLog(events).to_jsonl() == expected

@@ -12,7 +12,8 @@ channel's round inside a pass: rounds and no_echo_rounds count only the
 rounds that call acquire_distance.  And so is taking a measurement's truth
 from the segment its round drew from: lookups counts only the measurements
 whose round ended at or past that segment's end (three StepTimeline.at
-calls each) and the fixes' lookups.  perfbench is only imported, never
+calls each) and the fixes' lookups.  And so is stepping the app only when
+it has work: iterations counts only those steps.  perfbench is only imported, never
 changed; a change to what a walk does has to change these numbers.
 """
 
@@ -40,7 +41,11 @@ COUNTED = ("polls", "echo_draws", "lookups", "rounds", "no_echo_rounds", "gate_c
 # Each walk at its scenario's own seed with the default config.  The link is
 # drained only after a firmware pass that sent a frame, so deframe_calls
 # counts those passes; iterations counts Uploader.tick calls, one per app
-# step (each polled pass's, plus one at t=0).  Each upload looks up four
+# step.  The app steps only after a pass that sent a frame or once a user
+# event or upload is due, so iterations is the number of passes after which
+# at least one of those holds: gps_outage 4 (its uploads), walk_20min 8 (4
+# passes with a frame and 4 uploads) and dense_course(1) 962 (927 passes with
+# frames, the rest for user events and uploads).  Each upload looks up four
 # timeline values (gps, network, geo path, server): 16 lookups for four.
 # gps_outage has nothing in range: it polls the three rounds of the pass
 # from 0 ms; the run loop books the other passes without polling, but for
@@ -51,17 +56,17 @@ COUNTED = ("polls", "echo_draws", "lookups", "rounds", "no_echo_rounds", "gate_c
 # its segment.  dense_course(1)
 # looks up the truth of 19 of its 13,332 measurements.
 EXPECTED = {
-    "gps_outage": dict(lookups=16, rounds=3, no_echo_rounds=3, iterations=6, upload_ticks=4,
+    "gps_outage": dict(lookups=16, rounds=3, no_echo_rounds=3, iterations=4, upload_ticks=4,
                        uploads_delivered=4, events=2408, trace_bytes=116455, inserts=4),
     "walk_20min": dict(polls=9991, echo_draws=9991, lookups=16, rounds=1115,
                        no_echo_rounds=5, gate_checks=9991, gate_rejects=1, frames=4,
                        link_bytes=24, deframe_calls=4, tokens=4, speaks=4, voice_events=0,
-                       iterations=1105, upload_ticks=4, uploads_delivered=4, uploads_queued=0,
+                       iterations=8, upload_ticks=4, uploads_delivered=4, uploads_queued=0,
                        events=3346, trace_bytes=241346, inserts=4),
     "dense_course(1)": dict(polls=120020, echo_draws=120020, lookups=73, rounds=13332,
                             no_echo_rounds=0, gate_checks=120020, gate_rejects=32, frames=1031,
                             link_bytes=6216, deframe_calls=927, tokens=1031, speaks=678,
-                            voice_events=37, iterations=4445, upload_ticks=4,
+                            voice_events=37, iterations=962, upload_ticks=4,
                             uploads_delivered=4, uploads_queued=0, events=23810,
                             trace_bytes=2255159, inserts=4),
 }

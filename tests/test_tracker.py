@@ -915,6 +915,52 @@ def test_the_host_field_brackets_an_ipv6_literal(raw_stub):
                           b"Host: [::1]:%d\r\nAccept-Encoding: identity\r\n\r\n" % stub.port]
 
 
+@pytest.mark.parametrize("server, host, port, https, path", [
+    ("EXAMPLE.Org", "example.org", 80, False, ""),
+    ("https://Example.ORG/", "example.org", 443, True, ""),
+    ("http://example.org:443", "example.org", 443, False, ""),
+    ("http://[::1]:8750/base/", "::1", 8750, False, "/base"),
+    ("https://[2001:DB8::1]", "2001:db8::1", 443, True, ""),
+    ("bücher.example:8080/a", "bücher.example", 8080, False, "/a"),
+], ids=["upper case", "https", "http on 443", "IPv6", "IPv6 https", "IDNA"])
+def test_a_server_string_gives_the_host_port_and_request(monkeypatch, server, host, port, https,
+                                                        path):
+    connects, requests = [], []
+    request = tracker._request
+
+    def refuse(*args):
+        connects.append(args[:3])
+        raise ConnectionRefusedError("refused")
+
+    monkeypatch.setattr(tracker, "_connect", refuse)
+    monkeypatch.setattr(tracker, "_request", lambda *args: requests.append(args) or request(*args))
+    for fetch in (lambda: fetch_latest(server, "w 1/é"), lambda: fetch_history(server, "w&1", 7)):
+        with pytest.raises(ServerUnreachable, match="refused"):
+            fetch()
+    assert connects == [(host, port, https)] * 2
+    assert requests == [(host, port, https, f"{path}/api/locations/latest?device_id=w+1%2F%C3%A9"),
+                        (host, port, https, f"{path}/api/locations?device_id=w%261&limit=7")]
+
+
+@pytest.mark.parametrize("server, message", [
+    ("127.0.0.1:abc", "Port "),  # urllib's wording, which differs between versions
+    ("127.0.0.1:65536", "Port out of range 0-65535"),
+    ("127.0.0.1:-1", "Port "),
+    ("http://:8750", "no host given"),
+    ("127.0.0.1:8750/?x=1", "a server URL takes no query or fragment"),
+    ("127.0.0.1:8750#top", "a server URL takes no query or fragment"),
+])
+def test_a_bad_server_string_exits_2_before_any_socket(monkeypatch, capsys, server, message):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    for command in (["get-location"], ["track", "--limit", "3"]):
+        assert main(["--server", server, "--device", "walker-1", *command]) == EXIT_UNREACHABLE
+        err = capsys.readouterr().err
+        assert err.startswith("server unreachable: ") and message in err, err
+
+
 @pytest.mark.parametrize("server", ["127.0.0.1:1/a b", "127.0.0.1:1/a\x7fb"])
 def test_a_url_with_a_space_or_control_character_is_not_sent(server):
     with pytest.raises(ServerUnreachable, match="control characters"):
@@ -1133,8 +1179,8 @@ def test_fetches_are_the_reference_answer_and_a_fresh_read_of_their_bytes(tmp_pa
     bodies = []
     get_reply = tracker._get_reply
 
-    def spy_get_reply(url, timeout):
-        reply = get_reply(url, timeout)
+    def spy_get_reply(*args):
+        reply = get_reply(*args)
         bodies.append(reply[2])
         return reply
 
