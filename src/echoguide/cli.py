@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from .config import SystemConfig, load_config
@@ -30,15 +31,15 @@ from .world import load_scenario
 
 
 def _summarize(trace: TraceLog) -> str:
-    uploads = trace.kind("upload")
-    delivered = sum(1 for u in uploads if u["outcome"] == "delivered")
+    # One pass: events by kind, but an upload under its outcome.
+    counts = Counter(e["outcome"] if e["kind"] == "upload" else e["kind"] for e in trace.events)
     parts = [
         f"{len(trace)} events",
-        f"{len(trace.kind('measurement'))} measurements",
-        f"{len(trace.kind('alert'))} alerts",
-        f"{len(trace.kind('speak'))} announcements",
-        f"{delivered}/{len(uploads)} uploads delivered",
-        f"{len(trace.kind('call'))} calls",
+        f"{counts['measurement']} measurements",
+        f"{counts['alert']} alerts",
+        f"{counts['speak']} announcements",
+        f"{counts['delivered']}/{counts['delivered'] + counts['queued']} uploads delivered",
+        f"{counts['call']} calls",
     ]
     return ", ".join(parts)
 

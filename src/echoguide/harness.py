@@ -34,20 +34,20 @@ from .link import LinkBuffer
 from .server import FixValidationError, StorageError, TrackService, TrackStore
 from .trace import (
     TraceLog,
-    ev_alert,
     ev_button,
     ev_call,
     ev_decode,
     ev_frame,
-    ev_measurement,
     ev_motor,
-    ev_no_echo,
     ev_server_ack,
     ev_set_muted,
     ev_speak,
     ev_unknown_token,
     ev_upload,
     ev_utterance,
+    row_alert,
+    row_measurement,
+    row_no_echo,
 )
 from .world import (
     Channel,
@@ -194,12 +194,12 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             for echo, (channel, t_ms, distance_cm, alerting, motor_changed, frame) in zip(
                     echoes, firmware_tick(fw_state, sensors, clock, fw_config)):
                 if distance_cm is None:
-                    add(ev_no_echo(t_ms, channel))
+                    add(row_no_echo(t_ms, channel))
                     no_echo += 1
                 else:
-                    add(ev_measurement(t_ms, channel, distance_cm, *echo.truth_at(t_ms)))
+                    add(row_measurement(t_ms, channel, distance_cm, *echo.truth_at(t_ms)))
                 if alerting:
-                    add(ev_alert(t_ms, channel, distance_cm))
+                    add(row_alert(t_ms, channel, distance_cm))
                 if motor_changed:
                     add(ev_motor(t_ms, channel, alerting))
                 if frame is not None:
@@ -215,7 +215,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
                 # next event would add only these.
                 for t_ms, channel in book_quiet_passes(fw_state, clock, duration, next_app,
                                                        fw_config):
-                    add(ev_no_echo(t_ms, channel))
+                    add(row_no_echo(t_ms, channel))
     finally:
         store.close()
 
@@ -262,9 +262,9 @@ def distance_error_experiment(config: Optional[SystemConfig] = None,
                     measured = acquire_distance(Channel.GROUND, lambda t_ms: (draw, math.inf),
                                                 clock, config.firmware)
                 except NoEchoError:
-                    trace.add(ev_no_echo(clock.now(), Channel.GROUND))
+                    trace.add(row_no_echo(clock.now(), Channel.GROUND))
                     continue
-                trace.add(ev_measurement(
+                trace.add(row_measurement(
                     clock.now(), Channel.GROUND, measured, true_cm, surface, weather
                 ))
     return trace

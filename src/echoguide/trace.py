@@ -5,13 +5,18 @@ Two runs with identical inputs must produce byte-identical serializations,
 so events are plain JSON-safe dicts, serialization uses sorted keys and
 fixed separators, and ordering is by virtual time with stable insertion
 order on ties.
+
+The three kinds a walk is mostly made of, no_echo, measurement and alert,
+are added as rows: tuples of their ev_* dict's values, checked once when
+made, from which to_jsonl writes each line directly.  Reading the events
+turns the rows into their dicts; any dict is written by the encoder.
 """
 
 from __future__ import annotations
 
 import json
 import json.encoder
-from operator import itemgetter
+from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .app import UploadAttempt
@@ -39,86 +44,88 @@ def _encoder() -> Callable[[object], str]:
     return lambda event: "".join(encode(event, 0))
 
 
-# The hot kinds (no_echo, measurement and alert) are written as json.dumps
-# writes them when their event has exactly the keys its ev_* function gives
-# it, exact ints (true_cm: None, an int or a finite float) and strings that
-# are enum values, which need no escaping.  Any other event goes through the
-# encoder.
-_CHANNELS = frozenset(c.value for c in Channel)
-_SURFACES = frozenset(s.value for s in SurfaceKind)
-_WEATHERS = frozenset(w.value for w in Weather)
+# Each row kind's dict, as its ev_* function builds it: a row holds the
+# dict's values in its key order.
+_AS_DICT = {
+    "no_echo": lambda r: {"t": r[0], "kind": "no_echo", "channel": r[2]},
+    "measurement": lambda r: {"t": r[0], "kind": "measurement", "channel": r[2],
+                              "measured_cm": r[3], "true_cm": r[4], "surface": r[5],
+                              "weather": r[6]},
+    "alert": lambda r: {"t": r[0], "kind": "alert", "channel": r[2], "distance_cm": r[3]},
+}
+
+
+def _time(event) -> int:
+    return event[0] if type(event) is tuple else event["t"]
 
 
 class TraceLog:
-    """Append-only event record with JSON-lines serialization."""
+    """Append-only event record with JSON-lines serialization.
+
+    An event is a dict, or a row from row_no_echo, row_measurement or
+    row_alert, which only `add` takes; `events`, `kind()` and iteration
+    give every one as a dict.
+    """
 
     def __init__(self, events: Optional[list[dict]] = None) -> None:
-        self.events: list[dict] = list(events) if events else []
+        self._events: list = list(events) if events else []
+        self._rows = False  # whether add may have added rows since events was read
 
-    def add(self, event: dict) -> None:
-        self.events.append(event)
+    def add(self, event: dict | tuple) -> None:
+        self._events.append(event)
+        self._rows = True
+
+    @property
+    def events(self) -> list[dict]:
+        """The events as dicts: a row is turned into its ev_* dict, in place,
+        on the first read after it was added."""
+        events = self._events
+        if self._rows:
+            events[:] = [_AS_DICT[e[1]](e) if type(e) is tuple else e for e in events]
+            self._rows = False
+        return events
 
     def sort_by_time(self) -> None:
         """Stable sort by virtual time; same-time events keep insertion order."""
-        self.events.sort(key=itemgetter("t"))
+        self._events.sort(key=_time)
 
     def kind(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["kind"] == kind]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events)
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self.events)
 
     def to_jsonl(self) -> str:
+        """One line per event, as json.dumps(event, sort_keys=True,
+        ensure_ascii=False, separators=(",", ":")) writes it: a row's from its
+        checked values, any dict's by the encoder."""
         encode = _encoder()
+        # A channel's measurements in one segment share its true_cm object, so
+        # each channel keeps the last one with its text: (true_cm, text).
+        last_cm: dict[str, tuple] = {}
         lines: list[str] = []
         append = lines.append
-        for event in self.events:
-            # The key set is checked by its size and each key's presence: a
-            # value of the right type shows its key is there, and true_cm,
-            # which may be None, is looked for.  Values are read by key, as
-            # the line is sorted whatever the event's key order.
-            kind = event.get("kind")
-            if kind == "no_echo":
-                if len(event) == 3 and type(kind) is str:
-                    t = event.get("t")
-                    channel = event.get("channel")
-                    if type(t) is int and type(channel) is str and channel in _CHANNELS:
-                        append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
-                        continue
-            elif kind == "measurement":
-                if len(event) == 7 and type(kind) is str and "true_cm" in event:
-                    t = event.get("t")
-                    channel = event.get("channel")
-                    measured = event.get("measured_cm")
-                    true_cm = event["true_cm"]
-                    surface = event.get("surface")
-                    weather = event.get("weather")
-                    if (type(t) is int and type(measured) is int
-                            and (true_cm is None or type(true_cm) is int
-                                 # finite: inf - inf and nan - nan are nan
-                                 or type(true_cm) is float and true_cm - true_cm == 0.0)
-                            and type(channel) is str and channel in _CHANNELS
-                            and type(surface) is str and surface in _SURFACES
-                            and type(weather) is str and weather in _WEATHERS):
-                        append(f'{{"channel":"{channel}","kind":"measurement",'
-                               f'"measured_cm":{measured},"surface":"{surface}","t":{t},'
-                               f'"true_cm":{"null" if true_cm is None else true_cm},'
-                               f'"weather":"{weather}"}}')
-                        continue
-            elif kind == "alert":
-                if len(event) == 4 and type(kind) is str:
-                    t = event.get("t")
-                    channel = event.get("channel")
-                    distance = event.get("distance_cm")
-                    if (type(t) is int and type(distance) is int
-                            and type(channel) is str and channel in _CHANNELS):
-                        append(f'{{"channel":"{channel}","distance_cm":{distance},'
-                               f'"kind":"alert","t":{t}}}')
-                        continue
-            append(encode(event))
+        for event in self._events:
+            if type(event) is not tuple:
+                append(encode(event))
+            elif event[1] == "no_echo":
+                t, _, channel = event
+                append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
+            elif event[1] == "measurement":
+                t, _, channel, measured, true_cm, surface, weather = event
+                cm = last_cm.get(channel)
+                if cm is None or cm[0] is not true_cm:
+                    cm = last_cm[channel] = (true_cm, "null" if true_cm is None else f"{true_cm}")
+                append(f'{{"channel":"{channel}","kind":"measurement",'
+                       f'"measured_cm":{measured},"surface":"{surface}","t":{t},'
+                       f'"true_cm":{cm[1]},"weather":"{weather}"}}')
+            else:
+                t, _, channel, distance = event
+                append(f'{{"channel":"{channel}","distance_cm":{distance},'
+                       f'"kind":"alert","t":{t}}}')
         append("")  # the final newline; one join, with no second copy of the text
         return "\n".join(lines)
 
@@ -150,24 +157,59 @@ class TraceLog:
 #
 # Enum values are read as the plain `_value_` attribute: `.value` is a
 # Python-level property, and these run once or more per firmware round.
+#
+# The row_* functions check what their row's line takes for granted: exact
+# ints, a true_cm that is None, an int or a finite float (inf - inf and
+# nan - nan are nan), and enum members, whose values need no escaping.
+# Given anything else, they return the ev_* dict instead.
+
+
+def row_measurement(t: int, channel: Channel, measured_cm: int,
+                    true_cm: Optional[float], surface: SurfaceKind,
+                    weather: Weather) -> tuple | dict:
+    if (type(t) is int and type(measured_cm) is int
+            and (true_cm is None or type(true_cm) is int
+                 or type(true_cm) is float and true_cm - true_cm == 0.0)
+            and type(channel) is Channel and type(surface) is SurfaceKind
+            and type(weather) is Weather):
+        return (t, "measurement", channel._value_, measured_cm, true_cm,
+                surface._value_, weather._value_)
+    return ev_measurement(t, channel, measured_cm, true_cm, surface, weather)
+
+
+def row_no_echo(t: int, channel: Channel) -> tuple | dict:
+    if type(t) is int and type(channel) is Channel:
+        return (t, "no_echo", channel._value_)
+    return ev_no_echo(t, channel)
+
+
+def row_alert(t: int, channel: Channel, distance_cm: int) -> tuple | dict:
+    if type(t) is int and type(distance_cm) is int and type(channel) is Channel:
+        return (t, "alert", channel._value_, distance_cm)
+    return ev_alert(t, channel, distance_cm)
+
+
+def _value(member):
+    """An enum member's value; any other value as it is."""
+    return member._value_ if isinstance(member, Enum) else member
 
 
 def ev_measurement(t: int, channel: Channel, measured_cm: int,
                    true_cm: Optional[float], surface: SurfaceKind,
                    weather: Weather) -> dict:
     return {
-        "t": t, "kind": "measurement", "channel": channel._value_,
+        "t": t, "kind": "measurement", "channel": _value(channel),
         "measured_cm": measured_cm, "true_cm": true_cm,
-        "surface": surface._value_, "weather": weather._value_,
+        "surface": _value(surface), "weather": _value(weather),
     }
 
 
 def ev_no_echo(t: int, channel: Channel) -> dict:
-    return {"t": t, "kind": "no_echo", "channel": channel._value_}
+    return {"t": t, "kind": "no_echo", "channel": _value(channel)}
 
 
 def ev_alert(t: int, channel: Channel, distance_cm: int) -> dict:
-    return {"t": t, "kind": "alert", "channel": channel._value_, "distance_cm": distance_cm}
+    return {"t": t, "kind": "alert", "channel": _value(channel), "distance_cm": distance_cm}
 
 
 def ev_motor(t: int, channel: Channel, vibrating: bool) -> dict:
@@ -218,7 +260,7 @@ def ev_server_ack(t: int, record_id: int, device_id: str, timestamp: str) -> dic
 
 
 __all__ = [
-    "TraceLog", "ev_measurement", "ev_no_echo", "ev_alert", "ev_motor",
+    "TraceLog", "row_measurement", "row_no_echo", "row_alert", "ev_measurement", "ev_no_echo", "ev_alert", "ev_motor",
     "ev_frame", "ev_decode", "ev_unknown_token", "ev_speak", "ev_set_muted",
     "ev_call", "ev_button", "ev_utterance", "ev_upload", "ev_server_ack",
 ]

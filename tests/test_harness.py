@@ -523,6 +523,21 @@ def test_cli_run_writes_trace_and_summary(tmp_path, capsys):
     assert len(list(trace.kind("alert"))) > 0
 
 
+@pytest.mark.parametrize("name", ["ground_obstacle", "offline_queue", "voice_call", "walk_20min"])
+def test_cli_run_summary_counts_the_trace_it_wrote(tmp_path, capsys, name):
+    trace_path = tmp_path / "run.jsonl"
+    assert sim_main(["run", "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+                     "--trace", str(trace_path)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    trace = TraceLog.read(trace_path)
+    uploads = trace.kind("upload")
+    delivered = sum(upload["outcome"] == "delivered" for upload in uploads)
+    assert summary == (
+        f"{len(trace)} events, {len(trace.kind('measurement'))} measurements, "
+        f"{len(trace.kind('alert'))} alerts, {len(trace.kind('speak'))} announcements, "
+        f"{delivered}/{len(uploads)} uploads delivered, {len(trace.kind('call'))} calls")
+
+
 @pytest.mark.parametrize("command,outputs", [
     (["run", "--scenario", str(SCENARIO_DIR / "ground_obstacle.json")], ("--trace", "--store")),
     (["experiment"], ("--trace", "--out")),

@@ -575,26 +575,6 @@ def one_closing_reply(reply: bytes, status: int):
     return json.loads(body)
 
 
-@pytest.mark.parametrize("framing", ["Content-Length: 5\r\n", "Transfer-Encoding: chunked\r\n"],
-                         ids=["Content-Length", "Transfer-Encoding"])
-def test_a_get_with_a_body_is_answered_and_closed(live_server, framing):
-    http_post(live_server, "/api/locations", good_fix(device_id="w"))
-    get = "GET /api/locations/latest?device_id=w HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-    reply = raw_exchange(live_server, f"{get}{framing}\r\nhello{get}\r\n".encode())
-    assert one_closing_reply(reply, 200)["id"] == 1  # not a 501 for a 'helloGET' method
-
-
-@pytest.mark.parametrize("request_line, status", [
-    (b"FOO /api/locations HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n", 501),  # unknown method
-    (b"garbage\r\n", 400),
-    (b"GET /" + b"a" * 65_532, 414),  # 65,537 bytes and no end of line
-    (b"GET /api/locations HTTP/9.9\r\n\r\n", 505),
-], ids=["unknown method", "garbage line", "URI too long", "HTTP/9.9"])
-def test_framework_errors_are_json_and_close(live_server, request_line, status):
-    body = one_closing_reply(raw_exchange(live_server, request_line), status)
-    assert isinstance(body["error"], str)
-
-
 def test_unknown_path_is_404(live_server):
     status, _ = http_get(live_server, "/api/nope")
     assert status == 404

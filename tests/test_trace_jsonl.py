@@ -1,12 +1,15 @@
 """TraceLog.to_jsonl against json.dumps: one line per event, byte for byte,
 with json's C encoder, with the pure-Python encoder json falls back to, and
-on the lines it writes directly for the hot kinds."""
+on the lines it writes directly from the hot kinds' rows."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import json.encoder
+import sys
+from collections import Counter
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -16,8 +19,22 @@ from hypothesis import strategies as st
 from conftest import REPO_ROOT, SCENARIO_DIR
 from echoguide import trace
 from echoguide.harness import distance_error_experiment, run_scenario
-from echoguide.trace import TraceLog, ev_alert, ev_measurement, ev_no_echo
-from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
+from echoguide.trace import (
+    TraceLog,
+    ev_alert,
+    ev_button,
+    ev_measurement,
+    ev_no_echo,
+    row_alert,
+    row_measurement,
+    row_no_echo,
+)
+from echoguide.world import Channel, SurfaceKind, Weather, load_scenario, scenario_from_dict
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import inputs  # noqa: E402
+
+HOT_KINDS = {"no_echo", "measurement", "alert"}
 
 EVENTS = [
     {"t": 0, "kind": "speak", "message": "Ground", "language": "bn",
@@ -137,22 +154,177 @@ class OddInt(int):
     __repr__ = __str__
 
 
-PRISTINE = [
-    ev_measurement(0, Channel.GROUND, 51, 50.0, SurfaceKind.TILES, Weather.DRY),
-    ev_measurement(10, Channel.LEFT, 1, None, SurfaceKind.CONCRETE, Weather.WET),
-    ev_measurement(20, Channel.RIGHT, 600, 600, SurfaceKind.TILES, Weather.WET),
-    ev_alert(30, Channel.GROUND, 40),
-    ev_no_echo(40, Channel.RIGHT),
+MEASUREMENT = ev_measurement(0, Channel.GROUND, 51, 50.0, SurfaceKind.TILES, Weather.DRY)
+ALERT = ev_alert(30, Channel.GROUND, 40)
+NO_ECHO = ev_no_echo(40, Channel.RIGHT)
+
+
+# (label, a function that makes its trace): the five bundled walks, the
+# accuracy experiment and dense_course(1).
+WALKS = [
+    *[(path.stem, lambda path=path: run_scenario(load_scenario(path)))
+      for path in sorted(SCENARIO_DIR.glob("*.json"))],
+    ("experiment", distance_error_experiment),
+    ("dense_course(1)", lambda: run_scenario(scenario_from_dict(inputs.dense_course(1)))),
 ]
-MEASUREMENT, _, _, ALERT, NO_ECHO = PRISTINE
 
 
 def test_pristine_hot_events_do_not_reach_the_encoder():
-    def no_encoder(event):
-        raise AssertionError(f"encoded {event}")
+    """A walk's no_echo, measurement and alert events are rows, whose lines
+    are written without the encoder; it writes every other event once."""
+    encoded: Counter = Counter()
+    encoder = trace._encoder
 
-    with mock.patch.object(trace, "_encoder", lambda: no_encoder):
-        assert TraceLog(PRISTINE).to_jsonl() == expected_lines(PRISTINE)
+    def spy():
+        encode = encoder()
+
+        def counted(event):
+            encoded[event["kind"]] += 1
+            return encode(event)
+        return counted
+
+    for label, make in WALKS:
+        walk = make()
+        encoded.clear()
+        with mock.patch.object(trace, "_encoder", spy):
+            text = walk.to_jsonl()
+        kinds = Counter(event["kind"] for event in walk.events)
+        assert encoded == Counter({k: n for k, n in kinds.items() if k not in HOT_KINDS}), label
+        assert kinds.keys() & HOT_KINDS, label
+        assert text == expected_lines(walk.events), label
+
+
+@pytest.mark.parametrize("make", [make for _, make in WALKS], ids=[label for label, _ in WALKS])
+def test_a_walks_lines_are_the_same_before_and_after_its_events_are_read(make):
+    walk = make()
+    before = walk.to_jsonl()
+    assert walk.to_jsonl() == before
+    assert before == expected_lines(walk.events)
+    assert walk.to_jsonl() == before
+
+
+def test_equal_times_keep_insertion_order_across_rows_and_dicts():
+    pairs = [
+        (row_no_echo(5, Channel.LEFT), ev_no_echo(5, Channel.LEFT)),
+        (ev_button(5), ev_button(5)),
+        (row_alert(3, Channel.GROUND, 40), ev_alert(3, Channel.GROUND, 40)),
+        (row_measurement(5, Channel.RIGHT, 80, 79.5, SurfaceKind.TILES, Weather.WET),
+         ev_measurement(5, Channel.RIGHT, 80, 79.5, SurfaceKind.TILES, Weather.WET)),
+        ({"t": 3, "kind": "x"}, {"t": 3, "kind": "x"}),
+        (row_no_echo(3, Channel.GROUND), ev_no_echo(3, Channel.GROUND)),
+        (ev_button(1), ev_button(1)),
+        (row_no_echo(5, Channel.GROUND), ev_no_echo(5, Channel.GROUND)),
+    ]
+    log = TraceLog()
+    for event, _ in pairs:
+        log.add(event)
+    log.sort_by_time()
+    expected = sorted((as_dict for _, as_dict in pairs), key=itemgetter("t"))
+    assert log.to_jsonl() == expected_lines(expected)
+    assert log.events == expected
+
+
+def test_a_change_to_a_read_event_is_in_its_line():
+    log = TraceLog()
+    log.add(row_no_echo(5, Channel.LEFT))
+    log.add(row_measurement(6, Channel.GROUND, 51, 50.0, SurfaceKind.TILES, Weather.DRY))
+    log.add(row_alert(6, Channel.GROUND, 51))
+    log.events[0]["channel"] = "right"
+    log.events[1]["true_cm"] = float("nan")
+    del log.events[2]["distance_cm"]
+    assert log.to_jsonl() == (
+        '{"channel":"right","kind":"no_echo","t":5}\n'
+        '{"channel":"ground","kind":"measurement","measured_cm":51,"surface":"tiles","t":6,'
+        '"true_cm":NaN,"weather":"dry"}\n'
+        '{"channel":"ground","kind":"alert","t":6}\n')
+    # A row added after the first read is read as its dict too.
+    log.add(row_no_echo(7, Channel.RIGHT))
+    assert log.events[3] == ev_no_echo(7, Channel.RIGHT)
+
+
+# Values of each row_* argument of the types a row holds, as the simulator
+# gives them, and values of other types.
+RIGHT = {
+    "t": st.integers(0, 10**7),
+    "cm": st.integers(-5, 10**6),
+    "true_cm": st.one_of(st.none(), st.integers(0, 700),
+                         st.floats(allow_nan=False, allow_infinity=False)),
+    "channel": st.sampled_from(Channel),
+    "surface": st.sampled_from(SurfaceKind),
+    "weather": st.sampled_from(Weather),
+}
+WRONG = {
+    "t": [True, 3.0, OddInt(4)],
+    "cm": [False, 50.0, OddInt(5)],
+    "true_cm": [float("nan"), float("inf"), float("-inf"), True, OddInt(7)],
+    "channel": ["ground", 'gro"und', "\\", OddStr("left"), None, Weather.DRY],
+    "surface": ["tiles", "grass", OddStr("tiles")],
+    "weather": ["dry", "é", SurfaceKind.TILES],
+}
+MAKERS = {
+    "measurement": (row_measurement, ev_measurement,
+                    ("t", "channel", "cm", "true_cm", "surface", "weather")),
+    "no_echo": (row_no_echo, ev_no_echo, ("t", "channel")),
+    "alert": (row_alert, ev_alert, ("t", "channel", "cm")),
+}
+RIGHT_ARGS = {
+    "measurement": (7, Channel.GROUND, 55, 54.5, SurfaceKind.TILES, Weather.DRY),
+    "no_echo": (7, Channel.LEFT),
+    "alert": (7, Channel.RIGHT, 40),
+}
+
+
+@st.composite
+def made_events(draw):
+    """(row_* function, ev_* function, arguments, whether all are of the
+    types a row holds)."""
+    row, ev, params = MAKERS[draw(st.sampled_from(sorted(MAKERS)))]
+    drawn = [draw(st.one_of(RIGHT[param].map(lambda v: (v, True)),
+                            st.sampled_from(WRONG[param]).map(lambda v: (v, False))))
+             for param in params]
+    return row, ev, tuple(value for value, _ in drawn), all(ok for _, ok in drawn)
+
+
+def shape(event: dict):
+    return list(event), [type(value) for value in event.values()], dumps(event)
+
+
+def assert_written_as_their_dicts(events) -> None:
+    """Each row_* call gives a row exactly when all its arguments are of the
+    types a row holds; either way, the event reads as its ev_* dict and is
+    written as json.dumps writes that dict."""
+    log = TraceLog()
+    for row, _, args, rows in events:
+        event = row(*args)
+        assert (type(event) is tuple) == rows, args
+        log.add(event)
+    text = log.to_jsonl()
+    assert text == expected_lines(log.events)
+    assert [shape(event) for event in log.events] == [shape(ev(*args)) for _, ev, args, _ in events]
+    assert log.to_jsonl() == text
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(events=st.lists(made_events(), min_size=1, max_size=6))
+# One channel's true_cm, row after row: equal values of other types or signs
+# are written each as its own.
+@example(events=[(row_measurement, ev_measurement, (4, Channel.RIGHT, 5, true_cm,
+                                                    SurfaceKind.CONCRETE, Weather.WET), True)
+                 for true_cm in (None, 600, 600.0, 0, 0.0, -0.0, 1e16, 1e-7, 2.5e-308)])
+def test_rows_are_written_as_json_dumps_writes_their_dicts(events):
+    assert_written_as_their_dicts(events)
+
+
+@pytest.mark.parametrize("kind, param", [(kind, param) for kind, (_, _, params) in MAKERS.items()
+                                         for param in params])
+def test_one_argument_of_another_type_gives_the_dict(kind, param):
+    row, ev, params = MAKERS[kind]
+    right = RIGHT_ARGS[kind]
+    events = [(row, ev, right, True)]
+    for wrong in WRONG[param]:
+        args = tuple(wrong if name == param else value for name, value in zip(params, right))
+        events.append((row, ev, args, False))
+    assert_written_as_their_dicts(events)
 
 
 ODD_VALUES = [
@@ -218,13 +390,15 @@ def renamed(event: dict, key: str, new_key: str) -> dict:
                  with_value(MEASUREMENT, "measured_cm", OddInt(50))])
 @example(events=[dict(reversed(list(MEASUREMENT.items()))), {**ALERT, "extra": 1},
                  {k: v for k, v in MEASUREMENT.items() if k != "true_cm"}])
-# The exact key set: seven keys but no true_cm (whose value may be None, as a
+# Dicts that a check of the key set by size and presence must not take for a
+# hot kind's event: seven keys but no true_cm (whose value may be None, as a
 # missing key reads), three keys but no channel, and the right keys in
 # another order.
 @example(events=[renamed(with_value(MEASUREMENT, "true_cm", None), "true_cm", "true_mm"),
                  renamed(NO_ECHO, "channel", "chanel"),
                  {key: ALERT[key] for key in ("distance_cm", "channel", "t", "kind")}])
 def test_hot_kinds_are_written_as_json_dumps_writes_them(events):
+    """A hot kind's dict, however changed, goes through the encoder."""
     expected = expected_lines(events)
     assert TraceLog(events).to_jsonl() == expected
     with mock.patch.object(json.encoder, "c_make_encoder", None):
