@@ -2,21 +2,20 @@
 JSON lines.
 
 Two runs with identical inputs must produce byte-identical serializations,
-so events are plain JSON-safe dicts, serialization uses sorted keys and
-fixed separators, and ordering is by virtual time with stable insertion
-order on ties.
+so every event reads as a JSON-safe dict, serialization uses sorted keys
+and fixed separators, and ordering is by virtual time with stable
+insertion order on ties.
 
 The three kinds a walk is mostly made of, no_echo, measurement and alert,
-are added as rows: tuples of their ev_* dict's values, checked once when
-made, from which to_jsonl writes each line directly.  Reading the events
-turns the rows into their dicts; any dict is written by the encoder.
+are built only as rows by row_*: tuples of their dict's values, checked
+once when made, from which to_jsonl writes each line directly.  Reading
+the events turns the rows into their dicts; any dict goes to the encoder.
 """
 
 from __future__ import annotations
 
 import json
 import json.encoder
-from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .app import UploadAttempt
@@ -44,7 +43,7 @@ def _encoder() -> Callable[[object], str]:
     return lambda event: "".join(encode(event, 0))
 
 
-# Each row kind's dict, as its ev_* function builds it: a row holds the
+# Each row kind's dict, the one dict form of its events: a row holds the
 # dict's values in its key order.
 _AS_DICT = {
     "no_echo": lambda r: {"t": r[0], "kind": "no_echo", "channel": r[2]},
@@ -62,9 +61,9 @@ def _time(event) -> int:
 class TraceLog:
     """Append-only event record with JSON-lines serialization.
 
-    An event is a dict, or a row from row_no_echo, row_measurement or
-    row_alert, which only `add` takes; `events`, `kind()` and iteration
-    give every one as a dict.
+    An event is a JSON-safe dict, or a row from row_no_echo,
+    row_measurement or row_alert, which only `add` takes; `events`, `kind()`
+    and iteration give every one as a dict.
     """
 
     def __init__(self, events: Optional[list[dict]] = None) -> None:
@@ -77,7 +76,7 @@ class TraceLog:
 
     @property
     def events(self) -> list[dict]:
-        """The events as dicts: a row is turned into its ev_* dict, in place,
+        """The events as dicts: a row is turned into its dict, in place,
         on the first read after it was added."""
         events = self._events
         if self._rows:
@@ -161,12 +160,16 @@ class TraceLog:
 # The row_* functions check what their row's line takes for granted: exact
 # ints, a true_cm that is None, an int or a finite float (inf - inf and
 # nan - nan are nan), and enum members, whose values need no escaping.
-# Given anything else, they return the ev_* dict instead.
+# Given anything else, they raise TypeError naming the argument.  _HELD
+# gives the exact types a row holds of each argument.
+_HELD = {"t": (int,), "measured_cm": (int,), "distance_cm": (int,),
+         "true_cm": (type(None), int, float), "channel": (Channel,),
+         "surface": (SurfaceKind,), "weather": (Weather,)}
 
 
 def row_measurement(t: int, channel: Channel, measured_cm: int,
                     true_cm: Optional[float], surface: SurfaceKind,
-                    weather: Weather) -> tuple | dict:
+                    weather: Weather) -> tuple:
     if (type(t) is int and type(measured_cm) is int
             and (true_cm is None or type(true_cm) is int
                  or type(true_cm) is float and true_cm - true_cm == 0.0)
@@ -174,42 +177,28 @@ def row_measurement(t: int, channel: Channel, measured_cm: int,
             and type(weather) is Weather):
         return (t, "measurement", channel._value_, measured_cm, true_cm,
                 surface._value_, weather._value_)
-    return ev_measurement(t, channel, measured_cm, true_cm, surface, weather)
+    raise _refused("row_measurement", t=t, channel=channel, measured_cm=measured_cm,
+                   true_cm=true_cm, surface=surface, weather=weather)
 
 
-def row_no_echo(t: int, channel: Channel) -> tuple | dict:
+def row_no_echo(t: int, channel: Channel) -> tuple:
     if type(t) is int and type(channel) is Channel:
         return (t, "no_echo", channel._value_)
-    return ev_no_echo(t, channel)
+    raise _refused("row_no_echo", t=t, channel=channel)
 
 
-def row_alert(t: int, channel: Channel, distance_cm: int) -> tuple | dict:
+def row_alert(t: int, channel: Channel, distance_cm: int) -> tuple:
     if type(t) is int and type(distance_cm) is int and type(channel) is Channel:
         return (t, "alert", channel._value_, distance_cm)
-    return ev_alert(t, channel, distance_cm)
+    raise _refused("row_alert", t=t, channel=channel, distance_cm=distance_cm)
 
 
-def _value(member):
-    """An enum member's value; any other value as it is."""
-    return member._value_ if isinstance(member, Enum) else member
-
-
-def ev_measurement(t: int, channel: Channel, measured_cm: int,
-                   true_cm: Optional[float], surface: SurfaceKind,
-                   weather: Weather) -> dict:
-    return {
-        "t": t, "kind": "measurement", "channel": _value(channel),
-        "measured_cm": measured_cm, "true_cm": true_cm,
-        "surface": _value(surface), "weather": _value(weather),
-    }
-
-
-def ev_no_echo(t: int, channel: Channel) -> dict:
-    return {"t": t, "kind": "no_echo", "channel": _value(channel)}
-
-
-def ev_alert(t: int, channel: Channel, distance_cm: int) -> dict:
-    return {"t": t, "kind": "alert", "channel": _value(channel), "distance_cm": distance_cm}
+def _refused(function: str, **args) -> TypeError:
+    """The TypeError naming the first of `function`'s arguments that its
+    row cannot hold: one not of a type _HELD gives it, or a float not finite."""
+    name = next(name for name, value in args.items() if type(value) not in _HELD[name]
+                or type(value) is float and value - value != 0.0)
+    return TypeError(f"{function}: {name} cannot be {type(args[name]).__name__} {args[name]!r}")
 
 
 def ev_motor(t: int, channel: Channel, vibrating: bool) -> dict:
@@ -260,7 +249,7 @@ def ev_server_ack(t: int, record_id: int, device_id: str, timestamp: str) -> dic
 
 
 __all__ = [
-    "TraceLog", "row_measurement", "row_no_echo", "row_alert", "ev_measurement", "ev_no_echo", "ev_alert", "ev_motor",
+    "TraceLog", "row_measurement", "row_no_echo", "row_alert", "ev_motor",
     "ev_frame", "ev_decode", "ev_unknown_token", "ev_speak", "ev_set_muted",
     "ev_call", "ev_button", "ev_utterance", "ev_upload", "ev_server_ack",
 ]

@@ -464,6 +464,13 @@ def _timeout_s(text: str) -> float:
     return value
 
 
+def _device_id(text: str) -> str:
+    """--device: not empty, as the server asks of a query's device_id."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="echoguide-tracker",
@@ -471,7 +478,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--server", default=DEFAULT_SERVER,
                         help=f"tracking server host:port or URL (default {DEFAULT_SERVER})")
-    parser.add_argument("--device", required=True, help="device id to look up")
+    parser.add_argument("--device", type=_device_id, required=True,
+                        help="device id to look up, not empty")
     parser.add_argument("--timeout", type=_timeout_s, default=5.0,
                         help="HTTP timeout in seconds, finite and above 0 (default 5)")
     sub = parser.add_subparsers(dest="command", required=True)

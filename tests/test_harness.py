@@ -26,7 +26,7 @@ from echoguide.harness import (
 )
 from echoguide.link import LinkBuffer
 from echoguide.server import TrackStore
-from echoguide.trace import TraceLog, ev_measurement
+from echoguide.trace import TraceLog, row_measurement
 from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
 
 from conftest import EXPECTATION_DIR, SCENARIO_DIR, make_script, zero_noise_config
@@ -341,8 +341,8 @@ def test_missing_calibration_entry_fails_the_run_even_with_every_channel_empty()
 def synthetic_trace(rows):
     trace = TraceLog()
     for i, (measured, true_cm, surface, weather) in enumerate(rows):
-        trace.add(ev_measurement(i * 10, Channel.GROUND, measured, true_cm,
-                                 surface, weather))
+        trace.add(row_measurement(i * 10, Channel.GROUND, measured, true_cm,
+                                  surface, weather))
     return trace
 
 

@@ -5,10 +5,12 @@ on the lines it writes directly from the hot kinds' rows."""
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import json.encoder
 import sys
 from collections import Counter
+from enum import Enum
 from operator import itemgetter
 from unittest import mock
 
@@ -21,10 +23,7 @@ from echoguide import trace
 from echoguide.harness import distance_error_experiment, run_scenario
 from echoguide.trace import (
     TraceLog,
-    ev_alert,
     ev_button,
-    ev_measurement,
-    ev_no_echo,
     row_alert,
     row_measurement,
     row_no_echo,
@@ -154,9 +153,16 @@ class OddInt(int):
     __repr__ = __str__
 
 
-MEASUREMENT = ev_measurement(0, Channel.GROUND, 51, 50.0, SurfaceKind.TILES, Weather.DRY)
-ALERT = ev_alert(30, Channel.GROUND, 40)
-NO_ECHO = ev_no_echo(40, Channel.RIGHT)
+def as_dict(row: tuple) -> dict:
+    """The dict TraceLog.events gives for a row."""
+    log = TraceLog()
+    log.add(row)
+    return log.events[0]
+
+
+MEASUREMENT = as_dict(row_measurement(0, Channel.GROUND, 51, 50.0, SurfaceKind.TILES, Weather.DRY))
+ALERT = as_dict(row_alert(30, Channel.GROUND, 40))
+NO_ECHO = as_dict(row_no_echo(40, Channel.RIGHT))
 
 
 # (label, a function that makes its trace): the five bundled walks, the
@@ -205,15 +211,17 @@ def test_a_walks_lines_are_the_same_before_and_after_its_events_are_read(make):
 
 def test_equal_times_keep_insertion_order_across_rows_and_dicts():
     pairs = [
-        (row_no_echo(5, Channel.LEFT), ev_no_echo(5, Channel.LEFT)),
+        (row_no_echo(5, Channel.LEFT), {"t": 5, "kind": "no_echo", "channel": "left"}),
         (ev_button(5), ev_button(5)),
-        (row_alert(3, Channel.GROUND, 40), ev_alert(3, Channel.GROUND, 40)),
+        (row_alert(3, Channel.GROUND, 40),
+         {"t": 3, "kind": "alert", "channel": "ground", "distance_cm": 40}),
         (row_measurement(5, Channel.RIGHT, 80, 79.5, SurfaceKind.TILES, Weather.WET),
-         ev_measurement(5, Channel.RIGHT, 80, 79.5, SurfaceKind.TILES, Weather.WET)),
+         {"t": 5, "kind": "measurement", "channel": "right", "measured_cm": 80, "true_cm": 79.5,
+          "surface": "tiles", "weather": "wet"}),
         ({"t": 3, "kind": "x"}, {"t": 3, "kind": "x"}),
-        (row_no_echo(3, Channel.GROUND), ev_no_echo(3, Channel.GROUND)),
+        (row_no_echo(3, Channel.GROUND), {"t": 3, "kind": "no_echo", "channel": "ground"}),
         (ev_button(1), ev_button(1)),
-        (row_no_echo(5, Channel.GROUND), ev_no_echo(5, Channel.GROUND)),
+        (row_no_echo(5, Channel.GROUND), {"t": 5, "kind": "no_echo", "channel": "ground"}),
     ]
     log = TraceLog()
     for event, _ in pairs:
@@ -239,11 +247,11 @@ def test_a_change_to_a_read_event_is_in_its_line():
         '{"channel":"ground","kind":"alert","t":6}\n')
     # A row added after the first read is read as its dict too.
     log.add(row_no_echo(7, Channel.RIGHT))
-    assert log.events[3] == ev_no_echo(7, Channel.RIGHT)
+    assert log.events[3] == {"t": 7, "kind": "no_echo", "channel": "right"}
 
 
 # Values of each row_* argument of the types a row holds, as the simulator
-# gives them, and values of other types.
+# gives them, and values of other types, which the row_* functions refuse.
 RIGHT = {
     "t": st.integers(0, 10**7),
     "cm": st.integers(-5, 10**6),
@@ -261,11 +269,11 @@ WRONG = {
     "surface": ["tiles", "grass", OddStr("tiles")],
     "weather": ["dry", "é", SurfaceKind.TILES],
 }
+# Each kind's row_* function and the RIGHT and WRONG key of each of its arguments.
 MAKERS = {
-    "measurement": (row_measurement, ev_measurement,
-                    ("t", "channel", "cm", "true_cm", "surface", "weather")),
-    "no_echo": (row_no_echo, ev_no_echo, ("t", "channel")),
-    "alert": (row_alert, ev_alert, ("t", "channel", "cm")),
+    "measurement": (row_measurement, ("t", "channel", "cm", "true_cm", "surface", "weather")),
+    "no_echo": (row_no_echo, ("t", "channel")),
+    "alert": (row_alert, ("t", "channel", "cm")),
 }
 RIGHT_ARGS = {
     "measurement": (7, Channel.GROUND, 55, 54.5, SurfaceKind.TILES, Weather.DRY),
@@ -274,33 +282,53 @@ RIGHT_ARGS = {
 }
 
 
+def arg_names(kind: str) -> list[str]:
+    return list(inspect.signature(MAKERS[kind][0]).parameters)
+
+
 @st.composite
 def made_events(draw):
-    """(row_* function, ev_* function, arguments, whether all are of the
-    types a row holds)."""
-    row, ev, params = MAKERS[draw(st.sampled_from(sorted(MAKERS)))]
-    drawn = [draw(st.one_of(RIGHT[param].map(lambda v: (v, True)),
-                            st.sampled_from(WRONG[param]).map(lambda v: (v, False))))
-             for param in params]
-    return row, ev, tuple(value for value, _ in drawn), all(ok for _, ok in drawn)
+    """(kind, row_* arguments, the name of the first argument of a type the
+    row does not hold, or None): half of them all of the types a row holds,
+    the others with one or more arguments of other types."""
+    kind = draw(st.sampled_from(sorted(MAKERS)))
+    params = MAKERS[kind][1]
+    wrong = draw(st.one_of(st.just(set()), st.sets(st.integers(0, len(params) - 1), min_size=1)))
+    args = tuple(draw(st.sampled_from(WRONG[param]) if i in wrong else RIGHT[param])
+                 for i, param in enumerate(params))
+    return kind, args, arg_names(kind)[min(wrong)] if wrong else None
+
+
+def expected_dict(kind: str, args: tuple) -> dict:
+    """The event's dict, from its row_* arguments: `t`, `kind`, then the
+    other arguments by name, an enum member as its value."""
+    t, *rest = args
+    return {"t": t, "kind": kind,
+            **{name: value.value if isinstance(value, Enum) else value
+               for name, value in zip(arg_names(kind)[1:], rest)}}
 
 
 def shape(event: dict):
     return list(event), [type(value) for value in event.values()], dumps(event)
 
 
-def assert_written_as_their_dicts(events) -> None:
-    """Each row_* call gives a row exactly when all its arguments are of the
-    types a row holds; either way, the event reads as its ev_* dict and is
-    written as json.dumps writes that dict."""
-    log = TraceLog()
-    for row, _, args, rows in events:
-        event = row(*args)
-        assert (type(event) is tuple) == rows, args
-        log.add(event)
+def assert_rows_or_refusals(events) -> None:
+    """A row_* call whose arguments are all of the types a row holds gives a
+    row, which reads as the event's dict and is written as json.dumps writes
+    that dict; any other call raises TypeError naming the function and its
+    first argument of another type."""
+    log, expected = TraceLog(), []
+    for kind, args, wrong in events:
+        row = MAKERS[kind][0]
+        if wrong is None:
+            log.add(row(*args))
+            expected.append(expected_dict(kind, args))
+        else:
+            with pytest.raises(TypeError, match=rf"^{row.__name__}: {wrong} cannot be "):
+                row(*args)
     text = log.to_jsonl()
-    assert text == expected_lines(log.events)
-    assert [shape(event) for event in log.events] == [shape(ev(*args)) for _, ev, args, _ in events]
+    assert text == expected_lines(expected)
+    assert [shape(event) for event in log.events] == [shape(event) for event in expected]
     assert log.to_jsonl() == text
 
 
@@ -308,23 +336,20 @@ def assert_written_as_their_dicts(events) -> None:
 @given(events=st.lists(made_events(), min_size=1, max_size=6))
 # One channel's true_cm, row after row: equal values of other types or signs
 # are written each as its own.
-@example(events=[(row_measurement, ev_measurement, (4, Channel.RIGHT, 5, true_cm,
-                                                    SurfaceKind.CONCRETE, Weather.WET), True)
+@example(events=[("measurement", (4, Channel.RIGHT, 5, true_cm, SurfaceKind.CONCRETE, Weather.WET),
+                  None)
                  for true_cm in (None, 600, 600.0, 0, 0.0, -0.0, 1e16, 1e-7, 2.5e-308)])
 def test_rows_are_written_as_json_dumps_writes_their_dicts(events):
-    assert_written_as_their_dicts(events)
+    assert_rows_or_refusals(events)
 
 
-@pytest.mark.parametrize("kind, param", [(kind, param) for kind, (_, _, params) in MAKERS.items()
+@pytest.mark.parametrize("kind, param", [(kind, param) for kind, (_, params) in MAKERS.items()
                                          for param in params])
-def test_one_argument_of_another_type_gives_the_dict(kind, param):
-    row, ev, params = MAKERS[kind]
+def test_one_argument_of_another_type_is_refused_naming_it(kind, param):
+    i = MAKERS[kind][1].index(param)
     right = RIGHT_ARGS[kind]
-    events = [(row, ev, right, True)]
-    for wrong in WRONG[param]:
-        args = tuple(wrong if name == param else value for name, value in zip(params, right))
-        events.append((row, ev, args, False))
-    assert_written_as_their_dicts(events)
+    assert_rows_or_refusals([(kind, right, None), *[
+        (kind, right[:i] + (wrong,) + right[i + 1:], arg_names(kind)[i]) for wrong in WRONG[param]]])
 
 
 ODD_VALUES = [
@@ -338,19 +363,19 @@ EXTRA_KEYS = ["a", "extra", "t", "kind", "zz", "channel", "true_cm"]
 
 @st.composite
 def mutated_hot_events(draw) -> dict:
-    """A hot-kind event as its ev_* function builds it, then mutated: keys
+    """A hot-kind event's dict, with any float true_cm, then mutated: keys
     reordered, added or dropped, and values swapped for odd ones."""
     t = draw(st.integers(0, 10**7))
-    channel = draw(st.sampled_from(Channel))
+    channel = draw(st.sampled_from(Channel)).value
     kind = draw(st.sampled_from(["measurement", "alert", "no_echo"]))
+    event = {"t": t, "kind": kind, "channel": channel}
     if kind == "measurement":
         true_cm = draw(st.one_of(st.none(), st.integers(0, 700), st.floats(allow_nan=True)))
-        event = ev_measurement(t, channel, draw(st.integers(-5, 10**6)), true_cm,
-                               draw(st.sampled_from(SurfaceKind)), draw(st.sampled_from(Weather)))
+        event.update(measured_cm=draw(st.integers(-5, 10**6)), true_cm=true_cm,
+                     surface=draw(st.sampled_from(SurfaceKind)).value,
+                     weather=draw(st.sampled_from(Weather)).value)
     elif kind == "alert":
-        event = ev_alert(t, channel, draw(st.integers(0, 700)))
-    else:
-        event = ev_no_echo(t, channel)
+        event["distance_cm"] = draw(st.integers(0, 700))
     items = list(event.items())
     for _ in range(draw(st.integers(0, 3))):
         mutation = draw(st.sampled_from(["swap", "add", "drop", "reorder"]))

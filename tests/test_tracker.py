@@ -302,6 +302,20 @@ def test_timeout_not_finite_and_above_0_exits_2_before_any_socket(monkeypatch, c
             in capsys.readouterr().err)
 
 
+def test_an_empty_device_exits_2_before_any_socket(monkeypatch, capsys):
+    # The server answers an empty device_id with a 400, which the tracker
+    # would report as the server being unreachable.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    for command in (["get-location"], ["show-map"], ["track", "--limit", "3"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--server", "127.0.0.1:8750", "--device", "", *command])
+        assert excinfo.value.code == 2
+        assert "argument --device: must not be empty" in capsys.readouterr().err
+
+
 def test_fetches_on_one_thread_share_one_connection(tmp_path):
     port = free_port()
     serving = Serving(tmp_path / "locations.jsonl", port)
@@ -1104,6 +1118,14 @@ def test_the_memo_keeps_no_refused_reply_and_no_long_one():
     assert tracker._read(body, "walker-1", 200) == trail
     assert tracker._read(body, "walker-1", 200) == trail
     assert tracker._check.cache_info()[:4] == (0, 4, 256, 0)  # (hits, misses, maxsize, currsize)
+    # A trail padded with JSON whitespace to the limit is kept; one byte more is not.
+    trail = trail[:100]
+    at_max = json.dumps(trail).encode().ljust(tracker._MEMO_BODY_MAX)
+    assert len(at_max) == tracker._MEMO_BODY_MAX
+    for body, info in ((at_max + b" ", (0, 4, 256, 0)), (at_max, (1, 5, 256, 1))):
+        assert tracker._read(body, "walker-1", 100) == trail
+        assert tracker._read(body, "walker-1", 100) == trail
+        assert tracker._check.cache_info()[:4] == info
 
 
 def test_threads_fetching_while_posts_land_each_get_a_correct_answer(live_tracking):
