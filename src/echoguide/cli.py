@@ -31,8 +31,7 @@ from .world import load_scenario
 
 
 def _summarize(trace: TraceLog) -> str:
-    # One pass: events by kind, but an upload under its outcome.
-    counts = Counter(e["outcome"] if e["kind"] == "upload" else e["kind"] for e in trace.events)
+    counts = trace.kind_counts() + Counter(e["outcome"] for e in trace.kind("upload"))
     parts = [
         f"{len(trace)} events",
         f"{counts['measurement']} measurements",

@@ -107,9 +107,10 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     virtual time whether or not it produced a usable reading.  Raises
     NoEchoError when max_sample_attempts polls yield too few valid samples;
     the error carries the end of the empty segment the last poll fell in.
-    Readings are banked as pulse counts and only their median goes through
-    pulses_to_cm: the conversion is monotone, so this gives median9 of the
-    converted readings.
+    Readings are banked raw, as a draw's take gives them (the float a poll
+    rounds to its pulse count) or as pulse counts, and only their median is
+    rounded and goes through pulses_to_cm: round and the conversion are
+    monotone, so this gives median9 of the converted readings.
 
     segment(t_ms) gives (draw, until_ms) for the segment holding t_ms (see
     world.ChannelEcho): the polls from t_ms before until_ms draw from it.
@@ -119,38 +120,39 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     spent; any other draw is called once per poll, each reading checked
     by gate_valid and followed by one sample period.  Segments are looked
     up only at poll times with attempts left, so the result, clock and any
-    error are those of polling one by one.
+    error are those of polling one by one.  The clock is read once, at the
+    start; each later poll time is what clock.advance returns.
     """
     period = cfg.sample_period_ms
     limit = cfg.max_sample_attempts
     needed = cfg.samples_per_measurement
     advance = clock.advance
-    bank: list[int] = []  # valid readings, in pulses
+    bank: list = []  # valid readings: raw floats from a take, else pulse counts
     attempts = 0
+    t_ms = clock.now()
     while attempts < limit:
-        t_ms = clock.now()
         draw, until = segment(t_ms)
         polls = limit - attempts
         if until != math.inf:  # the polls at t_ms, t_ms + period, ... before until
             polls = min(polls, -((t_ms - until) // period))
         attempts += polls
         if draw is None:
-            advance(polls * period)
+            t_ms = advance(polls * period)
             continue
         take = getattr(draw, "take", None)
         if take is not None:
-            advance(take(polls, bank, needed) * period)
+            t_ms = advance(take(polls, bank, needed) * period)
         else:
             for _ in range(polls):
                 pulses = draw()
-                advance(period)
+                t_ms = advance(period)
                 if gate_valid(pulses_to_cm(pulses)):
                     bank.append(pulses)
                     if len(bank) == needed:
                         break
-        if len(bank) == needed:  # median9 in pulses
+        if len(bank) == needed:  # median9, rounded to pulses once
             bank.sort()
-            return pulses_to_cm(bank[needed // 2])
+            return pulses_to_cm(round(bank[needed // 2]))
     raise NoEchoError(channel, attempts, until if draw is None else 0)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import json.encoder
+from collections import Counter
 from typing import Callable, Iterator, Optional
 
 from .app import UploadAttempt
@@ -89,7 +90,14 @@ class TraceLog:
         self._events.sort(key=_time)
 
     def kind(self, kind: str) -> list[dict]:
-        return [e for e in self.events if e["kind"] == kind]
+        """The events of one kind; rows are turned into their dicts only
+        for a row's kind."""
+        events = self.events if kind in _AS_DICT else self._events
+        return [e for e in events if type(e) is not tuple and e["kind"] == kind]
+
+    def kind_counts(self) -> Counter[str]:
+        """How many events there are of each kind, without a row's dict."""
+        return Counter(e[1] if type(e) is tuple else e["kind"] for e in self._events)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -136,14 +144,17 @@ class TraceLog:
 
     @classmethod
     def read(cls, path: str) -> "TraceLog":
-        """Load a trace file; a line that is not a JSON object with `t` and
-        `kind` raises ScenarioError naming path:lineno."""
+        """Load a trace file of UTF-8 lines, each of which may start with a
+        BOM; a line that is not a JSON object with `t` and `kind` raises
+        ScenarioError naming path:lineno."""
+        decode = json.JSONDecoder().decode
         events = []
         with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 if line.strip():
-                    try:
-                        event = json.loads(line)
+                    try:  # UTF-8 as json.loads(line) decodes it, BOM and all
+                        text = line.decode("utf-8", "surrogatepass")
+                        event = decode(text.removeprefix("\ufeff"))
                     except ValueError:  # not JSON, or not UTF-8
                         event = None
                     if not (isinstance(event, dict) and "t" in event and "kind" in event):

@@ -68,8 +68,8 @@ class NoiseParams:
     outlier_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rel_sigma < 0:
-            raise ConfigError("rel_sigma must be >= 0")
+        if not 0.0 <= self.rel_sigma < math.inf:  # nan fails too
+            raise ConfigError("rel_sigma must be finite and >= 0")
         if not -1.0 < self.rel_bias < 1.0:
             raise ConfigError("rel_bias must be inside (-1, 1)")
         if not 0.0 <= self.outlier_prob <= 1.0:
@@ -107,6 +107,14 @@ def noise_params_for(surface: SurfaceKind, weather: Weather,
 _GATE_PULSES = (((2 * GATE_LOW_CM + 1) * PULSES_PER_CM + 1) // 2,
                 ((2 * GATE_HIGH_CM - 1) * PULSES_PER_CM - 1) // 2)
 
+# The same gate on a raw reading x, the float a poll rounds to its count:
+# low <= round(x) <= high exactly when low - 0.5 < x <= high + 0.5.  round()
+# sends a half to its even neighbour: low (899) is odd, so round(898.5) is
+# 898, out, and high (37,380) is even, so round(37,380.5) is 37,380, in.
+# Both halves are exact floats.  A measurement round banks raw readings on
+# these bounds and rounds only their median.
+_GATE_READING = (_GATE_PULSES[0] - 0.5, _GATE_PULSES[1] + 0.5)
+
 
 def echo_sampler(true_cm: float, params: NoiseParams,
                  rng: random.Random) -> Callable[[], int]:
@@ -120,16 +128,19 @@ def echo_sampler(true_cm: float, params: NoiseParams,
     operations, so the readings do not depend on how they are drawn.
 
     draw.take(polls, bank, needed) draws up to polls readings in one call,
-    as that many draw() calls would, and appends to bank each one the
-    firmware's gate passes, until bank holds needed; it returns the polls
-    it spent.  A measurement round draws a segment's polls this way.
+    as that many draw() calls would, and appends to bank the raw reading
+    (the float draw() rounds) of each one whose pulse count the firmware's
+    gate passes, until bank holds needed; it returns the polls it spent.
+    A measurement round draws a segment's polls this way and rounds only
+    the median of its bank: round() is monotone, so that is the median of
+    the pulse counts.
     """
     random_ = rng.random
     outlier_prob = params.outlier_prob
     biased_cm = true_cm * (1.0 + params.rel_bias)
     sigma_cm = params.rel_sigma * true_cm
     gate_cm = GATE_HIGH_CM - GATE_LOW_CM
-    low, high = _GATE_PULSES
+    low, high = _GATE_READING
 
     def draw() -> int:
         if random_() < outlier_prob:
@@ -148,15 +159,15 @@ def echo_sampler(true_cm: float, params: NoiseParams,
             pulses = round((biased_cm + (0.0 + z * sigma_cm)) * PULSES_PER_CM)
         return pulses if pulses > 1 else 1  # max(1, pulses) without the call
 
-    def take(polls: int, bank: list[int], needed: int) -> int:
-        # draw()'s operations, with gauss's second value in a local that is
-        # written back to rng.gauss_next on return.  The gate rejects every
-        # count below 899, so the clamp to 1 pulse is left out.
+    def take(polls: int, bank: list[float], needed: int) -> int:
+        # draw()'s operations up to its round(), with gauss's second value in
+        # a local that is written back to rng.gauss_next on return.  The gate
+        # rejects every count below 899, so the clamp to 1 pulse is left out.
         spare = rng.gauss_next
         banked = len(bank)
         for spent in range(1, polls + 1):
             if random_() < outlier_prob:
-                pulses = round((GATE_LOW_CM + gate_cm * random_()) * PULSES_PER_CM)
+                x = (GATE_LOW_CM + gate_cm * random_()) * PULSES_PER_CM
             else:
                 z = spare
                 spare = None
@@ -165,9 +176,9 @@ def echo_sampler(true_cm: float, params: NoiseParams,
                     g2rad = sqrt(-2.0 * log(1.0 - random_()))
                     z = cos(x2pi) * g2rad
                     spare = sin(x2pi) * g2rad
-                pulses = round((biased_cm + (0.0 + z * sigma_cm)) * PULSES_PER_CM)
-            if low <= pulses <= high:
-                bank.append(pulses)
+                x = (biased_cm + (0.0 + z * sigma_cm)) * PULSES_PER_CM
+            if low < x <= high:
+                bank.append(x)
                 banked += 1
                 if banked == needed:
                     rng.gauss_next = spare

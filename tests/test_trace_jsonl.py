@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import json
 import json.encoder
+import re
 import sys
 from collections import Counter
 from enum import Enum
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, SCENARIO_DIR
 from echoguide import trace
+from echoguide.cli import _summarize
+from echoguide.errors import ScenarioError
 from echoguide.harness import distance_error_experiment, run_scenario
 from echoguide.trace import (
     TraceLog,
@@ -127,6 +130,46 @@ def test_write_that_cannot_serialize_leaves_the_old_file(tmp_path, value, error)
     assert path.read_text(encoding="utf-8") == expected_lines(old)
 
 
+# -- reading a trace file --------------------------------------------------------
+
+
+GOOD_LINE = b'{"t":0,"kind":"x"}\n'
+
+
+@pytest.mark.parametrize("line", [
+    b"\xff\xfe{}\n", b"not json\n", b"[1]\n", b'{"kind":"x"}\n', b'{"t":1}\n',
+    b'{"t":1,"kind":"x"} {}\n', b"\xef\xbb\xbf\n", b'\xef\xbb\xbf\xef\xbb\xbf{"t":1,"kind":"x"}\n',
+    '{"t":1,"kind":"x"}\n'.encode("utf-16-be"),
+], ids=["not UTF-8", "not JSON", "not an object", "no t", "no kind", "extra data",
+        "a BOM alone", "two BOMs", "UTF-16"])
+def test_a_bad_line_is_named_by_path_and_lineno(tmp_path, line):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(GOOD_LINE + b"  \n" + line + GOOD_LINE)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}:3: not a trace event$"):
+        TraceLog.read(path)
+
+
+@pytest.mark.parametrize("lines", [
+    [b'\xef\xbb\xbf{"t":1,"kind":"x"}\n', b'\xef\xbb\xbf {"t":2,"kind":"y"}\r\n'],
+    [b' {"t":1, "kind":"\xe0\xa6\xb8", "a": [1.5, null, "\\u09b8"]} \n', b"\t\n", b"\x0b\n"],
+    [b'{"t":1,"kind":"\xed\xa0\x80"}\n', b'{"t":2,"kind":"\\ud800"}'],
+], ids=["BOMs", "whitespace and escapes", "surrogates"])
+def test_lines_are_read_as_json_loads_reads_their_bytes(tmp_path, lines):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"".join(lines))
+    assert TraceLog.read(path).events == [json.loads(line) for line in lines if line.strip()]
+
+
+@pytest.mark.parametrize("name", ["ground_obstacle", "walk_20min"])
+def test_a_bom_led_trace_reads_to_the_same_events(tmp_path, name):
+    path, bom_led = tmp_path / "trace.jsonl", tmp_path / "bom.jsonl"
+    run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json")).write(path)
+    bom_led.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    events = TraceLog.read(path).events
+    assert TraceLog.read(bom_led).events == events
+    assert TraceLog(events).to_jsonl().encode("utf-8") == path.read_bytes()
+
+
 # -- the hot kinds: measurement, alert and no_echo -------------------------------
 
 
@@ -207,6 +250,42 @@ def test_a_walks_lines_are_the_same_before_and_after_its_events_are_read(make):
     assert walk.to_jsonl() == before
     assert before == expected_lines(walk.events)
     assert walk.to_jsonl() == before
+
+
+@pytest.mark.parametrize("make", [make for _, make in WALKS], ids=[label for label, _ in WALKS])
+def test_kinds_are_counted_and_the_summary_written_without_a_rows_dict(make):
+    # kind_counts, kind() of a kind no row has, and so the run summary, read
+    # the rows as they are; the summary is the one counted over the dicts.
+    walk = make()
+    made = Counter()
+    as_dict = {k: (lambda row, f=f: made.update([row[1]]) or f(row))
+               for k, f in trace._AS_DICT.items()}
+    with mock.patch.dict(trace._AS_DICT, as_dict):
+        counts, summary = walk.kind_counts(), _summarize(walk)
+        uploads = walk.kind("upload")
+    assert not made
+    events = walk.events
+    assert counts == Counter(event["kind"] for event in events)
+    assert uploads == [event for event in events if event["kind"] == "upload"]
+    by_dict = Counter(e["outcome"] if e["kind"] == "upload" else e["kind"] for e in events)
+    assert summary == (
+        f"{len(events)} events, {by_dict['measurement']} measurements, "
+        f"{by_dict['alert']} alerts, {by_dict['speak']} announcements, "
+        f"{by_dict['delivered']}/{by_dict['delivered'] + by_dict['queued']} uploads delivered, "
+        f"{by_dict['call']} calls")
+
+
+def test_kind_gives_dicts_in_order_for_row_kinds_and_others():
+    log = TraceLog()
+    for event in (row_no_echo(1, Channel.LEFT), ev_button(2), row_no_echo(3, Channel.RIGHT),
+                  {"t": 4, "kind": "upload", "outcome": "queued"}, ev_button(5)):
+        log.add(event)
+    assert log.kind("button") == [ev_button(2), ev_button(5)]
+    assert log.kind("upload") == [{"t": 4, "kind": "upload", "outcome": "queued"}]
+    assert log.kind("no_echo") == [as_dict(row_no_echo(1, Channel.LEFT)),
+                                   as_dict(row_no_echo(3, Channel.RIGHT))]
+    assert log.kind("nothing") == []
+    assert log.kind_counts() == Counter({"no_echo": 2, "button": 2, "upload": 1})
 
 
 def test_equal_times_keep_insertion_order_across_rows_and_dicts():

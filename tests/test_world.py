@@ -36,6 +36,7 @@ from echoguide.world import (
     scenario_from_dict,
     utc_string,
     _GATE_PULSES,
+    _GATE_READING,
 )
 
 
@@ -349,6 +350,11 @@ def test_noise_params_validation():
         NoiseParams(0.1, 1.5, 0.0)
     with pytest.raises(ConfigError):
         NoiseParams(0.1, 0.0, 1.5)
+    # A round gates raw readings by comparison, where nan and inf would fail
+    # quietly instead of raising in round(), so the scatter must be finite.
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="rel_sigma must be finite"):
+            NoiseParams(sigma, 0.0, 0.0)
 
 
 # -- echo sampling ------------------------------------------------------------------
@@ -463,9 +469,35 @@ def test_pulse_gate_is_the_firmware_gate_on_converted_counts():
     assert all((low <= p <= high) == gate_valid(pulses_to_cm(p)) for p in range(40_001))
 
 
+def test_reading_gate_is_the_pulse_gate_on_rounded_readings():
+    # Every half and whole reading within 3 pulses of each gate end, and the
+    # floats next to each, are banked on the float bounds exactly when their
+    # rounded count is inside the pulse gate.
+    low, high = _GATE_PULSES
+    above, at_most = _GATE_READING
+    assert (above, at_most) == (898.5, 37_380.5)
+    halves = [k / 2 for end in (low, high) for k in range(2 * end - 6, 2 * end + 7)]
+    readings = halves + [math.nextafter(x, to) for x in halves for to in (-math.inf, math.inf)]
+    assert len(readings) == 78
+    for x in readings:
+        assert (above < x <= at_most) == (low <= round(x) <= high), x
+
+
+def readings_at(x):
+    """(true_cm, params) for which a gaussian poll reads exactly x before it
+    is rounded: no bias and no scatter, so the reading is true_cm * 58."""
+    exact = NoiseParams(0.0, 0.0, 0.0)
+    true_cm = x / PULSES_PER_CM
+    for _ in range(8):
+        if true_cm * PULSES_PER_CM == x:
+            return true_cm, exact
+        true_cm = math.nextafter(true_cm, math.inf if true_cm * PULSES_PER_CM < x else -math.inf)
+    raise AssertionError(f"no true_cm reads {x!r}")
+
+
 def take_one_by_one(draw, polls, bank, needed):
     """draw.take as draw() per poll, then pulses_to_cm and gate_valid; the
-    polls spent."""
+    polls spent.  The bank gets pulse counts."""
     for spent in range(1, polls + 1):
         pulses = draw()
         if gate_valid(pulses_to_cm(pulses)):
@@ -485,30 +517,54 @@ def take_one_by_one(draw, polls, bank, needed):
        bank=st.lists(st.integers(_GATE_PULSES[0], _GATE_PULSES[1]), max_size=8),
        polls=st.integers(1, 50))
 def test_take_is_drawing_one_poll_at_a_time(true_cm, params, seed, gauss_next, bank, polls):
-    # A round's take spends the polls, banks the pulse counts and leaves the
-    # generator (gauss's cached value included) as draw() per poll does, and
-    # the converted median of its bank is median9 of the converted readings.
+    # A round's take spends the polls and leaves the generator (gauss's
+    # cached value included) as draw() per poll does; its bank holds the raw
+    # readings, which round to the pulse counts of the polls the gate
+    # passes, and the converted rounded median is median9 of the converted
+    # readings.
     rngs = [random.Random(seed) for _ in range(2)]
     banks = [list(bank), list(bank)]
     for rng in rngs:
         rng.gauss_next = gauss_next
     spent = echo_sampler(true_cm, params, rngs[0]).take(polls, banks[0], 9)
     assert spent == take_one_by_one(echo_sampler(true_cm, params, rngs[1]), polls, banks[1], 9)
-    assert banks[0] == banks[1]
+    assert [round(x) for x in banks[0]] == banks[1]
     assert rngs[0].getstate() == rngs[1].getstate()
     if len(banks[0]) == 9:
-        assert pulses_to_cm(sorted(banks[0])[4]) == median9([pulses_to_cm(p) for p in banks[0]])
+        converted = [pulses_to_cm(round(x)) for x in banks[0]]
+        assert pulses_to_cm(round(sorted(banks[0])[4])) == median9(converted)
 
 
-@pytest.mark.parametrize("pulses,banked", [(898, False), (899, True), (37_380, True),
-                                            (37_381, False)])
-def test_take_gates_exactly_at_both_ends(pulses, banked):
-    exact = NoiseParams(0.0, 0.0, 0.0)
-    assert echo_sampler(pulses / PULSES_PER_CM, exact, random.Random(1))() == pulses
-    bank: list[int] = []
-    take = echo_sampler(pulses / PULSES_PER_CM, exact, random.Random(1)).take
+@pytest.mark.parametrize("x,banked", [
+    (898, False), (math.nextafter(898.5, -math.inf), False), (898.5, False),
+    (math.nextafter(898.5, math.inf), True), (899, True), (37_380, True),
+    (math.nextafter(37_380.5, -math.inf), True), (37_380.5, True),
+    (math.nextafter(37_380.5, math.inf), False), (37_381, False)])
+def test_take_gates_exactly_at_both_ends(x, banked):
+    # A reading is banked raw exactly when draw() gives a count the
+    # firmware's gate passes, at each gate end's half and either side of it.
+    true_cm, exact = readings_at(x)
+    pulses = echo_sampler(true_cm, exact, random.Random(1))()
+    assert pulses == round(x)
+    assert gate_valid(pulses_to_cm(pulses)) == banked
+    bank: list[float] = []
+    take = echo_sampler(true_cm, exact, random.Random(1)).take
     assert take(3, bank, 2) == (2 if banked else 3)
-    assert bank == ([pulses] * 2 if banked else [])
+    assert bank == ([x] * 2 if banked else [])
+
+
+_ties = st.integers(-40_000, 80_000).map(lambda k: k + 0.5)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(xs=st.lists(_ties | st.integers(-40_000, 80_000).map(float)
+                   | st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=9, max_size=9))
+def test_the_rounded_median_is_the_median_of_the_rounded(xs):
+    # round() never decreases, halves included (they go to the even
+    # neighbour), so rounding the median of nine raw readings gives the
+    # median of their pulse counts.
+    assert round(sorted(xs)[4]) == sorted(map(round, xs))[4]
 
 
 def test_take_covers_both_gate_ends_and_the_one_pulse_clamp():
