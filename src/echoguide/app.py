@@ -29,22 +29,6 @@ class Provider(Enum):
     NETWORK = "network"
 
 
-class UnknownTokenError(ValueError):
-    """The link delivered a token that is not a known obstacle word."""
-
-    def __init__(self, token: str) -> None:
-        super().__init__(f"unknown link token: {token!r}")
-        self.token = token
-
-
-def decode_message(token: str) -> ObstacleMessage:
-    """Map a link token to its message; exact, case-sensitive match only."""
-    try:
-        return ObstacleMessage(token)
-    except ValueError:
-        raise UnknownTokenError(token) from None
-
-
 # Default spoken phrases.  Placeholder wording, replaceable via the config
 # file; the Bengali strings exercise the non-ASCII path end to end.
 DEFAULT_PHRASES: dict[tuple[ObstacleMessage, Language], str] = {
@@ -271,8 +255,9 @@ class AssistiveApp:
     def handle_token(self, token: str,
                      now_ms: int) -> tuple[ObstacleMessage, Optional[str]]:
         """Decode one link token and maybe announce it: the message and the
-        phrase to speak, if any.  May raise UnknownTokenError."""
-        message = decode_message(token)
+        phrase to speak, if any.  The token must be an obstacle word, matched
+        exactly; any other raises ValueError naming it."""
+        message = ObstacleMessage(token)
         return message, self.announce(message, now_ms)
 
     # -- voice ------------------------------------------------------------
@@ -304,8 +289,7 @@ class AssistiveApp:
 
 
 __all__ = [
-    "Language", "Provider", "UnknownTokenError",
-    "decode_message", "DEFAULT_PHRASES", "AppConfig",
+    "Language", "Provider", "DEFAULT_PHRASES", "AppConfig",
     "CallEmergency", "SetMuted", "normalize_utterance",
     "select_provider", "make_fix", "Uploader", "UploadAttempt", "AssistiveApp",
 ]

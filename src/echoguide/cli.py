@@ -133,7 +133,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     # OSError: a missing or unreadable file; StorageError: a corrupt --store
     except (ScenarioError, ConfigError, StorageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None and exc.strerror:
+            message = f"{exc.filename}: {exc.strerror}"  # the file first, as the loaders put it
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 class VirtualClock:
     """Monotonic integer-millisecond clock advanced explicitly by the caller."""
 
-    def __init__(self, start_ms: int = 0) -> None:
-        if start_ms < 0:
-            raise ValueError("start_ms must be >= 0")
-        self._now_ms = start_ms
+    def __init__(self) -> None:
+        self._now_ms = 0
 
     def now(self) -> int:
         return self._now_ms

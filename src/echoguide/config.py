@@ -68,7 +68,7 @@ def config_from_dict(doc: dict) -> SystemConfig:
 
 
 def load_config(path: str) -> SystemConfig:
-    return config_from_dict(load_json(path, ConfigError))
+    return load_json(path, ConfigError, config_from_dict)
 
 
 __all__ = ["SystemConfig", "config_from_dict", "load_config"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .clock import VirtualClock
 from .link import FRAME_DELIMITER, ObstacleMessage
@@ -156,31 +156,10 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     raise NoEchoError(channel, attempts, until if draw is None else 0)
 
 
-def encode_message(channel: Channel) -> bytes:
-    """Wire frame for an alert on a channel: the channel word plus the link delimiter."""
-    return ObstacleMessage[channel.name].value.encode("ascii") + FRAME_DELIMITER
-
-
-# The channels in the order a pass measures them, each with its alert frame.
-_PASS_CHANNELS = tuple((channel, encode_message(channel)) for channel in Channel)
-
-
-class ChannelRound(NamedTuple):
-    """What one channel's measurement round in a firmware pass produced.
-
-    distance_cm is None when the round got no usable echo.  alerting: the
-    distance is strictly below the channel's threshold, so the motor
-    vibrates; motor_changed: alerting differs from the previous pass.
-    frame is sent on a fresh alert, and again once per repeat_interval_ms
-    while the alert holds.
-    """
-
-    channel: Channel
-    t_ms: int
-    distance_cm: Optional[int]
-    alerting: bool
-    motor_changed: bool
-    frame: Optional[bytes]
+# The channels in the order a pass measures them, each with its alert frame:
+# the channel's word plus the link delimiter.
+_PASS_CHANNELS = tuple((channel, ObstacleMessage[channel.name].value.encode("ascii")
+                        + FRAME_DELIMITER) for channel in Channel)
 
 
 @dataclass
@@ -198,10 +177,17 @@ class FirmwareState:
 
 def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
                   clock: VirtualClock,
-                  cfg: FirmwareConfig = FirmwareConfig()) -> list[ChannelRound]:
+                  cfg: FirmwareConfig = FirmwareConfig()) -> list[tuple]:
     """One pass of the firmware main loop: one round per channel, in Channel
     order (ground, then left, then right), each polling the echo source at
     its position in echoes.
+
+    Each round gives (channel, t_ms, distance_cm, alerting, motor_changed,
+    frame), t_ms being when it ended.  distance_cm is None when the round
+    got no usable echo.  alerting: the distance is strictly below the
+    channel's threshold, so the motor vibrates; motor_changed: alerting
+    differs from the previous pass.  frame is sent on a fresh alert, and
+    again once per repeat_interval_ms while the alert holds; else None.
 
     A round with nothing in range spends all max_sample_attempts polls.
     When every poll of a channel's round falls before its quiet_until, all
@@ -217,7 +203,6 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
     round_ms = cfg.max_sample_attempts * cfg.sample_period_ms
     last_poll_ms = round_ms - cfg.sample_period_ms  # from the round's start
     thresholds = (cfg.ground_alert_cm, cfg.left_alert_cm, cfg.right_alert_cm)  # Channel order
-    new_round = tuple.__new__  # what ChannelRound._make calls, without its generated __new__
     rounds = []
     t_ms = clock.now()  # when the previous round ended: the next one starts then
     for i, (channel, message) in enumerate(_PASS_CHANNELS):
@@ -240,8 +225,7 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
         elif last is None or t_ms - last >= repeat_ms:
             frame = message
             last_frame_ms[i] = t_ms
-        rounds.append(new_round(ChannelRound, (channel, t_ms, distance, alerting,
-                                               alerting != (last is not None), frame)))
+        rounds.append((channel, t_ms, distance, alerting, alerting != (last is not None), frame))
     return rounds
 
 
@@ -272,7 +256,6 @@ def book_quiet_passes(state: FirmwareState, clock: VirtualClock, starts_before: 
 
 
 __all__ = [
-    "NoEchoError", "FirmwareConfig", "ChannelRound", "FirmwareState", "pulses_to_cm",
-    "gate_valid", "median9", "acquire_distance", "encode_message", "firmware_tick",
-    "book_quiet_passes",
+    "NoEchoError", "FirmwareConfig", "FirmwareState", "pulses_to_cm", "gate_valid",
+    "median9", "acquire_distance", "firmware_tick", "book_quiet_passes",
 ]

@@ -20,7 +20,6 @@ from .app import (
     AssistiveApp,
     CallEmergency,
     SetMuted,
-    UnknownTokenError,
     Uploader,
     make_fix,
     select_provider,
@@ -42,7 +41,6 @@ from .trace import (
     ev_server_ack,
     ev_set_muted,
     ev_speak,
-    ev_unknown_token,
     ev_upload,
     ev_utterance,
     row_alert,
@@ -157,11 +155,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             inputs.sort(key=itemgetter(0))
         for t_ms, item in inputs:
             if isinstance(item, str):
-                try:
-                    message, phrase = app.handle_token(item, t_ms)
-                except UnknownTokenError:
-                    add(ev_unknown_token(t_ms, item))
-                    continue
+                message, phrase = app.handle_token(item, t_ms)
                 add(ev_decode(t_ms, message))
                 if phrase is not None:
                     add(ev_speak(t_ms, message, config.app.language.value, phrase))
@@ -233,10 +227,6 @@ GRID_STEP_CM = 20
 EXPERIMENT_SEED = 42
 
 
-def experiment_grid() -> list[int]:
-    return list(range(GRID_START_CM, GRID_STOP_CM + 1, GRID_STEP_CM))
-
-
 def distance_error_experiment(config: Optional[SystemConfig] = None,
                               seed: int = EXPERIMENT_SEED) -> TraceLog:
     """Measure every grid distance once per (surface, weather) condition.
@@ -256,7 +246,7 @@ def distance_error_experiment(config: Optional[SystemConfig] = None,
     for surface in (SurfaceKind.TILES, SurfaceKind.CONCRETE):
         for weather in (Weather.DRY, Weather.WET):
             params = noise_params_for(surface, weather, config.calibration)
-            for true_cm in experiment_grid():
+            for true_cm in range(GRID_START_CM, GRID_STOP_CM + 1, GRID_STEP_CM):
                 draw = echo_sampler(true_cm, params, rng)
                 try:  # a fixed target: one segment that never ends
                     measured = acquire_distance(Channel.GROUND, lambda t_ms: (draw, math.inf),
@@ -444,22 +434,24 @@ def assert_expectations(trace: TraceLog, patterns: Sequence[dict]) -> tuple[bool
     return True, f"all {len(patterns)} patterns satisfied"
 
 
-def load_expectations(path: str) -> list[dict]:
-    """The patterns of an expectations file: a bare list of them, or an
+def _read_patterns(doc: object) -> list[dict]:
+    """The patterns of an expectations document: a bare list of them, or an
     object {"schema_version": 1, "patterns": [...]}."""
-    doc = load_json(path, ScenarioError)
-    try:
-        if type(doc) is dict:
-            doc = read_json(doc, _EXPECTATIONS, ScenarioError, "expectations")["patterns"]
-        elif type(doc) is not list:
-            raise ScenarioError("expected a list of patterns or an object with one")
-        _check_patterns(doc)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+    if type(doc) is dict:
+        doc = read_json(doc, _EXPECTATIONS, ScenarioError, "expectations")["patterns"]
+    elif type(doc) is not list:
+        raise ScenarioError("expected a list of patterns or an object with one")
+    _check_patterns(doc)
     return doc
 
 
+def load_expectations(path: str) -> list[dict]:
+    """The patterns of an expectations file (see _read_patterns); a refusal
+    starts with the path."""
+    return load_json(path, ScenarioError, _read_patterns)
+
+
 __all__ = [
-    "run_scenario", "distance_error_experiment", "experiment_grid", "error_report",
+    "run_scenario", "distance_error_experiment", "error_report",
     "assert_expectations", "load_expectations", "EXPERIMENT_SEED",
 ]

@@ -176,13 +176,19 @@ def read_json(doc: object, rule, error: type[ValueError], root: str):
         raise failure from None
 
 
-def load_json(path: "str | os.PathLike[str]", error: type[ValueError]):
-    """The JSON document in a file; one not JSON or not UTF-8 raises `error`."""
+def load_json(path: "str | os.PathLike[str]", error: type[ValueError], read):
+    """read(doc) for the JSON document in a file.  A file not JSON or not
+    UTF-8, or a document that read refuses with `error`, raises `error`
+    starting with the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except ValueError as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return read(doc)
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def parse_instant(text: str) -> datetime:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import json.encoder
 from collections import Counter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .app import UploadAttempt
 from .errors import ScenarioError
@@ -63,8 +63,8 @@ class TraceLog:
     """Append-only event record with JSON-lines serialization.
 
     An event is a JSON-safe dict, or a row from row_no_echo,
-    row_measurement or row_alert, which only `add` takes; `events`, `kind()`
-    and iteration give every one as a dict.
+    row_measurement or row_alert, which only `add` takes; `events` and
+    `kind()` give every one as a dict.
     """
 
     def __init__(self, events: Optional[list[dict]] = None) -> None:
@@ -101,9 +101,6 @@ class TraceLog:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def __iter__(self) -> Iterator[dict]:
-        return iter(self.events)
 
     def to_jsonl(self) -> str:
         """One line per event, as json.dumps(event, sort_keys=True,
@@ -224,10 +221,6 @@ def ev_decode(t: int, message: ObstacleMessage) -> dict:
     return {"t": t, "kind": "decode", "message": message._value_}
 
 
-def ev_unknown_token(t: int, token: str) -> dict:
-    return {"t": t, "kind": "unknown_token", "token": token}
-
-
 def ev_speak(t: int, message: ObstacleMessage, language: str, text: str) -> dict:
     return {"t": t, "kind": "speak", "message": message._value_,
             "language": language, "text": text}
@@ -261,6 +254,6 @@ def ev_server_ack(t: int, record_id: int, device_id: str, timestamp: str) -> dic
 
 __all__ = [
     "TraceLog", "row_measurement", "row_no_echo", "row_alert", "ev_motor",
-    "ev_frame", "ev_decode", "ev_unknown_token", "ev_speak", "ev_set_muted",
+    "ev_frame", "ev_decode", "ev_speak", "ev_set_muted",
     "ev_call", "ev_button", "ev_utterance", "ev_upload", "ev_server_ack",
 ]

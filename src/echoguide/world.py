@@ -445,7 +445,7 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> ScenarioScript:
 def load_scenario(path: "str | os.PathLike[str]") -> ScenarioScript:
     """Read and validate a scenario script from a JSON file."""
     name = os.path.basename(path).removesuffix(".json")
-    return scenario_from_dict(load_json(path, ScenarioError), name=name)
+    return load_json(path, ScenarioError, lambda doc: scenario_from_dict(doc, name=name))
 
 
 def utc_string(epoch_s: int) -> str:

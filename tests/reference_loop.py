@@ -73,8 +73,8 @@ def outcome(run, *args) -> tuple[str, str, Optional[int]]:
     finished or raised (None if it raised before starting its clock)."""
     clocks = []
 
-    def recorded(*clock_args):
-        clocks.append(VirtualClock(*clock_args))
+    def recorded():
+        clocks.append(VirtualClock())
         return clocks[-1]
 
     with mock.patch.object(harness, "VirtualClock", recorded):

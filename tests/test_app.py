@@ -4,6 +4,7 @@ commands, provider selection, fixes, and the upload scheduler."""
 from __future__ import annotations
 
 import random
+import re
 import statistics
 
 import pytest
@@ -16,9 +17,7 @@ from echoguide.app import (
     Language,
     Provider,
     SetMuted,
-    UnknownTokenError,
     Uploader,
-    decode_message,
     make_fix,
     normalize_utterance,
     select_provider,
@@ -36,14 +35,15 @@ from echoguide.link import ObstacleMessage
     ("Right", ObstacleMessage.RIGHT),
 ])
 def test_decode_exact_tokens(token, message):
-    assert decode_message(token) is message
+    assert AssistiveApp(AppConfig()).handle_token(token, 0)[0] is message
 
 
 @pytest.mark.parametrize("token", ["ground", "LEFT", "Right ", " Ground", "Rights", "", "Gr"])
 def test_decode_rejects_near_misses(token):
-    with pytest.raises(UnknownTokenError) as excinfo:
-        decode_message(token)
-    assert excinfo.value.token == token
+    app = AssistiveApp(AppConfig())
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(token))} is not a valid"):
+        app.handle_token(token, 0)
+    assert app.handle_token("Ground", 0)[1] is not None  # the refused word announced nothing
 
 
 # -- announcements ---------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_handle_token_decodes_and_announces():
     assert app.handle_token("Ground", 50) == \
         (ObstacleMessage.GROUND, DEFAULT_PHRASES[(ObstacleMessage.GROUND, Language.ENGLISH)])
     assert app.handle_token("Ground", 60) == (ObstacleMessage.GROUND, None)  # dedup
-    with pytest.raises(UnknownTokenError):
+    with pytest.raises(ValueError, match="'Gr0und'"):
         app.handle_token("Gr0und", 60)
 
 

@@ -15,13 +15,11 @@ from conftest import make_script
 from echoguide.clock import VirtualClock
 from echoguide.errors import ConfigError
 from echoguide.firmware import (
-    ChannelRound,
     FirmwareConfig,
     FirmwareState,
     NoEchoError,
     acquire_distance,
     book_quiet_passes,
-    encode_message,
     firmware_tick,
     gate_valid,
     median9,
@@ -176,7 +174,8 @@ def test_acquire_discards_out_of_gate_readings():
 
 def test_acquire_no_echo_spends_all_attempts():
     sensor = ScriptedSensor([])
-    clock = VirtualClock(start_ms=1000)
+    clock = VirtualClock()
+    clock.advance(1000)
     with pytest.raises(NoEchoError) as excinfo:
         acquire_distance(Channel.LEFT, sensor, clock)
     assert sensor.polls == 50
@@ -237,7 +236,8 @@ class CountingEcho(ChannelEcho):
 
 
 def test_acquire_books_a_fully_empty_round_in_one_step():
-    clock = VirtualClock(start_ms=1000)
+    clock = VirtualClock()
+    clock.advance(1000)
     echo = CountingEcho(make_script(duration_ms=10_000), Channel.GROUND, DEFAULT_CALIBRATION,
                         random.Random(7))
     cfg = FirmwareConfig(sample_period_ms=7, max_sample_attempts=20)
@@ -339,13 +339,6 @@ def test_no_echo_error_keeps_its_fields_and_message():
     assert str(error) == "no usable echo on left after 50 polls"
 
 
-def test_encode_message_tokens_and_terminator():
-    assert encode_message(Channel.GROUND) == b"Ground\n"
-    assert encode_message(Channel.LEFT) == b"Left\n"
-    assert encode_message(Channel.RIGHT) == b"Right\n"
-    assert encode_message(Channel.GROUND)[-1] == 0x0A
-
-
 # -- config validation ---------------------------------------------------------------
 
 
@@ -389,8 +382,14 @@ def constant_echoes(cm_by_channel: dict) -> list:
     return echoes
 
 
+# A round's fields, in the order firmware_tick gives them.
+CHANNEL, T_MS, DISTANCE_CM, ALERTING, MOTOR_CHANGED, FRAME = range(6)
+# Each channel's alert frame: its obstacle word and the link's newline.
+FRAMES = {Channel.GROUND: b"Ground\n", Channel.LEFT: b"Left\n", Channel.RIGHT: b"Right\n"}
+
+
 def frames_of(rounds) -> list[tuple[bytes, int]]:
-    return [(r.frame, r.t_ms) for r in rounds if r.frame is not None]
+    return [(r[FRAME], r[T_MS]) for r in rounds if r[FRAME] is not None]
 
 
 def test_tick_alert_starts_motor_and_sends_one_frame():
@@ -398,13 +397,18 @@ def test_tick_alert_starts_motor_and_sends_one_frame():
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 40, Channel.LEFT: 200, Channel.RIGHT: 200})
     rounds = firmware_tick(state, echoes, clock)
-    assert rounds == [
-        ChannelRound(Channel.GROUND, 90, 40, alerting=True, motor_changed=True,
-                     frame=b"Ground\n"),
-        ChannelRound(Channel.LEFT, 180, 200, alerting=False, motor_changed=False, frame=None),
-        ChannelRound(Channel.RIGHT, 270, 200, alerting=False, motor_changed=False, frame=None),
+    assert rounds == [  # (channel, t_ms, distance_cm, alerting, motor_changed, frame)
+        (Channel.GROUND, 90, 40, True, True, b"Ground\n"),
+        (Channel.LEFT, 180, 200, False, False, None),
+        (Channel.RIGHT, 270, 200, False, False, None),
     ]
     assert clock.now() == 270
+
+
+def test_alert_frames_are_the_channel_word_and_a_newline():
+    rounds = firmware_tick(FirmwareState(), constant_echoes(dict.fromkeys(Channel, 30)),
+                           VirtualClock())
+    assert [r[FRAME] for r in rounds] == [b"Ground\n", b"Left\n", b"Right\n"]
 
 
 def test_tick_persisting_alert_respects_repeat_interval():
@@ -417,7 +421,7 @@ def test_tick_persisting_alert_respects_repeat_interval():
         rounds = firmware_tick(state, echoes, clock)
         frames.extend(frames_of(rounds))
         # The motor switched on in the first pass and stays on.
-        assert rounds[0].alerting and rounds[0].motor_changed == (passes == 0)
+        assert rounds[0][ALERTING] and rounds[0][MOTOR_CHANGED] == (passes == 0)
         passes += 1
     times = [t for _, t in frames]
     # First edge fires immediately; repeats no closer than the interval.
@@ -432,7 +436,7 @@ def test_tick_no_alert_is_silent_and_motor_off():
     echoes = constant_echoes({Channel.GROUND: 90, Channel.LEFT: 150, Channel.RIGHT: 150})
     rounds = firmware_tick(state, echoes, clock)
     assert frames_of(rounds) == []
-    assert not any(r.alerting or r.motor_changed for r in rounds)  # all off, as before
+    assert not any(r[ALERTING] or r[MOTOR_CHANGED] for r in rounds)  # all off, as before
 
 
 def test_tick_cleared_alert_rearms_edge_trigger():
@@ -453,26 +457,25 @@ def test_tick_cleared_alert_rearms_edge_trigger():
     echoes = [ground, ScriptedSensor([200 * 58], repeat_last=True),
               ScriptedSensor([200 * 58], repeat_last=True)]  # ground, left, right
     first = firmware_tick(state, echoes, clock)[0]
-    assert first.frame == b"Ground\n" and first.alerting and first.motor_changed
+    assert first[FRAME] == b"Ground\n" and first[ALERTING] and first[MOTOR_CHANGED]
     ground.phase = 1  # obstacle gone
     second = firmware_tick(state, echoes, clock)[0]
-    assert second.frame is None and not second.alerting and second.motor_changed
+    assert second[FRAME] is None and not second[ALERTING] and second[MOTOR_CHANGED]
     ground.phase = 2  # obstacle back: fresh edge despite short elapsed time
     third = firmware_tick(state, echoes, clock)[0]
-    assert third.frame == b"Ground\n"
-    assert third.alerting and third.motor_changed
+    assert third[FRAME] == b"Ground\n"
+    assert third[ALERTING] and third[MOTOR_CHANGED]
 
 
 def test_tick_no_echo_turns_motor_off():
     state = FirmwareState()
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 40, Channel.LEFT: 200, Channel.RIGHT: 200})
-    assert firmware_tick(state, echoes, clock)[0].alerting
+    assert firmware_tick(state, echoes, clock)[0][ALERTING]
     silent = constant_echoes({Channel.LEFT: 200, Channel.RIGHT: 200})
     rounds = firmware_tick(state, silent, clock)
-    assert rounds[0] == ChannelRound(Channel.GROUND, 270 + 500, None, alerting=False,
-                                     motor_changed=True, frame=None)
-    assert not any(r.alerting for r in rounds)  # all off
+    assert rounds[0] == (Channel.GROUND, 270 + 500, None, False, True, None)
+    assert not any(r[ALERTING] for r in rounds)  # all off
 
 
 @pytest.mark.parametrize("quiet_until, polls", [(490, 50), (491, 0), (500, 0), (math.inf, 0)])
@@ -487,8 +490,7 @@ def test_tick_books_a_round_whose_every_poll_falls_before_quiet_until(quiet_unti
     clock = VirtualClock()
     ground = firmware_tick(state, echoes, clock)[0]
     assert echoes[0].polls == polls
-    assert ground == ChannelRound(Channel.GROUND, 500, None, alerting=False,
-                                  motor_changed=False, frame=None)
+    assert ground == (Channel.GROUND, 500, None, False, False, None)
     assert state.quiet_until[0] == (quiet_until if polls == 0 else 491)
 
 
@@ -505,29 +507,12 @@ def test_a_quiet_pass_is_booked_only_when_it_keeps_every_bound(starts_before, en
     # right round's last poll falls at 4490 ms.  The passes after it start
     # 1500 ms apart.
     state = FirmwareState(quiet_until=[math.inf, math.inf, right_quiet_until])
-    clock = VirtualClock(3000)
+    clock = VirtualClock()
+    clock.advance(3000)
     booked = book_quiet_passes(state, clock, starts_before, ends_before)
     assert booked == [(3000 + 1500 * p + end, channel) for p in range(passes)
                       for end, channel in zip((500, 1000, 1500), Channel)]
     assert clock.now() == 3000 + 1500 * passes
-
-
-def test_round_by_keyword_equals_round_by_position():
-    by_keyword = ChannelRound(channel=Channel.LEFT, t_ms=180, distance_cm=40, alerting=True,
-                              motor_changed=True, frame=b"Left\n")
-    assert by_keyword == ChannelRound(Channel.LEFT, 180, 40, True, True, b"Left\n")
-    assert by_keyword.distance_cm == 40 and by_keyword.frame == b"Left\n"
-
-
-def test_round_unpacks_in_field_order():
-    # The harness unpacks each round in this order.
-    round_ = ChannelRound(Channel.RIGHT, 270, None, alerting=False, motor_changed=True,
-                          frame=None)
-    channel, t_ms, distance_cm, alerting, motor_changed, frame = round_
-    assert (channel, t_ms, distance_cm, alerting, motor_changed, frame) == (
-        Channel.RIGHT, 270, None, False, True, None)
-    assert ChannelRound._fields == ("channel", "t_ms", "distance_cm", "alerting",
-                                    "motor_changed", "frame")
 
 
 def test_tick_gives_each_channel_its_own_threshold():
@@ -538,11 +523,11 @@ def test_tick_gives_each_channel_its_own_threshold():
                        (30, [True, True, True]), (90, [False, False, False])):
         echoes = constant_echoes(dict.fromkeys(Channel, cm))
         rounds = firmware_tick(FirmwareState(), echoes, VirtualClock(), cfg)
-        assert [r.channel for r in rounds] == list(Channel)
-        assert [r.distance_cm for r in rounds] == [cm] * 3
-        assert [r.alerting for r in rounds] == alerts
-        assert [r.frame for r in rounds] == [encode_message(c) if a else None
-                                             for c, a in zip(Channel, alerts)]
+        assert [r[CHANNEL] for r in rounds] == list(Channel)
+        assert [r[DISTANCE_CM] for r in rounds] == [cm] * 3
+        assert [r[ALERTING] for r in rounds] == alerts
+        assert [r[FRAME] for r in rounds] == [FRAMES[c] if a else None
+                                              for c, a in zip(Channel, alerts)]
 
 
 def test_tick_measures_channels_in_fixed_order():
@@ -550,9 +535,9 @@ def test_tick_measures_channels_in_fixed_order():
     clock = VirtualClock()
     echoes = constant_echoes({Channel.GROUND: 90, Channel.LEFT: 90, Channel.RIGHT: 90})
     rounds = firmware_tick(state, echoes, clock)
-    assert [r.channel for r in rounds] == [Channel.GROUND, Channel.LEFT, Channel.RIGHT]
-    assert [r.t_ms for r in rounds] == [90, 180, 270]
-    assert [r.distance_cm for r in rounds] == [90, 90, 90]
+    assert [r[CHANNEL] for r in rounds] == [Channel.GROUND, Channel.LEFT, Channel.RIGHT]
+    assert [r[T_MS] for r in rounds] == [90, 180, 270]
+    assert [r[DISTANCE_CM] for r in rounds] == [90, 90, 90]
 
 
 @pytest.mark.parametrize(
@@ -570,11 +555,11 @@ def test_tick_measures_channels_in_fixed_order():
 def test_classify_thresholds_are_strict(channel, distance, alerts):
     # The tick classifies each round's distance against its channel's threshold.
     rounds = firmware_tick(FirmwareState(), constant_echoes({channel: distance}), VirtualClock())
-    (measured,) = [r for r in rounds if r.channel is channel]
-    assert measured.distance_cm == distance
-    assert measured.alerting is alerts
-    assert measured.motor_changed is alerts  # from off
-    assert measured.frame == (encode_message(channel) if alerts else None)
+    (measured,) = [r for r in rounds if r[CHANNEL] is channel]
+    assert measured[DISTANCE_CM] == distance
+    assert measured[ALERTING] is alerts
+    assert measured[MOTOR_CHANGED] is alerts  # from off
+    assert measured[FRAME] == (FRAMES[channel] if alerts else None)
 
 
 @pytest.mark.parametrize("edge_cm", [GATE_LOW_CM, FirmwareConfig().ground_alert_cm,
@@ -593,8 +578,8 @@ def test_inline_conversion_and_median_agree_with_their_public_names(edge_cm):
         expected = median9([cm] * cfg.samples_per_measurement) if gate_valid(cm) else None
         echoes = [ScriptedSensor([pulses], repeat_last=True) for _ in Channel]
         for r in firmware_tick(FirmwareState(), echoes, VirtualClock(), cfg):
-            assert (r.distance_cm, r.alerting) == (
-                expected, expected is not None and expected < thresholds[r.channel]), pulses
+            assert (r[DISTANCE_CM], r[ALERTING]) == (
+                expected, expected is not None and expected < thresholds[r[CHANNEL]]), pulses
 
 
 def test_classify_monotone_in_distance():
@@ -603,5 +588,5 @@ def test_classify_monotone_in_distance():
         alerted = []
         for d in range(16, 645):
             rounds = firmware_tick(FirmwareState(), constant_echoes({channel: d}), VirtualClock())
-            alerted.append(next(r.alerting for r in rounds if r.channel is channel))
+            alerted.append(next(r[ALERTING] for r in rounds if r[CHANNEL] is channel))
         assert alerted == sorted(alerted, reverse=True)

@@ -20,7 +20,6 @@ from echoguide.harness import (
     assert_expectations,
     distance_error_experiment,
     error_report,
-    experiment_grid,
     load_expectations,
     run_scenario,
 )
@@ -31,6 +30,9 @@ from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
 
 from conftest import EXPECTATION_DIR, SCENARIO_DIR, make_script, zero_noise_config
 from reference_loop import both_outcomes
+
+# The experiment's grid, as README gives it: 20 to 600 cm in 20 cm steps.
+GRID_CM = range(20, 601, 20)
 
 
 def ground_obstacle_script(**overrides):
@@ -102,16 +104,16 @@ def test_mute_stops_speech_but_not_decoding():
 
 def test_every_frame_is_decoded_exactly_once():
     trace = run_scenario(ground_obstacle_script(), config=zero_noise_config())
-    frames = list(trace.kind("frame"))
-    decodes = list(trace.kind("decode"))
-    unknowns = list(trace.kind("unknown_token"))
-    assert len(frames) == len(decodes) + len(unknowns)
-    assert unknowns == []
+    frames = trace.kind("frame")
+    decodes = trace.kind("decode")
+    assert frames
+    assert [(e["t"], e["data"]) for e in frames] == [(e["t"], e["message"] + "\n")
+                                                     for e in decodes]
 
 
 def test_trace_times_are_non_decreasing():
     trace = run_scenario(load_scenario(SCENARIO_DIR / "walk_20min.json"))
-    times = [e["t"] for e in trace]
+    times = [e["t"] for e in trace.events]
     assert times == sorted(times)
 
 
@@ -201,7 +203,8 @@ def test_a_user_event_between_two_frameless_passes_is_handled_as_before(monkeypa
     trace = run_scenario(script, config=zero_noise_config())
     # The app steps after the pass that ends first at or after the user events.
     assert [entry[1] for entry in log if entry[0] == "tick"] == [2180, 4360, 6540]
-    assert [(e["t"], e["kind"]) for e in trace if e["kind"] not in ("no_echo", "measurement")] == [
+    assert [(e["t"], e["kind"]) for e in trace.events
+            if e["kind"] not in ("no_echo", "measurement")] == [
         (1500, "button"), (1600, "utterance"), (1600, "set_muted"), (3360, "alert"),
         (3360, "motor"), (3360, "frame"), (3360, "decode"), (4450, "alert"), (5540, "alert"),
         (5540, "frame"), (5540, "decode")]
@@ -349,7 +352,7 @@ def synthetic_trace(rows):
 def test_error_report_zero_noise_is_zero():
     trace = distance_error_experiment(zero_noise_config(), seed=7)
     report = error_report([trace])
-    assert report.total_count == 4 * len(experiment_grid())
+    assert report.total_count == 4 * len(GRID_CM)
     assert report.overall_mape_pct == 0.0
     for stats in report.buckets.values():
         assert stats.mape_pct == 0.0 and stats.max_error_pct == 0.0
@@ -398,10 +401,11 @@ def test_experiment_measures_every_grid_point_deterministically():
     first = distance_error_experiment()
     second = distance_error_experiment()
     assert first.to_jsonl() == second.to_jsonl()
-    measurements = list(first.kind("measurement"))
-    assert len(measurements) == 4 * len(experiment_grid())
+    measurements = first.kind("measurement")
+    assert len(measurements) == 4 * len(GRID_CM)
     seen = {(m["surface"], m["weather"], m["true_cm"]) for m in measurements}
     assert len(seen) == len(measurements)
+    assert sorted({m["true_cm"] for m in measurements}) == list(GRID_CM)
 
 
 # -- expectation matching ------------------------------------------------------------
@@ -557,7 +561,25 @@ def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys, command, out
 def test_cli_run_missing_scenario_exits_2(tmp_path, capsys):
     code = sim_main(["run", "--scenario", str(tmp_path / "absent.json")])
     assert code == 2
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'absent.json'}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag, path, named", [
+    ("--scenario", "bad.json", "duration_ms: must be >= 1"),
+    ("--config", "badcfg.json", "firmware: sample_period_ms must be positive"),
+    ("--trace", "no/such/dir/run.jsonl", "No such file or directory"),
+], ids=["bad scenario", "bad config", "unwritable trace"])
+def test_cli_run_error_starts_with_the_file_at_fault(tmp_path, monkeypatch, capsys, flag, path,
+                                                     named):
+    monkeypatch.chdir(tmp_path)
+    scenario = json.loads((SCENARIO_DIR / "ground_obstacle.json").read_text(encoding="utf-8"))
+    (tmp_path / "bad.json").write_text(json.dumps({**scenario, "duration_ms": 0}))
+    (tmp_path / "badcfg.json").write_text(
+        json.dumps({"schema_version": 1, "firmware": {"sample_period_ms": 0}}))
+    files = {"--scenario": str(SCENARIO_DIR / "ground_obstacle.json"), flag: path}
+    assert sim_main(["run", *(item for pair in files.items() for item in pair)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {named}\n"
 
 
 def test_cli_run_on_a_directory_exits_2(tmp_path, capsys):
