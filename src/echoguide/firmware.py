@@ -16,6 +16,7 @@ from .clock import VirtualClock
 from .link import FRAME_DELIMITER, ObstacleMessage
 from .world import (
     Channel,
+    ChannelEcho,
     GATE_HIGH_CM,
     GATE_LOW_CM,
     PULSES_PER_CM,
@@ -24,22 +25,16 @@ from .world import (
 # The rangefinder of one channel, one segment at a time: segment(t_ms) gives
 # (draw, until_ms), draw being None while there is no echo.  draw() takes one
 # reading; a draw may also carry a take that draws many (world.echo_sampler's
-# does).  See acquire_distance.
-EchoSource = Callable[[int], tuple[Optional[Callable[[], int]], float]]
+# does).  See acquire_distance, and world.ChannelEcho for firmware_tick's sources.
+SegmentLookup = Callable[[int], tuple[Optional[Callable[[], int]], float]]
 
 
 class NoEchoError(RuntimeError):
-    """A measurement round ran out of poll attempts before nine valid samples.
+    """A measurement round ran out of poll attempts before nine valid samples."""
 
-    quiet_until: when the round's last poll fell in an empty segment, that
-    segment's end (math.inf for the last one), before which the channel has
-    nothing in range; 0 otherwise.
-    """
-
-    def __init__(self, channel: Channel, attempts: int, quiet_until: float = 0) -> None:
+    def __init__(self, channel: Channel, attempts: int) -> None:
         self.channel = channel
         self.attempts = attempts
-        self.quiet_until = quiet_until
 
     def __str__(self) -> str:  # built only when read: most empty rounds are never printed
         return f"no usable echo on {self.channel.value} after {self.attempts} polls"
@@ -97,7 +92,7 @@ def median9(samples: Sequence[int], cfg: FirmwareConfig = FirmwareConfig()) -> i
     return sorted(samples)[n // 2]
 
 
-def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
+def acquire_distance(channel: Channel, segment: SegmentLookup, clock: VirtualClock,
                      cfg: FirmwareConfig = FirmwareConfig()) -> int:
     """Run one full measurement round on a channel.
 
@@ -105,8 +100,7 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
     readings outside the gate, until samples_per_measurement valid readings
     are banked; returns their median.  Every poll costs one sample period of
     virtual time whether or not it produced a usable reading.  Raises
-    NoEchoError when max_sample_attempts polls yield too few valid samples;
-    the error carries the end of the empty segment the last poll fell in.
+    NoEchoError when max_sample_attempts polls yield too few valid samples.
     Readings are banked raw, as a draw's take gives them (the float a poll
     rounds to its pulse count) or as pulse counts, and only their median is
     rounded and goes through pulses_to_cm: round and the conversion are
@@ -153,7 +147,7 @@ def acquire_distance(channel: Channel, segment: EchoSource, clock: VirtualClock,
         if len(bank) == needed:  # median9, rounded to pulses once
             bank.sort()
             return pulses_to_cm(round(bank[needed // 2]))
-    raise NoEchoError(channel, attempts, until if draw is None else 0)
+    raise NoEchoError(channel, attempts)
 
 
 # The channels in the order a pass measures them, each with its alert frame:
@@ -166,16 +160,12 @@ _PASS_CHANNELS = tuple((channel, ObstacleMessage[channel.name].value.encode("asc
 class FirmwareState:
     """Carry-over between firmware passes, one entry per channel in Channel
     order: when its alert last sent a frame, or None while the channel is
-    not alerting; and, set by each polled round that got no echo, its
-    NoEchoError's quiet_until.  A channel's quiet_until is stale once a
-    round has polled past it, and then it is at most the clock, so it books
-    nothing."""
+    not alerting."""
 
     last_frame_ms: list[Optional[int]] = field(default_factory=lambda: [None] * len(Channel))
-    quiet_until: list[float] = field(default_factory=lambda: [0] * len(Channel))
 
 
-def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
+def firmware_tick(state: FirmwareState, echoes: Sequence[ChannelEcho],
                   clock: VirtualClock,
                   cfg: FirmwareConfig = FirmwareConfig()) -> list[tuple]:
     """One pass of the firmware main loop: one round per channel, in Channel
@@ -190,15 +180,14 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
     again once per repeat_interval_ms while the alert holds; else None.
 
     A round with nothing in range spends all max_sample_attempts polls.
-    When every poll of a channel's round falls before its quiet_until, all
-    of them fall in the empty segment the channel's echo source already
+    When every poll of a channel's round falls before its echo source's
+    quiet_until, all of them fall in the empty segment the source already
     holds: the round is booked without calling acquire_distance (no echo,
     and the clock moved by the round's length), which is what polling
     gives, with no segment looked up early.  Whole passes of such rounds
     are booked in one step by book_quiet_passes.
     """
     last_frame_ms = state.last_frame_ms
-    quiet_until = state.quiet_until
     repeat_ms = cfg.repeat_interval_ms
     round_ms = cfg.max_sample_attempts * cfg.sample_period_ms
     last_poll_ms = round_ms - cfg.sample_period_ms  # from the round's start
@@ -207,15 +196,14 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
     t_ms = clock.now()  # when the previous round ended: the next one starts then
     for i, (channel, message) in enumerate(_PASS_CHANNELS):
         last = last_frame_ms[i]
-        if t_ms + last_poll_ms < quiet_until[i]:
+        if t_ms + last_poll_ms < echoes[i].quiet_until:
             t_ms = clock.advance(round_ms)
             distance: Optional[int] = None
         else:
             try:  # looked up on this module at each call, where it may be replaced
-                distance = acquire_distance(channel, echoes[i], clock, cfg)
-            except NoEchoError as exc:
+                distance = acquire_distance(channel, echoes[i].segment, clock, cfg)
+            except NoEchoError:
                 distance = None
-                quiet_until[i] = exc.quiet_until
             t_ms = clock.now()
         alerting = distance is not None and distance < thresholds[i]
         frame = None
@@ -229,22 +217,22 @@ def firmware_tick(state: FirmwareState, echoes: Sequence[EchoSource],
     return rounds
 
 
-def book_quiet_passes(state: FirmwareState, clock: VirtualClock, starts_before: int,
+def book_quiet_passes(echoes: Sequence[ChannelEcho], clock: VirtualClock, starts_before: int,
                       ends_before: float,
                       cfg: FirmwareConfig = FirmwareConfig()) -> list[tuple[int, Channel]]:
     """Book the whole passes from the clock's time on in which firmware_tick
     would book every round, each starting before starts_before and ending
     before ends_before: move the clock past them and return each round's
-    (end time, channel) in time order; polled, each would get no echo.  An
-    alerting channel's quiet_until is stale and books nothing."""
+    (end time, channel) in time order; polled, each would get no echo.  Each
+    round's last poll must fall before its echo source's quiet_until."""
     period = cfg.sample_period_ms
     round_ms = cfg.max_sample_attempts * period
     pass_ms = len(Channel) * round_ms
     # Round i of a pass ends round_ms * (i + 1) after the pass starts, and its
-    # last poll comes one period before that; it must fall before quiet_until.
+    # last poll comes one period before that.
     ends = [(round_ms * (i + 1), channel) for i, channel in enumerate(Channel)]
     latest = min(starts_before, ends_before - pass_ms,
-                 *(until - end + period for until, (end, _) in zip(state.quiet_until, ends)))
+                 *(echo.quiet_until - end + period for echo, (end, _) in zip(echoes, ends)))
     start = clock.now()
     passes = -((start - latest) // pass_ms)  # starts start, start + pass_ms, ... before latest
     if passes <= 0:

@@ -107,7 +107,6 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     # firmware pass's rounds.
     echoes = [ChannelEcho(script, channel, config.calibration, echo_rng, sample=sample_echo)
               for channel in Channel]
-    sensors = [echo.segment for echo in echoes]
 
     store = TrackStore(store_path)
     service = TrackService(store)
@@ -186,7 +185,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             sent = []
             no_echo = 0
             for echo, (channel, t_ms, distance_cm, alerting, motor_changed, frame) in zip(
-                    echoes, firmware_tick(fw_state, sensors, clock, fw_config)):
+                    echoes, firmware_tick(fw_state, echoes, clock, fw_config)):
                 if distance_cm is None:
                     add(row_no_echo(t_ms, channel))
                     no_echo += 1
@@ -207,7 +206,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
             if no_echo == len(echoes):
                 # Polled one by one, the quiet passes that end before the app's
                 # next event would add only these.
-                for t_ms, channel in book_quiet_passes(fw_state, clock, duration, next_app,
+                for t_ms, channel in book_quiet_passes(echoes, clock, duration, next_app,
                                                        fw_config):
                     add(row_no_echo(t_ms, channel))
     finally:

@@ -406,21 +406,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     listen = os.environ.get(ENV_LISTEN, args.listen)
     store_path = os.environ.get(ENV_STORE, args.store)
 
-    # A startup error exits 2 with one line naming the setting at fault, as
-    # echoguide-sim and echoguide-tracker do.
+    # A startup error exits 2 with one line naming the setting at fault and
+    # its value, then an OSError's errno text, as echoguide-tracker does.
     def setting(env: str, flag: str) -> str:
         return env if env in os.environ else flag
 
+    def reason(exc: Exception) -> object:
+        """An OSError's errno text, less the address socket.create_server adds to a bind's."""
+        text = getattr(exc, "strerror", None)
+        return text.partition(" (while attempting to bind")[0] if text else exc
+
     try:
         store = TrackStore(store_path)
-    except (StorageError, OSError) as exc:  # a corrupt store, or a path it cannot open
-        print(f"error: {setting(ENV_STORE, '--store')}: {exc}", file=sys.stderr)
+    except (StorageError, OSError) as exc:  # corrupt (the error names the file), or unopenable
+        value = "" if isinstance(exc, StorageError) else f" {store_path}"
+        print(f"error: {setting(ENV_STORE, '--store')}{value}: {reason(exc)}", file=sys.stderr)
         return 2
     try:
         httpd = make_http_server(listen, TrackService(store))
     except (ValueError, OSError) as exc:  # a bad address, or one that cannot be bound
         store.close()
-        print(f"error: {setting(ENV_LISTEN, '--listen')} {listen}: {exc}", file=sys.stderr)
+        print(f"error: {setting(ENV_LISTEN, '--listen')} {listen}: {reason(exc)}", file=sys.stderr)
         return 2
     host, port = httpd.server_address[:2]
     print(f"serving on http://{host}:{port} (store: {store_path})", flush=True)

@@ -304,7 +304,8 @@ class ChannelEcho:
     looked up when a poll first falls in a segment (so a calibration gap
     raises ConfigError at the first poll in it, empty channel or not) and
     reused until a later poll leaves it.  Past duration_ms the world holds its
-    final state, so the last segment never ends.
+    final state, so the last segment never ends.  quiet_until: the held
+    segment's end while it is empty (math.inf for the last one), else 0.
 
     `sample` draws one reading from (true distance, params, rng), as
     sample_echo does.  For sample_echo itself a segment draws through one
@@ -320,6 +321,7 @@ class ChannelEcho:
         self._rng = rng
         self._sample = sample
         self._until: float = 0  # the current segment's end; time never goes back
+        self.quiet_until: float = 0
         self._truth: tuple = (None, None, None)  # its (true_cm, surface, weather)
         self._segment: tuple = (None, 0)  # cached (draw, until)
 
@@ -341,6 +343,7 @@ class ChannelEcho:
                 # goes once runs count their own polls (ROADMAP items 1 and 6).
                 draw = partial(self._sample, true_cm, params, self._rng)
             self._until = min((nxt for _, nxt in steps if nxt is not None), default=math.inf)
+            self.quiet_until = self._until if draw is None else 0
             self._truth = (true_cm, surface, weather)
             self._segment = (draw, self._until)
         return self._segment

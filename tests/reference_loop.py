@@ -28,7 +28,9 @@ def naive_sensor(script, channel, calibration, rng, sample=sample_echo):
 
     segment(t) is the one poll at t.  Its draw calls sample, which gives
     None for an empty channel.  truth_at(t) looks up the true distance,
-    surface and weather at every measurement's end.
+    surface and weather at every measurement's end.  quiet_until is 0, as
+    a source that holds no empty segment has it, so the firmware never
+    books its rounds.
     """
     def segment(t):
         params = noise_params_for(script.surface.at(t), script.weather.at(t), calibration)
@@ -36,7 +38,7 @@ def naive_sensor(script, channel, calibration, rng, sample=sample_echo):
 
     def truth_at(t):
         return script.channels[channel].at(t), script.surface.at(t), script.weather.at(t)
-    return SimpleNamespace(segment=segment, truth_at=truth_at)
+    return SimpleNamespace(segment=segment, truth_at=truth_at, quiet_until=0)
 
 
 def naive_acquire_distance(channel, segment, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:

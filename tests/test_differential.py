@@ -32,7 +32,7 @@ import reference_loop
 from conftest import CONFIG_DIR, REPO_ROOT, SCENARIO_DIR
 from echoguide import app, firmware, harness, world
 from echoguide.config import SystemConfig, config_from_dict, load_config
-from echoguide.firmware import FirmwareConfig, NoEchoError, acquire_distance
+from echoguide.firmware import acquire_distance
 from echoguide.world import SurfaceKind, Weather, load_scenario, scenario_from_dict
 
 from reference_loop import both_outcomes
@@ -278,8 +278,9 @@ def test_quiet_passes_are_booked_without_polling():
     # polled.  Polling pass by pass runs all 21 rounds of the seven passes.
     script = scenario_from_dict(QUIET_THEN_TARGET)
     rounds = []
-    for acquire in (acquire_distance, pass_by_pass_acquire):
-        with mock.patch.object(firmware, "acquire_distance", wraps=acquire) as spy:
+    for echo in (world.ChannelEcho, PassByPassEcho):
+        with mock.patch.object(harness, "ChannelEcho", echo), \
+                mock.patch.object(firmware, "acquire_distance", wraps=acquire_distance) as spy:
             harness.run_scenario(script)
         rounds.append(spy.call_count)
     assert rounds == [6, 21]
@@ -328,16 +329,14 @@ def test_measurements_read_their_truth_from_the_segment_or_look_it_up():
         (90, 300, "tiles"), (180, 100, "concrete"), (270, 200, "concrete")]
 
 
-def pass_by_pass_acquire(channel, segment, clock, cfg: FirmwareConfig = FirmwareConfig()) -> int:
-    """firmware.acquire_distance with the empty segment's end left off its
-    NoEchoError, so the firmware and the run loop poll every round."""
-    try:
-        return acquire_distance(channel, segment, clock, cfg)
-    except NoEchoError as exc:
-        raise NoEchoError(exc.channel, exc.attempts) from None
+class PassByPassEcho(world.ChannelEcho):
+    """world.ChannelEcho whose quiet_until stays 0, so the firmware and the
+    run loop poll every round."""
+
+    quiet_until = property(lambda self: 0, lambda self, until: None)
 
 
-def run_record(script, config, acquire=acquire_distance) -> tuple[list, list, tuple]:
+def run_record(script, config, echo=world.ChannelEcho) -> tuple[list, list, tuple]:
     """What a run did, in order: every timeline lookup as (timeline, t_ms);
     every app step that handled a token or user event or made an upload
     attempt, as (clock, items handled, attempts); and the run's outcome."""
@@ -371,7 +370,7 @@ def run_record(script, config, acquire=acquire_distance) -> tuple[list, list, tu
             mock.patch.object(app.Uploader, "tick", spy_tick), \
             spy_handler("handle_token"), spy_handler("handle_button"), \
             spy_handler("handle_utterance"), \
-            mock.patch.object(firmware, "acquire_distance", acquire):
+            mock.patch.object(harness, "ChannelEcho", echo):
         result = reference_loop.outcome(harness.run_scenario, script, config, None)
     return looked_up, app_steps, result
 
@@ -393,7 +392,7 @@ def test_booking_quiet_passes_does_what_polling_pass_by_pass_does(doc, config_do
     # has work to do: the booked passes' app steps would have had none.
     script = scenario_from_dict(doc)
     config = build_config(config_doc, missing)
-    assert run_record(script, config) == run_record(script, config, pass_by_pass_acquire)
+    assert run_record(script, config) == run_record(script, config, PassByPassEcho)
 
 
 # -- the per-poll sample path ------------------------------------------------------

@@ -8,10 +8,12 @@ import random
 import statistics
 from fractions import Fraction
 from typing import Callable, Optional
+from unittest import mock
 
 import pytest
 
 from conftest import make_script
+from echoguide import firmware
 from echoguide.clock import VirtualClock
 from echoguide.errors import ConfigError
 from echoguide.firmware import (
@@ -41,14 +43,17 @@ from reference_loop import naive_acquire_distance, naive_sensor
 
 class ScriptedSensor:
     """Echo source that replays a fixed poll sequence, one poll per segment,
-    and counts polls; a None in the sequence is a poll with no echo."""
+    and counts polls; a None in the sequence is a poll with no echo.  Its
+    quiet_until stays 0, so firmware_tick books none of its rounds."""
+
+    quiet_until: float = 0
 
     def __init__(self, readings, repeat_last: bool = False):
         self.readings = list(readings)
         self.repeat_last = repeat_last
         self.polls = 0
 
-    def __call__(self, t_ms: int) -> tuple[Optional[Callable[[], int]], int]:
+    def segment(self, t_ms: int) -> tuple[Optional[Callable[[], int]], int]:
         if self.polls < len(self.readings):
             value = self.readings[self.polls]
         elif self.repeat_last and self.readings:
@@ -149,7 +154,7 @@ def test_median9_requires_exact_count():
 def test_acquire_constant_sensor_takes_nine_polls():
     sensor = ScriptedSensor([2900] * 9)
     clock = VirtualClock()
-    distance = acquire_distance(Channel.GROUND, sensor, clock)
+    distance = acquire_distance(Channel.GROUND, sensor.segment, clock)
     assert distance == 50
     assert sensor.polls == 9
     assert clock.now() == 90  # one sample period per poll
@@ -158,7 +163,7 @@ def test_acquire_constant_sensor_takes_nine_polls():
 def test_acquire_alternating_missing_echoes():
     sensor = ScriptedSensor([None, 2900] * 9)
     clock = VirtualClock()
-    assert acquire_distance(Channel.GROUND, sensor, clock) == 50
+    assert acquire_distance(Channel.GROUND, sensor.segment, clock) == 50
     assert sensor.polls == 18
     assert clock.now() == 180
 
@@ -168,7 +173,7 @@ def test_acquire_discards_out_of_gate_readings():
     readings = [870, 37410] * 3 + [2900] * 9
     sensor = ScriptedSensor(readings)
     clock = VirtualClock()
-    assert acquire_distance(Channel.GROUND, sensor, clock) == 50
+    assert acquire_distance(Channel.GROUND, sensor.segment, clock) == 50
     assert sensor.polls == 15
 
 
@@ -177,7 +182,7 @@ def test_acquire_no_echo_spends_all_attempts():
     clock = VirtualClock()
     clock.advance(1000)
     with pytest.raises(NoEchoError) as excinfo:
-        acquire_distance(Channel.LEFT, sensor, clock)
+        acquire_distance(Channel.LEFT, sensor.segment, clock)
     assert sensor.polls == 50
     assert clock.now() == 1000 + 50 * 10  # clock honesty on failure too
     assert excinfo.value.channel is Channel.LEFT
@@ -186,7 +191,7 @@ def test_acquire_no_echo_spends_all_attempts():
 def test_acquire_succeeds_on_final_attempt():
     sensor = ScriptedSensor([None] * 41 + [2900] * 9)
     clock = VirtualClock()
-    assert acquire_distance(Channel.RIGHT, sensor, clock) == 50
+    assert acquire_distance(Channel.RIGHT, sensor.segment, clock) == 50
     assert sensor.polls == 50
 
 
@@ -194,7 +199,7 @@ def test_acquire_fails_when_one_sample_short():
     sensor = ScriptedSensor([None] * 42 + [2900] * 8, repeat_last=False)
     clock = VirtualClock()
     with pytest.raises(NoEchoError):
-        acquire_distance(Channel.RIGHT, sensor, clock)
+        acquire_distance(Channel.RIGHT, sensor.segment, clock)
 
 
 def test_acquire_returns_median_of_noisy_run():
@@ -202,7 +207,7 @@ def test_acquire_returns_median_of_noisy_run():
     cms = [98, 104, 100, 96, 101, 99, 103, 100, 97]
     sensor = ScriptedSensor([cm * 58 for cm in cms])
     clock = VirtualClock()
-    assert acquire_distance(Channel.GROUND, sensor, clock) == statistics.median(cms)
+    assert acquire_distance(Channel.GROUND, sensor.segment, clock) == statistics.median(cms)
 
 
 # -- skipping empty polls ------------------------------------------------------------
@@ -446,10 +451,12 @@ def test_tick_cleared_alert_rearms_edge_trigger():
     class Phased:
         """Ground sensor: obstacle, then clear, then obstacle again."""
 
+        quiet_until = 0
+
         def __init__(self):
             self.phase = 0
 
-        def __call__(self, t_ms):
+        def segment(self, t_ms):
             pulses = 40 * 58 if self.phase != 1 else 90 * 58
             return (lambda: pulses), t_ms + 1
 
@@ -481,24 +488,36 @@ def test_tick_no_echo_turns_motor_off():
 @pytest.mark.parametrize("quiet_until, polls", [(490, 50), (491, 0), (500, 0), (math.inf, 0)])
 def test_tick_books_a_round_whose_every_poll_falls_before_quiet_until(quiet_until, polls):
     # The ground round from 0 ms polls at 0, 10, ..., 490 ms.  Only when its
-    # last poll falls before the channel's quiet_until is the round booked:
-    # no poll, no echo, and the clock moved by the round's 500 ms.
-    # The state and the echo sources are kept in Channel order: ground first.
-    state = FirmwareState()
-    state.quiet_until[0] = quiet_until
-    echoes = constant_echoes({Channel.LEFT: 200, Channel.RIGHT: 200})
-    clock = VirtualClock()
-    ground = firmware_tick(state, echoes, clock)[0]
-    assert echoes[0].polls == polls
+    # last poll falls before its echo source's quiet_until is the round
+    # booked: no poll, no echo, and the clock moved by the round's 500 ms.
+    # The echo sources are kept in Channel order: ground first.  A polled
+    # round's last lookup finds the empty segment that ends at 491 ms.
+    script = make_script(duration_ms=2000, channels={
+        "ground": [{"t": 0, "distance_cm": None}, {"t": 491, "distance_cm": 50}]})
+    ground_echo = ChannelEcho(script, Channel.GROUND, DEFAULT_CALIBRATION, random.Random(7))
+    ground_echo.quiet_until = quiet_until
+    echoes = [ground_echo, *constant_echoes({Channel.LEFT: 200, Channel.RIGHT: 200})[1:]]
+    polled = {}
+
+    def spy(channel, segment, clock, cfg):  # a polled round's polls, one period each
+        start = clock.now()
+        try:
+            return acquire_distance(channel, segment, clock, cfg)
+        finally:
+            polled[channel] = (clock.now() - start) // cfg.sample_period_ms
+
+    with mock.patch.object(firmware, "acquire_distance", spy):
+        ground = firmware_tick(FirmwareState(), echoes, VirtualClock())[0]
+    assert polled.get(Channel.GROUND, 0) == polls
     assert ground == (Channel.GROUND, 500, None, False, False, None)
-    assert state.quiet_until[0] == (quiet_until if polls == 0 else 491)
+    assert ground_echo.quiet_until == (quiet_until if polls == 0 else 491)
 
 
 @pytest.mark.parametrize("starts_before, ends_before, right_quiet_until, passes", [
     (9000, 4500, math.inf, 0), (9000, 4501, math.inf, 1),  # the pass would end on the next event
     (3000, math.inf, math.inf, 0), (3001, math.inf, math.inf, 1),  # it would start on duration_ms
     (9000, math.inf, 4490, 0), (9000, math.inf, 4491, 1),  # its last poll falls on quiet_until
-    (9000, math.inf, 0, 0),  # a stale quiet_until
+    (9000, math.inf, 0, 0),  # a source that holds a target
     (6001, math.inf, math.inf, 3),
 ])
 def test_a_quiet_pass_is_booked_only_when_it_keeps_every_bound(starts_before, ends_before,
@@ -506,10 +525,12 @@ def test_a_quiet_pass_is_booked_only_when_it_keeps_every_bound(starts_before, en
     # A pass from 3000 ms has rounds ending at 3500, 4000 and 4500 ms; the
     # right round's last poll falls at 4490 ms.  The passes after it start
     # 1500 ms apart.
-    state = FirmwareState(quiet_until=[math.inf, math.inf, right_quiet_until])
+    echoes = constant_echoes({})
+    for echo, quiet_until in zip(echoes, (math.inf, math.inf, right_quiet_until)):
+        echo.quiet_until = quiet_until
     clock = VirtualClock()
     clock.advance(3000)
-    booked = book_quiet_passes(state, clock, starts_before, ends_before)
+    booked = book_quiet_passes(echoes, clock, starts_before, ends_before)
     assert booked == [(3000 + 1500 * p + end, channel) for p in range(passes)
                       for end, channel in zip((500, 1000, 1500), Channel)]
     assert clock.now() == 3000 + 1500 * passes

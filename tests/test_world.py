@@ -162,6 +162,30 @@ def test_channel_echo_empty_until_stops_at_every_segment_edge():
     assert echo.segment(5000) == (draw, math.inf)  # the target holds past the end
 
 
+def test_quiet_until_is_the_held_empty_segments_end(monkeypatch):
+    script = make_script(
+        duration_ms=1000,
+        channels={"ground": [{"t": 0, "distance_cm": 50}, {"t": 300, "distance_cm": None},
+                             {"t": 600, "distance_cm": 80}, {"t": 900, "distance_cm": None}]},
+        surface=[{"t": 0, "value": "tiles"}, {"t": 450, "value": "concrete"}],
+    )
+    echo = ChannelEcho(script, Channel.GROUND, DEFAULT_CALIBRATION, random.Random(1))
+    step_at, looked_up = StepTimeline.step_at, []
+    monkeypatch.setattr(StepTimeline, "step_at",
+                        lambda timeline, t: looked_up.append(t) or step_at(timeline, t))
+    held = []
+    for t in (None, 0, 299, 300, 449, 450, 600, 899, 900, 5000):
+        if t is not None:
+            echo.segment(t)
+        lookups = len(looked_up)
+        held.append(echo.quiet_until)
+        assert len(looked_up) == lookups  # reading it looks nothing up
+    # Nothing held yet; a target to 300 ms; empty to the surface step at 450
+    # ms, then to the target at 600 ms; a target to 900 ms; empty to the end.
+    assert held == [0, 0, 0, 450, 450, 600, 0, 0, math.inf, math.inf]
+    assert looked_up == [t for t in (0, 300, 450, 600, 900) for _ in range(3)]  # new segments only
+
+
 def test_channel_echo_clamps_past_duration():
     # The world holds its final state past duration_ms, while the last
     # measurement round of a run drains; a plain lookup gives that because
