@@ -242,6 +242,9 @@ class TrackStore:
             return record
 
     def records(self) -> list[FixRecord]:
+        """A copy of every record in id order.  Nothing in the program or its
+        tests calls it: it stays only because perfbench/tracing.py wraps it by
+        name and perfbench/http_load.py's final check reads it."""
         with self._lock:
             return list(self._records)
 

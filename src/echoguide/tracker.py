@@ -40,6 +40,7 @@ import atexit
 import functools
 import json
 import math
+import re
 import select
 import socket
 import sys
@@ -47,7 +48,7 @@ import threading
 from typing import Optional
 from urllib.parse import quote_plus, urlsplit
 
-from .httploop import MAX_HEAD_BYTES, MAX_HEADER_LINES, add_field, closes, content_length
+from .httploop import MAX_HEAD_BYTES, MAX_HEADER_LINES, add_field, closes, content_length, digits
 from .jsonread import FIX_FIELDS, bounded_rule, list_rule, object_rule, read_json
 
 DEFAULT_SERVER = "127.0.0.1:8750"
@@ -82,22 +83,40 @@ def _server(server: str) -> tuple[str, str, int, str]:
     """What a --server string names, parsed once per string: the scheme, the
     host (lower-cased, an IPv6 literal without its brackets), the port (by
     default the scheme's) and the path the API's paths follow.  No scheme
-    means http://.  A string with no host, a bad or out-of-range port, or a
-    query or fragment (which would swallow the API's path) raises
-    ServerUnreachable."""
-    url = server.rstrip("/")
-    if not url.startswith(("http://", "https://")):
-        url = "http://" + url
+    means http://.  A scheme other than http or https, a string with no
+    host, a port that is not ASCII digits or is over 65535, or a query or
+    fragment (which would swallow the API's path) raises ServerUnreachable,
+    in the same words on every Python version."""
+    scheme = _SCHEME(server)
+    if scheme and scheme[1].lower() not in ("http", "https"):
+        raise ServerUnreachable(f"scheme must be http or https, not {scheme[1]!r}")
+    url = server if scheme else "http://" + server
     if "?" in url or "#" in url:
         raise ServerUnreachable(f"a server URL takes no query or fragment: {server!r}")
     parts = urlsplit(url)
-    try:
-        port = parts.port or (443 if parts.scheme == "https" else 80)
-    except ValueError as exc:  # a port that is not a number in 0..65535
-        raise ServerUnreachable(str(exc)) from None
+    host_port = parts.netloc.rpartition("@")[2]
+    port_text = host_port.rpartition("]")[2].partition(":")[2]
+    port = digits(port_text)
+    if port_text and port is None:
+        raise ServerUnreachable(f"Port is not a number: {port_text!r}")
+    if port_text and port > 65535:
+        raise ServerUnreachable(f"Port out of range 0-65535: {port_text!r}")
     if not parts.hostname:
         raise ServerUnreachable("no host given")
-    return parts.scheme, parts.hostname, port, parts.path
+    return (parts.scheme, parts.hostname, port or (443 if parts.scheme == "https" else 80),
+            parts.path.rstrip("/"))
+
+
+_SCHEME = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://").match  # RFC 3986 section 3.1
+
+
+def _server_text(text: str) -> str:
+    """--server: a string _server reads, refused in its words when it cannot."""
+    try:
+        _server(text)
+    except ServerUnreachable as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 # Idle kept-alive connections by (scheme, host, port), most recently used last.
@@ -476,7 +495,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="echoguide-tracker",
         description="Query the tracking server for a device's location.",
     )
-    parser.add_argument("--server", default=DEFAULT_SERVER,
+    parser.add_argument("--server", type=_server_text, default=DEFAULT_SERVER,
                         help=f"tracking server host:port or URL (default {DEFAULT_SERVER})")
     parser.add_argument("--device", type=_device_id, required=True,
                         help="device id to look up, not empty")

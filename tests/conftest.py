@@ -1,6 +1,6 @@
-"""Shared test helpers: scenario/config builders, live-server utilities,
-and a terminal summary that prints one PASS/FAIL line per acceptance
-criterion."""
+"""Shared test helpers: scenario/config builders, the one way tests serve,
+feed and read the tracking store, and a terminal summary that prints one
+PASS/FAIL line per acceptance criterion."""
 
 from __future__ import annotations
 
@@ -13,13 +13,14 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
-from echoguide import httploop
+from echoguide import httploop, server
 from echoguide.config import SystemConfig, config_from_dict
-from echoguide.server import make_http_server
+from echoguide.server import FixRecord, TrackStore, make_http_server
 from echoguide.world import ScenarioScript, scenario_from_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -72,16 +73,31 @@ def wait_for_server(port: int, timeout_s: float = 10.0) -> None:
     raise RuntimeError(f"server on port {port} did not come up")
 
 
+def at_second(second: int) -> str:
+    """The timestamp `second` seconds after 2015-06-01T00:00:00Z."""
+    instant = datetime(2015, 6, 1, tzinfo=timezone.utc) + timedelta(seconds=second)
+    return instant.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def stored_records(path) -> list[FixRecord]:
+    """The records a whole store file holds, in file order, each line read
+    with json.loads and blank lines skipped."""
+    with open(path, "rb") as fh:
+        return [FixRecord(**json.loads(line)) for line in fh if not line.isspace()]
+
+
 @contextmanager
-def in_process_server(service, port: int = 0, timeout_s: float = httploop.REQUEST_TIMEOUT_S,
+def in_process_server(store: TrackStore, port: int = 0,
+                      timeout_s: float = httploop.REQUEST_TIMEOUT_S,
                       max_connections: int = httploop.MAX_CONNECTIONS):
-    """Serve `service` on 127.0.0.1:port (a free port for 0) from a thread,
-    and yield the server.  While it runs, the loop gives up on a silent
-    connection after timeout_s and holds at most max_connections."""
+    """Serve `store` on 127.0.0.1:port (a free port for 0) from a thread,
+    yield the server, and close the store once the server has stopped.
+    While it runs, the loop gives up on a silent connection after timeout_s
+    and holds at most max_connections."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(httploop, "REQUEST_TIMEOUT_S", timeout_s)
         patch.setattr(httploop, "MAX_CONNECTIONS", max_connections)
-        httpd = make_http_server(f"127.0.0.1:{port}", service)
+        httpd = make_http_server(f"127.0.0.1:{port}", server.TrackService(store))
         thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
                                   daemon=True)
         thread.start()
@@ -91,6 +107,36 @@ def in_process_server(service, port: int = 0, timeout_s: float = httploop.REQUES
             httpd.shutdown()
             httpd.server_close()
             thread.join(timeout=5.0)
+            store.close()
+
+
+def serve_store(httpd, store: TrackStore) -> None:
+    """Have a server from in_process_server answer from `store` from now on,
+    keeping no reply it encoded before."""
+    httpd.service.store = store
+    httpd.replies.clear()
+
+
+def http_post(base: str, path: str, payload) -> tuple[int, object]:
+    """POST a JSON payload (or bytes as they are) to base + path: the status
+    and the decoded reply."""
+    data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    request = urllib.request.Request(
+        base + path, data=data, headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=5) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+def http_get(base: str, path: str) -> tuple[int, object]:
+    """GET base + path: the status and the decoded reply."""
+    try:
+        with urllib.request.urlopen(base + path, timeout=5) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 class ServerProcess:
@@ -98,6 +144,7 @@ class ServerProcess:
 
     def __init__(self, store_path: str, port: int | None = None, env: dict | None = None):
         self.port = free_port() if port is None else port
+        self.base = f"http://127.0.0.1:{self.port}"
         self.store_path = store_path
         cmd = [
             sys.executable, "-m", "echoguide.server",
@@ -117,25 +164,10 @@ class ServerProcess:
         return self
 
     def post_fix(self, body: dict) -> tuple[int, dict]:
-        data = json.dumps(body).encode()
-        req = urllib.request.Request(
-            f"http://127.0.0.1:{self.port}/api/locations",
-            data=data, headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=5.0) as resp:
-                return resp.status, json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            return exc.code, json.loads(exc.read())
+        return http_post(self.base, "/api/locations", body)
 
     def get(self, path: str) -> tuple[int, object]:
-        try:
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{self.port}{path}", timeout=5.0
-            ) as resp:
-                return resp.status, json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            return exc.code, json.loads(exc.read())
+        return http_get(self.base, path)
 
     def stop(self) -> None:
         if self.proc.poll() is None:

@@ -2,10 +2,9 @@
 
 Every poll looks up a segment of one poll: it reads the channel, surface
 and weather timelines and the calibration at the clock's time, and the
-acquisition loop draws from it once, empty channel or not.  Its rounds
-never report an empty segment's end, so the firmware never books a quiet
-round or pass; and every measurement's truth is looked up on the
-timelines.  The simulator's skip-ahead loop must give the same traces,
+acquisition loop draws from it once, empty channel or not.  Its
+quiet_until is 0, so the firmware never books a quiet round or pass; and
+every measurement's truth is looked up on the timelines.  The simulator's skip-ahead loop must give the same traces,
 clocks and errors; see test_differential.py.
 """
 

@@ -1,11 +1,11 @@
 """Test-only references for the tracking store: the original load and scan.
 
 The load decodes every line with json.loads; TrackStore reads the lines
-its insert writes with one regular-expression match instead, and must give
-the same records or the same error.  Each query filters every record of
-the store by device and orders the matches by (parsed timestamp, id); the
-per-device index in TrackStore must give the same answers.  See
-test_store_index.py.
+its insert writes with one regular-expression match instead, and must
+answer as a store of the same records, or give the same error.  Each query
+filters every record of the store by device and orders the matches by
+(parsed timestamp, id); the per-device index in TrackStore must give the
+same answers.  See test_store_index.py.
 """
 
 from __future__ import annotations
@@ -13,7 +13,13 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from echoguide.server import FixRecord, StorageError, parse_record_timestamp
+from echoguide.server import (
+    FixRecord,
+    FixValidationError,
+    StorageError,
+    parse_record_timestamp,
+    validate_fix,
+)
 
 
 def load(path) -> list[FixRecord]:
@@ -71,3 +77,19 @@ def history(records: list[FixRecord], device_id: str, limit: int) -> list[FixRec
         raise ValueError("limit must be >= 1")
     fixes = sorted((r for r in records if r.device_id == device_id), key=_sort_key)
     return fixes[-limit:]
+
+
+def first_query(records: list[FixRecord], path, device_id: str, limit: int) -> list[FixRecord]:
+    """What the first recent() of a device answers in a store loaded from
+    path with these records: history(), or, when validate_fix refuses one of
+    the device's records, StorageError naming the first such one and its field."""
+    fixes = [r for r in records if r.device_id == device_id]
+    for record in fixes:
+        fields = record.as_dict()
+        del fields["id"]
+        try:
+            validate_fix(fields)
+        except FixValidationError as exc:
+            raise StorageError(f"{path}: record {record.id}: {exc.field} "
+                               f"{fields[exc.field]!r} is invalid ({exc})") from None
+    return history(fixes, device_id, limit)

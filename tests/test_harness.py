@@ -24,11 +24,10 @@ from echoguide.harness import (
     run_scenario,
 )
 from echoguide.link import LinkBuffer
-from echoguide.server import TrackStore
 from echoguide.trace import TraceLog, row_measurement
 from echoguide.world import Channel, SurfaceKind, Weather, load_scenario
 
-from conftest import EXPECTATION_DIR, SCENARIO_DIR, make_script, zero_noise_config
+from conftest import EXPECTATION_DIR, SCENARIO_DIR, make_script, stored_records, zero_noise_config
 from reference_loop import both_outcomes
 
 # The experiment's grid, as README gives it: 20 to 600 cm in 20 cm steps.
@@ -269,10 +268,8 @@ def test_walk_with_a_store_fsyncs_each_delivered_fix(tmp_path, monkeypatch):
     delivered = [u for u in trace.kind("upload") if u["outcome"] == "delivered"]
     acks = list(trace.kind("server_ack"))
     assert len(fsyncs) == len(delivered) == len(acks) == 4
-    # Reopened, the file holds the delivered fixes in delivery order, with the acked ids.
-    store = TrackStore(str(store_path))
-    records = [r.as_dict() for r in store.records()]
-    store.close()
+    # The file holds the delivered fixes in delivery order, with the acked ids.
+    records = [r.as_dict() for r in stored_records(store_path)]
     fields = ("device_id", "latitude", "longitude", "timestamp", "provider")
     assert records == [{"id": a["id"], **{name: u[name] for name in fields}}
                        for a, u in zip(acks, delivered, strict=True)]

@@ -15,9 +15,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
-from datetime import datetime, timedelta, timezone
 from http import HTTPStatus
 
 import pytest
@@ -41,14 +38,21 @@ from echoguide.server import (
     FixRecord,
     FixValidationError,
     StorageError,
-    TrackService,
     TrackStore,
     main as server_main,
-    make_http_server,
     validate_fix,
 )
 
-from conftest import free_port, in_process_server, wait_for_server
+from conftest import (
+    at_second,
+    free_port,
+    http_get,
+    http_post,
+    in_process_server,
+    serve_store,
+    stored_records,
+    wait_for_server,
+)
 
 
 def good_fix(**overrides):
@@ -135,7 +139,7 @@ def test_store_reloads_existing_file(tmp_path):
     reopened = TrackStore(path)
     third = reopened.insert(good_fix(timestamp="2015-06-01T00:15:00Z"))
     assert third.id == 3
-    assert [r.id for r in reopened.records()] == [1, 2, 3]
+    assert [r.id for r in reopened.recent("walker-1", 10)] == [1, 2, 3]
     reopened.close()
 
 
@@ -175,71 +179,49 @@ def test_store_inserts_are_thread_safe(tmp_path):
         t.start()
     for t in threads:
         t.join()
-    assert sorted(r.id for r in store.records()) == list(range(1, 201))
+    assert sorted(r.id for r in store.recent("walker-1", 1000)) == list(range(1, 201))
     store.close()
 
 
 # -- query semantics -------------------------------------------------------------
 
 
-@pytest.fixture
-def make_service(tmp_path):
-    """make_service(rows): a service over a fresh store holding rows.  The
-    store is closed when the test ends."""
-    stores = []
-
-    def build(rows):
-        store = TrackStore(tmp_path / "locations.jsonl")
-        stores.append(store)
-        service = TrackService(store)
-        for row in rows:
-            service.insert_fix(row)
-        return service
-
-    yield build
-    for store in stores:
-        store.close()
+def store_of(*rows) -> TrackStore:
+    """A store with no file, holding rows."""
+    store = TrackStore()
+    for row in rows:
+        store.insert(row)
+    return store
 
 
-def test_latest_picks_newest_timestamp(make_service):
-    service = make_service([
-        good_fix(timestamp="2015-06-01T00:10:00Z"),
-        good_fix(timestamp="2015-06-01T00:05:00Z"),
-    ])
-    assert service.latest_fix("walker-1").timestamp == "2015-06-01T00:10:00Z"
+def test_latest_picks_newest_timestamp():
+    store = store_of(good_fix(timestamp="2015-06-01T00:10:00Z"),
+                     good_fix(timestamp="2015-06-01T00:05:00Z"))
+    assert store.recent("walker-1", 1)[0].timestamp == "2015-06-01T00:10:00Z"
 
 
-def test_latest_tie_breaks_on_higher_id(make_service):
-    service = make_service([
-        good_fix(latitude=1.0),
-        good_fix(latitude=2.0),
-    ])
-    latest = service.latest_fix("walker-1")
+def test_latest_tie_breaks_on_higher_id():
+    [latest] = store_of(good_fix(latitude=1.0), good_fix(latitude=2.0)).recent("walker-1", 1)
     assert latest.id == 2 and latest.latitude == 2.0
 
 
-def test_latest_is_per_device(make_service):
-    service = make_service([
-        good_fix(),
-        good_fix(device_id="walker-2", latitude=3.0),
-    ])
-    assert service.latest_fix("walker-2").latitude == 3.0
-    assert service.latest_fix("nobody") is None
+def test_latest_is_per_device():
+    store = store_of(good_fix(), good_fix(device_id="walker-2", latitude=3.0))
+    assert store.recent("walker-2", 1)[0].latitude == 3.0
+    assert store.recent("nobody", 1) == []
 
 
-def test_history_ascending_and_truncated_to_last_n(make_service):
-    rows = [good_fix(timestamp=f"2015-06-01T00:{m:02d}:00Z") for m in (10, 5, 20, 15)]
-    service = make_service(rows)
-    full = service.history("walker-1", limit=DEFAULT_HISTORY_LIMIT)
+def test_history_ascending_and_truncated_to_last_n():
+    store = store_of(*(good_fix(timestamp=f"2015-06-01T00:{m:02d}:00Z") for m in (10, 5, 20, 15)))
+    full = store.recent("walker-1", DEFAULT_HISTORY_LIMIT)
     assert [r.timestamp[14:16] for r in full] == ["05", "10", "15", "20"]
-    tail = service.history("walker-1", limit=2)
+    tail = store.recent("walker-1", 2)
     assert [r.timestamp[14:16] for r in tail] == ["15", "20"]
 
 
-def test_history_rejects_nonpositive_limit(make_service):
-    service = make_service([good_fix()])
+def test_history_rejects_nonpositive_limit():
     with pytest.raises(ValueError):
-        service.history("walker-1", limit=0)
+        store_of(good_fix()).recent("walker-1", 0)
 
 
 # -- HTTP endpoints (in-process server) -------------------------------------------
@@ -251,38 +233,15 @@ def base_url(httpd) -> str:
 
 @pytest.fixture
 def live_server(tmp_path):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(tmp_path / "locations.jsonl")) as httpd:
         yield base_url(httpd)
-    store.close()
 
 
 @pytest.fixture
 def impatient_server(tmp_path):
     """live_server that gives up on a silent connection after 0.3 s."""
-    store = TrackStore(tmp_path / "locations.jsonl")
-    with in_process_server(TrackService(store), timeout_s=0.3) as httpd:
+    with in_process_server(TrackStore(tmp_path / "locations.jsonl"), timeout_s=0.3) as httpd:
         yield base_url(httpd)
-    store.close()
-
-
-def http_post(base, path, payload):
-    data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-    request = urllib.request.Request(
-        base + path, data=data, headers={"Content-Type": "application/json"})
-    try:
-        with urllib.request.urlopen(request, timeout=5) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-def http_get(base, path):
-    try:
-        with urllib.request.urlopen(base + path, timeout=5) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
 
 
 def test_post_returns_201_with_assigned_id(live_server):
@@ -355,12 +314,9 @@ def test_post_to_unknown_path_is_404_and_closes(live_server):
     assert (status, connection) == (404, "close")
 
 
-def test_handler_sets_a_socket_timeout(tmp_path):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    httpd = make_http_server("127.0.0.1:0", TrackService(store))
-    httpd.server_close()
-    store.close()
-    assert httpd.timeout == REQUEST_TIMEOUT_S
+def test_handler_sets_a_socket_timeout():
+    with in_process_server(TrackStore()) as httpd:
+        assert httpd.timeout == REQUEST_TIMEOUT_S
     assert 0 < REQUEST_TIMEOUT_S < float("inf")
 
 
@@ -404,7 +360,7 @@ def test_tricklers_are_answered_408_and_closed_within_the_timeout_freeing_the_ca
     gets its 408 and a close within 2 s, and then a fifth is served."""
     store = TrackStore(tmp_path / "locations.jsonl")
     store.insert(good_fix())
-    with in_process_server(TrackService(store), timeout_s=1.0, max_connections=3) as httpd:
+    with in_process_server(store, timeout_s=1.0, max_connections=3) as httpd:
         address = ("127.0.0.1", httpd.server_address[1])
         socks = [socket.create_connection(address, timeout=2.0) for _ in range(3)]
         try:
@@ -425,7 +381,6 @@ def test_tricklers_are_answered_408_and_closed_within_the_timeout_freeing_the_ca
         with socket.create_connection(address, timeout=2.0) as fifth:
             fifth.sendall(_get())
             assert read_replies(fifth, 1)[0][0] == 200
-    store.close()
 
 
 def test_a_reply_that_leaves_a_byte_at_a_time_keeps_the_deadline_its_wait_began_with(
@@ -736,16 +691,13 @@ def read_replies(sock, count=None, head: bool = False) -> list:
 def answer_server():
     """One server for every answer-table exchange, which gives up on a
     request after 0.3 s; each exchange sets its own store."""
-    with in_process_server(TrackService(TrackStore()), timeout_s=0.3) as httpd:
+    with in_process_server(TrackStore(), timeout_s=0.3) as httpd:
         yield httpd
 
 
 def fresh_store(httpd) -> None:
     """Serve a new store holding one fix of walker-1 (id 1) from now on."""
-    service = TrackService(TrackStore())
-    service.insert_fix(good_fix())
-    httpd.service = service
-    httpd.replies.clear()
+    serve_store(httpd, store_of(good_fix()))
 
 
 def serves_on(sock) -> None:
@@ -879,16 +831,14 @@ def test_kept_alive_gets_do_not_wait_for_delayed_acks(live_server):
 
 
 def test_server_close_ends_kept_alive_connections(tmp_path):
-    store = TrackStore(tmp_path / "locations.jsonl")
     before = set(threading.enumerate())
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(tmp_path / "locations.jsonl")) as httpd:
         base = base_url(httpd)
         connection = http.client.HTTPConnection(base[len("http://"):], timeout=5)
         connection.request("GET", "/api/locations/latest?device_id=walker-1")
         assert connection.getresponse().read()  # the 404, on a connection kept open
         started = time.monotonic()
     closing_s = time.monotonic() - started
-    store.close()
     try:
         assert connection.sock.recv(1) == b""  # the server ended the connection
     finally:
@@ -901,8 +851,7 @@ def test_server_close_ends_kept_alive_connections(tmp_path):
 
 
 def test_a_client_reset_mid_request_prints_nothing(tmp_path, capsys):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(tmp_path / "locations.jsonl")) as httpd:
         base = base_url(httpd)
         port = int(base.rsplit(":", 1)[1])
         with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
@@ -910,7 +859,6 @@ def test_a_client_reset_mid_request_prints_nothing(tmp_path, capsys):
             # Closing with a zero linger time resets the connection.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         assert http_get(base, "/api/locations/latest?device_id=walker-1")[0] == 404
-    store.close()
     assert capsys.readouterr().err == ""
 
 
@@ -918,19 +866,20 @@ def test_other_handler_failures_are_still_reported(tmp_path, capsys):
     """A route that raises is answered 500 and its connection closed; the
     traceback goes to stderr, and the server serves on."""
     store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
-    service.insert_fix(good_fix())
+    store.insert(good_fix())
+    recent = store.recent
 
-    def broken(device_id):
-        raise ValueError("a handler bug")
+    def latest_broken(device_id, limit):
+        if limit == 1:
+            raise ValueError("a handler bug")
+        return recent(device_id, limit)
 
-    service.latest_fix = broken
-    with in_process_server(service) as httpd:
+    store.recent = latest_broken
+    with in_process_server(store) as httpd:
         base = base_url(httpd)
         reply = raw_exchange(base, _get())
         assert one_closing_reply(reply, 500) == {"error": "internal server error"}
         assert http_get(base, "/api/locations?device_id=walker-1")[0] == 200
-    store.close()
     err = capsys.readouterr().err
     assert "Exception occurred during processing of request from ('127.0.0.1', " in err
     assert "ValueError: a handler bug" in err
@@ -939,7 +888,7 @@ def test_other_handler_failures_are_still_reported(tmp_path, capsys):
 def test_connections_over_the_cap_are_answered_503_and_closed(tmp_path):
     store = TrackStore(tmp_path / "locations.jsonl")
     store.insert(good_fix())
-    with in_process_server(TrackService(store), max_connections=2) as httpd:
+    with in_process_server(store, max_connections=2) as httpd:
         address = ("127.0.0.1", httpd.server_address[1])
         first, second = (socket.create_connection(address, timeout=2.0) for _ in range(2))
         with first, second:
@@ -960,14 +909,12 @@ def test_connections_over_the_cap_are_answered_503_and_closed(tmp_path):
                 assert read_replies(fourth, 1)[0][0] == 200
             second.sendall(_get())  # the kept-alive one is still served
             assert read_replies(second, 1)[0][0] == 200
-    store.close()
 
 
 def test_a_client_that_never_reads_its_replies_holds_up_no_other(tmp_path):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(timestamp=at_second(s)) for s in range(DEFAULT_HISTORY_LIMIT)])
-    store = TrackStore(path)
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(path)) as httpd:
         address = ("127.0.0.1", httpd.server_address[1])
         with socket.create_connection(address, timeout=2.0) as hog, \
                 socket.create_connection(address, timeout=2.0) as other:
@@ -978,7 +925,6 @@ def test_a_client_that_never_reads_its_replies_holds_up_no_other(tmp_path):
             other.sendall(_get())
             assert read_replies(other, 1)[0][0] == 200
             assert time.monotonic() - started < 1.0
-    store.close()
 
 
 def test_kept_alive_connections_start_no_threads(live_server):
@@ -1034,15 +980,13 @@ def test_unparseable_stored_timestamp_fails_the_query_not_the_load(tmp_path, tim
 def test_get_with_an_unparseable_stored_timestamp_is_500(tmp_path):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(timestamp="yesterday"), good_fix(device_id="walker-2")])
-    store = TrackStore(path)
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(path)) as httpd:
         base = base_url(httpd)
         for query in ("/api/locations/latest?device_id=walker-1",
                       "/api/locations?device_id=walker-1"):
             status, body = http_get(base, query)
             assert status == 500 and "record 1" in body["error"]
         assert http_get(base, "/api/locations/latest?device_id=walker-2")[0] == 200
-    store.close()
 
 
 def test_get_with_a_date_only_stored_timestamp_is_500(tmp_path):
@@ -1051,15 +995,13 @@ def test_get_with_a_date_only_stored_timestamp_is_500(tmp_path):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(), good_fix(timestamp="2015-06-01Z"),
                       good_fix(device_id="walker-2")])
-    store = TrackStore(path)
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(path)) as httpd:
         base = base_url(httpd)
         for query in ("/api/locations/latest?device_id=walker-1",
                       "/api/locations?device_id=walker-1"):
             status, body = http_get(base, query)
             assert status == 500 and "record 2" in body["error"] and "timestamp" in body["error"]
         assert http_get(base, "/api/locations/latest?device_id=walker-2")[0] == 200
-    store.close()
 
 
 OUT_OF_RANGE_STORED = [("latitude", 999), ("longitude", -500), ("provider", "carrier-pigeon")]
@@ -1071,12 +1013,11 @@ def test_out_of_range_stored_fix_fails_the_query_not_the_load(tmp_path, field, v
     write_rows(path, [good_fix(**{field: value}), good_fix(device_id="walker-2")])
     store = TrackStore(path)
     try:
-        service = TrackService(store)
         with pytest.raises(StorageError) as excinfo:
-            service.latest_fix("walker-1")
+            store.recent("walker-1", 1)
         for part in (str(path), "record 1", field):
             assert part in str(excinfo.value)
-        assert service.latest_fix("walker-2").id == 2
+        assert store.recent("walker-2", 1)[0].id == 2
     finally:
         store.close()
 
@@ -1085,31 +1026,27 @@ def test_out_of_range_stored_fix_fails_the_query_not_the_load(tmp_path, field, v
 def test_get_with_an_out_of_range_stored_fix_is_500(tmp_path, field, value):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(**{field: value}), good_fix(device_id="walker-2")])
-    store = TrackStore(path)
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(path)) as httpd:
         base = base_url(httpd)
         for query in ("/api/locations/latest?device_id=walker-1",
                       "/api/locations?device_id=walker-1"):
             status, body = http_get(base, query)
             assert status == 500 and "record 1" in body["error"] and field in body["error"]
         assert http_get(base, "/api/locations/latest?device_id=walker-2")[0] == 200
-    store.close()
 
 
 def test_restart_preserves_history(tmp_path):
     path = tmp_path / "locations.jsonl"
     store = TrackStore(path)
-    service = TrackService(store)
     for minute in (5, 10):
-        service.insert_fix(good_fix(timestamp=f"2015-06-01T00:{minute:02d}:00Z"))
-    before_latest = service.latest_fix("walker-1")
-    before_history = service.history("walker-1", limit=10)
+        store.insert(good_fix(timestamp=f"2015-06-01T00:{minute:02d}:00Z"))
+    before_latest = store.recent("walker-1", 1)
+    before_history = store.recent("walker-1", 10)
     store.close()
 
     store = TrackStore(path)
-    service = TrackService(store)
-    after_latest = service.latest_fix("walker-1")
-    after_history = service.history("walker-1", limit=10)
+    after_latest = store.recent("walker-1", 1)
+    after_history = store.recent("walker-1", 10)
     store.close()
 
     assert after_latest == before_latest
@@ -1147,11 +1084,6 @@ def post_record(conn, fix) -> FixRecord:
     return FixRecord(**json.loads(response.read()))
 
 
-def at_second(second: int) -> str:
-    instant = datetime(2015, 6, 1, tzinfo=timezone.utc) + timedelta(seconds=second)
-    return instant.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_get_replies_are_the_bytes_of_a_fresh_encode(tmp_path, seed):
     """A seeded mix of POSTs (in order, tied with a device's newest, out of
@@ -1161,8 +1093,7 @@ def test_get_replies_are_the_bytes_of_a_fresh_encode(tmp_path, seed):
     devices = ("walker-1", "walker-2", "walker-3")
     newest = dict.fromkeys(devices, 600)
     records, kinds = [], set()
-    store = TrackStore(tmp_path / "locations.jsonl")
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(tmp_path / "locations.jsonl")) as httpd:
         base = base_url(httpd)
         conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
         conn.connect()
@@ -1184,7 +1115,6 @@ def test_get_replies_are_the_bytes_of_a_fresh_encode(tmp_path, seed):
                 assert get_reply(conn, device, limit) == fresh_reply(records, device, limit)
         assert conn.sock is sock  # every exchange rode the one connection
         conn.close()
-    store.close()
     assert kinds == {"in order", "tied", "out of order"}
 
 
@@ -1208,24 +1138,20 @@ def test_an_out_of_order_post_into_a_capped_history_changes_its_reply(live_serve
 
 
 def test_every_get_asks_the_service(tmp_path):
-    """A reused reply still comes from a query: the service is asked on each GET."""
+    """A reused reply still comes from a query: the store is asked on each GET."""
     store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
-    records = [service.insert_fix(good_fix(timestamp=at_second(s))) for s in (60, 120)]
+    records = [store.insert(good_fix(timestamp=at_second(s))) for s in (60, 120)]
     asked = []
-    for name in ("latest_fix", "history"):
-        query = getattr(service, name)
-        setattr(service, name, lambda *args, query=query, name=name: asked.append(name)
-                or query(*args))
-    with in_process_server(service) as httpd:
+    recent = store.recent
+    store.recent = lambda *args: asked.append(args) or recent(*args)
+    with in_process_server(store) as httpd:
         base = base_url(httpd)
         conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
         for _ in range(3):
             for limit in (None, 50):
                 assert get_reply(conn, "walker-1", limit) == fresh_reply(records, "walker-1", limit)
         conn.close()
-    store.close()
-    assert sorted(asked) == ["history"] * 3 + ["latest_fix"] * 3
+    assert sorted(asked) == [("walker-1", 1)] * 3 + [("walker-1", 50)] * 3
 
 
 def test_racing_handlers_leave_only_fresh_replies(tmp_path):
@@ -1258,7 +1184,7 @@ def test_racing_handlers_leave_only_fresh_replies(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with in_process_server(TrackService(store)) as httpd:
+        with in_process_server(store) as httpd:
             base = base_url(httpd)
             threads = [threading.Thread(target=client, args=(n, base)) for n in range(4)]
             for thread in threads:
@@ -1275,16 +1201,14 @@ def test_racing_handlers_leave_only_fresh_replies(tmp_path):
             conn.close()
     finally:
         sys.setswitchinterval(interval)
-        store.close()
 
 
 def test_the_reply_table_holds_at_most_two_replies_per_stored_device(tmp_path):
     store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
     for second in range(70):
-        service.insert_fix(good_fix(timestamp=at_second(second)))
-    service.insert_fix(good_fix(device_id="walker-2"))
-    with in_process_server(service) as httpd:
+        store.insert(good_fix(timestamp=at_second(second)))
+    store.insert(good_fix(device_id="walker-2"))
+    with in_process_server(store) as httpd:
         conn = http.client.HTTPConnection(f"127.0.0.1:{httpd.server_address[1]}", timeout=5)
         for n in range(200):
             assert get_reply(conn, f"ghost-{n}", None)[0] == 404
@@ -1298,14 +1222,12 @@ def test_the_reply_table_holds_at_most_two_replies_per_stored_device(tmp_path):
         replies = httpd.replies
         assert {device for device, _ in replies} == {"walker-1", "walker-2"}
         assert len(replies) <= 2 * 2
-    store.close()
 
 
 def test_a_failing_query_answers_500_each_time_and_keeps_no_reply(tmp_path):
     path = tmp_path / "locations.jsonl"
     write_rows(path, [good_fix(timestamp="yesterday"), good_fix(device_id="walker-2")])
-    store = TrackStore(path)
-    with in_process_server(TrackService(store)) as httpd:
+    with in_process_server(TrackStore(path)) as httpd:
         conn = http.client.HTTPConnection(f"127.0.0.1:{httpd.server_address[1]}", timeout=5)
         for _ in range(3):
             for limit in (None, 50):
@@ -1313,7 +1235,6 @@ def test_a_failing_query_answers_500_each_time_and_keeps_no_reply(tmp_path):
                 assert status == 500 and "record 1" in json.loads(body)["error"]
         conn.close()
         assert [key for key in httpd.replies if key[0] == "walker-1"] == []
-    store.close()
 
 
 # -- subprocess entry point ---------------------------------------------------------
@@ -1343,12 +1264,12 @@ def test_cli_bad_listen_address_exits_2(tmp_path, capsys, no_env, listen, reason
     assert capsys.readouterr() == ("", f"error: --listen {listen}: {reason}\n")
 
 
-def test_listen_port_takes_ascii_digits_only(tmp_path):
+def test_listen_port_takes_ascii_digits_only(tmp_path, capsys, no_env):
     # int() reads these Arabic-Indic digits as 8750, and bind() would take that.
-    store = TrackStore(tmp_path / "s.jsonl")
-    with pytest.raises(ValueError, match="must be host:port"):
-        make_http_server("127.0.0.1:\u0668\u0667\u0665\u0660", TrackService(store))
-    store.close()
+    listen = "127.0.0.1:\u0668\u0667\u0665\u0660"
+    assert server_main(["--listen", listen, "--store", str(tmp_path / "s.jsonl")]) == 2
+    assert capsys.readouterr().err == (f"error: --listen {listen}: listen address must be "
+                                       f"host:port, the port in ASCII digits\n")
 
 
 def test_cli_address_in_use_exits_2(tmp_path, capsys, no_env):
@@ -1454,11 +1375,8 @@ def test_a_server_killed_mid_stream_keeps_every_acknowledged_fix(tmp_path, capsy
         proc.stdout.close()
     assert len(acked) >= 20
 
-    store = TrackStore(path)
-    try:
-        records = [record.as_dict() for record in store.records()]
-    finally:
-        store.close()
+    TrackStore(path).close()  # which cuts a torn last line away
+    records = [record.as_dict() for record in stored_records(path)]
     assert records[:len(acked)] == acked  # each with its id and fields
     assert [record["id"] for record in records] == list(range(1, len(records) + 1))
     assert len(records) <= len(acked) + 1  # at most the POST the kill cut short

@@ -3,13 +3,16 @@ json.loads pass and scan (reference_store.py), and the store's crash
 safety on load and on a failed append.
 
 The index test interleaves inserts, latest/history queries and reopens of
-the store from disk.  Its timestamps repeat instants in more than one valid
-spelling ('...:00Z', '...:00.000Z', '...:00.5Z', a space for the 'T'), so
-equal instants fall back to the id and text order is not time order.
+the store from disk, and takes its expected answers from a log of its own
+inserts.  Its timestamps repeat instants in more than one valid spelling
+('...:00Z', '...:00.000Z', '...:00.5Z', a space for the 'T'), so equal
+instants fall back to the id and text order is not time order.
 
 The load test writes store files of lines as insert writes them, mixed
 with other spellings of a fix, corrupt lines, blank lines and a torn tail,
-and requires the same records as the reference load, or the same error.
+and requires the same error as the reference load, or a store that numbers
+its next insert and answers each device's first query as one of the
+reference's records does.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import sys
 import tempfile
 import threading
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -34,11 +38,12 @@ from echoguide.server import (
     FixRecord,
     FixValidationError,
     StorageError,
-    TrackService,
     TrackStore,
     parse_record_timestamp,
     validate_fix,
 )
+
+from conftest import stored_records
 
 DEVICES = ("walker-1", "walker-2", "walker-3")
 FIX_FIELDS = ("device_id", "latitude", "longitude", "timestamp", "provider")
@@ -82,12 +87,13 @@ operations = st.lists(
 )
 
 
-def check_against_reference(service: TrackService, op: tuple) -> None:
-    records = service.store.records()
+def check_against_reference(store: TrackStore, records: list[FixRecord], op: tuple) -> None:
+    """The store answers a latest or history op as the scan of records does."""
     if op[0] == "latest":
-        assert service.latest_fix(op[1]) == reference_store.latest_fix(records, op[1])
+        latest = reference_store.latest_fix(records, op[1])
+        assert store.recent(op[1], 1) == ([] if latest is None else [latest])
     else:
-        assert service.history(op[1], op[2]) == reference_store.history(records, *op[1:])
+        assert store.recent(op[1], op[2]) == reference_store.history(records, *op[1:])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -104,20 +110,22 @@ def test_index_answers_like_the_scan(ops):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "locations.jsonl")
         store = TrackStore(path)
+        log: list[FixRecord] = []  # each insert as it is to be stored: ids run 1..n
         try:
             for n, op in enumerate(ops):
                 if op[0] == "insert":
-                    store.insert(fix(op[1], op[2], latitude=float(n)))
+                    body = fix(op[1], op[2], latitude=float(n))
+                    store.insert(body)
+                    log.append(FixRecord(len(log) + 1, **body))
                 elif op[0] == "reopen":
                     store.close()
                     store = TrackStore(path)
                 else:
-                    check_against_reference(TrackService(store), op)
-            service = TrackService(store)
+                    check_against_reference(store, log, op)
             for device in DEVICES:
-                check_against_reference(service, ("latest", device))
+                check_against_reference(store, log, ("latest", device))
                 for limit in LIMITS:
-                    check_against_reference(service, ("history", device, limit))
+                    check_against_reference(store, log, ("history", device, limit))
         finally:
             store.close()
 
@@ -162,9 +170,10 @@ def insert_outcome(store: TrackStore, body: object) -> tuple:
               ("insert", None), ("recent", "walker-1", 2)])
 def test_store_without_a_path_answers_like_one_with_a_file(ops):
     """The same inserts, refused ones among them, give the same ids, records,
-    refusals and recent() answers in memory as on file; the file, reopened,
-    holds the memory store's records."""
+    refusals and recent() answers in memory as on file; the file holds the
+    records stored, and reopened, answers as the memory store does."""
     memory = TrackStore()
+    stored = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "locations.jsonl")
         on_file = TrackStore(path)
@@ -174,17 +183,21 @@ def test_store_without_a_path_answers_like_one_with_a_file(ops):
                     outcome = insert_outcome(memory, op[1])
                     assert outcome == insert_outcome(on_file, op[1])
                     event(outcome[0])
+                    if outcome[0] == "stored":
+                        stored.append(outcome[1])
                 else:
                     assert memory.recent(*op[1:]) == on_file.recent(*op[1:])
-            assert memory.records() == on_file.records()
             for device in DEVICES:
                 for limit in LIMITS:
                     assert memory.recent(device, limit) == on_file.recent(device, limit)
         finally:
             on_file.close()
             memory.close()
+        assert stored_records(path) == stored
         reopened = TrackStore(path)
-        assert reopened.records() == memory.records()
+        for device in DEVICES:
+            for limit in LIMITS:
+                assert reopened.recent(device, limit) == memory.recent(device, limit)
         reopened.close()
 
 
@@ -299,22 +312,41 @@ def store_files(draw, variant: str) -> tuple[bytes, list[str]]:
     return b"".join(lines) + tail, kinds + [f"tail: {tail_kind}"]
 
 
-def outcome(path, data: bytes, load) -> tuple[str, list[str]]:
+def outcome(path, data: bytes, load) -> tuple:
     """What loading a store file of these bytes gives: the error up to its
-    detail, or the records."""
+    detail, or the number of records and, for each device of the reference
+    load, what its first recent() answers, or that error up to its detail."""
     with open(path, "wb") as fh:
         fh.write(data)
     try:
-        loaded = load(path)
+        devices = dict.fromkeys(r.device_id for r in reference_store.load(path))
+    except StorageError:
+        devices = {}
+    try:
+        count, recent = load(path)
     except StorageError as exc:
-        return str(exc).split(" (")[0], []
-    return "records", [repr(r) for r in loaded]
+        return str(exc).split(" (")[0], None, []
+    answers = []
+    for device in devices:
+        try:
+            answers.append([repr(r) for r in recent(device, 10**6)])
+        except StorageError as exc:
+            answers.append(str(exc).split(" (")[0])
+    return "records", count, answers
 
 
-def load_store(path: str) -> list[FixRecord]:
+def load_reference(path: str) -> tuple:
+    records = reference_store.load(path)
+    return len(records), partial(reference_store.first_query, records, path)
+
+
+def load_store(path: str) -> tuple:
+    """The records a TrackStore loads from path, counted by the id its next
+    insert takes, and its recent()."""
     store = TrackStore(path)
+    count = store.insert(fix("__next__", TIMESTAMPS[0])).id - 1
     store.close()
-    return store.records()
+    return count, store.recent
 
 
 @pytest.mark.parametrize("variant", VARIANT_KINDS)
@@ -328,7 +360,7 @@ def test_load_reads_like_the_json_pass(variant, data):
         event("escaped string")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "locations.jsonl")
-        expected = outcome(path, store_file, reference_store.load)
+        expected = outcome(path, store_file, load_reference)
         assert outcome(path, store_file, load_store) == expected
     event(f"outcome: {re.sub(r'^.*:[0-9]+: | [0-9]+.*$', '', expected[0])}")
 
@@ -346,7 +378,7 @@ def test_every_spelling_of_a_number_or_an_id_reads_like_the_json_pass(tmp_path):
               for name in ('a"b', "a\\b", "a\u00e9b", "a\x00b", "a\x7fb")]
     differ = [line for line in lines
               if outcome(path, line + b"\n", load_store)
-              != outcome(path, line + b"\n", reference_store.load)]
+              != outcome(path, line + b"\n", load_reference)]
     assert differ == []
 
 
@@ -373,7 +405,9 @@ def test_every_line_insert_writes_for_an_ordinary_fix_takes_the_fast_path(fixes)
         with mock.patch.object(server.json, "loads", side_effect=AssertionError("json.loads")):
             reopened = TrackStore(path)
         reopened.close()
-    assert [repr(r) for r in reopened.records()] == [repr(r) for r in inserted]
+    for device in {r.device_id for r in inserted}:
+        assert ([repr(r) for r in reopened.recent(device, 10)]
+                == [repr(r) for r in reference_store.history(inserted, device, 10)])
 
 
 # -- load: torn tail, corrupt lines, id gaps ---------------------------------------
@@ -399,7 +433,7 @@ def test_torn_last_line_is_truncated_with_a_warning(tmp_path, capsys, tail):
     path.write_bytes(whole + tail)
 
     store = TrackStore(path)
-    assert [r.id for r in store.records()] == [1, 2]
+    assert [r.id for r in store.recent("walker-1", 10)] == [1, 2]
     assert path.read_bytes() == whole
     warning = capsys.readouterr().err.splitlines()
     assert len(warning) == 1
@@ -408,7 +442,7 @@ def test_torn_last_line_is_truncated_with_a_warning(tmp_path, capsys, tail):
     assert store.insert(fix("walker-1", "2015-06-01T02:00:00Z")).id == 3
     store.close()
     reopened = TrackStore(path)
-    assert [r.id for r in reopened.records()] == [1, 2, 3]
+    assert [r.id for r in reopened.recent("walker-1", 10)] == [1, 2, 3]
     reopened.close()
     assert capsys.readouterr().err == ""
 
@@ -417,7 +451,7 @@ def test_store_that_is_only_a_torn_line_opens_empty(tmp_path, capsys):
     path = tmp_path / "locations.jsonl"
     path.write_bytes(b'{"device_id": "walk')
     store = TrackStore(path)
-    assert store.records() == []
+    assert store.recent("walker-1", 10) == []
     assert store.insert(fix("walker-1", "2015-06-01T00:00:00Z")).id == 1
     store.close()
     assert path.read_bytes().count(b"\n") == 1
@@ -466,15 +500,15 @@ def test_blank_lines_are_skipped(tmp_path):
     first, second = whole.splitlines(keepends=True)
     path.write_bytes(b"\n" + first + b"  \n" + second)
     store = TrackStore(path)
-    assert [r.id for r in store.records()] == [1, 2]
+    assert [r.id for r in store.recent("walker-1", 10)] == [1, 2]
     store.close()
 
 
 def test_insert_into_a_sorted_device_parses_one_timestamp(tmp_path, monkeypatch):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
+    path = tmp_path / "locations.jsonl"
+    store = TrackStore(path)
     store.insert(fix("walker-1", "2015-06-01T00:00:00Z"))
-    assert service.latest_fix("walker-1").id == 1  # sorts the device
+    assert store.recent("walker-1", 1)[0].id == 1  # sorts the device
     calls = []
     real = TrackStore._sort_key
 
@@ -487,19 +521,19 @@ def test_insert_into_a_sorted_device_parses_one_timestamp(tmp_path, monkeypatch)
         store.insert(fix("walker-1", f"2015-06-01T01:{n // 60:02d}:{n % 60:02d}Z"))
     assert calls == list(range(2, 102))
     monkeypatch.undo()
-    records = store.records()
-    assert service.history("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
+    records = stored_records(path)
+    assert store.recent("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
     store.close()
 
 
 def test_insert_into_a_sorted_device_reads_the_fix_once(tmp_path, monkeypatch):
     """validate_fix reads the posted fix; neither its sort key nor the bisect
     among the device's records reads it, or any stored record, again."""
-    store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
+    path = tmp_path / "locations.jsonl"
+    store = TrackStore(path)
     for n in range(20):
         store.insert(fix("walker-1", f"2015-06-01T00:{n:02d}:30Z"))
-    assert service.latest_fix("walker-1").id == 20  # sorts the device
+    assert store.recent("walker-1", 1)[0].id == 20  # sorts the device
     calls = []
     real = server.read_json
     monkeypatch.setattr(server, "read_json", lambda *args: calls.append(args) or real(*args))
@@ -508,8 +542,8 @@ def test_insert_into_a_sorted_device_reads_the_fix_once(tmp_path, monkeypatch):
     store.insert(fix("walker-1", "2015-06-01T00:10:00Z"))  # out of order, among 21
     assert len(calls) == 2
     monkeypatch.undo()
-    records = store.records()
-    assert service.history("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
+    records = stored_records(path)
+    assert store.recent("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
     store.close()
 
 
@@ -535,23 +569,21 @@ def test_failed_write_is_truncated_and_leaves_the_index_alone(tmp_path):
     path = tmp_path / "locations.jsonl"
     whole = write_store(path, 3)
     store = TrackStore(path)
-    service = TrackService(store)
-    before = (store.records(), service.latest_fix("walker-1"), service.history("walker-1", 50))
+    before = (store.recent("walker-1", 1), store.recent("walker-1", 50))  # all its 3 records
 
     real = store._fh
     store._fh = PartialWrite(real, keep=10)
     with pytest.raises(StorageError, match="No space left"):
         store.insert(fix("walker-1", "2015-06-01T00:00:30Z"))
     assert path.read_bytes() == whole
-    assert (store.records(), service.latest_fix("walker-1"),
-            service.history("walker-1", 50)) == before
+    assert (store.recent("walker-1", 1), store.recent("walker-1", 50)) == before
 
     store._fh = real
     assert store.insert(fix("walker-1", "2015-06-01T00:00:30Z")).id == 4
     store.close()
+    assert [r.id for r in stored_records(path)] == [1, 2, 3, 4]
     reopened = TrackStore(path)
-    assert [r.id for r in reopened.records()] == [1, 2, 3, 4]
-    assert [r.id for r in TrackService(reopened).history("walker-1", 50)] == [1, 4, 2, 3]
+    assert [r.id for r in reopened.recent("walker-1", 50)] == [1, 4, 2, 3]
     reopened.close()
 
 
@@ -572,7 +604,7 @@ def test_failed_fsync_is_truncated(tmp_path, monkeypatch):
     with pytest.raises(StorageError, match="Input/output error"):
         store.insert(fix("walker-1", "2015-06-01T00:05:00Z"))
     assert path.read_bytes() == whole
-    assert [r.id for r in store.records()] == [1]
+    assert [r.id for r in store.recent("walker-1", 10)] == [1]
     assert store.insert(fix("walker-1", "2015-06-01T00:05:00Z")).id == 2
     store.close()
 
@@ -585,7 +617,7 @@ def test_insert_after_close_is_a_storage_error(tmp_path):
     with pytest.raises(StorageError):
         store.insert(fix("walker-1", "2015-06-01T00:05:00Z"))
     assert path.read_bytes() == whole
-    assert [r.id for r in store.records()] == [1]
+    assert [r.id for r in store.recent("walker-1", 10)] == [1]
 
 
 @pytest.mark.parametrize("bad", [{"timestamp": "yesterday"}, {"latitude": 91.0}],
@@ -597,25 +629,22 @@ def test_refused_insert_leaves_the_store_alone(tmp_path, bad, queried):
     path = tmp_path / "locations.jsonl"
     whole = write_store(path, 2)
     store = TrackStore(path)
-    service = TrackService(store)
     if queried:
-        assert service.latest_fix("walker-1").id == 2  # sorts the device
-    before = store.records()
+        assert store.recent("walker-1", 1)[0].id == 2  # sorts the device
     with pytest.raises(FixValidationError) as excinfo:
         store.insert({**fix("walker-1", "2015-06-01T00:05:00Z"), **bad})
     assert excinfo.value.field == next(iter(bad))
     assert path.read_bytes() == whole
-    assert store.records() == before
+    assert store.recent("walker-1", 10) == stored_records(path)
 
     assert store.insert(fix("walker-1", "2015-06-01T00:05:00Z")).id == 3
     store.close()
-    reopened = TrackStore(path)
-    records = reopened.records()
+    records = stored_records(path)
     assert [r.id for r in records] == [1, 2, 3]
-    service = TrackService(reopened)
-    assert service.latest_fix("walker-1") == reference_store.latest_fix(records, "walker-1")
+    reopened = TrackStore(path)
+    assert reopened.recent("walker-1", 1) == [reference_store.latest_fix(records, "walker-1")]
     for limit in LIMITS:
-        assert (service.history("walker-1", limit)
+        assert (reopened.recent("walker-1", limit)
                 == reference_store.history(records, "walker-1", limit))
     reopened.close()
 
@@ -624,8 +653,8 @@ def test_refused_insert_leaves_the_store_alone(tmp_path, bad, queried):
 
 
 def test_concurrent_inserts_and_queries_keep_the_index_sorted(tmp_path):
-    store = TrackStore(tmp_path / "locations.jsonl")
-    service = TrackService(store)
+    path = tmp_path / "locations.jsonl"
+    store = TrackStore(path)
     store.insert(fix("walker-1", "2015-06-01T00:30:00Z"))
     unsorted: list[list[int]] = []
 
@@ -636,9 +665,9 @@ def test_concurrent_inserts_and_queries_keep_the_index_sorted(tmp_path):
 
     def query() -> None:
         for _ in range(40):
-            keys = [reference_store._sort_key(r) for r in service.history("walker-1", 1000)]
+            keys = [reference_store._sort_key(r) for r in store.recent("walker-1", 1000)]
             if keys != sorted(keys):
-                unsorted.append([r.id for r in service.history("walker-1", 1000)])
+                unsorted.append([r.id for r in store.recent("walker-1", 1000)])
 
     threads = ([threading.Thread(target=insert, args=(w,)) for w in range(4)]
                + [threading.Thread(target=query) for _ in range(4)])
@@ -653,7 +682,7 @@ def test_concurrent_inserts_and_queries_keep_the_index_sorted(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert unsorted == []
-    records = store.records()
+    records = stored_records(path)
     assert [r.id for r in records] == list(range(1, 162))
-    assert service.history("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
+    assert store.recent("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
     store.close()

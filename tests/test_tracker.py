@@ -18,8 +18,6 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import ExitStack
-from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -30,8 +28,8 @@ import reference_store
 
 from echoguide import tracker
 from echoguide.jsonread import read_json
-from echoguide.httploop import MAX_HEAD_BYTES, REQUEST_TIMEOUT_S
-from echoguide.server import FixRecord, TrackRequestHandler, TrackService, TrackStore
+from echoguide.httploop import MAX_HEAD_BYTES
+from echoguide.server import FixRecord, TrackRequestHandler, TrackStore
 from echoguide.tracker import (
     EXIT_NO_FIX,
     EXIT_OK,
@@ -49,7 +47,7 @@ from echoguide.tracker import (
     track_feature,
 )
 
-from conftest import free_port, in_process_server
+from conftest import at_second, free_port, http_post, in_process_server, serve_store
 
 
 def fix_dict(minute=5, lat=22.9006, lon=89.5024, provider="gps", device="walker-1"):
@@ -60,11 +58,6 @@ def fix_dict(minute=5, lat=22.9006, lon=89.5024, provider="gps", device="walker-
         "timestamp": f"2015-06-01T00:{minute:02d}:00Z",
         "provider": provider,
     }
-
-
-def at_second(second: int) -> str:
-    instant = datetime(2015, 6, 1, tzinfo=timezone.utc) + timedelta(seconds=second)
-    return instant.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # -- formatting units ---------------------------------------------------------------
@@ -142,34 +135,18 @@ def count_connections(httpd) -> list:
     return accepted
 
 
-class Serving:
-    """A tracking server on `port` over the store at `path`, in a thread."""
-
-    def __init__(self, path, port, handler_timeout=REQUEST_TIMEOUT_S):
-        self.store = TrackStore(path)
-        self.service = TrackService(self.store)
-        self._open = ExitStack()
-        self._open.callback(self.store.close)
-        self.httpd = self._open.enter_context(
-            in_process_server(self.service, port, timeout_s=handler_timeout))
-        self.accepted = count_connections(self.httpd)
-
-    def stop(self):
-        self._open.close()
-
-
 @pytest.fixture
 def live_tracking(tmp_path):
-    port = free_port()
-    serving = Serving(tmp_path / "locations.jsonl", port)
-    yield serving.service, f"127.0.0.1:{port}"
-    serving.stop()
+    """A store served in-process, and the server's host:port."""
+    store = TrackStore(tmp_path / "locations.jsonl")
+    with in_process_server(store) as httpd:
+        yield store, f"127.0.0.1:{httpd.server_address[1]}"
 
 
 def test_get_location_prints_latest_line(live_tracking, capsys):
-    service, server = live_tracking
-    service.insert_fix(fix_dict(minute=5))
-    service.insert_fix(fix_dict(minute=10, lat=23.0, lon=90.0, provider="network"))
+    store, server = live_tracking
+    store.insert(fix_dict(minute=5))
+    store.insert(fix_dict(minute=10, lat=23.0, lon=90.0, provider="network"))
     code = main(["--server", server, "--device", "walker-1", "get-location"])
     assert code == EXIT_OK
     out = capsys.readouterr().out.strip()
@@ -184,8 +161,8 @@ def test_get_location_no_fix_exits_3(live_tracking, capsys):
 
 
 def test_show_map_emits_point_and_url(live_tracking, capsys, tmp_path):
-    service, server = live_tracking
-    service.insert_fix(fix_dict())
+    store, server = live_tracking
+    store.insert(fix_dict())
     out_path = tmp_path / "point.geojson"
     code = main(["--server", server, "--device", "walker-1",
                  "show-map", "--out", str(out_path)])
@@ -196,8 +173,8 @@ def test_show_map_emits_point_and_url(live_tracking, capsys, tmp_path):
 
 
 def test_show_map_stdout_when_no_out(live_tracking, capsys):
-    service, server = live_tracking
-    service.insert_fix(fix_dict())
+    store, server = live_tracking
+    store.insert(fix_dict())
     code = main(["--server", server, "--device", "walker-1", "show-map"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
@@ -208,9 +185,9 @@ def test_show_map_stdout_when_no_out(live_tracking, capsys):
 
 
 def test_track_writes_linestring(live_tracking, capsys, tmp_path):
-    service, server = live_tracking
+    store, server = live_tracking
     for minute, lat in ((5, 22.0), (10, 22.5), (15, 23.0)):
-        service.insert_fix(fix_dict(minute=minute, lat=lat))
+        store.insert(fix_dict(minute=minute, lat=lat))
     out_path = tmp_path / "trail.geojson"
     code = main(["--server", server, "--device", "walker-1",
                  "track", "--out", str(out_path)])
@@ -221,9 +198,9 @@ def test_track_writes_linestring(live_tracking, capsys, tmp_path):
 
 
 def test_track_limit_truncates_to_most_recent(live_tracking, tmp_path):
-    service, server = live_tracking
+    store, server = live_tracking
     for minute in (5, 10, 15, 20):
-        service.insert_fix(fix_dict(minute=minute, lat=20.0 + minute))
+        store.insert(fix_dict(minute=minute, lat=20.0 + minute))
     out_path = tmp_path / "trail.geojson"
     code = main(["--server", server, "--device", "walker-1",
                  "track", "--limit", "2", "--out", str(out_path)])
@@ -236,17 +213,12 @@ def test_track_limit_truncates_to_most_recent(live_tracking, tmp_path):
 def test_track_limit_1_passes_the_bound_and_asks_for_one_fix(live_tracking, tmp_path,
                                                              monkeypatch):
     # Only a limit below 1 is refused: 1 itself reaches the server as limit=1.
-    service, server = live_tracking
+    store, server = live_tracking
     for minute in (5, 10, 15):
-        service.insert_fix(fix_dict(minute=minute, lat=20.0 + minute))
+        store.insert(fix_dict(minute=minute, lat=20.0 + minute))
     asked = []
-    history = service.history
-
-    def recorded(device_id, limit):
-        asked.append((device_id, limit))
-        return history(device_id, limit)
-
-    monkeypatch.setattr(service, "history", recorded)
+    recent = store.recent
+    monkeypatch.setattr(store, "recent", lambda *args: asked.append(args) or recent(*args))
     out_path = tmp_path / "trail.geojson"
     code = main(["--server", server, "--device", "walker-1",
                  "track", "--limit", "1", "--out", str(out_path)])
@@ -267,8 +239,8 @@ def test_track_empty_history_exits_3(live_tracking, capsys):
 @pytest.mark.parametrize("command", [["show-map"], ["track"]])
 def test_an_out_path_that_cannot_be_written_exits_2_naming_it(live_tracking, capsys, tmp_path,
                                                              command):
-    service, server = live_tracking
-    service.insert_fix(fix_dict())
+    store, server = live_tracking
+    store.insert(fix_dict())
     out_path = tmp_path / "no" / "such" / "dir" / "x.geojson"
     code = main(["--server", server, "--device", "walker-1", *command, "--out", str(out_path)])
     assert code == 2
@@ -316,74 +288,56 @@ def test_an_empty_device_exits_2_before_any_socket(monkeypatch, capsys):
         assert "argument --device: must not be empty" in capsys.readouterr().err
 
 
-def test_fetches_on_one_thread_share_one_connection(tmp_path):
-    port = free_port()
-    serving = Serving(tmp_path / "locations.jsonl", port)
-    try:
-        serving.service.insert_fix(fix_dict())
+def test_fetches_on_one_thread_share_one_connection():
+    store = TrackStore()
+    store.insert(fix_dict())
+    with in_process_server(store) as httpd:
+        accepted = count_connections(httpd)
+        server = f"127.0.0.1:{httpd.server_address[1]}"
         for _ in range(3):
-            assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 22.9006
-        assert len(serving.accepted) == 1
-    finally:
-        serving.stop()
+            assert fetch_latest(server, "walker-1")["latitude"] == 22.9006
+        assert len(accepted) == 1
 
 
-def test_connection_the_server_dropped_while_idle_is_retried_once(tmp_path):
-    port = free_port()
-    serving = Serving(tmp_path / "locations.jsonl", port, handler_timeout=0.2)
-    try:
-        serving.service.insert_fix(fix_dict())
-        fetch_latest(f"127.0.0.1:{port}", "walker-1")
+def test_connection_the_server_dropped_while_idle_is_retried_once():
+    store = TrackStore()
+    store.insert(fix_dict())
+    with in_process_server(store, timeout_s=0.2) as httpd:
+        accepted = count_connections(httpd)
+        server = f"127.0.0.1:{httpd.server_address[1]}"
+        fetch_latest(server, "walker-1")
         time.sleep(0.8)  # the handler gives up on the idle connection and closes it
-        assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 22.9006
-        assert len(serving.accepted) == 2
-    finally:
-        serving.stop()
+        assert fetch_latest(server, "walker-1")["latitude"] == 22.9006
+        assert len(accepted) == 2
 
 
-def test_server_restarted_on_the_same_port_answers_the_next_fetch(tmp_path):
+def test_server_restarted_on_the_same_port_answers_the_next_fetch():
     port = free_port()
-    old = Serving(tmp_path / "old.jsonl", port)
-    old.service.insert_fix(fix_dict(lat=10.0))
-    assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 10.0
-    old.stop()
-    new = Serving(tmp_path / "new.jsonl", port)
-    try:
-        new.service.insert_fix(fix_dict(lat=20.0))
-        assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == 20.0
-    finally:
-        new.stop()
+    for lat in (10.0, 20.0):  # each a new server over a new store, on the one port
+        store = TrackStore()
+        store.insert(fix_dict(lat=lat))
+        with in_process_server(store, port):
+            assert fetch_latest(f"127.0.0.1:{port}", "walker-1")["latitude"] == lat
 
 
-def test_idle_connection_to_a_stopped_server_is_still_exit_2(tmp_path, capsys):
-    port = free_port()
-    serving = Serving(tmp_path / "locations.jsonl", port)
-    serving.service.insert_fix(fix_dict())
-    fetch_latest(f"127.0.0.1:{port}", "walker-1")
-    serving.stop()  # nothing listens on the port now; the retry is refused
-    code = main(["--server", f"127.0.0.1:{port}", "--device", "walker-1", "get-location"])
+def test_idle_connection_to_a_stopped_server_is_still_exit_2(capsys):
+    store = TrackStore()
+    store.insert(fix_dict())
+    with in_process_server(store) as httpd:
+        server = f"127.0.0.1:{httpd.server_address[1]}"
+        fetch_latest(server, "walker-1")
+    # nothing listens on the port now; the retry is refused
+    code = main(["--server", server, "--device", "walker-1", "get-location"])
     assert code == EXIT_UNREACHABLE
     assert capsys.readouterr().err.startswith("server unreachable: ")
 
 
-def test_a_process_that_fetched_exits_with_no_unclosed_socket(tmp_path):
+def test_a_process_that_fetched_exits_with_no_unclosed_socket(live_tracking):
     """fetch_latest keeps its connection idle for the next fetch; the
     process closes it at exit, so -X dev reports no unclosed socket."""
-    code = f"""
-import threading
-from echoguide.server import TrackService, TrackStore, make_http_server
-from echoguide.tracker import fetch_latest
-store = TrackStore({str(tmp_path / "locations.jsonl")!r})
-store.insert({fix_dict()!r})
-httpd = make_http_server("127.0.0.1:0", TrackService(store))
-thread = threading.Thread(target=httpd.serve_forever)
-thread.start()
-fetch_latest(f"127.0.0.1:{{httpd.server_address[1]}}", "walker-1")
-httpd.shutdown()
-httpd.server_close()
-thread.join()
-store.close()
-"""
+    store, server = live_tracking
+    store.insert(fix_dict())
+    code = f"from echoguide.tracker import fetch_latest; fetch_latest({server!r}, 'walker-1')"
     result = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
                              "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -795,7 +749,7 @@ def recording_server():
             super()._send(status, body, close)
             self.server.sent.append((status, body, self.close_connection))
 
-    with in_process_server(TrackService(TrackStore())) as httpd:
+    with in_process_server(TrackStore()) as httpd:
         httpd.handler = Recording
         yield httpd
 
@@ -826,11 +780,11 @@ def test_the_tracker_reads_each_reply_the_server_writes_as_the_server_meant_it(
     """The bytes the server writes for a store and a run of pipelined
     requests, read by _Reply: each reply's status, fields and body are those
     the server meant, and nothing is left over."""
-    service = TrackService(TrackStore())
+    store = TrackStore()
     for fix in stored:
-        service.insert_fix(fix)
-    recording_server.service, recording_server.sent = service, []
-    recording_server.replies.clear()
+        store.insert(fix)
+    serve_store(recording_server, store)
+    recording_server.sent = []
     wire = "".join(requests) + "GET /api/nope HTTP/1.1\r\nConnection: close\r\n\r\n"
     with socket.create_connection(("127.0.0.1", recording_server.server_address[1]),
                                   timeout=2.0) as sock:
@@ -957,7 +911,7 @@ def test_a_server_string_gives_the_host_port_and_request(monkeypatch, server, ho
 
 
 @pytest.mark.parametrize("server, message", [
-    ("127.0.0.1:abc", "Port "),  # urllib's wording, which differs between versions
+    ("127.0.0.1:abc", "Port "),
     ("127.0.0.1:65536", "Port out of range 0-65535"),
     ("127.0.0.1:-1", "Port "),
     ("http://:8750", "no host given"),
@@ -970,9 +924,34 @@ def test_a_bad_server_string_exits_2_before_any_socket(monkeypatch, capsys, serv
 
     monkeypatch.setattr(socket, "create_connection", no_socket)
     for command in (["get-location"], ["track", "--limit", "3"]):
-        assert main(["--server", server, "--device", "walker-1", *command]) == EXIT_UNREACHABLE
-        err = capsys.readouterr().err
-        assert err.startswith("server unreachable: ") and message in err, err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--server", server, "--device", "walker-1", *command])
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("echoguide-tracker: error: argument --server: ") and message in last
+    for fetch in (lambda: fetch_latest(server, "walker-1"),
+                  lambda: fetch_history(server, "walker-1", 3)):
+        with pytest.raises(ServerUnreachable, match=re.escape(message)):
+            fetch()
+
+
+@pytest.mark.parametrize("server, reason", [
+    ("127.0.0.1:99999", "Port out of range 0-65535: '99999'"),
+    ("localhost:abc", "Port is not a number: 'abc'"),
+    ("ftp://x", "scheme must be http or https, not 'ftp'"),
+    ("http://", "no host given"),
+])
+def test_a_bad_server_string_is_refused_naming_the_setting_before_any_lookup(
+        monkeypatch, capsys, server, reason):
+    calls = []
+    for name in ("getaddrinfo", "create_connection"):
+        monkeypatch.setattr(socket, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--server", server, "--device", "walker-1", "get-location"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"echoguide-tracker: error: argument --server: {reason}")
+    assert calls == []
 
 
 @pytest.mark.parametrize("server", ["127.0.0.1:1/a b", "127.0.0.1:1/a\x7fb"])
@@ -1057,21 +1036,15 @@ def test_importing_the_tracker_loads_no_http_client_email_parser_or_ssl():
 
 def post(server, fix) -> dict:
     """POST a fix to the live server; the stored record as it answers."""
-    conn = http.client.HTTPConnection(server, timeout=5)
-    try:
-        conn.request("POST", "/api/locations", json.dumps(fix),
-                     {"Content-Type": "application/json"})
-        response = conn.getresponse()
-        assert response.status == 201
-        return json.loads(response.read())
-    finally:
-        conn.close()
+    status, record = http_post(f"http://{server}", "/api/locations", fix)
+    assert status == 201
+    return record
 
 
 def test_a_changed_result_does_not_change_the_next_fetch(live_tracking):
-    service, server = live_tracking
-    service.insert_fix(fix_dict(minute=5))
-    service.insert_fix(fix_dict(minute=10, lat=23.0))
+    store, server = live_tracking
+    store.insert(fix_dict(minute=5))
+    store.insert(fix_dict(minute=10, lat=23.0))
     fix, trail = fetch_latest(server, "walker-1"), fetch_history(server, "walker-1", 5)
     expected = copy.deepcopy((fix, trail))
     fix["latitude"] = 0.0
@@ -1083,7 +1056,7 @@ def test_a_changed_result_does_not_change_the_next_fetch(live_tracking):
 
 
 def test_a_post_between_two_fetches_gives_the_new_fix(live_tracking):
-    service, server = live_tracking
+    _, server = live_tracking
     first = post(server, fix_dict(minute=5))
     assert fetch_latest(server, "walker-1") == first
     assert fetch_history(server, "walker-1", 3) == [first]
@@ -1192,8 +1165,7 @@ def test_threads_fetching_while_posts_land_each_get_a_correct_answer(live_tracki
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_fetches_are_the_reference_answer_and_a_fresh_read_of_their_bytes(tmp_path, monkeypatch,
-                                                                          seed):
+def test_fetches_are_the_reference_answer_and_a_fresh_read_of_their_bytes(monkeypatch, seed):
     """A seeded mix of POSTs (in order, tied with a device's newest, out of
     order) and latest/history fetches over kept-alive connections: each
     fetch gives the reference store's answer, equal to what a fresh read of
@@ -1212,11 +1184,10 @@ def test_fetches_are_the_reference_answer_and_a_fresh_read_of_their_bytes(tmp_pa
     devices = ("walker-1", "walker-2", "walker-3")
     newest = dict.fromkeys(devices, 600)
     records, kinds, reads = [], set(), 0
-    port = free_port()
-    serving = Serving(tmp_path / "locations.jsonl", port)
-    server = f"127.0.0.1:{port}"
-    conn = http.client.HTTPConnection(server, timeout=5)
-    try:
+    with in_process_server(TrackStore()) as httpd:
+        accepted = count_connections(httpd)
+        server = f"127.0.0.1:{httpd.server_address[1]}"
+        conn = http.client.HTTPConnection(server, timeout=5)
         for _ in range(400):
             device = rng.choice(devices)
             if rng.random() < 0.3:
@@ -1248,9 +1219,7 @@ def test_fetches_are_the_reference_answer_and_a_fresh_read_of_their_bytes(tmp_pa
                 expected = [r.as_dict() for r in reference_store.history(records, device, limit)]
             reads += 1
             assert got == expected == read_json(json.loads(bodies[-1]), rule, BadReply, "reply")
-        assert len(serving.accepted) == 2  # one connection for the POSTs, one for the fetches
-    finally:
+        assert len(accepted) == 2  # one connection for the POSTs, one for the fetches
         conn.close()
-        serving.stop()
     assert kinds == {"in order", "tied", "out of order"}
     assert 0 < tracker._check.cache_info().hits < reads  # some replies came from the memo
