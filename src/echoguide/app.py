@@ -244,13 +244,8 @@ class AssistiveApp:
         last = self._last_spoken_ms.get(message)
         if last is not None and now_ms - last < self.cfg.announce_repeat_ms:
             return None
-        phrase = self.cfg.phrases.get((message, self.cfg.language))
-        if phrase is None:
-            raise ConfigError(
-                f"no phrase for ({message.value}, {self.cfg.language.value})"
-            )
         self._last_spoken_ms[message] = now_ms
-        return phrase
+        return self.cfg.phrases[(message, self.cfg.language)]  # total: AppConfig checks it
 
     def handle_token(self, token: str,
                      now_ms: int) -> tuple[ObstacleMessage, Optional[str]]:

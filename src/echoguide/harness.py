@@ -1,7 +1,7 @@
 """End-to-end simulation harness.
 
 run_scenario() wires the world model, firmware, serial link, handset app,
-and an in-process tracking service into one deterministic run over virtual
+and the tracking server's store into one deterministic run over virtual
 time, producing a TraceLog.  distance_error_experiment() sweeps a fixed
 distance grid per surface/weather condition to measure post-filter accuracy,
 and assert_expectations() checks ordered eventually/never patterns against a
@@ -30,7 +30,7 @@ from .errors import ScenarioError
 from .firmware import FirmwareState, NoEchoError, acquire_distance, book_quiet_passes, firmware_tick
 from .jsonread import bounded_rule, choice_rule, list_rule, load_json, object_rule, read_json
 from .link import LinkBuffer
-from .server import FixValidationError, StorageError, TrackService, TrackStore
+from .server import FixValidationError, StorageError, TrackStore
 from .trace import (
     TraceLog,
     ev_button,
@@ -70,8 +70,8 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
     """Simulate one scripted walk end to end and return its trace.
 
     The same (script, config, seed) triple always produces a byte-identical
-    trace.  When store_path is given, the in-process tracking service
-    persists there, fsyncing each upload, and the file survives the run;
+    trace.  When store_path is given, the tracking store the walk uploads
+    to persists there, fsyncing each upload, and the file survives the run;
     otherwise the store lives in memory and nothing is written.  A negative
     seed raises ValueError: random.Random would seed with its absolute value
     and replay the positive seed's walk.
@@ -109,7 +109,6 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
               for channel in Channel]
 
     store = TrackStore(store_path)
-    service = TrackService(store)
 
     def fix_at(due_ms: int):
         provider = select_provider(script.gps.at(due_ms), script.network.at(due_ms))
@@ -123,7 +122,7 @@ def run_scenario(script: ScenarioScript, config: Optional[SystemConfig] = None,
         if not script.server.at(due_ms):
             return None
         try:
-            record = service.insert_fix(fix)
+            record = store.insert(fix)
         except (FixValidationError, StorageError):
             return None
         add(ev_server_ack(due_ms, record.id, record.device_id, record.timestamp))

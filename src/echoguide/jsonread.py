@@ -215,12 +215,14 @@ LATITUDE = bounded_rule(float, -90, 90, "must be a number in [-90, 90]")
 LONGITUDE = bounded_rule(float, -180, 180, "must be a number in [-180, 180]")
 
 # A location fix, every field required: the body of a POST to the tracking
-# server and each record it stores.  Its replies add the record's "id".
+# server.  A record, as the server stores and answers it, adds its "id".
 FIX_FIELDS = {"device_id": str, "latitude": LATITUDE, "longitude": LONGITUDE,
               "timestamp": INSTANT, "provider": choice_rule({"gps": "gps", "network": "network"})}
 FIX = object_rule(FIX_FIELDS, required=tuple(FIX_FIELDS))
+RECORD = object_rule({**FIX_FIELDS, "id": bounded_rule(int, 1, math.inf, "must be >= 1")},
+                     required=(*FIX_FIELDS, "id"))
 
 
 __all__ = ["Rejected", "choice_rule", "object_rule", "list_rule", "built_rule", "dataclass_rule",
            "bounded_rule", "read_json", "load_json", "parse_instant", "INSTANT", "LATITUDE",
-           "LONGITUDE", "FIX_FIELDS", "FIX"]
+           "LONGITUDE", "FIX", "RECORD"]

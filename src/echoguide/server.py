@@ -1,8 +1,8 @@
 """Location-tracking service: validates posted fixes, persists them to an
 append-only JSON-lines file, and answers latest/history queries.
 
-The service core is transport-free so the simulation harness can call it
-in-process; ``main()`` serves the same core over HTTP for real clients,
+The store is transport-free so the simulation harness can call it
+in-process; ``main()`` serves the same store over HTTP for real clients,
 from httploop's one selectors loop on one thread.  With a store path, as
 the server always has, every accepted fix is written and fsynced before
 the caller sees a response, so a restart answers queries identically.
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from .httploop import Connection, LoopServer, digits
-from .jsonread import FIX, parse_instant, read_json
+from .jsonread import FIX, RECORD, parse_instant, read_json
 
 DEFAULT_LISTEN = "127.0.0.1:8750"
 DEFAULT_STORE = "locations.jsonl"
@@ -128,9 +128,9 @@ class TrackStore:
     device's list starts in id order and is sorted by (timestamp, id) the
     first time recent() asks for it, so loading parses no timestamps; from
     then on each insert keeps it sorted, comparing its key with the list's
-    last key, which the store keeps.  A stored record that validate_fix
-    would refuse, such as one whose timestamp does not parse, makes that
-    first sort raise StorageError naming the record and the field.
+    last key, which the store keeps.  A stored record that jsonread.RECORD
+    refuses, such as one whose timestamp does not parse, makes that first
+    sort raise StorageError naming the record and the field.
 
     The load reads a line as insert() writes it with one regular-expression
     match, and any other line through json.loads; both give the same record.
@@ -267,11 +267,10 @@ class TrackStore:
         return parse_instant(record.timestamp), record.id
 
     def _checked_key(self, record: FixRecord) -> tuple[datetime, int]:
-        """_sort_key, once the record is checked as validate_fix checks a body."""
+        """_sort_key, once the record is checked by jsonread.RECORD."""
         fields = record.as_dict()
-        del fields["id"]
         try:
-            read_json(fields, FIX, ValueError, "record")
+            read_json(fields, RECORD, ValueError, "record")
         except ValueError as exc:
             name = exc.field  # type: ignore[attr-defined]
             raise StorageError(f"{self.path}: record {record.id}: {name} "
@@ -280,9 +279,8 @@ class TrackStore:
 
 
 class TrackService:
-    """Transport-independent API core shared by HTTP and in-process callers:
-    pass-throughs to the store, kept because perfbench/tracing.py wraps them
-    by name."""
+    """The API core the HTTP server answers from: pass-throughs to the
+    store, kept because perfbench/tracing.py wraps them by name."""
 
     def __init__(self, store: TrackStore) -> None:
         self.store = store

@@ -49,7 +49,7 @@ from typing import Optional
 from urllib.parse import quote_plus, urlsplit
 
 from .httploop import MAX_HEAD_BYTES, MAX_HEADER_LINES, add_field, closes, content_length, digits
-from .jsonread import FIX_FIELDS, bounded_rule, list_rule, object_rule, read_json
+from .jsonread import RECORD, list_rule, read_json
 
 DEFAULT_SERVER = "127.0.0.1:8750"
 DEFAULT_TRACK_LIMIT = 100
@@ -72,19 +72,19 @@ class BadReply(ValueError):
     the field at fault."""
 
 
-# A fix as the server sends it: the fields it was posted with, plus the record id.
-_REPLY_FIX = object_rule({**FIX_FIELDS, "id": bounded_rule(int, 1, math.inf, "must be >= 1")},
-                         required=(*FIX_FIELDS, "id"))
-_REPLY_TRAIL = list_rule(_REPLY_FIX)
+_REPLY_TRAIL = list_rule(RECORD)
 
 
 @functools.lru_cache(maxsize=16)
-def _server(server: str) -> tuple[str, str, int, str]:
-    """What a --server string names, parsed once per string: the scheme, the
+def _server(server: str) -> tuple[str, str, int, str, str]:
+    """What a --server string names, read once per string: the scheme, the
     host (lower-cased, an IPv6 literal without its brackets), the port (by
-    default the scheme's) and the path the API's paths follow.  No scheme
+    default the scheme's), the path the API's paths follow, and the GET's
+    Host field as http.client writes it (the host IDNA-encoded, an IPv6
+    literal in brackets, the scheme's default port left out).  No scheme
     means http://.  A scheme other than http or https, a string with no
-    host, a port that is not ASCII digits or is over 65535, or a query or
+    host or one IDNA cannot encode, a port that is not ASCII digits or is
+    over 65535, a path with a space or control character, or a query or
     fragment (which would swallow the API's path) raises ServerUnreachable,
     in the same words on every Python version."""
     scheme = _SCHEME(server)
@@ -101,10 +101,23 @@ def _server(server: str) -> tuple[str, str, int, str]:
         raise ServerUnreachable(f"Port is not a number: {port_text!r}")
     if port_text and port > 65535:
         raise ServerUnreachable(f"Port out of range 0-65535: {port_text!r}")
-    if not parts.hostname:
+    host, path = parts.hostname, parts.path.rstrip("/")
+    if not host:
         raise ServerUnreachable("no host given")
-    return (parts.scheme, parts.hostname, port or (443 if parts.scheme == "https" else 80),
-            parts.path.rstrip("/"))
+    if not (path.isascii() and path.isprintable() and " " not in path):
+        raise ServerUnreachable(f"URL can't contain control characters: {path!r}")
+    try:
+        field = host if host.isascii() else host.encode("idna").decode("ascii")
+    except UnicodeError:
+        raise ServerUnreachable(f"bad host name {host!r}") from None
+    if ":" in host:
+        field = f"[{field}]"
+    default = 443 if parts.scheme == "https" else 80
+    if port is None:
+        port = default
+    elif port != default:
+        field = f"{field}:{port}"
+    return parts.scheme, host, port, path, field
 
 
 _SCHEME = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://").match  # RFC 3986 section 3.1
@@ -257,10 +270,11 @@ def _get_reply(server: str, target: str, timeout: float) -> tuple[int, str, byte
     is tried again once, on a new connection.  A connection goes back to
     the idle list only after a whole reply that leaves it open.
     """
-    scheme, host, port, path = _server(server)
+    scheme, host, port, path, host_field = _server(server)
     key = (scheme, host, port)
     https = scheme == "https"
-    request = _request(host, port, https, path + target)
+    request = (f"GET {path}{target} HTTP/1.1\r\nHost: {host_field}\r\n"
+               "Accept-Encoding: identity\r\n\r\n").encode("ascii")
     with _idle_lock:
         idle = _idle.get(key)
         sock = idle.pop() if idle else None
@@ -295,24 +309,6 @@ def _get_reply(server: str, target: str, timeout: float) -> tuple[int, str, byte
         with _idle_lock:
             _idle.setdefault(key, []).append(sock)
     return reply.status, reply.reason, reply.body
-
-
-def _request(host: str, port: int, https: bool, target: str) -> bytes:
-    """The GET's head, its Host field as http.client writes it: an IPv6
-    literal in brackets, the scheme's default port left out."""
-    if not host.isascii():
-        try:
-            host = host.encode("idna").decode("ascii")
-        except UnicodeError:
-            raise ServerUnreachable(f"bad host name {host!r}") from None
-    if not (target.isascii() and target.isprintable() and " " not in target):
-        raise ServerUnreachable(f"URL can't contain control characters: {target!r}")
-    if ":" in host:
-        host = f"[{host}]"
-    if port != (443 if https else 80):
-        host = f"{host}:{port}"
-    return (f"GET {target} HTTP/1.1\r\nHost: {host}\r\n"
-            "Accept-Encoding: identity\r\n\r\n").encode("ascii")
 
 
 def _unexpected(status: int, reason: str, body: bytes) -> ServerUnreachable:
@@ -351,7 +347,7 @@ def _check(body: bytes, device_id: str, limit: Optional[int]) -> dict | list[dic
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise BadReply(f"reply: not valid JSON ({exc})") from None
     if limit is None:
-        fix = read_json(doc, _REPLY_FIX, BadReply, "reply")
+        fix = read_json(doc, RECORD, BadReply, "reply")
         if fix["device_id"] != device_id:
             raise BadReply(f"device_id: must be {device_id!r}, the device asked for")
         return fix

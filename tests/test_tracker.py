@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 import reference_store
 
 from echoguide import tracker
-from echoguide.jsonread import read_json
+from echoguide.jsonread import RECORD, list_rule, read_json
 from echoguide.httploop import MAX_HEAD_BYTES
 from echoguide.server import FixRecord, TrackRequestHandler, TrackStore
 from echoguide.tracker import (
@@ -858,19 +859,63 @@ def test_a_99_field_head_of_64_kib_is_read(raw_stub):
     assert fetch_latest(stub.server, "walker-1") == reply_fix()
 
 
+class WireSocket:
+    """A socket for a fake tracker._connect: it keeps what is sent on it in
+    `sent` and answers with `reply`, then ends."""
+
+    def __init__(self, sent: list, reply: bytes) -> None:
+        self.sent, self.reply = sent, reply
+
+    def sendall(self, data: bytes) -> None:
+        self.sent.append(data)
+
+    def recv(self, size: int) -> bytes:
+        data, self.reply = self.reply, b""
+        return data
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    """tracker._connect replaced by a fake that opens no socket: it records
+    its (host, port, https) in .connects, and each connection records the
+    bytes sent in .sent and answers the next of .replies."""
+    wire = types.SimpleNamespace(connects=[], sent=[], replies=[])
+
+    def connect(host, port, https, timeout):
+        wire.connects.append((host, port, https))
+        return WireSocket(wire.sent, wire.replies.pop(0))
+
+    monkeypatch.setattr(tracker, "_connect", connect)
+    return wire
+
+
 @pytest.mark.parametrize("host, port, scheme", [
     ("example.org", 80, "http"), ("example.org", 8750, "http"), ("example.org", 443, "https"),
     ("example.org", 443, "http"), ("::1", 80, "http"), ("::1", 8750, "http"),
     ("2001:db8::1", 443, "https"), ("bücher.example", 80, "http"),
 ])
-def test_the_get_is_the_request_http_client_writes(host, port, scheme):
+def test_the_get_is_the_request_http_client_writes(wire, host, port, scheme):
+    netloc = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+    wire.replies.append(fixed_length("Connection: close", body=b"[]"))
+    assert fetch_history(f"{scheme}://{netloc}/base", "walker-1", 3) == []
     sent = []
     conn_type = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     conn = conn_type(host, port)
     conn.sock = type("Capture", (), {"sendall": lambda self, data: sent.append(data)})()
-    conn.request("GET", "/api/locations?device_id=walker-1&limit=3")
-    assert tracker._request(host, port, scheme == "https",
-                            "/api/locations?device_id=walker-1&limit=3") == b"".join(sent)
+    conn.request("GET", "/base/api/locations?device_id=walker-1&limit=3")
+    assert wire.sent == [b"".join(sent)]
+
+
+def test_an_explicit_port_0_is_used_as_given(wire, capsys):
+    wire.replies.append(fixed_length("Connection: close"))
+    assert main(["--server", "127.0.0.1:0", "--device", "walker-1", "get-location"]) == EXIT_OK
+    assert capsys.readouterr().out == FIX_LINE
+    assert wire.connects == [("127.0.0.1", 0, False)]
+    assert wire.sent == [b"GET /api/locations/latest?device_id=walker-1 HTTP/1.1\r\n"
+                         b"Host: 127.0.0.1:0\r\nAccept-Encoding: identity\r\n\r\n"]
 
 
 def test_the_host_field_brackets_an_ipv6_literal(raw_stub):
@@ -883,31 +928,27 @@ def test_the_host_field_brackets_an_ipv6_literal(raw_stub):
                           b"Host: [::1]:%d\r\nAccept-Encoding: identity\r\n\r\n" % stub.port]
 
 
-@pytest.mark.parametrize("server, host, port, https, path", [
-    ("EXAMPLE.Org", "example.org", 80, False, ""),
-    ("https://Example.ORG/", "example.org", 443, True, ""),
-    ("http://example.org:443", "example.org", 443, False, ""),
-    ("http://[::1]:8750/base/", "::1", 8750, False, "/base"),
-    ("https://[2001:DB8::1]", "2001:db8::1", 443, True, ""),
-    ("bücher.example:8080/a", "bücher.example", 8080, False, "/a"),
+@pytest.mark.parametrize("server, host, port, https, path, host_field", [
+    ("EXAMPLE.Org", "example.org", 80, False, "", "example.org"),
+    ("https://Example.ORG/", "example.org", 443, True, "", "example.org"),
+    ("http://example.org:443", "example.org", 443, False, "", "example.org:443"),
+    ("http://[::1]:8750/base/", "::1", 8750, False, "/base", "[::1]:8750"),
+    ("https://[2001:DB8::1]", "2001:db8::1", 443, True, "", "[2001:db8::1]"),
+    ("bücher.example:8080/a", "bücher.example", 8080, False, "/a", "xn--bcher-kva.example:8080"),
 ], ids=["upper case", "https", "http on 443", "IPv6", "IPv6 https", "IDNA"])
-def test_a_server_string_gives_the_host_port_and_request(monkeypatch, server, host, port, https,
-                                                        path):
-    connects, requests = [], []
-    request = tracker._request
-
-    def refuse(*args):
-        connects.append(args[:3])
-        raise ConnectionRefusedError("refused")
-
-    monkeypatch.setattr(tracker, "_connect", refuse)
-    monkeypatch.setattr(tracker, "_request", lambda *args: requests.append(args) or request(*args))
-    for fetch in (lambda: fetch_latest(server, "w 1/é"), lambda: fetch_history(server, "w&1", 7)):
-        with pytest.raises(ServerUnreachable, match="refused"):
-            fetch()
-    assert connects == [(host, port, https)] * 2
-    assert requests == [(host, port, https, f"{path}/api/locations/latest?device_id=w+1%2F%C3%A9"),
-                        (host, port, https, f"{path}/api/locations?device_id=w%261&limit=7")]
+def test_a_server_string_gives_the_host_port_and_request(wire, server, host, port, https, path,
+                                                        host_field):
+    latest, trail = reply_fix(device_id="w 1/é"), [reply_fix(device_id="w&1")]
+    wire.replies += [fixed_length("Connection: close", body=json.dumps(doc).encode())
+                     for doc in (latest, trail)]
+    assert fetch_latest(server, "w 1/é") == latest
+    assert fetch_history(server, "w&1", 7) == trail
+    assert wire.connects == [(host, port, https)] * 2
+    assert wire.sent == [
+        f"GET {path}{target} HTTP/1.1\r\nHost: {host_field}\r\n"
+        "Accept-Encoding: identity\r\n\r\n".encode()
+        for target in ("/api/locations/latest?device_id=w+1%2F%C3%A9",
+                       "/api/locations?device_id=w%261&limit=7")]
 
 
 @pytest.mark.parametrize("server, message", [
@@ -917,6 +958,8 @@ def test_a_server_string_gives_the_host_port_and_request(monkeypatch, server, ho
     ("http://:8750", "no host given"),
     ("127.0.0.1:8750/?x=1", "a server URL takes no query or fragment"),
     ("127.0.0.1:8750#top", "a server URL takes no query or fragment"),
+    ("127.0.0.1:1/a b", "URL can't contain control characters"),
+    pytest.param("é" * 64 + ".example:8750", "bad host name", id="64-character non-ASCII label"),
 ])
 def test_a_bad_server_string_exits_2_before_any_socket(monkeypatch, capsys, server, message):
     def no_socket(*args, **kwargs):
@@ -1212,10 +1255,9 @@ def test_fetches_are_the_reference_answer_and_a_fresh_read_of_their_bytes(monkey
                     with pytest.raises(NoFix):
                         fetch_latest(server, device)
                     continue
-                got, rule, expected = fetch_latest(server, device), tracker._REPLY_FIX, \
-                    expected.as_dict()
+                got, rule, expected = fetch_latest(server, device), RECORD, expected.as_dict()
             else:
-                got, rule = fetch_history(server, device, limit), tracker._REPLY_TRAIL
+                got, rule = fetch_history(server, device, limit), list_rule(RECORD)
                 expected = [r.as_dict() for r in reference_store.history(records, device, limit)]
             reads += 1
             assert got == expected == read_json(json.loads(bodies[-1]), rule, BadReply, "reply")
