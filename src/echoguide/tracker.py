@@ -479,6 +479,16 @@ def _timeout_s(text: str) -> float:
     return value
 
 
+def _limit(text: str) -> int:
+    """--limit: ASCII digits for 1 or more fixes, the rule the server reads
+    a query's limit by.  int() would take '+2', ' 2' and '1_0' too."""
+    value = digits(text)
+    if not value:  # None or 0
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of 1 or more in ASCII digits, got {text!r}")
+    return value
+
+
 def _device_id(text: str) -> str:
     """--device: not empty, as the server asks of a query's device_id."""
     if not text:
@@ -506,8 +516,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="GeoJSON output path ('-' or omitted: stdout)")
 
     p_track = sub.add_parser("track", help="write the recent trail as GeoJSON")
-    p_track.add_argument("--limit", type=int, default=DEFAULT_TRACK_LIMIT,
-                         help=f"number of recent fixes (default {DEFAULT_TRACK_LIMIT})")
+    p_track.add_argument("--limit", type=_limit, default=DEFAULT_TRACK_LIMIT,
+                         help=f"number of recent fixes, 1 or more (default {DEFAULT_TRACK_LIMIT})")
     p_track.add_argument("--out", default=None,
                          help="GeoJSON output path ('-' or omitted: stdout)")
 
@@ -523,8 +533,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             _write_geojson(feature, args.out)
             print(url)
         else:  # track
-            if args.limit < 1:
-                parser.error("--limit must be >= 1")
             fixes = fetch_history(args.server, args.device, args.limit, args.timeout)
             if not fixes:
                 print(f"no fixes recorded for device '{args.device}'", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""Shared test helpers: scenario/config builders, the one way tests serve,
-feed and read the tracking store, and a terminal summary that prints one
-PASS/FAIL line per acceptance criterion."""
+"""Shared test helpers: the hypothesis profile every @given runs under,
+scenario/config builders, the one way tests serve, feed and read the
+tracking store, and a terminal summary that prints one PASS/FAIL line per
+acceptance criterion."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from echoguide import httploop, server
 from echoguide.config import SystemConfig, config_from_dict
@@ -27,6 +29,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 CONFIG_DIR = REPO_ROOT / "configs"
 EXPECTATION_DIR = REPO_ROOT / "expectations"
+
+# Every @given runs the same examples on every run, with no time limit per
+# example and no saved failures; its @settings gives only its example count
+# and the health checks it suppresses.
+settings.register_profile("echoguide", derandomize=True, deadline=None, database=None)
+settings.load_profile("echoguide")
 
 
 def make_script(duration_ms: int = 10_000, seed: int = 1, **overrides) -> ScenarioScript:

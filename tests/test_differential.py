@@ -1,22 +1,37 @@
-"""Differential test: the skip-ahead sensing loop against the naive
-per-poll reference (reference_loop.py) on generated scenarios and configs.
+"""Differential tests: the skip-ahead sensing loop against the references
+that poll, on generated walks, and the single walks that keep those
+references apart.
 
-Both must give the same trace bytes, or the same error, at the same
-virtual time.  The generators favour the places where skipping can go
-wrong: step times off the poll grid, targets that appear inside a round,
-steps at duration_ms, rounds that run past duration_ms, surface and weather
-changes inside an empty stretch, channels left out, very short durations,
-other poll periods and attempt limits, and calibration tables with entries
-missing.  The examples add stretches of whole quiet passes, which the run
-loop books in one step, ended by each thing that must end them; quiet
-rounds of one channel, which the firmware books while other channels
-measure; and measurement rounds that end on or past the end of the segment
-they drew from, whose truth the run loop looks up.
+Each generated walk is run by run_scenario, which books quiet passes and
+rounds in one step and draws a segment's polls in one call, and by one
+reference:
 
-A second side runs the same scenarios, and the bundled ones, with the
-sample function behind a wrapper, which makes ChannelEcho call it once per
-poll, and compares the bytes with the plain run's.  A spy on one bundled
-walk checks which path each run takes.
+- the naive per-poll loop (reference_loop.py): the same outcome, that is
+  the trace bytes, or the error, and the virtual time it ended at;
+- a run that polls every round and pass (PassByPassEcho): the same
+  timeline lookups, the same app steps that have work to do, and the same
+  outcome;
+- a run with the sample function behind a wrapper, which makes ChannelEcho
+  call it once per poll, as perfbench's traced run does: the same outcome.
+
+The generators, which test_run_properties.py draws from too, favour the
+places where skipping can go wrong: step times off the poll grid, targets
+that appear inside a round, steps at duration_ms, rounds that run past
+duration_ms, surface and weather changes inside an empty stretch,
+channels left out, very short durations, other poll periods and attempt
+limits, and calibration tables with entries missing.  Half the walks get
+a button or any utterance at each of up to five step times, with "start
+speaking" and speech that is no command among the texts.  The repeat
+intervals of the firmware and of the announcements, the listening window
+and the upload interval are drawn too.  The examples add stretches of
+whole quiet passes, which the run loop books in one step, ended by each
+thing that must end them; quiet rounds of one channel, which the firmware
+books while other channels measure; and measurement rounds that end on or
+past the end of the segment they drew from, whose truth the run loop
+looks up.
+
+The single walks check that each reference takes the path it stands for,
+and the bundled walks run with the sample behind the wrapper too.
 """
 
 from __future__ import annotations
@@ -43,6 +58,7 @@ import tracing  # noqa: E402
 OFF_GRID_MS = (1, 9, 11, 499, 501)
 SHORT_DURATIONS_MS = (1, 499, 500, 501)
 DISTANCES_CM = (None, 10, 15.4, 16, 40, 59.9, 60, 99.5, 100, 300, 644, 645, 700, 1000)
+TEXTS = ("i need help", "stop speaking", "start speaking", "what time is it")
 
 
 @st.composite
@@ -84,13 +100,16 @@ def scenario_docs(draw) -> dict:
         doc["weather"] = draw(timeline(duration, "value", st.sampled_from(["dry", "wet"])))
     if draw(st.booleans()):
         doc["server_available"] = draw(timeline(duration, "value", st.booleans()))
-    event_times = draw(step_times(duration))[:3]
-    texts = st.sampled_from(["i need help", "stop speaking"])
-    doc["user_events"] = [
-        {"t": t, "kind": "button"} if i % 2 == 0
-        else {"t": t, "kind": "utterance", "text": draw(texts)}
-        for i, t in enumerate(event_times)
-    ]
+    if draw(st.booleans()):  # a button or any text at each step time
+        doc["user_events"] = [
+            {"t": t, "kind": "button"} if draw(st.booleans())
+            else {"t": t, "kind": "utterance", "text": draw(st.sampled_from(TEXTS))}
+            for t in draw(step_times(duration))]
+    else:  # at most three, a button and a command in turn
+        doc["user_events"] = [
+            {"t": t, "kind": "button"} if i % 2 == 0
+            else {"t": t, "kind": "utterance", "text": draw(st.sampled_from(TEXTS[:2]))}
+            for i, t in enumerate(draw(step_times(duration))[:3])]
     return doc
 
 
@@ -103,11 +122,13 @@ noise = st.fixed_dictionaries({
 
 @st.composite
 def config_docs(draw) -> dict:
+    # Each interval's choices hold its default.
     samples = draw(st.sampled_from([1, 3, 9]))
     firmware = {
         "samples_per_measurement": samples,
         "sample_period_ms": draw(st.sampled_from([1, 7, 10, 13, 30])),
         "max_sample_attempts": draw(st.sampled_from([samples, samples + 1, 20, 50])),
+        "repeat_interval_ms": draw(st.sampled_from([100, 700, 2000])),
     }
     calibration = {
         surface: {weather: draw(noise) for weather in ("dry", "wet")}
@@ -116,7 +137,9 @@ def config_docs(draw) -> dict:
     return {
         "schema_version": 1,
         "firmware": firmware,
-        "app": {"upload_interval_ms": draw(st.sampled_from([300_000, 1000, 777]))},
+        "app": {"upload_interval_ms": draw(st.sampled_from([300_000, 1000, 777, 250])),
+                "announce_repeat_ms": draw(st.sampled_from([1, 700, 2000, 5000])),
+                "listen_window_ms": draw(st.sampled_from([1, 150, 10_000]))},
         "calibration": calibration,
     }
 
@@ -132,6 +155,9 @@ def build_config(doc: dict, missing) -> SystemConfig:
 missing_entry = st.none() | st.tuples(st.sampled_from(["tiles", "concrete"]),
                                       st.sampled_from(["dry", "wet"]))
 DEFAULT_CONFIG = {"schema_version": 1}
+# The generated walks: a scenario, a config, and a calibration entry to drop.
+WALKS = {"doc": scenario_docs(), "config_doc": config_docs(), "missing": missing_entry}
+
 
 # Stretches of quiet passes.  With the default config a pass is three rounds
 # of 50 polls 10 ms apart: 1500 ms.
@@ -191,9 +217,70 @@ ROUNDS_END_ON_AND_PAST_A_STEP = {
     "surface": [{"t": 0, "value": "tiles"}, {"t": 175, "value": "concrete"}]}
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+class PassByPassEcho(world.ChannelEcho):
+    """world.ChannelEcho whose quiet_until stays 0, so the firmware and the
+    run loop poll every round."""
+
+    quiet_until = property(lambda self: 0, lambda self, until: None)
+
+
+def run_record(script, config, echo=world.ChannelEcho) -> tuple[list, list, tuple]:
+    """What a run did, in order: every timeline lookup as (timeline, t_ms);
+    every app step that handled a token or user event or made an upload
+    attempt, as (clock, items handled, attempts); and the run's outcome."""
+    looked_up, app_steps = [], []
+    handled = 0
+    step_at = world.StepTimeline.step_at
+    tick = app.Uploader.tick
+
+    def spy_lookup(timeline, t_ms):
+        looked_up.append((id(timeline), t_ms))
+        return step_at(timeline, t_ms)
+
+    def spy_handler(name):
+        handler = getattr(app.AssistiveApp, name)
+
+        def spy(*args):
+            nonlocal handled
+            handled += 1
+            return handler(*args)
+        return mock.patch.object(app.AssistiveApp, name, spy)
+
+    def spy_tick(uploader, now_ms, *args):  # the last call of every app step
+        nonlocal handled
+        attempts = tick(uploader, now_ms, *args)
+        if handled or attempts:
+            app_steps.append((now_ms, handled, len(attempts)))
+        handled = 0
+        return attempts
+
+    with mock.patch.object(world.StepTimeline, "step_at", spy_lookup), \
+            mock.patch.object(app.Uploader, "tick", spy_tick), \
+            spy_handler("handle_token"), spy_handler("handle_button"), \
+            spy_handler("handle_utterance"), \
+            mock.patch.object(harness, "ChannelEcho", echo):
+        result = reference_loop.outcome(harness.run_scenario, script, config, None)
+    return looked_up, app_steps, result
+
+
+def wrapped_sample_outcome(script, config) -> tuple[tuple[str, str, int], int]:
+    """(outcome, draws) of run_scenario with harness.sample_echo behind a
+    pass-through wrapper, as the traced benchmark run installs it."""
+    draws = 0
+
+    def pass_through(*args):
+        nonlocal draws
+        draws += 1
+        return world.sample_echo(*args)
+
+    with mock.patch.object(harness, "sample_echo", pass_through):
+        result = reference_loop.outcome(harness.run_scenario, script, config, None)
+    return result, draws
+
+
+@settings(max_examples=300,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(doc=scenario_docs(), config_doc=config_docs(), missing=missing_entry)
+@given(**WALKS)
 # A scenario of one millisecond with every channel left out.
 @example(doc={"schema_version": 1, "duration_ms": 1, "seed": 3}, config_doc=DEFAULT_CONFIG,
          missing=None)
@@ -243,6 +330,38 @@ def test_skip_ahead_matches_naive_loop_byte_for_byte(doc, config_doc, missing):
     assert fast == slow
 
 
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(**WALKS)
+@example(doc=QUIET_THEN_TARGET, config_doc=DEFAULT_CONFIG, missing=None)
+@example(doc=QUIET_WITH_APP_WORK, config_doc=SHORT_PASSES, missing=None)
+@example(doc=QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
+@example(doc=QUIET_TO_THE_END, config_doc=DEFAULT_CONFIG, missing=None)
+@example(doc=ONE_QUIET_CHANNEL, config_doc=DEFAULT_CONFIG, missing=None)
+@example(doc=ONE_QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
+def test_booking_quiet_passes_does_what_polling_pass_by_pass_does(doc, config_doc, missing):
+    # The segment lookups (each reads the channel, surface and weather
+    # timelines, then the calibration), their order and times, and so any
+    # ConfigError and the clock when it is raised, are those of the loop
+    # that polls every pass; and so is the clock of every app step that
+    # has work to do: the booked passes' app steps would have had none.
+    # run_record names a timeline by its id, so both runs read one script.
+    script = scenario_from_dict(doc)
+    config = build_config(config_doc, missing)
+    assert run_record(script, config) == run_record(script, config, PassByPassEcho)
+
+
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(**WALKS)
+def test_wrapped_sample_matches_segment_sampler_byte_for_byte(doc, config_doc, missing):
+    script = scenario_from_dict(doc)
+    config = build_config(config_doc, missing)
+    plain = reference_loop.outcome(harness.run_scenario, script, config, None)
+    wrapped, _ = wrapped_sample_outcome(script, config)
+    assert wrapped == plain
+
+
 def test_reference_polls_every_time_and_skip_ahead_does_not():
     # Guards the test above against comparing the new loop with itself.  All
     # channels are empty for one second: one firmware pass of three rounds of
@@ -261,10 +380,9 @@ def test_reference_polls_every_time_and_skip_ahead_does_not():
 #
 # After a pass with no echo on any channel, run_scenario books the quiet
 # passes that follow in one step, and firmware_tick books each round whose
-# polls all fall in the channel's empty segment.  Besides the trace (above),
-# they must look up what the loop that polls every round looks up, and step
-# the app when it does.  A measurement's truth comes from its segment unless
-# the round ended at or past that segment's end.
+# polls all fall in the channel's empty segment.  A measurement's truth
+# comes from its segment unless the round ended at or past that segment's
+# end.
 
 
 def test_quiet_passes_are_booked_without_polling():
@@ -329,93 +447,12 @@ def test_measurements_read_their_truth_from_the_segment_or_look_it_up():
         (90, 300, "tiles"), (180, 100, "concrete"), (270, 200, "concrete")]
 
 
-class PassByPassEcho(world.ChannelEcho):
-    """world.ChannelEcho whose quiet_until stays 0, so the firmware and the
-    run loop poll every round."""
-
-    quiet_until = property(lambda self: 0, lambda self, until: None)
-
-
-def run_record(script, config, echo=world.ChannelEcho) -> tuple[list, list, tuple]:
-    """What a run did, in order: every timeline lookup as (timeline, t_ms);
-    every app step that handled a token or user event or made an upload
-    attempt, as (clock, items handled, attempts); and the run's outcome."""
-    looked_up, app_steps = [], []
-    handled = 0
-    step_at = world.StepTimeline.step_at
-    tick = app.Uploader.tick
-
-    def spy_lookup(timeline, t_ms):
-        looked_up.append((id(timeline), t_ms))
-        return step_at(timeline, t_ms)
-
-    def spy_handler(name):
-        handler = getattr(app.AssistiveApp, name)
-
-        def spy(*args):
-            nonlocal handled
-            handled += 1
-            return handler(*args)
-        return mock.patch.object(app.AssistiveApp, name, spy)
-
-    def spy_tick(uploader, now_ms, *args):  # the last call of every app step
-        nonlocal handled
-        attempts = tick(uploader, now_ms, *args)
-        if handled or attempts:
-            app_steps.append((now_ms, handled, len(attempts)))
-        handled = 0
-        return attempts
-
-    with mock.patch.object(world.StepTimeline, "step_at", spy_lookup), \
-            mock.patch.object(app.Uploader, "tick", spy_tick), \
-            spy_handler("handle_token"), spy_handler("handle_button"), \
-            spy_handler("handle_utterance"), \
-            mock.patch.object(harness, "ChannelEcho", echo):
-        result = reference_loop.outcome(harness.run_scenario, script, config, None)
-    return looked_up, app_steps, result
-
-
-@settings(max_examples=100, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(doc=scenario_docs(), config_doc=config_docs(), missing=missing_entry)
-@example(doc=QUIET_THEN_TARGET, config_doc=DEFAULT_CONFIG, missing=None)
-@example(doc=QUIET_WITH_APP_WORK, config_doc=SHORT_PASSES, missing=None)
-@example(doc=QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
-@example(doc=QUIET_TO_THE_END, config_doc=DEFAULT_CONFIG, missing=None)
-@example(doc=ONE_QUIET_CHANNEL, config_doc=DEFAULT_CONFIG, missing=None)
-@example(doc=ONE_QUIET_INTO_MISSING_ENTRY, config_doc=DEFAULT_CONFIG, missing=("tiles", "wet"))
-def test_booking_quiet_passes_does_what_polling_pass_by_pass_does(doc, config_doc, missing):
-    # The segment lookups (each reads the channel, surface and weather
-    # timelines, then the calibration), their order and times, and so any
-    # ConfigError and the clock when it is raised, are those of the loop
-    # that polls every pass; and so is the clock of every app step that
-    # has work to do: the booked passes' app steps would have had none.
-    script = scenario_from_dict(doc)
-    config = build_config(config_doc, missing)
-    assert run_record(script, config) == run_record(script, config, PassByPassEcho)
-
-
 # -- the per-poll sample path ------------------------------------------------------
 #
 # perfbench's traced run counts polls by wrapping harness.sample_echo, and a
 # ChannelEcho given any sample but world.sample_echo calls it once per poll
 # instead of drawing through one echo_sampler closure per segment.  Both
 # paths must give the same bytes.
-
-
-def wrapped_sample_outcome(script, config=None, seed=None) -> tuple[tuple[str, str], int]:
-    """(outcome, draws) of run_scenario with harness.sample_echo behind a
-    pass-through wrapper, as the traced benchmark run installs it."""
-    draws = 0
-
-    def pass_through(*args):
-        nonlocal draws
-        draws += 1
-        return world.sample_echo(*args)
-
-    with mock.patch.object(harness, "sample_echo", pass_through):
-        result = reference_loop.outcome(harness.run_scenario, script, config, seed)
-    return result, draws
 
 
 @pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
@@ -430,17 +467,6 @@ def test_bundled_walks_are_the_same_with_a_wrapped_sample(scenario_name, config_
     # The runs took different paths: a closure per segment, a wrapper call per
     # poll.  Scenarios with no target (gps_outage, ...) draw nothing on either.
     assert closures.call_count < draws or closures.call_count == draws == 0
-
-
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(doc=scenario_docs(), config_doc=config_docs(), missing=missing_entry)
-def test_wrapped_sample_matches_segment_sampler_byte_for_byte(doc, config_doc, missing):
-    script = scenario_from_dict(doc)
-    config = build_config(config_doc, missing)
-    plain = reference_loop.outcome(harness.run_scenario, script, config, None)
-    wrapped, _ = wrapped_sample_outcome(script, config)
-    assert wrapped == plain
 
 
 def test_a_plain_walk_takes_each_segment_in_one_call_and_a_traced_walk_polls():

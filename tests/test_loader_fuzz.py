@@ -100,8 +100,7 @@ def mutated(draw, docs: list[dict]) -> dict:
     return doc
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated(SCENARIOS))
 def test_mutated_scenarios_load_or_raise_scenario_error(doc):
     try:
@@ -110,8 +109,7 @@ def test_mutated_scenarios_load_or_raise_scenario_error(doc):
         pass
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated(CONFIGS))
 def test_mutated_configs_load_and_run_or_raise_config_error(doc):
     try:
@@ -169,7 +167,7 @@ def store_path(tmp_path_factory) -> str:
     return str(tmp_path_factory.mktemp("store") / "locations.jsonl")
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(content=mutated_store())
 def test_mutated_store_files_open_or_raise_storage_error(store_path, content):
     with open(store_path, "wb") as fh:
@@ -231,7 +229,7 @@ def fix_store(tmp_path_factory):
     store.close()
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(body=mutated_fix())
 def test_mutated_fixes_are_refused_by_field_or_stored_and_served(fix_store, body):
     try:
@@ -264,7 +262,7 @@ def mutated_reply(draw) -> tuple[str, object]:
     return command, [before, record][draw(st.integers(0, 1)):]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(reply=mutated_reply())
 def test_mutated_tracker_replies_exit_0_or_2_naming_a_field(reply):
     command, payload = reply
@@ -291,7 +289,7 @@ def test_mutated_tracker_replies_exit_0_or_2_naming_a_field(reply):
 EXPECTATIONS = bundled(EXPECTATION_DIR)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(doc=mutated(EXPECTATIONS))
 def test_mutated_expectation_files_load_or_raise_scenario_error(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("expect") / "expect.json"

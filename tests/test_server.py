@@ -740,7 +740,7 @@ def test_the_answer_table(answer_server, request_bytes, replies, then):
 
 @pytest.mark.parametrize("request_bytes, replies, then",
                          [row[1:] for row in ANSWERS], ids=[row[0] for row in ANSWERS])
-@settings(max_examples=2, derandomize=True, deadline=None, database=None)
+@settings(max_examples=2)
 @given(cuts=st.data())
 def test_an_answer_is_the_same_when_its_request_comes_in_pieces(answer_server, request_bytes,
                                                                 replies, then, cuts):
@@ -762,7 +762,7 @@ _EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
                   min_size=1, max_size=4)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(request=st.sampled_from([_get(), _post(), _post("Expect: 100-continue\r\n"),
                                 _get("/api/locations?device_id=walker-1&limit=5",
                                      headers="Connection: keep-alive\r\n", version="HTTP/1.0")]),

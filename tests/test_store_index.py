@@ -96,7 +96,7 @@ def check_against_reference(store: TrackStore, records: list[FixRecord], op: tup
         assert store.recent(op[1], op[2]) == reference_store.history(records, *op[1:])
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(ops=operations)
 @example(ops=[("insert", "walker-1", "2015-06-01T00:00:01Z"), ("latest", "walker-1"),
               ("insert", "walker-1", "2015-06-01T00:00:00.500Z"),
@@ -162,7 +162,7 @@ def insert_outcome(store: TrackStore, body: object) -> tuple:
         return ("refused", str(exc), exc.field)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@settings(max_examples=100)
 @given(ops=memory_ops)
 @example(ops=[("insert", fix("walker-1", "2015-06-01T00:00:01Z")),
               ("insert", {**fix("walker-1", "2015-06-01T00:00:00Z"), "latitude": 91.0}),
@@ -350,7 +350,7 @@ def load_store(path: str) -> tuple:
 
 
 @pytest.mark.parametrize("variant", VARIANT_KINDS)
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_load_reads_like_the_json_pass(variant, data):
     store_file, kinds = data.draw(store_files(variant))
@@ -392,7 +392,7 @@ ordinary_fixes = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@settings(max_examples=50)
 @given(fixes=st.lists(ordinary_fixes, min_size=1, max_size=4))
 def test_every_line_insert_writes_for_an_ordinary_fix_takes_the_fast_path(fixes):
     """A fix validate_fix accepts, with a device id of printable ASCII other

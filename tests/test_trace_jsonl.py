@@ -411,7 +411,7 @@ def assert_rows_or_refusals(events) -> None:
     assert log.to_jsonl() == text
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400)
 @given(events=st.lists(made_events(), min_size=1, max_size=6))
 # One channel's true_cm, row after row: equal values of other types or signs
 # are written each as its own.
@@ -480,7 +480,7 @@ def renamed(event: dict, key: str, new_key: str) -> dict:
     return {(new_key if k == key else k): v for k, v in event.items()}
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400)
 @given(events=st.lists(mutated_hot_events(), min_size=1, max_size=4))
 @example(events=[with_value(MEASUREMENT, "t", True), with_value(ALERT, "t", 3.0),
                  with_value(NO_ECHO, "t", OddInt(4)), with_value(ALERT, "distance_cm", False)])

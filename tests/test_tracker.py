@@ -213,7 +213,7 @@ def test_track_limit_truncates_to_most_recent(live_tracking, tmp_path):
 
 def test_track_limit_1_passes_the_bound_and_asks_for_one_fix(live_tracking, tmp_path,
                                                              monkeypatch):
-    # Only a limit below 1 is refused: 1 itself reaches the server as limit=1.
+    # The smallest limit taken: 1 reaches the server as limit=1.
     store, server = live_tracking
     for minute in (5, 10, 15):
         store.insert(fix_dict(minute=minute, lat=20.0 + minute))
@@ -287,6 +287,22 @@ def test_an_empty_device_exits_2_before_any_socket(monkeypatch, capsys):
             main(["--server", "127.0.0.1:8750", "--device", "", *command])
         assert excinfo.value.code == 2
         assert "argument --device: must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "+2", "1_0"])
+def test_a_limit_not_ascii_digits_for_1_or_more_exits_2_before_any_socket(monkeypatch, capsys,
+                                                                           value):
+    # The server reads a query's limit by the same rule; int() takes '+2' and '1_0'.
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--server", "127.0.0.1:8750", "--device", "walker-1", "track", "--limit", value])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "echoguide-tracker track: error: argument --limit: "
+        f"must be a whole number of 1 or more in ASCII digits, got '{value}'")
 
 
 def test_fetches_on_one_thread_share_one_connection():
@@ -731,7 +747,7 @@ def read_arrivals(pieces, close):
 
 @pytest.mark.parametrize("reply, close", [row[1:3] for row in READABLE + UNREADABLE],
                          ids=[row[0] for row in READABLE + UNREADABLE])
-@settings(max_examples=5, derandomize=True, deadline=None, database=None)
+@settings(max_examples=5)
 @given(cuts=st.data())
 def test_a_reply_reads_the_same_when_it_comes_in_pieces(reply, close, cuts):
     ends = cuts.draw(st.lists(st.integers(0, len(reply)), max_size=6).map(sorted), label="cuts")
@@ -774,7 +790,7 @@ _REQUESTS = st.one_of(
                      "Connection: keep-alive\r\n\r\n"]))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@settings(max_examples=25)
 @given(stored=st.lists(_STORED, max_size=6), requests=st.lists(_REQUESTS, min_size=1, max_size=5))
 def test_the_tracker_reads_each_reply_the_server_writes_as_the_server_meant_it(
         recording_server, stored, requests):

@@ -455,7 +455,7 @@ noise_params = st.builds(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(true_cm=st.sampled_from([0.5, 1, 15.4, 100, 644, 1000]) | st.floats(0.5, 1000.0),
        params=noise_params, seed=st.integers(0, 2**64), polls=st.integers(0, 40))
 def test_echo_sampler_draws_as_sample_echo_per_poll(true_cm, params, seed, polls):
@@ -531,7 +531,7 @@ def take_one_by_one(draw, polls, bank, needed):
     return polls
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(true_cm=st.sampled_from([1, 15.4, 100, 644, 1000]) | st.floats(0.5, 1000.0),
        params=st.builds(NoiseParams,
                         rel_sigma=st.sampled_from([0.0, 0.19, 3.0]) | st.floats(0.0, 4.0),
@@ -580,7 +580,7 @@ def test_take_gates_exactly_at_both_ends(x, banked):
 _ties = st.integers(-40_000, 80_000).map(lambda k: k + 0.5)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(xs=st.lists(_ties | st.integers(-40_000, 80_000).map(float)
                    | st.floats(-1e6, 1e6) | st.floats(allow_nan=False, allow_infinity=False),
                    min_size=9, max_size=9))
