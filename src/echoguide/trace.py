@@ -14,10 +14,14 @@ the events turns the rows into their dicts; any dict goes to the encoder.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import json.encoder
+import os
+import secrets
+import stat
 from collections import Counter
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Iterator, Optional
 
 from .app import UploadAttempt
 from .errors import ScenarioError
@@ -31,7 +35,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",",
 
 
 def _encoder() -> Callable[[object], str]:
-    """_ENCODER.encode for the events of one to_jsonl call.  With json's C
+    """_ENCODER.encode for the events of one _chunks call.  With json's C
     encoder, it is built once, as encode builds it for every call, with its
     own markers for the circular-reference check; without it, this is
     _ENCODER.encode, on the pure-Python encoder."""
@@ -53,6 +57,16 @@ _AS_DICT = {
                               "weather": r[6]},
     "alert": lambda r: {"t": r[0], "kind": "alert", "channel": r[2], "distance_cm": r[3]},
 }
+
+
+# How many lines to_jsonl and write make text of at a time: a chunk's line
+# objects, not the whole trace's, are held at once.
+_CHUNK = 1024
+
+
+# Paths under these name devices and open files, such as /dev/stdout or
+# /proc/self/fd/1, which write takes for files with no contents to keep.
+_DEVICE_DIRS = ("/dev/", "/proc/")
 
 
 def _time(event) -> int:
@@ -102,42 +116,89 @@ class TraceLog:
     def __len__(self) -> int:
         return len(self._events)
 
-    def to_jsonl(self) -> str:
-        """One line per event, as json.dumps(event, sort_keys=True,
-        ensure_ascii=False, separators=(",", ":")) writes it: a row's from its
-        checked values, any dict's by the encoder."""
+    def _chunks(self) -> Iterator[str]:
+        """The lines to_jsonl joins, _CHUNK at a time, each chunk ending in
+        a newline: a row's from its checked values, any dict's by the
+        encoder, one encoder for all of them."""
         encode = _encoder()
         # A channel's measurements in one segment share its true_cm object, so
         # each channel keeps the last one with its text: (true_cm, text).
         last_cm: dict[str, tuple] = {}
-        lines: list[str] = []
-        append = lines.append
-        for event in self._events:
-            if type(event) is not tuple:
-                append(encode(event))
-            elif event[1] == "no_echo":
-                t, _, channel = event
-                append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
-            elif event[1] == "measurement":
-                t, _, channel, measured, true_cm, surface, weather = event
-                cm = last_cm.get(channel)
-                if cm is None or cm[0] is not true_cm:
-                    cm = last_cm[channel] = (true_cm, "null" if true_cm is None else f"{true_cm}")
-                append(f'{{"channel":"{channel}","kind":"measurement",'
-                       f'"measured_cm":{measured},"surface":"{surface}","t":{t},'
-                       f'"true_cm":{cm[1]},"weather":"{weather}"}}')
-            else:
-                t, _, channel, distance = event
-                append(f'{{"channel":"{channel}","distance_cm":{distance},'
-                       f'"kind":"alert","t":{t}}}')
-        append("")  # the final newline; one join, with no second copy of the text
-        return "\n".join(lines)
+        events = self._events
+        for start in range(0, len(events), _CHUNK):
+            lines: list[str] = []
+            append = lines.append
+            for event in events[start:start + _CHUNK]:
+                if type(event) is not tuple:
+                    append(encode(event))
+                elif event[1] == "no_echo":
+                    t, _, channel = event
+                    append(f'{{"channel":"{channel}","kind":"no_echo","t":{t}}}')
+                elif event[1] == "measurement":
+                    t, _, channel, measured, true_cm, surface, weather = event
+                    cm = last_cm.get(channel)
+                    if cm is None or cm[0] is not true_cm:
+                        text = "null" if true_cm is None else f"{true_cm}"
+                        cm = last_cm[channel] = (true_cm, text)
+                    append(f'{{"channel":"{channel}","kind":"measurement",'
+                           f'"measured_cm":{measured},"surface":"{surface}","t":{t},'
+                           f'"true_cm":{cm[1]},"weather":"{weather}"}}')
+                else:
+                    t, _, channel, distance = event
+                    append(f'{{"channel":"{channel}","distance_cm":{distance},'
+                           f'"kind":"alert","t":{t}}}')
+            append("")  # the chunk's final newline, in its one join
+            yield "\n".join(lines)
+
+    def to_jsonl(self) -> str:
+        """One line per event, as json.dumps(event, sort_keys=True,
+        ensure_ascii=False, separators=(",", ":")) writes it."""
+        return "".join(self._chunks())
 
     def write(self, path: str) -> None:
-        """Write the trace to `path`; one that cannot be serialized leaves the file as it was."""
-        data = self.to_jsonl().encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(data)
+        """Write to_jsonl's text to `path` in UTF-8, one chunk at a time.
+
+        A new file, or a regular one, is written through a temporary file
+        beside it, which replaces it only once the whole trace is written: a
+        trace that cannot be serialized or written leaves the file as it was,
+        and no temporary file behind.  A new file gets the mode open gives
+        it, 0o666 less the umask, and an old one keeps its mode; through a
+        symlink, the file it points to is replaced.  Any other path, such as
+        a FIFO, or a device or open file under /dev or /proc such as
+        /dev/stdout, has no contents to keep and is written directly.  An
+        OSError names `path`.
+        """
+        try:
+            try:
+                old = os.stat(path)
+            except FileNotFoundError:
+                old = None
+            if old is not None and (not stat.S_ISREG(old.st_mode)
+                                    or os.path.abspath(path).startswith(_DEVICE_DIRS)):
+                with open(path, "wb") as fh:  # a directory raises IsADirectoryError here
+                    self._stream(fh)
+                return
+            target = os.path.realpath(path)
+            directory, name = os.path.split(target)
+            temporary = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+            fh = open(temporary, "xb")
+            try:
+                with fh:
+                    if old is not None:
+                        os.chmod(temporary, stat.S_IMODE(old.st_mode))
+                    self._stream(fh)
+                os.replace(temporary, target)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(temporary)
+                raise
+        except OSError as exc:
+            exc.filename, exc.filename2 = path, None  # the caller's file, not the temporary one
+            raise
+
+    def _stream(self, fh: BinaryIO) -> None:
+        for chunk in self._chunks():
+            fh.write(chunk.encode("utf-8"))
 
     @classmethod
     def read(cls, path: str) -> "TraceLog":

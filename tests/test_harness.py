@@ -566,7 +566,8 @@ def test_cli_run_missing_scenario_exits_2(tmp_path, capsys):
     ("--scenario", "bad.json", "duration_ms: must be >= 1"),
     ("--config", "badcfg.json", "firmware: sample_period_ms must be positive"),
     ("--trace", "no/such/dir/run.jsonl", "No such file or directory"),
-], ids=["bad scenario", "bad config", "unwritable trace"])
+    ("--trace", "tracedir", "Is a directory"),
+], ids=["bad scenario", "bad config", "unwritable trace", "trace is a directory"])
 def test_cli_run_error_starts_with_the_file_at_fault(tmp_path, monkeypatch, capsys, flag, path,
                                                      named):
     monkeypatch.chdir(tmp_path)
@@ -574,6 +575,7 @@ def test_cli_run_error_starts_with_the_file_at_fault(tmp_path, monkeypatch, caps
     (tmp_path / "bad.json").write_text(json.dumps({**scenario, "duration_ms": 0}))
     (tmp_path / "badcfg.json").write_text(
         json.dumps({"schema_version": 1, "firmware": {"sample_period_ms": 0}}))
+    (tmp_path / "tracedir").mkdir()
     files = {"--scenario": str(SCENARIO_DIR / "ground_obstacle.json"), flag: path}
     assert sim_main(["run", *(item for pair in files.items() for item in pair)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {named}\n"

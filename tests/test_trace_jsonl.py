@@ -4,15 +4,21 @@ on the lines it writes directly from the hot kinds' rows."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import inspect
 import json
 import json.encoder
+import math
+import os
 import re
+import stat
 import sys
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from enum import Enum
 from operator import itemgetter
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -119,15 +125,193 @@ def test_empty_trace_is_empty_text():
     assert TraceLog().to_jsonl() == ""
 
 
+# -- writing a trace file, a chunk at a time ----------------------------------
+
+CHUNK = trace._CHUNK
+# The events whose lines UTF-8 can encode: all but the frame with a lone surrogate.
+WRITABLE = [event for event in EVENTS if event["kind"] != "frame"]
+OLD = [{"t": 0, "kind": "speak", "text": "সাবধান"}]
+
+
+def chunked_trace(size: int) -> TraceLog:
+    """A trace of `size` events that cycles through the three row kinds and
+    dict events.  The ground channel's measurements from the third-last line
+    of the first chunk to the third line of the second share one true_cm
+    object, as a segment's do, so its text is cached across the boundary."""
+    channels, surfaces, weathers = list(Channel), list(SurfaceKind), list(Weather)
+    straddle = 123.25
+    log = TraceLog()
+    for i in range(size):
+        channel = channels[i % 3]
+        if CHUNK - 3 <= i <= CHUNK + 2:
+            log.add(row_measurement(i, Channel.GROUND, 123, straddle, SurfaceKind.TILES,
+                                    Weather.DRY))
+        elif i % 4 == 0:
+            log.add(row_no_echo(i, channel))
+        elif i % 4 == 1:
+            log.add(row_measurement(i, channel, i % 700, (None, i % 700, i / 7)[i % 3],
+                                    surfaces[i % 2], weathers[i // 2 % 2]))
+        elif i % 4 == 2:
+            log.add(row_alert(i, channel, i % 100))
+        else:
+            log.add(ev_button(i) if i % 8 == 3 else {"t": i, "kind": "speak", "text": "সাবধান"})
+    return log
+
+
+@contextmanager
+def spied_writes(fail_at: Optional[int] = None):
+    """Patch the open that trace.py calls, so that every file it opens
+    records the bytes of each write in the list this yields; with fail_at,
+    that write raises ENOSPC instead, as a full disk does."""
+    writes: list[bytes] = []
+
+    class Spy:
+        def __init__(self, fh) -> None:
+            self.fh = fh
+
+        def write(self, data: bytes) -> int:
+            if len(writes) == fail_at:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            writes.append(bytes(data))
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            self.fh.close()
+
+    with mock.patch.object(trace, "open", lambda *args: Spy(open(*args)), create=True):
+        yield writes
+
+
+@ENCODERS
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_a_trace_is_written_line_by_line_across_chunks(tmp_path, monkeypatch, switch, size):
+    switch(monkeypatch)
+    log, path = chunked_trace(size), tmp_path / "trace.jsonl"
+    chunks = list(log._chunks())
+    text = log.to_jsonl()
+    log.write(path)
+    assert len(chunks) == math.ceil(size / CHUNK)
+    assert all(chunk.endswith("\n") and chunk.count("\n") <= CHUNK for chunk in chunks)
+    assert "".join(chunks) == text == expected_lines(log.events)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_streams_a_dense_walk_a_chunk_at_a_time(tmp_path):
+    walk = run_scenario(scenario_from_dict(inputs.dense_course(1)))
+    path = tmp_path / "walk.jsonl"
+    with spied_writes() as writes:
+        walk.write(path)
+    assert len(writes) >= math.ceil(len(walk) / CHUNK) > 1
+    assert all(data.endswith(b"\n") and data.count(b"\n") <= CHUNK for data in writes)
+    assert b"".join(writes) == path.read_bytes() == walk.to_jsonl().encode("utf-8")
+
+
 @pytest.mark.parametrize("value, error", [(b"bytes", TypeError), ("\ud800", UnicodeEncodeError)],
                          ids=["bytes", "lone surrogate"])
 def test_write_that_cannot_serialize_leaves_the_old_file(tmp_path, value, error):
+    # The bad event is in the second chunk, after the first has been written.
     path = tmp_path / "trace.jsonl"
-    old = [{"t": 0, "kind": "speak", "text": "সাবধান"}]
-    TraceLog(old).write(path)
-    with pytest.raises(error):
-        TraceLog([*old, {"t": 1, "kind": "x", "data": value}]).write(path)
-    assert path.read_text(encoding="utf-8") == expected_lines(old)
+    TraceLog(OLD).write(path)
+    filler = [{"t": 1, "kind": "x"}] * CHUNK
+    with spied_writes() as writes, pytest.raises(error):
+        TraceLog([*OLD, *filler, {"t": 2, "kind": "x", "data": value}]).write(path)
+    assert len(writes) == 1
+    assert path.read_text(encoding="utf-8") == expected_lines(OLD)
+    assert os.listdir(tmp_path) == ["trace.jsonl"]
+
+
+def full_disk(monkeypatch):
+    return spied_writes(fail_at=1)
+
+
+def refused_replace(monkeypatch):
+    def replace(src, dst):
+        raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, None, dst)
+    monkeypatch.setattr(os, "replace", replace)
+    return nullcontext()
+
+
+@pytest.mark.parametrize("fault, strerror", [(full_disk, os.strerror(errno.ENOSPC)),
+                                             (refused_replace, os.strerror(errno.EBUSY))],
+                         ids=["disk full", "replace refused"])
+def test_write_that_fails_names_the_path_and_leaves_the_old_file(tmp_path, monkeypatch, fault,
+                                                                 strerror):
+    path = tmp_path / "trace.jsonl"
+    TraceLog(OLD).write(path)
+    with fault(monkeypatch), pytest.raises(OSError) as raised:
+        TraceLog([*OLD, *[{"t": 1, "kind": "x"}] * (2 * CHUNK)]).write(path)
+    assert (raised.value.filename, raised.value.filename2, raised.value.strerror) == \
+        (path, None, strerror)
+    assert path.read_text(encoding="utf-8") == expected_lines(OLD)
+    assert os.listdir(tmp_path) == ["trace.jsonl"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=lambda umask: f"{umask:03o}")
+def test_a_new_file_gets_the_mode_open_gives_it(tmp_path, umask):
+    old_umask = os.umask(umask)
+    try:
+        TraceLog(OLD).write(tmp_path / "trace.jsonl")
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(os.stat(tmp_path / "trace.jsonl").st_mode) == 0o666 & ~umask
+
+
+def test_an_old_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    TraceLog(OLD).write(path)
+    os.chmod(path, 0o640)
+    TraceLog(WRITABLE).write(path)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+    assert path.read_text(encoding="utf-8") == expected_lines(WRITABLE)
+
+
+def test_through_a_symlink_the_file_it_points_to_is_written(tmp_path):
+    # One link to an old file and one to a file not there yet, as open follows them.
+    (tmp_path / "sub").mkdir()
+    TraceLog(OLD).write(tmp_path / "sub" / "old.jsonl")
+    for name in ("old", "new"):
+        link = tmp_path / f"{name}-link.jsonl"
+        link.symlink_to(f"sub/{name}.jsonl")
+        TraceLog(WRITABLE).write(link)
+        assert os.readlink(link) == f"sub/{name}.jsonl"
+        assert link.read_text(encoding="utf-8") == expected_lines(WRITABLE)
+    assert sorted(os.listdir(tmp_path / "sub")) == ["new.jsonl", "old.jsonl"]
+    assert sorted(os.listdir(tmp_path)) == ["new-link.jsonl", "old-link.jsonl", "sub"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_is_written_into_directly(tmp_path):
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the trace fits the pipe's buffer
+    try:
+        TraceLog(WRITABLE).write(fifo)
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert data == expected_lines(WRITABLE).encode("utf-8")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["trace.fifo"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@pytest.mark.parametrize("in_directory", [True, False], ids=["in a directory", "deleted"])
+def test_an_open_file_named_under_proc_is_written_into_directly(tmp_path, in_directory):
+    # As through /dev/stdout, a link to /proc/self/fd/1: the open file is
+    # written, not replaced by a new file of its name.
+    path = tmp_path / "open.jsonl"
+    with open(path, "w+b") as fh:
+        fh.write(b"old\n")
+        fh.flush()
+        if not in_directory:
+            os.unlink(path)
+        TraceLog(WRITABLE).write(f"/proc/self/fd/{fh.fileno()}")
+        fh.seek(0)
+        assert fh.read() == expected_lines(WRITABLE).encode("utf-8")
+    assert os.listdir(tmp_path) == (["open.jsonl"] if in_directory else [])
 
 
 # -- reading a trace file --------------------------------------------------------
