@@ -20,6 +20,7 @@ import json.encoder
 import os
 import secrets
 import stat
+import sys
 from collections import Counter
 from typing import BinaryIO, Callable, Iterator, Optional
 
@@ -67,6 +68,18 @@ _CHUNK = 1024
 # Paths under these name devices and open files, such as /dev/stdout or
 # /proc/self/fd/1, which write takes for files with no contents to keep.
 _DEVICE_DIRS = ("/dev/", "/proc/")
+
+
+def _standard_output(old: os.stat_result) -> Optional[BinaryIO]:
+    """sys.stdout's binary buffer, if it writes to the file `old` is the stat
+    of.  Opened anew, a file that `>` gave standard output would be written
+    from its start, under the lines printed after."""
+    try:
+        if os.path.samestat(old, os.fstat(sys.stdout.fileno())):
+            return sys.stdout.buffer
+    except (AttributeError, OSError, ValueError):  # no stdout, or not a file's
+        pass
+    return None
 
 
 def _time(event) -> int:
@@ -163,16 +176,24 @@ class TraceLog:
         trace that cannot be serialized or written leaves the file as it was,
         and no temporary file behind.  A new file gets the mode open gives
         it, 0o666 less the umask, and an old one keeps its mode; through a
-        symlink, the file it points to is replaced.  Any other path, such as
-        a FIFO, or a device or open file under /dev or /proc such as
-        /dev/stdout, has no contents to keep and is written directly.  An
-        OSError names `path`.
+        symlink, the file it points to is replaced.  The file standard
+        output writes to, such as /dev/stdout, is written through
+        sys.stdout after what was printed to it, at its one offset.  Any
+        other path, such as a FIFO, or a device or open file under /dev or
+        /proc, has no contents to keep and is written directly.  An OSError
+        names `path`.
         """
         try:
             try:
                 old = os.stat(path)
             except FileNotFoundError:
                 old = None
+            stdout = None if old is None else _standard_output(old)
+            if stdout is not None:
+                sys.stdout.flush()
+                self._stream(stdout)
+                stdout.flush()
+                return
             if old is not None and (not stat.S_ISREG(old.st_mode)
                                     or os.path.abspath(path).startswith(_DEVICE_DIRS)):
                 with open(path, "wb") as fh:  # a directory raises IsADirectoryError here

@@ -13,13 +13,16 @@ import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from contextlib import ExitStack
 from http import HTTPStatus
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import reference_store
 
@@ -1137,21 +1140,38 @@ def test_an_out_of_order_post_into_a_capped_history_changes_its_reply(live_serve
     conn.close()
 
 
-def test_every_get_asks_the_service(tmp_path):
-    """A reused reply still comes from a query: the store is asked on each GET."""
+def test_a_get_queries_the_store_only_after_an_insert_into_its_device(tmp_path):
+    """A reply is kept with its device's version and limit.  With no insert
+    into the device between, a GET sends it again and queries nothing, an
+    insert into another device among them; after an insert into the
+    device, even one that leaves the newest fix as it was, the next GET of
+    each kind queries and is encoded afresh."""
     store = TrackStore(tmp_path / "locations.jsonl")
     records = [store.insert(good_fix(timestamp=at_second(s))) for s in (60, 120)]
     asked = []
     recent = store.recent
     store.recent = lambda *args: asked.append(args) or recent(*args)
+    both = [("walker-1", 1), ("walker-1", 50)]
     with in_process_server(store) as httpd:
-        base = base_url(httpd)
-        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=5)
-        for _ in range(3):
-            for limit in (None, 50):
-                assert get_reply(conn, "walker-1", limit) == fresh_reply(records, "walker-1", limit)
+        conn = http.client.HTTPConnection(base_url(httpd).removeprefix("http://"), timeout=5)
+
+        def get_each(times: int) -> None:
+            for _ in range(times):
+                for limit in (None, 50):
+                    assert get_reply(conn, "walker-1", limit) == fresh_reply(records, "walker-1",
+                                                                             limit)
+
+        get_each(3)
+        assert asked == both
+        records.append(post_record(conn, good_fix(device_id="walker-2")))
+        get_each(2)
+        assert asked == both
+        records.append(post_record(conn, good_fix(timestamp=at_second(30))))  # not the newest
+        get_each(3)
+        assert asked == both * 2
+        assert get_reply(conn, "walker-1", 2) == fresh_reply(records, "walker-1", 2)
+        assert asked == both * 2 + [("walker-1", 2)]
         conn.close()
-    assert sorted(asked) == [("walker-1", 1)] * 3 + [("walker-1", 50)] * 3
 
 
 def test_racing_handlers_leave_only_fresh_replies(tmp_path):
@@ -1235,6 +1255,87 @@ def test_a_failing_query_answers_500_each_time_and_keeps_no_reply(tmp_path):
                 assert status == 500 and "record 1" in json.loads(body)["error"]
         conn.close()
         assert [key for key in httpd.replies if key[0] == "walker-1"] == []
+
+
+# -- the server against a model, across restarts -----------------------------------
+
+MODEL_DEVICES = ("walker-1", "walker-2")
+# Instants a minute apart, each in the columns' form and in two forms the
+# store keeps beside its columns: fractional seconds, a space for the 'T'.
+MODEL_TIMESTAMPS = [spelling for second in range(0, 240, 60)
+                    for spelling in (at_second(second), at_second(second).replace("T", " "),
+                                     at_second(second)[:-1] + ".500Z")]
+# (method, path, body, the field its 400 names); none closes the connection.
+BAD_REQUESTS = [
+    ("GET", "/api/locations?device_id=walker-1&limit=0", None, "limit"),
+    ("GET", "/api/locations/latest", None, "device_id"),
+    ("POST", "/api/locations", json.dumps(good_fix(latitude=91.0)), "latitude"),
+    ("POST", "/api/locations", "{not json", "body"),
+]
+
+
+class ServerModel(RuleBasedStateMachine):
+    """The HTTP server on one kept-alive connection, against the reference
+    store: POSTs in and out of time order, latest and history GETs with
+    drawn limits, bad requests, and restarts of the store on its file,
+    which keep no reply, as a new process keeps none.  Every answer is the
+    reference's, and every GET's body the bytes of a fresh json.dumps, so a
+    reply kept by version cannot go stale across a restart or an
+    out-of-order insert."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stack = ExitStack()
+        directory = self.stack.enter_context(tempfile.TemporaryDirectory())
+        self.path = os.path.join(directory, "locations.jsonl")
+        self.httpd = self.stack.enter_context(in_process_server(TrackStore(self.path)))
+        self.conn = http.client.HTTPConnection(base_url(self.httpd).removeprefix("http://"),
+                                               timeout=5)
+        self.conn.connect()
+        self.sock = self.conn.sock
+        self.records: list[FixRecord] = []
+
+    @rule(device=st.sampled_from(MODEL_DEVICES), timestamp=st.sampled_from(MODEL_TIMESTAMPS),
+          latitude=st.integers(-89, 89))
+    def post(self, device, timestamp, latitude):
+        fix = good_fix(device_id=device, timestamp=timestamp, latitude=float(latitude))
+        self.records.append(post_record(self.conn, fix))
+        assert self.records[-1] == FixRecord(len(self.records), **fix)
+
+    @rule(device=st.sampled_from(MODEL_DEVICES + ("nobody",)))
+    def latest(self, device):
+        assert get_reply(self.conn, device, None) == fresh_reply(self.records, device, None)
+
+    @rule(device=st.sampled_from(MODEL_DEVICES + ("nobody",)), limit=st.integers(1, 6))
+    def history(self, device, limit):
+        assert get_reply(self.conn, device, limit) == fresh_reply(self.records, device, limit)
+
+    @rule(request=st.sampled_from(BAD_REQUESTS))
+    def bad_request(self, request):
+        method, path, body, field = request
+        self.conn.request(method, path, body, {"Content-Type": "application/json"})
+        response = self.conn.getresponse()
+        assert (response.status, json.loads(response.read())["field"]) == (400, field)
+
+    @rule()
+    def restart(self):
+        self.httpd.service.store.close()
+        serve_store(self.httpd, TrackStore(self.path))
+
+    @invariant()
+    def one_connection(self):
+        assert self.conn.sock is self.sock
+
+    def teardown(self):
+        self.conn.close()
+        try:
+            self.stack.close()
+        finally:
+            self.httpd.service.store.close()
+
+
+TestServerModel = ServerModel.TestCase
+TestServerModel.settings = settings(max_examples=40, stateful_step_count=40)
 
 
 # -- subprocess entry point ---------------------------------------------------------

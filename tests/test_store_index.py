@@ -24,6 +24,7 @@ import re
 import sys
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -43,7 +44,7 @@ from echoguide.server import (
     validate_fix,
 )
 
-from conftest import stored_records
+from conftest import at_second, stored_records
 
 DEVICES = ("walker-1", "walker-2", "walker-3")
 FIX_FIELDS = ("device_id", "latitude", "longitude", "timestamp", "provider")
@@ -545,6 +546,77 @@ def test_insert_into_a_sorted_device_reads_the_fix_once(tmp_path, monkeypatch):
     records = stored_records(path)
     assert store.recent("walker-1", 1000) == reference_store.history(records, "walker-1", 1000)
     store.close()
+
+
+# -- memory ----------------------------------------------------------------------
+
+
+def loaded_and_queried(path, devices: list[str]) -> tuple[list[FixRecord], TrackStore, int, int]:
+    """Write 20,000 fixes as insert writes them, spread over `devices`, one
+    in 50 an hour older than the one before; load them and query each
+    device once.  The records, the store, and the bytes a fix it holds
+    then and at the peak, under tracemalloc."""
+    records = [FixRecord(n, devices[n % len(devices)], round(22.9 + n % 997 * 1e-5, 6),
+                         round(89.5 - n % 991 * 1e-5, 6),
+                         at_second(75 * n - (3600 if n % 50 == 0 else 0)),
+                         "network" if n % 7 == 0 else "gps")
+                 for n in range(1, 20_001)]
+    path.write_text("".join(json.dumps(r.as_dict(), sort_keys=True) + "\n" for r in records))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = TrackStore(path)
+        for device in devices:
+            store.recent(device, 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (records, store, (held - before) // len(records), (peak - before) // len(records))
+
+
+def test_a_loaded_store_holds_at_most_80_bytes_a_fix(tmp_path):
+    """20,000 fixes as insert writes them, over 4 devices, some out of order,
+    take at most 80 bytes each once loaded and each device queried (a
+    record object and its fields alone take about 240).  Fixes the columns
+    cannot hold (fractional seconds, another spelling of an instant) and
+    out-of-order inserts into one device then leave every answer, and the
+    reopened store's, as the scan gives it."""
+    path = tmp_path / "locations.jsonl"
+    devices = [f"walker-{d}" for d in range(1, 5)]
+    records, store, held, _ = loaded_and_queried(path, devices)
+    try:
+        assert held <= 80
+        # Fractional seconds, a tie with a stored fix spelt with a space,
+        # the newest, and two older than most.
+        later = ["2015-06-01T00:00:00.250Z", at_second(75 * 101).replace("T", " "),
+                 at_second(75 * 20_000), "2015-06-01T10:00:00.000001Z", at_second(3_000),
+                 at_second(0)]
+        for n, timestamp in enumerate(later):
+            body = fix("walker-2", timestamp, latitude=float(n))
+            records.append(store.insert(body))
+            assert records[-1] == FixRecord(len(records), **body)
+        store.close()
+        reopened = TrackStore(path)
+        for device in devices:
+            for limit in (1, 3, 50, len(records)):
+                expected = reference_store.history(records, device, limit)
+                assert store.recent(device, limit) == expected
+                assert reopened.recent(device, limit) == expected
+        reopened.close()
+    finally:
+        store.close()
+
+
+def test_one_device_s_first_query_peaks_at_most_180_bytes_a_fix(tmp_path):
+    """A store whose 20,000 fixes are all one device's, as a lone walker's
+    are, peaks at most 180 bytes a fix from its load through the device's
+    first query, which checks and sorts every fix (about 350 when each fix
+    was a record object), and holds at most 80 after it."""
+    records, store, held, peak = loaded_and_queried(tmp_path / "locations.jsonl", ["walker-1"])
+    store.close()
+    assert held <= 80
+    assert peak <= 180
+    assert store.recent("walker-1", 3) == reference_store.history(records, "walker-1", 3)
 
 
 # -- failed appends -------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import os
 import re
 import stat
+import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -312,6 +313,29 @@ def test_an_open_file_named_under_proc_is_written_into_directly(tmp_path, in_dir
         fh.seek(0)
         assert fh.read() == expected_lines(WRITABLE).encode("utf-8")
     assert os.listdir(tmp_path) == (["open.jsonl"] if in_directory else [])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("mode", ["wb", "ab"], ids=[">", ">>"])
+def test_a_trace_to_dev_stdout_comes_before_the_lines_printed_after_it(tmp_path, mode):
+    """`run --trace /dev/stdout` with standard output a file opened as `>`
+    or `>>` opens: the file holds the pinned trace, then the CLI's lines,
+    after what it held for `>>`."""
+    scenario = SCENARIO_DIR / "ground_obstacle.json"
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"held before\n")
+    kept = b"held before\n" if mode == "ab" else b""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    with open(out, mode) as stdout:
+        subprocess.run([sys.executable, "-m", "echoguide.cli", "run", "--scenario", str(scenario),
+                        "--trace", "/dev/stdout"], stdout=stdout, env=env, check=True, timeout=120)
+    data = out.read_bytes()
+    pinned = json.loads((REPO_ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
+    walk = run_scenario(load_scenario(scenario))
+    text = walk.to_jsonl().encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == pinned["bundled"]["ground_obstacle"]
+    assert data == (kept + text + b"trace written to /dev/stdout\n"
+                    + _summarize(walk).encode("utf-8") + b"\n")
 
 
 # -- reading a trace file --------------------------------------------------------
